@@ -725,7 +725,6 @@ def axis_avoiding_paths(x_list, y_list) -> PathBundle:
         length_bound=8 * n,
         multiplicity_bound=1,
     )
-    axis3 = tuple(0 if k != 2 else None for k in range(d))
     for p in bundle.paths:
         for v in p:
             if all(v[k] == 0 for k in range(d) if k != 2):

@@ -142,12 +142,13 @@ def write_csv(path, schema_name: str, header, rows) -> None:
 
 
 def _fmt_cell(c):
-    if isinstance(c, float):
+    if isinstance(c, (float, np.floating)):
+        c = float(c)
         if math.isinf(c):
             return "inf"
         if math.isnan(c):
             return "nan"
-        return repr(c)
+        return repr(c + 0.0)  # + 0.0 turns -0.0 into 0.0
     return c
 
 
@@ -761,6 +762,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_override(schema, key, raw):
+    try:
+        return schema[key].parse(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}")
+
+
 def cli_dispatch(argv) -> int:
     try:
         parser = _build_parser()
@@ -784,14 +792,11 @@ def cli_dispatch(argv) -> int:
             key = key.strip()
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r}")
-            overrides[key] = schema[key].parse(value.strip())
-        for key, fld in schema.items():
+            overrides[key] = _parse_override(schema, key, value.strip())
+        for key in schema:
             raw = getattr(args, f"opt_{key}", None)
             if raw is not None:
-                try:
-                    overrides[key] = fld.parse(raw)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"bad value for {key!r}: {exc}")
+                overrides[key] = _parse_override(schema, key, raw)
         cfg = resolve_config(schema, file_values, overrides)
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()

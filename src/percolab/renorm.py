@@ -19,11 +19,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, PreconditionError, RoutingError
 from .lattice import BoxSpec, PercolationSample
-from .metric import _grow, _INF32, geodesic, grow_ball
+from .metric import geodesic, grow_ball
+from .metric import _grow  # noqa: F401  (perfbench wraps renorm._grow)
 
 DEFAULT_EPSILON = 0.5
 CONDITION3_EXACT_CUTOFF = 256
 CONDITION3_SAMPLED_SOURCES = 64
+_PAIR_CHUNK = 1 << 16  # (vertex, source) pairs per deadline scan chunk
 
 
 class ScaledL1Norm:
@@ -214,7 +216,10 @@ def _component_diameters(labels: np.ndarray, n_comp: int) -> np.ndarray:
     diam = np.zeros(n_comp, dtype=np.int64)
     flat = labels.reshape(-1)
     for axis in range(d):
-        coord = np.indices(labels.shape)[axis].reshape(-1)
+        axis_shape = [1] * d
+        axis_shape[axis] = labels.shape[axis]
+        coord = np.arange(labels.shape[axis], dtype=np.int64).reshape(axis_shape)
+        coord = np.broadcast_to(coord, labels.shape).reshape(-1)
         lo = np.full(n_comp, np.iinfo(np.int64).max, dtype=np.int64)
         hi = np.full(n_comp, np.iinfo(np.int64).min, dtype=np.int64)
         np.minimum.at(lo, flat, coord)
@@ -250,10 +255,12 @@ def classify_boxes(
 ) -> MacroClassification:
     """Classify every macroscopic site whose enlarged block fits in the box.
 
-    Condition 3 is checked by per-source ball growth restricted to the
-    enlarged block, one source per cluster vertex; above
-    ``condition3_cutoff`` cluster vertices only ``condition3_sources``
-    deterministic sources are used and the record is flagged as sampled.
+    Condition 3 takes every dominant-cluster vertex as a source and
+    measures distances in the whole sample box; above ``condition3_cutoff``
+    cluster vertices only ``condition3_sources`` evenly spaced sources are
+    used and the record is flagged as sampled. All sources of a site grow
+    in one bit-parallel BFS that stops as soon as the verdict is certain
+    (see :func:`_condition3`).
     """
     box = sample.box
     d = box.dimension
@@ -314,8 +321,18 @@ def _condition3(sample, mask, lo, mu, slack, *, cutoff, n_sources):
 
     The pair set is the dominant cluster of the enlarged block, but
     distances are measured in the whole sample box (a geodesic may leave
-    the block); per-source growth is cut off just past the largest allowed
-    distance. Box truncation can only overestimate, so a pass is sound.
+    the block). A pair fails when its distance exceeds mu(x - y) + slack
+    (with a 1e-9 tolerance) or when it is not connected in the box. Box
+    truncation can only overestimate, so a pass is sound.
+
+    All k sources grow together in one bit-parallel BFS: each vertex carries
+    ceil(k / 64) uint64 words with one bit per source, and a layer is one
+    masked shift of the whole box per axis and direction. The BFS stops as
+    soon as the verdict is certain: it passes once every (source, cluster
+    vertex) pair is reached, and fails once an unreached pair is past its
+    deadline floor(mu(x - y) + slack + 1e-9) or the frontier dies out.
+    Deadlines are only inspected when the layer count reaches the smallest
+    deadline among the pairs still unreached.
     """
     box = sample.box
     local_flats = np.flatnonzero(mask.reshape(-1))
@@ -331,18 +348,78 @@ def _condition3(sample, mask, lo, mu, slack, *, cutoff, n_sources):
         picks = np.unique(np.linspace(0, m - 1, n_sources).astype(np.int64))
     else:
         picks = np.arange(m)
-    for i in picks:
-        src = window_flats[i]
+    k = len(picks)
+    n = box.n_vertices
+
+    # deadline[j, i]: largest distance allowed from source i to window
+    # vertex j. A BFS distance is below n, so n stands for "no deadline".
+    deadline = np.empty((m, k), dtype=np.int32)
+    for col, i in enumerate(picks):
         allowed = mu(coords - coords[i]) + slack
-        t_cap = int(allowed.max()) + 1
-        dist, _, _, _, _, _ = _grow(
-            sample, np.asarray([src], dtype=np.int64), t_max=t_cap,
-        )
-        dvals = dist[window_flats].astype(np.float64)
-        dvals[dvals == float(_INF32)] = np.inf
-        if (dvals > allowed + 1e-9).any():
+        deadline[:, col] = np.minimum(np.floor(allowed + 1e-9), n)
+    # a negative deadline fails even at distance 0, and the loop below only
+    # inspects the deadlines of pairs that are still unreached
+    if deadline.min() < 0:
+        return False, sampled
+
+    n_words = -(-k // 64)
+    word, bit = np.divmod(np.arange(k), 64)
+    full = np.asarray(
+        [(1 << min(64, k - 64 * w)) - 1 for w in range(n_words)], dtype=np.uint64
+    )[:, None]
+    front = np.zeros((n_words, n), dtype=np.uint64)
+    front[word, window_flats[picks]] = np.uint64(1) << bit.astype(np.uint64)
+    unseen = ~front
+    nxt = np.empty_like(front)
+    tmp = np.empty_like(front)
+    # all-ones word where the edge (v, v + e_axis) is open, zero elsewhere
+    opens = [
+        (-op.astype(np.int64)).view(np.uint64) for op in sample.axis_open_flats()
+    ]
+
+    t = 0
+    next_check = 0
+    while True:
+        missing = np.take(unseen, window_flats, axis=1) & full
+        if not missing.any():
+            return True, sampled
+        if t >= next_check:
+            next_check = _earliest_deadline(missing, deadline)
+            if next_check <= t:
+                return False, sampled
+        nxt.fill(0)
+        for st, op in zip(box.strides, opens):
+            np.bitwise_and(front[:, :-st], op[:-st], out=tmp[:, st:])
+            nxt[:, st:] |= tmp[:, st:]
+            np.bitwise_and(front[:, st:], op[:-st], out=tmp[:, :-st])
+            nxt[:, :-st] |= tmp[:, :-st]
+        nxt &= unseen
+        if not nxt.any():
             return False, sampled
-    return True, sampled
+        unseen ^= nxt
+        front, nxt = nxt, front
+        t += 1
+
+
+def _earliest_deadline(missing, deadline) -> int:
+    """Smallest deadline among the (window vertex, source) pairs not reached.
+
+    Bit i % 64 of ``missing[i // 64, j]`` is set when source i has not yet
+    reached window vertex j. Rows are scanned in chunks so that the unpacked
+    bits stay small.
+    """
+    m, k = deadline.shape
+    words = np.ascontiguousarray(missing.T, dtype="<u8")
+    step = max(1, _PAIR_CHUNK // k)
+    due = np.iinfo(np.int32).max
+    for r0 in range(0, m, step):
+        bits = np.unpackbits(
+            words[r0 : r0 + step].view(np.uint8), axis=1, bitorder="little"
+        )
+        pending = deadline[r0 : r0 + step][bits[:, :k].view(bool)]
+        if pending.size:
+            due = min(due, int(pending.min()))
+    return due
 
 
 def _window_region(box: BoxSpec, lo, shape) -> np.ndarray:
@@ -584,7 +661,6 @@ def slab_experiment(
                range(-eps_n + anchor[1], eps_n + 1 + anchor[1])]
         for k in range(2, d):
             rng.append(range(-rho * N + shift[k - 2], rho * N + 1 + shift[k - 2]))
-        out = []
         grid = np.meshgrid(*[np.asarray(list(r)) for r in rng], indexing="ij")
         return np.stack([g.reshape(-1) for g in grid], axis=-1)
 
@@ -634,7 +710,6 @@ def _slab_region(box: BoxSpec, half_thick: int, offset) -> np.ndarray:
         sel = (coords >= offset[k - 2] - half_thick) & (
             coords < offset[k - 2] + half_thick
         )
-        sl = [None] * d
         shape = [1] * d
         shape[k] = box.side
         mask &= sel.reshape(shape)

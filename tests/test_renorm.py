@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_closed, all_open
+from scipy.sparse.csgraph import shortest_path
+
+from conftest import all_closed, all_open, flood_fill_labels, open_graph
 from percolab import (
     BoxSpec,
     MacroLattice,
@@ -17,7 +19,7 @@ from percolab import (
     slab_experiment,
 )
 from percolab.errors import GeometryError, PreconditionError, RoutingError
-from percolab.renorm import _site_components
+from percolab.renorm import _component_diameters, _condition3, _site_components
 
 
 def test_macro_lattice_partition():
@@ -94,6 +96,116 @@ def test_bad_fraction_trend_decreases_in_block_size():
         + 1e-12
     )
     assert means[10] - means[40] > 3 * se
+
+
+def _pair_distances(sample, mask, lo):
+    """Mask vertex coordinates and their chemical distances in the whole box,
+    from scipy's shortest paths on the open-edge graph (no percolab BFS)."""
+    coords = np.argwhere(mask) + np.asarray(lo)
+    flats = np.asarray([sample.box.flat_index(tuple(c)) for c in coords])
+    dist = shortest_path(
+        open_graph(sample), directed=False, unweighted=True, indices=flats
+    )
+    return coords, dist[:, flats]
+
+
+def _condition3_oracle(coords, dist, mu1, slack, cutoff, n_sources):
+    m = len(coords)
+    if m > cutoff:
+        picks = np.unique(np.linspace(0, m - 1, n_sources).astype(np.int64))
+    else:
+        picks = np.arange(m)
+    l1 = np.abs(coords[None, :, :] - coords[picks, None, :]).sum(-1)
+    return bool((dist[picks] <= mu1 * l1 + slack + 1e-9).all())
+
+
+def _critical_mu(coords, dist, slack):
+    """Least mu1 at which every pair of mask vertices passes condition 3."""
+    l1 = np.abs(coords[None, :, :] - coords[:, None, :]).sum(-1)
+    far = l1 > 0
+    return max(0.0, float(((dist[far] - slack) / l1[far]).max()))
+
+
+@pytest.mark.parametrize(
+    "d, L, p, seed, window, cutoff, n_sources",
+    [
+        (2, 10, 0.65, 1, 8, 10**6, 64),  # exact path, 4 words of sources
+        (2, 10, 0.65, 2, 8, 50, 64),  # sampled path, one word
+        (2, 10, 0.7, 3, 8, 50, 70),  # sampled path across a word boundary
+        (3, 4, 0.5, 4, 3, 10**6, 64),  # exact path in d = 3
+        (3, 4, 0.5, 5, 3, 40, 64),  # sampled path in d = 3
+    ],
+)
+def test_condition3_matches_all_pairs_oracle(d, L, p, seed, window, cutoff, n_sources):
+    # the pair set is the largest box cluster inside a centred window, so
+    # some geodesics leave the window
+    s = sample_configuration(BoxSpec(d, L), p, seed)
+    labels = flood_fill_labels(s).reshape(s.box.shape)
+    biggest = np.bincount(labels.reshape(-1)).argmax()
+    inner = (slice(L - window, L + window),) * d
+    mask = labels[inner] == biggest
+    lo = (-window,) * d
+    coords, dist = _pair_distances(s, mask, lo)
+    m = len(coords)
+    assert m > cutoff or m > 64  # sampled, or exact across a word boundary
+    slack = 2.0
+    mu_star = _critical_mu(coords, dist, slack)
+    verdicts = []
+    for mu1 in (0.5 * mu_star, mu_star - 0.05, mu_star, mu_star + 0.05, 100.0):
+        if mu1 <= 0:
+            continue
+        got, sampled = _condition3(
+            s, mask, lo, ScaledL1Norm(mu1), slack,
+            cutoff=cutoff, n_sources=n_sources,
+        )
+        assert sampled == (m > cutoff)
+        assert got == _condition3_oracle(coords, dist, mu1, slack, cutoff, n_sources)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_condition3_disconnected_pair_fails():
+    # two open clusters in the pair set: no norm is generous enough, while
+    # the half left of the cut passes with the exact l1 distances
+    s = all_open(BoxSpec(2, 6))
+    s = s.with_edges(close_idx=[s.box.edge_index((-1, y), 0) for y in range(-6, 7)])
+    lo = (-4, -4)
+    for mask, mu1, expected in (
+        (np.ones((8, 8), dtype=bool), 100.0, False),
+        (np.ones((4, 8), dtype=bool), 1.0, True),
+    ):
+        coords, dist = _pair_distances(s, mask, lo)
+        assert _condition3_oracle(coords, dist, mu1, 2.0, 256, 64) == expected
+        ok, _ = _condition3(
+            s, mask, lo, ScaledL1Norm(mu1), 2.0, cutoff=256, n_sources=64
+        )
+        assert ok == expected
+
+
+def test_condition3_tolerance_at_float_ties():
+    # an open segment of 7 vertices: the end pair has distance 6, and
+    # 0.7 * 6 + 1.8 rounds to 5.999999999999999, which the 1e-9 tolerance
+    # must still accept; a slightly smaller slack must fail
+    s = all_closed(BoxSpec(2, 5))
+    s = s.with_edges(open_idx=[s.box.edge_index((x, 0), 0) for x in range(-3, 3)])
+    mask = np.ones((7, 1), dtype=bool)
+    lo = (-3, 0)
+    coords, dist = _pair_distances(s, mask, lo)
+    assert 0.7 * 6 + 1.8 < 6
+    for slack, expected in ((1.8, True), (1.79, False)):
+        assert _condition3_oracle(coords, dist, 0.7, slack, 256, 64) == expected
+        ok, _ = _condition3(
+            s, mask, lo, ScaledL1Norm(0.7), slack, cutoff=256, n_sources=64
+        )
+        assert ok == expected
+
+
+def test_component_diameters_oracle(rng):
+    labels = rng.integers(0, 7, size=(9, 11))
+    diam = _component_diameters(labels, 7)
+    for comp in range(7):
+        pts = np.argwhere(labels == comp)
+        assert diam[comp] == (pts.max(axis=0) - pts.min(axis=0)).max()
 
 
 def test_bad_clusters_extremes_and_oracle(rng):
