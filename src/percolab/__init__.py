@@ -48,12 +48,10 @@ from .estimators import (
     RateEstimate,
     RateSurface,
     Tally,
-    check_rate_properties,
     estimate_J,
     estimate_event_rate,
     estimate_mu,
     estimate_rate_surface,
-    subadditivity_defects,
     upper_tail_vs_cutpoint_experiment,
     wilson_interval,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,6 @@ from .errors import (
     ProjectionBoundError,
     ResourceLimitError,
 )
-from .lattice import BoxSpec
 
 SEPARATION_TOLERANCE = 1e-9
 MAX_ANIMAL_WORK = 14  # cap on dimension * animal size
@@ -766,23 +765,19 @@ def _axis_offsets(d: int):
     return out
 
 
-def exterior_boundary(gamma, box: BoxSpec) -> ExteriorBoundary:
-    """Vertices off Gamma, adjacent to it, and connected to infinity off it.
+def exterior_boundary(gamma) -> ExteriorBoundary:
+    """Vertices of Z^d off Gamma, adjacent to it, and connected to infinity
+    off it.
 
-    ``box`` is the ambient arena: Gamma must lie strictly inside (no face
-    contact) so "connected to infinity" is faithful. Also reports whether
-    the boundary is star-connected and returns the enclosed interior.
+    The flood runs in Gamma's bounding box grown by one: its shell avoids
+    Gamma and connects to infinity, so the result is exact in Z^d. Also
+    reports whether the boundary is star-connected and returns the enclosed
+    interior.
     """
     cells = {tuple(int(c) for c in v) for v in gamma}
     if not cells:
         raise PreconditionError("gamma must be nonempty")
-    d = box.dimension
-    for v in cells:
-        if not box.contains(v):
-            raise GeometryError(f"vertex {v} outside the ambient box")
-        gi = box.grid_index(v)
-        if any(g == 0 or g == box.side - 1 for g in gi):
-            raise GeometryError("gamma touches the ambient box face")
+    d = len(next(iter(cells)))
     axis_off = _axis_offsets(d)
     if not _is_connected(cells, axis_off):
         raise PreconditionError("gamma must be Z^d-connected")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +26,13 @@ from .errors import (
     PreconditionError,
     SurgeryPlanError,
 )
-from .lattice import BoxSpec, PercolationSample
+from .lattice import PercolationSample
 from .metric import (
     BallGrowth,
     _INF32,
     geodesic,
     grow_ball,
     grow_ball_flats,
-    resolved_distance,
 )
 
 
@@ -101,10 +100,6 @@ class EventResult:
     witness: CutPointRecord | None = None
     axes: tuple[int, int] | None = None  # free-line / hyperplane axes
     cap_time: int | None = None  # scan horizon actually certified
-
-    @property
-    def is_hit(self) -> bool:
-        return self.outcome is EventOutcome.HIT
 
 
 def detect_cutpoints(ball: BallGrowth, t_min: int, t_max: int | None = None):
@@ -206,7 +201,7 @@ def _boundary_stat_ok(ball: BallGrowth, t: int, cap: float) -> bool:
 
     flats = np.concatenate(ball.layers[: t + 1])
     coords = ball.box.coords_of_flats(flats)
-    bnd = exterior_boundary(map(tuple, coords), ball.box)
+    bnd = exterior_boundary(map(tuple, coords))
     return len(bnd.boundary) <= cap
 
 
@@ -464,6 +459,23 @@ def force_cutpoint(
     return SurgeryPlan(close_edges=tuple(sorted(close)))
 
 
+def upper_tail_outcome(ball: BallGrowth, target, threshold: float):
+    """(outcome, D) of the tri-state upper-tail event threshold < D < inf,
+    with D = D(source, target), on a ball grown towards ``target``.
+
+    D is None unless the ball certifies it finite. An unreached target is
+    disconnected when the ball exhausted its cluster without touching a box
+    face, and unknowable otherwise.
+    """
+    dval = ball.dist[ball.box.flat_index(target)]
+    if dval != _INF32:
+        reached = int(dval)
+        return (EventOutcome.HIT if reached > threshold else EventOutcome.MISS), reached
+    if ball.exhausted and not ball.contaminated:
+        return EventOutcome.DISCONNECTED, None
+    return EventOutcome.UNKNOWABLE, None
+
+
 def upper_tail_event(
     sample: PercolationSample,
     n: int,
@@ -480,14 +492,10 @@ def upper_tail_event(
     if x is None:
         x = (1.0,) + (0.0,) * (d - 1)
     target = tuple(int(math.floor(n * float(c))) for c in x)
-    origin = (0,) * d
-    status, value = resolved_distance(sample, origin, target)
-    if status == "unknowable":
-        return EventResult(outcome=EventOutcome.UNKNOWABLE)
-    if status == "disconnected":
-        return EventResult(outcome=EventOutcome.DISCONNECTED)
-    threshold = mu_hat * (1.0 + xi) * n
-    outcome = EventOutcome.HIT if value > threshold else EventOutcome.MISS
-    return EventResult(
-        outcome=outcome, witness=CutPointRecord(int(value), target)
+    ball = grow_ball(
+        sample, (0,) * d,
+        targets=[sample.box.flat_index(target)], stop_at_boundary=True,
     )
+    outcome, reached = upper_tail_outcome(ball, target, mu_hat * (1.0 + xi) * n)
+    witness = None if reached is None else CutPointRecord(reached, target)
+    return EventResult(outcome=outcome, witness=witness)

@@ -1,9 +1,10 @@
 """Monte Carlo estimation of the distance constant and event decay rates.
 
 Replicates are seeded as ``seed XOR replicate_index``, so a replicate is a
-pure function of its index: runs are reproducible, shards merge
-associatively, and two event parameterizations evaluated at the same
-replicate index share the sample exactly (coupling).
+pure function of its index: runs are reproducible, parallel results are
+re-sorted by index so they do not depend on the worker count, and two event
+parameterizations evaluated at the same replicate index share the sample
+exactly (coupling).
 
 Empirical decay rates are reported as -log(p_hat)/n at each finite n, with
 Wilson intervals propagated; no extrapolation to the n -> infinity limit is
@@ -12,14 +13,14 @@ attempted, exact limit values are out of reach at this scale.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .cutpoints import (
+    BallEventContext,
     EventOutcome,
     EventSpec,
     alpha_default,
@@ -27,6 +28,7 @@ from .cutpoints import (
     event_A_free,
     grow_ball,
     upper_tail_event,
+    upper_tail_outcome,
 )
 from .errors import GridCoverageError, PreconditionError
 from .lattice import BoxSpec, sample_configuration
@@ -55,7 +57,7 @@ def wilson_interval(hits: int, trials: int, z: float = Z_95):
 
 @dataclass
 class Tally:
-    """Mergeable outcome counts of one event at one n."""
+    """Outcome counts of one event at one n."""
 
     hits: int = 0
     misses: int = 0
@@ -71,14 +73,6 @@ class Tally:
             self.disconnected += 1
         else:
             self.contaminated += 1
-
-    def merge(self, other: "Tally") -> "Tally":
-        return Tally(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.disconnected + other.disconnected,
-            self.contaminated + other.contaminated,
-        )
 
     @property
     def replicates(self) -> int:
@@ -124,21 +118,9 @@ class RateEstimate:
         upper = -math.log(lo_p) / self.n if lo_p > 0 else math.inf
         return (lower, upper)
 
-    @property
-    def rate_sigma(self):
-        lo, hi = self.rate_bounds
-        if math.isinf(hi):
-            return math.inf
-        return (hi - lo) / (2 * self.z)
-
-    def merged_with(self, other: "RateEstimate") -> "RateEstimate":
-        if (self.label, self.s, self.x, self.n) != (other.label, other.s, other.x, other.n):
-            raise PreconditionError("cannot merge tallies of different events")
-        return replace(self, tally=self.tally.merge(other.tally))
-
 
 # ---------------------------------------------------------------------------
-# event families
+# replicate outcomes to estimates
 
 
 OUTCOME_CODES = {
@@ -148,6 +130,40 @@ OUTCOME_CODES = {
     EventOutcome.UNKNOWABLE: 3,
 }
 CODE_OUTCOMES = {v: k for k, v in OUTCOME_CODES.items()}
+
+
+def rate_estimates(events, n: int, results):
+    """One RateEstimate per (label, s, x) event, in event order, from the
+    per-replicate tuples of outcome codes of those events."""
+    tallies = [Tally() for _ in events]
+    for codes in results:
+        for tally, code in zip(tallies, codes):
+            tally.add(CODE_OUTCOMES[code])
+    return [
+        RateEstimate(label=label, s=s, x=x, n=int(n), tally=tally)
+        for (label, s, x), tally in zip(events, tallies)
+    ]
+
+
+def _run_all(fn, replicates: int, workers):
+    """Results of every replicate; a failed replicate aborts the estimate."""
+    run = run_parallel(fn, replicates, workers)
+    if run.partial:
+        raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
+    return run.results
+
+
+def _ball_codes(sample, d: int, specs, K=None, free: bool = False):
+    """Outcome codes of every spec, evaluated on one ball grown from the
+    origin (the events share the sample and the ball)."""
+    ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
+    ctx = BallEventContext(sample, ball)
+    fn = event_A_free if free else event_A
+    return tuple(OUTCOME_CODES[fn(sample, spec, K, ball=ctx).outcome] for spec in specs)
+
+
+# ---------------------------------------------------------------------------
+# event families
 
 
 @dataclass(frozen=True)
@@ -192,36 +208,25 @@ class EventFamily:
     def specs(self, n: int):
         return [EventSpec(s=s, x=self.x, n=n, alpha=self.alpha) for s in self.s_grid]
 
-    def labels(self):
+    def events(self):
+        """(label, s, x) of each event, in outcome-code order; s is None for
+        the upper tail."""
         if self.kind == "upper_tail":
-            return [f"upper_tail(xi={self.xi})"]
-        return [f"{self.kind}(s={s})" for s in self.s_grid]
+            return [(f"upper_tail(xi={self.xi})", None, self.x)]
+        return [(f"{self.kind}(s={s})", s, self.x) for s in self.s_grid]
 
 
-def _event_replicate(family: EventFamily, seed: int, n: int, index: int):
-    """Outcome codes of every grid event for one replicate (shared sample)."""
+def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
+    """Outcome codes of every family event for one replicate (shared sample)."""
     sample = sample_configuration(
         family.box_for(n), family.p, replicate_seed(seed, index)
     )
     if family.kind == "upper_tail":
         res = upper_tail_event(sample, n, family.xi, family.mu1, family.x)
         return (OUTCOME_CODES[res.outcome],)
-    from .cutpoints import BallEventContext
-
-    origin = (0,) * family.d
-    ball = grow_ball(sample, origin, stop_at_boundary=True)
-    ctx = BallEventContext(sample, ball)
-    fn = event_A_free if family.kind == "free" else event_A
-    codes = []
-    for spec in family.specs(n):
-        res = fn(sample, spec, family.K, ball=ctx)
-        codes.append(OUTCOME_CODES[res.outcome])
-    return tuple(codes)
-
-
-def _grid_task(task, family: EventFamily, seed: int):
-    n, index = task
-    return _event_replicate(family, seed, n, index)
+    return _ball_codes(
+        sample, family.d, family.specs(n), family.K, free=family.kind == "free"
+    )
 
 
 def estimate_event_rate(
@@ -235,56 +240,13 @@ def estimate_event_rate(
 
     Shards by replicate index; the result is independent of worker count.
     """
-    labels = family.labels()
     estimates = []
     for n in n_grid:
         fn = partial(_run_one_n, family=family, seed=seed, n=n)
-        run = run_parallel(fn, replicates, workers)
-        if run.partial:
-            raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
-        tallies = [Tally() for _ in labels]
-        for codes in run.results:
-            for i, code in enumerate(codes):
-                tallies[i].add(CODE_OUTCOMES[code])
-        for i, label in enumerate(labels):
-            s_val = None if family.kind == "upper_tail" else family.s_grid[i]
-            estimates.append(
-                RateEstimate(label=label, s=s_val, x=family.x, n=int(n), tally=tallies[i])
-            )
+        estimates.extend(
+            rate_estimates(family.events(), n, _run_all(fn, replicates, workers))
+        )
     return estimates
-
-
-def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
-    return _event_replicate(family, seed, n, index)
-
-
-def subadditivity_defects(estimates):
-    """Defect -log p(n+m) + log p(n) + log p(m) for grid pairs with n+m on
-    the grid; expected to stay o(n) for the cut-point family."""
-    by_key = {}
-    for est in estimates:
-        by_key.setdefault((est.label, est.n), est)
-    out = []
-    for (label, n), est_n in by_key.items():
-        for (label2, m), est_m in by_key.items():
-            if label2 != label or m > n:
-                continue
-            est_nm = by_key.get((label, n + m))
-            if est_nm is None:
-                continue
-            rates = [est_n.rate, est_m.rate, est_nm.rate]
-            if any(r is None for r in rates):
-                continue
-            defect = est_nm.rate * (n + m) - est_n.rate * n - est_m.rate * m
-            sigma = math.sqrt(
-                (est_nm.rate_sigma * (n + m)) ** 2
-                + (est_n.rate_sigma * n) ** 2
-                + (est_m.rate_sigma * m) ** 2
-            )
-            out.append(
-                {"label": label, "n": n, "m": m, "defect": defect, "sigma": sigma}
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +273,6 @@ class MuEstimate:
     direction: tuple
     points: list
     mu_hat: float  # conditional mean at the largest usable n
-
-    @property
-    def monotone_trend(self) -> bool:
-        """Means consistent with a non-increasing trend within 3 sigma."""
-        usable = [pt for pt in self.points if pt.connected > 0]
-        for a, b in zip(usable, usable[1:]):
-            if b.mean - 3 * b.sigma > a.mean + 3 * a.sigma:
-                return False
-        return True
-
-    def as_norm(self) -> ScaledL1Norm:
-        l1 = sum(abs(c) for c in self.direction)
-        return ScaledL1Norm(self.mu_hat / l1)
 
 
 def _mu_replicate(index: int, *, d, p, x, n, box_factor, seed):
@@ -363,12 +312,10 @@ def estimate_mu(
             _mu_replicate, d=d, p=p, x=x, n=int(n),
             box_factor=box_factor, seed=seed,
         )
-        run = run_parallel(fn, replicates, workers)
-        if run.partial:
-            raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
-        values = [v for code, v in run.results if code == 0]
-        n_dis = sum(1 for code, _ in run.results if code == 1)
-        n_cont = sum(1 for code, _ in run.results if code == 2)
+        results = _run_all(fn, replicates, workers)
+        values = [v for code, v in results if code == 0]
+        n_dis = sum(1 for code, _ in results if code == 1)
+        n_cont = sum(1 for code, _ in results if code == 2)
         if values:
             ratios = np.asarray(values, dtype=float) / n
             mean = float(ratios.mean())
@@ -403,50 +350,6 @@ class RateSurface:
         est = self.entries.get((float(s), tuple(float(c) for c in x)))
         return None if est is None else est.rate
 
-    def sigma(self, s: float, x):
-        est = self.entries.get((float(s), tuple(float(c) for c in x)))
-        return None if est is None else est.rate_sigma
-
-    @classmethod
-    def from_function(cls, fn, s_grid, x_grid, n: int = 0) -> "RateSurface":
-        """Synthetic surface with zero-width intervals (for exact checks)."""
-        entries = {}
-        for s in s_grid:
-            for x in x_grid:
-                key = (float(s), tuple(float(c) for c in x))
-                val = float(fn(key[0], np.asarray(key[1])))
-                est = RateEstimate(
-                    label="synthetic", s=key[0], x=key[1], n=max(n, 1),
-                    tally=Tally(hits=1),
-                )
-                entries[key] = _FixedRate(est, val)
-        return cls(n=max(n, 1), entries=entries)
-
-
-class _FixedRate:
-    """RateEstimate stand-in with an exact value and zero uncertainty."""
-
-    def __init__(self, est, value):
-        self._est = est
-        self._value = value
-        self.label = est.label
-        self.s = est.s
-        self.x = est.x
-        self.n = est.n
-        self.tally = est.tally
-
-    @property
-    def rate(self):
-        return self._value
-
-    @property
-    def rate_sigma(self):
-        return 0.0
-
-    @property
-    def rate_bounds(self):
-        return (self._value, self._value)
-
 
 def estimate_rate_surface(
     d: int,
@@ -464,7 +367,6 @@ def estimate_rate_surface(
     """Empirical cut-point rate surface over an (s, x) grid (coupled)."""
     x_grid = [tuple(float(c) for c in x) for x in x_grid]
     s_grid = [float(s) for s in s_grid]
-    span = max(1.0, max(max(abs(c) for c in x) for x in x_grid))
     family_box = EventFamily(
         kind="cutpoint", d=d, p=p, s_grid=(max(s_grid),),
         x=max(x_grid, key=lambda x: sum(map(abs, x))),
@@ -477,134 +379,14 @@ def estimate_rate_surface(
     fn = partial(
         _surface_replicate, d=d, p=p, box=box, specs=specs, seed=seed
     )
-    run = run_parallel(fn, replicates, workers)
-    if run.partial:
-        raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
-    tallies = [Tally() for _ in specs]
-    for codes in run.results:
-        for i, code in enumerate(codes):
-            tallies[i].add(CODE_OUTCOMES[code])
-    entries = {}
-    for spec, tally in zip(specs, tallies):
-        key = (spec.s, tuple(spec.x))
-        entries[key] = RateEstimate(
-            label=f"cutpoint(s={spec.s},x={spec.x})", s=spec.s, x=tuple(spec.x),
-            n=n, tally=tally,
-        )
-    return RateSurface(n=n, entries=entries)
+    events = [(f"cutpoint(s={sp.s},x={sp.x})", sp.s, sp.x) for sp in specs]
+    estimates = rate_estimates(events, n, _run_all(fn, replicates, workers))
+    return RateSurface(n=n, entries={(e.s, e.x): e for e in estimates})
 
 
 def _surface_replicate(index: int, *, d, p, box, specs, seed):
-    from .cutpoints import BallEventContext
-
     sample = sample_configuration(box, p, replicate_seed(seed, index))
-    ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
-    ctx = BallEventContext(sample, ball)
-    return tuple(
-        OUTCOME_CODES[event_A(sample, spec, ball=ctx).outcome] for spec in specs
-    )
-
-
-@dataclass
-class PropertyCheck:
-    kind: str
-    points: tuple
-    lhs: float
-    rhs: float
-    slack: float  # rhs + 3 sigma - lhs; negative = violation
-
-    @property
-    def holds(self) -> bool:
-        return self.slack >= 0
-
-
-@dataclass
-class RatePropertyReport:
-    checks: list
-    undefined: int  # comparisons skipped for lack of hits
-
-    def violations(self, kind: str | None = None):
-        return [
-            c for c in self.checks
-            if not c.holds and (kind is None or c.kind == kind)
-        ]
-
-    def pass_fraction(self, kind: str) -> float:
-        sel = [c for c in self.checks if c.kind == kind]
-        if not sel:
-            return math.nan
-        return sum(c.holds for c in sel) / len(sel)
-
-
-def check_rate_properties(surface: RateSurface, lam: float = 2.0) -> RatePropertyReport:
-    """Scaling and midpoint-convexity diagnostics on a rate surface.
-
-    Violations beyond 3 sigma are listed, never asserted: at finite n both
-    properties hold only up to o(1) corrections.
-    """
-    keys = sorted(surface.entries)
-    checks = []
-    undefined = 0
-
-    def rated(key):
-        est = surface.entries[key]
-        return est.rate, est.rate_sigma
-
-    for key in keys:
-        s, x = key
-        scaled = (lam * s, tuple(lam * c for c in x))
-        if scaled in surface.entries:
-            r1, sg1 = rated(key)
-            r2, sg2 = rated(scaled)
-            if r1 is None or r2 is None:
-                undefined += 1
-            else:
-                sigma = math.hypot(lam * sg1, sg2)
-                gap = 3 * sigma - abs(r2 - lam * r1)
-                checks.append(
-                    PropertyCheck(
-                        kind="homogeneity", points=(key, scaled),
-                        lhs=r2, rhs=lam * r1, slack=gap,
-                    )
-                )
-        # centre bound: rate(2s, 0) <= 2 rate(s, x) + 3 sigma
-        center = (2 * s, tuple(0.0 for _ in x))
-        if center in surface.entries and any(c != 0 for c in x):
-            r1, sg1 = rated(key)
-            r0, sg0 = rated(center)
-            if r1 is None or r0 is None:
-                undefined += 1
-            else:
-                sigma = math.hypot(sg0, 2 * sg1)
-                checks.append(
-                    PropertyCheck(
-                        kind="center", points=(center, key),
-                        lhs=r0, rhs=2 * r1, slack=2 * r1 + 3 * sigma - r0,
-                    )
-                )
-
-    for k1, k2 in itertools.combinations(keys, 2):
-        mid = (
-            (k1[0] + k2[0]) / 2,
-            tuple((a + b) / 2 for a, b in zip(k1[1], k2[1])),
-        )
-        if mid not in surface.entries or mid in (k1, k2):
-            continue
-        r1, sg1 = rated(k1)
-        r2, sg2 = rated(k2)
-        rm, sgm = rated(mid)
-        if None in (r1, r2, rm):
-            undefined += 1
-            continue
-        sigma = math.sqrt(sgm**2 + (sg1 / 2) ** 2 + (sg2 / 2) ** 2)
-        checks.append(
-            PropertyCheck(
-                kind="convexity", points=(k1, k2, mid),
-                lhs=rm, rhs=(r1 + r2) / 2,
-                slack=(r1 + r2) / 2 + 3 * sigma - rm,
-            )
-        )
-    return RatePropertyReport(checks=checks, undefined=undefined)
+    return _ball_codes(sample, d, specs)
 
 
 @dataclass
@@ -612,32 +394,20 @@ class JEstimate:
     value: float
     argmin: tuple  # (s, y)
     slack: float  # feasibility margin at the argmin
-    R: float  # search-box half-side from the fixed-point bound
+    R: float  # search-box half-side J / rate(1, 0); nan without that rate
     covered: bool  # grid covers [0, R] x [-R, R]^d
-    restricted_value: float
     excluded_undefined: int
 
-    @property
-    def restricted_differs(self) -> bool:
-        return self.restricted_value != self.value
 
-
-def estimate_J(
-    direction,
-    xi: float,
-    mu_hat,
-    surface: RateSurface,
-    *,
-    unit_rate: float | None = None,
-) -> JEstimate:
+def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     """Grid infimum of the rate surface over the detour-cost constraint.
 
     Feasible points satisfy s + mu(y - x) >= (1 + xi) mu(x); with an
     interval norm estimate (lo, hi) the pessimistic edges are used. The
     value is the exact minimum over the enumerated feasible grid (entries
-    without hits are excluded but counted). The search may be restricted to
-    the box of half-side R = J / rate(1, 0) without changing the value;
-    both are reported.
+    without hits are excluded but counted). R = J / rate(1, 0) is the
+    half-side of the box the search could be restricted to; it is nan when
+    the surface has no defined rate at (1, 0), and then ``covered`` is false.
     """
     x = np.asarray(direction, dtype=float)
     if isinstance(mu_hat, tuple):
@@ -664,29 +434,17 @@ def estimate_J(
     feasible.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     value, s_star, y_star, slack = feasible[0]
 
+    unit_rate = surface.rate(1.0, (0.0,) * len(x))
     if unit_rate is None:
-        d = len(x)
-        unit_key = (1.0, tuple(0.0 for _ in range(d)))
-        est = surface.entries.get(unit_key)
-        if est is None or est.rate is None:
-            raise GridCoverageError(
-                "rate at (1, 0) unavailable; pass unit_rate explicitly"
-            )
-        unit_rate = est.rate
-    R = value / unit_rate if unit_rate > 0 else math.inf
-
+        R = math.nan
+    else:
+        R = value / unit_rate if unit_rate > 0 else math.inf
     s_max = max(k[0] for k in surface.entries)
     y_max = max(max(abs(c) for c in k[1]) for k in surface.entries)
     covered = s_max >= R - 1e-9 and y_max >= R - 1e-9
-    inside = [
-        rec for rec in feasible
-        if rec[1] <= R + 1e-9 and max(abs(c) for c in rec[2]) <= R + 1e-9
-    ]
-    restricted = inside[0][0] if inside else math.inf
     return JEstimate(
         value=value, argmin=(s_star, y_star), slack=slack, R=R,
-        covered=covered, restricted_value=restricted,
-        excluded_undefined=excluded,
+        covered=covered, excluded_undefined=excluded,
     )
 
 
@@ -699,32 +457,6 @@ class PairedTally:
     n: int
     counts: dict  # (upper outcome name, cut outcome name) -> count
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def marginal_upper(self, name: str) -> int:
-        return sum(v for (u, _), v in self.counts.items() if u == name)
-
-    def marginal_cut(self, name: str) -> int:
-        return sum(v for (_, c), v in self.counts.items() if c == name)
-
-    def conditional(self, cut_given_upper: bool = True):
-        """((hits, trials), Wilson CI) for P(cut hit | upper hit) or the
-        reverse conditioning; trials count only resolved pairs."""
-        if cut_given_upper:
-            trials = sum(
-                v for (u, c), v in self.counts.items()
-                if u == "hit" and c in ("hit", "miss")
-            )
-            hits = self.counts.get(("hit", "hit"), 0)
-        else:
-            trials = sum(
-                v for (u, c), v in self.counts.items()
-                if c == "hit" and u in ("hit", "miss")
-            )
-            hits = self.counts.get(("hit", "hit"), 0)
-        return (hits, trials), wilson_interval(hits, trials)
-
 
 def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
     family = EventFamily(
@@ -736,15 +468,7 @@ def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
         sample, (0,) * d,
         targets=[sample.box.flat_index(target)], stop_at_boundary=True,
     )
-    dval = ball.dist[sample.box.flat_index(target)]
-    reached = int(dval) if dval != np.uint32(0xFFFFFFFF) else None
-    threshold = mu1 * (1.0 + xi) * n
-    if reached is not None:
-        upper = "hit" if reached > threshold else "miss"
-    elif ball.exhausted and not ball.contaminated:
-        upper = "disconnected"
-    else:
-        upper = "unknowable"
+    upper, reached = upper_tail_outcome(ball, target, mu1 * (1.0 + xi) * n)
 
     # late cut-point within the certified horizon, capped at the distance
     cap = ball.resolved_through if reached is None else min(
@@ -758,7 +482,7 @@ def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
             break
     if cut == "miss" and ball.contaminated and reached is None:
         cut = "censored"
-    return upper, cut
+    return upper.value, cut
 
 
 def upper_tail_vs_cutpoint_experiment(
@@ -785,11 +509,8 @@ def upper_tail_vs_cutpoint_experiment(
             _paired_replicate, d=d, p=p, n=int(n), xi=xi, s=s, mu1=mu1,
             box_factor=box_factor, seed=seed,
         )
-        run = run_parallel(fn, replicates, workers)
-        if run.partial:
-            raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
         counts = {}
-        for upper, cut in run.results:
-            counts[(upper, cut)] = counts.get((upper, cut), 0) + 1
+        for pair in _run_all(fn, replicates, workers):
+            counts[pair] = counts.get(pair, 0) + 1
         out.append(PairedTally(n=int(n), counts=counts))
     return out

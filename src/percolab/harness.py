@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -27,22 +26,21 @@ from functools import partial
 import numpy as np
 
 from . import combinatorics as comb
-from .cutpoints import CutPointRecord, detect_cutpoints, grow_ball
+from .cutpoints import detect_cutpoints, grow_ball
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
     EventFamily,
-    RateEstimate,
-    Tally,
     _run_one_n,
     estimate_J,
     estimate_mu,
     estimate_rate_surface,
+    rate_estimates,
     upper_tail_vs_cutpoint_experiment,
 )
 from .lattice import BoxSpec, PercolationSample, sample_configuration
 from .metric import distance_map_csv
-from .parallel import default_workers, run_parallel
+from .parallel import run_parallel
 from .renorm import classify_boxes, route_through_good, slab_experiment
 
 CSV_PREFIX = "# percolab-csv"
@@ -499,9 +497,7 @@ def _lemma_boundary(rng):
     d = int(rng.integers(2, 4))
     size = int(rng.integers(1, 120))
     cells = _random_connected_set(rng, d, size)
-    radius = max(max(abs(c) for c in v) for v in cells) + 3
-    box = BoxSpec(d, radius)
-    bnd = comb.exterior_boundary(cells, box)
+    bnd = comb.exterior_boundary(cells)
     ok = bnd.star_connected and comb.isoperimetry_holds(
         len(cells), len(bnd.boundary), d
     )
@@ -560,14 +556,17 @@ def _cmd_estimate_mu(cfg, out_dir):
     return [path]
 
 
+def _fmt_point(coords) -> str:
+    return ";".join(repr(float(c)) for c in coords)
+
+
 def _rate_rows(estimates):
     rows = []
     for est in estimates:
         lo_p, hi_p = est.ci
         lo_r, hi_r = est.rate_bounds
         rows.append([
-            est.label, "" if est.s is None else est.s,
-            ";".join(repr(float(c)) for c in est.x), est.n,
+            est.label, "" if est.s is None else est.s, _fmt_point(est.x), est.n,
             est.tally.replicates, est.tally.hits, est.tally.misses,
             est.tally.disconnected, est.tally.contaminated,
             est.p_hat, lo_p, hi_p,
@@ -588,7 +587,7 @@ def _cmd_estimate_rate(cfg, out_dir):
         x=cfg["x"], xi=cfg["xi"], mu1=cfg["mu1"], box_factor=cfg["box_factor"],
     )
     workers = cfg["workers"] or None
-    labels = family.labels()
+    events = family.events()
     estimates = []
     replicate_rows = []
     partial_note = None
@@ -597,22 +596,14 @@ def _cmd_estimate_rate(cfg, out_dir):
         if cfg["fail_at"] >= 0:
             fn = partial(_failing_worker, inner=fn, fail_at=cfg["fail_at"])
         run = run_parallel(fn, cfg["replicates"], workers)
-        tallies = [Tally() for _ in labels]
-        for idx, codes in enumerate(run.results):
-            for i, code in enumerate(codes):
-                tallies[i].add(CODE_OUTCOMES[code])
-                if cfg["emit_replicates"]:
-                    s_val = "" if family.kind == "upper_tail" else family.s_grid[i]
+        estimates.extend(rate_estimates(events, n, run.results))
+        if cfg["emit_replicates"]:
+            for idx, codes in enumerate(run.results):
+                for (label, s, x), code in zip(events, codes):
                     replicate_rows.append([
-                        labels[i], s_val,
-                        ";".join(repr(float(c)) for c in family.x),
+                        label, "" if s is None else s, _fmt_point(x),
                         int(n), idx, CODE_OUTCOMES[code].value,
                     ])
-        for i, label in enumerate(labels):
-            s_val = None if family.kind == "upper_tail" else family.s_grid[i]
-            estimates.append(RateEstimate(
-                label=label, s=s_val, x=family.x, n=int(n), tally=tallies[i]
-            ))
         if run.partial:
             partial_note = (
                 f"# partial: replicate {run.first_failure} failed: {run.error}"
@@ -665,8 +656,7 @@ def _cmd_estimate_j(cfg, out_dir):
     for xi in cfg["xi_grid"]:
         j = estimate_J(x, xi, cfg["mu1"], surface)
         rows.append([
-            xi, j.value, j.argmin[0],
-            ";".join(repr(float(c)) for c in j.argmin[1]),
+            xi, j.value, j.argmin[0], _fmt_point(j.argmin[1]),
             j.slack, j.R, int(j.covered),
         ])
     path = os.path.join(out_dir, cfg["csv"])

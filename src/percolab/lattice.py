@@ -358,12 +358,6 @@ class ClusterLabeling:
     def n_components(self) -> int:
         return len(self.sizes)
 
-    def component_of(self, coord) -> int:
-        return int(self.labels[self.box.flat_index(coord)])
-
-    def component_flats(self, comp_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == comp_id)
-
 
 def label_clusters(sample: PercolationSample) -> ClusterLabeling:
     """Label open clusters (connected components of open edges)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,19 +40,11 @@ class ScaledL1Norm:
         arr = np.asarray(vec, dtype=float)
         return self.unit * np.abs(arr).sum(axis=-1)
 
-    def unit_value(self) -> float:
-        return self.unit
-
 
 def as_norm(mu_hat) -> ScaledL1Norm:
     if isinstance(mu_hat, (int, float)):
         return ScaledL1Norm(float(mu_hat))
     return mu_hat
-
-
-def default_block_side(n: int) -> int:
-    """Default macroscopic half-side: floor(log(n)^2)."""
-    return max(1, int(math.log(n) ** 2))
 
 
 def dependency_range(mu_hat, d: int) -> int:

@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from percolab import BoxSpec
 from percolab import combinatorics as comb
 from percolab.errors import (
     BundleInvariantError,
-    GeometryError,
     MatchingInvariantError,
     PreconditionError,
     ProjectionBoundError,
@@ -371,7 +369,7 @@ def test_axis_avoiding_hypothesis_violation():
 
 
 def test_exterior_boundary_single_vertex():
-    out = comb.exterior_boundary([(0, 0)], BoxSpec(2, 5))
+    out = comb.exterior_boundary([(0, 0)])
     assert out.boundary == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
     assert out.interior == frozenset()
     assert out.star_connected
@@ -379,7 +377,7 @@ def test_exterior_boundary_single_vertex():
 
 def test_exterior_boundary_square():
     gamma = [(a, b) for a in range(3) for b in range(3)]
-    out = comb.exterior_boundary(gamma, BoxSpec(2, 8))
+    out = comb.exterior_boundary(gamma)
     assert len(out.boundary) == 12  # the ring without the 4 corners
     assert out.star_connected
     assert out.interior == frozenset()
@@ -388,7 +386,7 @@ def test_exterior_boundary_square():
 def test_exterior_boundary_ring_interior():
     ring = [(a, b) for a in range(-2, 3) for b in range(-2, 3)
             if max(abs(a), abs(b)) == 2]
-    out = comb.exterior_boundary(ring, BoxSpec(2, 8))
+    out = comb.exterior_boundary(ring)
     inner = {(a, b) for a in range(-1, 2) for b in range(-1, 2)}
     assert out.interior == frozenset(inner)
     assert (3, 0) in out.boundary
@@ -396,10 +394,11 @@ def test_exterior_boundary_ring_interior():
 
 
 def test_exterior_boundary_guards():
-    with pytest.raises(GeometryError):
-        comb.exterior_boundary([(5, 5)], BoxSpec(2, 5))  # touches the face
+    # the boundary lives in Z^d: no ambient box limits where gamma may lie
+    out = comb.exterior_boundary([(5, 5)])
+    assert out.boundary == frozenset({(6, 5), (4, 5), (5, 6), (5, 4)})
     with pytest.raises(PreconditionError):
-        comb.exterior_boundary([(0, 0), (2, 2)], BoxSpec(2, 5))  # disconnected
+        comb.exterior_boundary([(0, 0), (2, 2)])  # disconnected
 
 
 def random_connected(rng, d, size):
@@ -420,8 +419,7 @@ def test_exterior_boundary_random_star_connected_and_isoperimetry(rng):
     for _ in range(120):
         d = int(rng.integers(2, 4))
         cells = random_connected(rng, d, int(rng.integers(1, 120)))
-        radius = max(max(abs(c) for c in v) for v in cells) + 2
-        out = comb.exterior_boundary(cells, BoxSpec(d, max(radius, 2)))
+        out = comb.exterior_boundary(cells)
         assert out.star_connected
         assert comb.isoperimetry_holds(len(cells), len(out.boundary), d)
 

@@ -18,6 +18,7 @@ from percolab import (
     force_cutpoint,
     grow_ball,
     line_count,
+    resolved_distance,
     sample_configuration,
     upper_tail_event,
 )
@@ -101,6 +102,15 @@ def test_event_A_forced_path():
     res = event_A(s, EventSpec(0.5, (0.0, 0.0), 8))
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 4 and res.witness.location == (4, 0)
+
+
+def test_event_A_boundary_cap_on_a_spine_touching_the_face():
+    # B_5 is the spine (0,0)..(5,0) and reaches the box face at t = 5; its
+    # exterior boundary is taken in Z^d, so the contour check still applies
+    box = BoxSpec(2, 5)
+    res = event_A(open_spine(box, 5), EventSpec(s=1.0, x=(1, 0), n=5), K=10)
+    assert res.outcome is EventOutcome.HIT
+    assert res.witness.time == 5 and res.witness.location == (5, 0)
 
 
 def test_event_A_window_constraint():
@@ -294,6 +304,25 @@ def test_upper_tail_event_cases():
     s = figure_spine_sample(BoxSpec(2, 40), k)
     # geodesic must run the spine backwards, then detour around it
     assert upper_tail_event(s, n, xi, 1.0).outcome is EventOutcome.HIT
+
+
+def test_upper_tail_event_matches_resolved_distance():
+    # resolved_distance is the oracle: it certifies D on its own growth
+    n, xi, mu = 6, 0.2, 1.1
+    seen = set()
+    for seed in range(60):
+        s = sample_configuration(BoxSpec(2, 9), 0.6, seed)
+        status, value = resolved_distance(s, (0, 0), (n, 0))
+        res = upper_tail_event(s, n, xi, mu)
+        if status == "exact":
+            expected = EventOutcome.HIT if value > mu * (1 + xi) * n else EventOutcome.MISS
+            assert res.witness.time == value and res.witness.location == (n, 0)
+        else:
+            expected = EventOutcome(status)
+            assert res.witness is None
+        assert res.outcome is expected
+        seen.add(expected)
+    assert len(seen) == 4
 
 
 def test_event_spec_window_floor_convention():
