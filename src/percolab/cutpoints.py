@@ -110,31 +110,14 @@ def detect_cutpoints(ball: BallGrowth, t_min: int, t_max: int | None = None):
     """
     if t_min < 1:
         raise PreconditionError("t_min must be >= 1")
-    horizon = ball.resolved_through if t_max is None else min(
-        t_max, ball.last_time
-    )
-    if ball.contaminated and horizon > ball.resolved_through:
+    if t_max is not None and min(t_max, ball.last_time) > ball.resolved_through:
         raise ContaminatedBallError(
             f"layers beyond t={ball.resolved_through} are not certified"
         )
-    out = []
-    for t in range(t_min, horizon + 1):
-        layer = ball.layers[t]
-        if len(layer) == 1:
-            out.append(
-                CutPointRecord(time=t, location=ball.box.vertex_coord(layer[0]))
-            )
-    return out
-
-
-def _singleton_candidates(ball: BallGrowth):
-    """(t, coord array) for every certified singleton layer, t >= 1."""
-    out = []
-    for t in range(1, ball.resolved_through + 1):
-        layer = ball.layers[t]
-        if len(layer) == 1:
-            out.append((t, ball.box.coords_of_flats(layer)[0]))
-    return out
+    return [
+        CutPointRecord(time=t, location=ball.box.vertex_coord(flat))
+        for t, flat in ball.singletons(t_min, t_max)
+    ]
 
 
 class BallEventContext:
@@ -143,7 +126,9 @@ class BallEventContext:
     def __init__(self, sample: PercolationSample, ball: BallGrowth):
         self.sample = sample
         self.ball = ball
-        self.singletons = _singleton_candidates(ball)
+        self.singletons = [
+            (t, ball.box.coords_of_flats([flat])[0]) for t, flat in ball.singletons()
+        ]
         self._resolved: dict = {}
 
     def window_resolved(self, center: np.ndarray, radius: int) -> bool:
@@ -166,22 +151,17 @@ def _window_resolved(sample, ball: BallGrowth, center: np.ndarray, radius: int) 
     """
     if not ball.contaminated:
         return True
-    box = ball.box
     lo = np.ceil(center - radius).astype(np.int64)
     hi = np.floor(center + radius).astype(np.int64)
-    blo = np.asarray(box.low_corner, dtype=np.int64)
-    bhi = np.asarray(box.high_corner, dtype=np.int64)
-    if (lo < blo).any() or (hi > bhi).any():
+    try:
+        flats = ball.box.window_flats(lo, hi + 1).reshape(-1)
+    except GeometryError:
         return False
-    ranges = [np.arange(lo[k], hi[k] + 1) for k in range(box.dimension)]
-    grid = np.meshgrid(*ranges, indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grid], axis=-1)
-    flats = box.flats_of_coords(coords)
     dvals = ball.dist[flats]
     near = dvals <= np.uint32(ball.resolved_through)
     if near.all():
         return True
-    unreached = dvals == np.uint32(0xFFFFFFFF)
+    unreached = dvals == _INF32
     if not (near | unreached).all():
         return False
     # unreached vertices are certified never-witnesses when their own open
@@ -459,21 +439,14 @@ def force_cutpoint(
     return SurgeryPlan(close_edges=tuple(sorted(close)))
 
 
-def upper_tail_outcome(ball: BallGrowth, target, threshold: float):
-    """(outcome, D) of the tri-state upper-tail event threshold < D < inf,
-    with D = D(source, target), on a ball grown towards ``target``.
-
-    D is None unless the ball certifies it finite. An unreached target is
-    disconnected when the ball exhausted its cluster without touching a box
-    face, and unknowable otherwise.
-    """
-    dval = ball.dist[ball.box.flat_index(target)]
-    if dval != _INF32:
-        reached = int(dval)
-        return (EventOutcome.HIT if reached > threshold else EventOutcome.MISS), reached
-    if ball.exhausted and not ball.contaminated:
-        return EventOutcome.DISCONNECTED, None
-    return EventOutcome.UNKNOWABLE, None
+def upper_tail_outcome(distance, threshold: float) -> EventOutcome:
+    """Outcome of the tri-state upper-tail event threshold < D < inf for a
+    distance from :meth:`BallGrowth.certified_distance` (None: unknowable)."""
+    if distance is None:
+        return EventOutcome.UNKNOWABLE
+    if distance == math.inf:
+        return EventOutcome.DISCONNECTED
+    return EventOutcome.HIT if distance > threshold else EventOutcome.MISS
 
 
 def upper_tail_event(
@@ -492,10 +465,10 @@ def upper_tail_event(
     if x is None:
         x = (1.0,) + (0.0,) * (d - 1)
     target = tuple(int(math.floor(n * float(c))) for c in x)
-    ball = grow_ball(
+    dist = grow_ball(
         sample, (0,) * d,
         targets=[sample.box.flat_index(target)], stop_at_boundary=True,
-    )
-    outcome, reached = upper_tail_outcome(ball, target, mu_hat * (1.0 + xi) * n)
-    witness = None if reached is None else CutPointRecord(reached, target)
-    return EventResult(outcome=outcome, witness=witness)
+    ).certified_distance(target)
+    outcome = upper_tail_outcome(dist, mu_hat * (1.0 + xi) * n)
+    finite = outcome in (EventOutcome.HIT, EventOutcome.MISS)
+    return EventResult(outcome, CutPointRecord(dist, target) if finite else None)

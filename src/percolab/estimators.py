@@ -468,21 +468,12 @@ def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
         sample, (0,) * d,
         targets=[sample.box.flat_index(target)], stop_at_boundary=True,
     )
-    upper, reached = upper_tail_outcome(ball, target, mu1 * (1.0 + xi) * n)
-
+    dist = ball.certified_distance(target)
+    upper = upper_tail_outcome(dist, mu1 * (1.0 + xi) * n)
     # late cut-point within the certified horizon, capped at the distance
-    cap = ball.resolved_through if reached is None else min(
-        reached, ball.resolved_through
-    )
-    t_min = max(1, math.ceil(s * n))
-    cut = "miss"
-    for t in range(t_min, cap + 1):
-        if len(ball.layers[t]) == 1:
-            cut = "hit"
-            break
-    if cut == "miss" and ball.contaminated and reached is None:
-        cut = "censored"
-    return upper.value, cut
+    if ball.singletons(max(1, math.ceil(s * n)), dist):
+        return upper.value, "hit"
+    return upper.value, "censored" if dist is None else "miss"
 
 
 def upper_tail_vs_cutpoint_experiment(

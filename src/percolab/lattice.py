@@ -148,6 +148,16 @@ class BoxSpec:
             raise GeometryError("some vertices fall outside the box")
         return np.ravel_multi_index(tuple(gi.T), self.shape).astype(np.int64)
 
+    def window_flats(self, lo, hi) -> np.ndarray:
+        """Flat indices of the coordinate window [lo, hi) (exclusive upper),
+        shaped like the window grid."""
+        g_lo = np.subtract(lo, self.low_corner)
+        g_hi = np.subtract(hi, self.low_corner)
+        if (g_lo < 0).any() or (g_hi > self.side).any():
+            raise GeometryError("window leaves the box")
+        axes = np.ix_(*(np.arange(a, b) for a, b in zip(g_lo, g_hi)))
+        return np.ravel_multi_index(axes, self.shape).astype(np.int64)
+
     @property
     def face_flat(self) -> np.ndarray:
         """Boolean mask (len n_vertices) of vertices on any box face."""
@@ -233,7 +243,6 @@ class PercolationSample:
     seed: int
     open_edges: np.ndarray
     _axis_open: list = field(default=None, repr=False, compare=False)
-    _enclosed: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.open_edges = np.asarray(self.open_edges, dtype=bool)
@@ -282,15 +291,6 @@ class PercolationSample:
 
     def is_edge_open(self, edge_index: int) -> bool:
         return bool(self.open_edges[int(edge_index)])
-
-    def enclosed_mask(self) -> np.ndarray:
-        """Per-vertex mask: the open cluster of the vertex avoids every box
-        face, so it equals the full Z^d cluster (nothing reaches it from
-        outside). Computed once per sample."""
-        if self._enclosed is None:
-            labeling = label_clusters(self)
-            self._enclosed = ~labeling.touches_boundary[labeling.labels]
-        return self._enclosed
 
     def with_edges(self, close_idx=(), open_idx=()) -> "PercolationSample":
         """Copy with the given canonical edge indexes forced closed/open."""
@@ -359,41 +359,44 @@ class ClusterLabeling:
         return len(self.sizes)
 
 
+def window_components(sample: PercolationSample, lo, hi):
+    """Open clusters of the subgraph induced on the coordinate window
+    [lo, hi) (exclusive upper): (component id per window vertex, shaped like
+    the window; size per component id; flat index per window vertex)."""
+    flats = sample.box.window_flats(lo, hi)
+    shape = flats.shape
+    local = np.arange(flats.size, dtype=np.int64).reshape(shape)
+    rows, cols = [], []
+    for axis, open_flat in enumerate(sample.axis_open_flats()):
+        inner = [slice(None)] * len(shape)
+        inner[axis] = slice(0, shape[axis] - 1)
+        base = local[tuple(inner)][open_flat[flats[tuple(inner)]]]
+        rows.append(base)
+        cols.append(base + int(np.prod(shape[axis + 1 :])))
+    rows = np.concatenate(rows)
+    graph = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(cols))),
+        shape=(flats.size, flats.size),
+    )
+    n_comp, labels = connected_components(graph, directed=False)
+    return labels.reshape(shape), np.bincount(labels, minlength=n_comp), flats
+
+
 def label_clusters(sample: PercolationSample) -> ClusterLabeling:
     """Label open clusters (connected components of open edges)."""
     box = sample.box
-    d, side, n = box.dimension, box.side, box.n_vertices
-    rows, cols = [], []
-    epa = box.edges_per_axis
-    for axis in range(d):
-        base = box.axis_base_flats(axis)
-        mask = sample.open_edges[axis * epa : (axis + 1) * epa]
-        lo = base[mask]
-        rows.append(lo)
-        cols.append(lo + box.strides[axis])
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+    labels, sizes, _ = window_components(
+        sample, box.low_corner, np.add(box.high_corner, 1)
     )
-    n_comp, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-
-    faces = np.zeros((n_comp, 2 * d), dtype=bool)
-    idx = np.arange(n, dtype=np.int64).reshape(box.shape)
-    for axis in range(d):
-        for j, pos in enumerate((0, side - 1)):
-            sl = [slice(None)] * d
-            sl[axis] = pos
-            face_labels = np.unique(labels[idx[tuple(sl)].reshape(-1)])
-            faces[face_labels, 2 * axis + j] = True
-
-    largest = int(np.argmax(sizes))  # argmax takes the smallest id on ties
+    faces = np.zeros((len(sizes), 2 * box.dimension), dtype=bool)
+    for axis in range(box.dimension):
+        for j, pos in enumerate((0, box.side - 1)):
+            faces[labels.take(pos, axis=axis), 2 * axis + j] = True
     return ClusterLabeling(
         box=box,
-        labels=labels,
+        labels=labels.reshape(-1),
         sizes=sizes,
-        largest=largest,
+        largest=int(np.argmax(sizes)),  # argmax takes the smallest id on ties
         faces_touched=faces,
         touches_boundary=faces.any(axis=1),
     )

@@ -7,6 +7,11 @@ coordinate tuple is lexicographically least. Growth also records the first
 time a layer touched the box face ("boundary contamination"): layers up to
 and including that time equal the infinite-lattice layers, later ones may
 not.
+
+What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
+``certified_distance`` answers "is D(source, y) finite, and what is it?"
+and ``singletons`` lists the certified single-vertex layers. Every distance
+and cut-point question in the package is a mapping over these two.
 """
 
 from __future__ import annotations
@@ -67,6 +72,33 @@ class BallGrowth:
     def dist_of(self, coord) -> float:
         v = self.dist[self.box.flat_index(coord)]
         return math.inf if v == _INF32 else int(v)
+
+    def certified_distance(self, target):
+        """D(source, target) in Z^d as far as this ball certifies it.
+
+        An int when the target was reached within the certified layers;
+        ``math.inf`` when the ball exhausted its cluster without touching a
+        box face (the Z^d cluster is finite and misses the target); None when
+        the box cannot tell.
+        """
+        v = self.dist_of(target)
+        if v <= self.resolved_through:
+            return v
+        if self.exhausted and not self.contaminated:
+            return math.inf
+        return None
+
+    def singletons(self, t_min: int = 1, t_max=None):
+        """(t, flat) of every singleton layer with t_min <= t <= t_max among
+        the certified layers, increasing in t."""
+        horizon = self.resolved_through if t_max is None else min(
+            t_max, self.resolved_through
+        )
+        return [
+            (t, int(self.layers[t][0]))
+            for t in range(t_min, horizon + 1)
+            if len(self.layers[t]) == 1
+        ]
 
     def layer_vertices(self, t: int) -> np.ndarray:
         """(m, d) coordinates of layer t."""
@@ -162,26 +194,10 @@ def grow_ball(
     region=None,
     stop_at_boundary: bool = False,
 ) -> BallGrowth:
-    """Grow the chemical-distance ball around ``source``.
-
-    Stops at exhaustion, at ``t_max`` layers, when any of ``targets`` (flat
-    indices) has been reached, or, with ``stop_at_boundary``, right after the
-    first layer that touches a box face (that layer itself is still exact).
-    """
-    src = np.asarray([sample.box.flat_index(source)], dtype=np.int64)
-    dist, pred, layers, fb, trunc, exhausted = _grow(
-        sample, src, t_max=t_max, targets=targets, region=region,
-        stop_at_boundary=stop_at_boundary,
-    )
-    return BallGrowth(
-        box=sample.box,
-        source=tuple(int(c) for c in source),
-        layers=layers,
-        dist=dist,
-        pred=pred,
-        first_boundary_time=fb,
-        truncated_at=trunc,
-        exhausted=exhausted,
+    """Grow the chemical-distance ball around the vertex ``source``."""
+    return grow_ball_flats(
+        sample, [sample.box.flat_index(source)], t_max=t_max, targets=targets,
+        region=region, stop_at_boundary=stop_at_boundary,
     )
 
 
@@ -190,13 +206,21 @@ def grow_ball_flats(
     source_flats,
     *,
     t_max: int | None = None,
+    targets=None,
     region=None,
     stop_at_boundary: bool = False,
 ) -> BallGrowth:
-    """Multi-source variant of :func:`grow_ball` over flat vertex indices."""
+    """Grow the chemical-distance ball around a set of flat vertex indices.
+
+    Stops at exhaustion, at ``t_max`` layers, when any of ``targets`` (flat
+    indices) has been reached, or, with ``stop_at_boundary``, right after the
+    first layer that touches a box face (that layer itself is still exact).
+    The first source names the ball.
+    """
     src = np.asarray(source_flats, dtype=np.int64)
     dist, pred, layers, fb, trunc, exhausted = _grow(
-        sample, src, t_max=t_max, region=region, stop_at_boundary=stop_at_boundary
+        sample, src, t_max=t_max, targets=targets, region=region,
+        stop_at_boundary=stop_at_boundary,
     )
     return BallGrowth(
         box=sample.box,
@@ -221,37 +245,20 @@ def chemical_distance(sample: PercolationSample, x, y) -> float:
     the endpoints are not connected within the box.
     """
     xv, yv = _floor_vertex(x), _floor_vertex(y)
-    box = sample.box
-    fx, fy = box.flat_index(xv), box.flat_index(yv)
-    if fx == fy:
-        return 0
-    dist, _, _, _, _, _ = _grow(
-        sample, np.asarray([fx], dtype=np.int64), targets=[fy]
-    )
-    v = dist[fy]
-    return math.inf if v == _INF32 else int(v)
+    return grow_ball(sample, xv, targets=[sample.box.flat_index(yv)]).dist_of(yv)
 
 
 def resolved_distance(sample: PercolationSample, x, y):
     """Distance with finite-box honesty: ('exact', D), ('disconnected', inf)
-    or ('unknowable', None).
-
-    'exact' and 'disconnected' certify the infinite-lattice answer: growth
-    stops at the first face contact, and layers up to that time match Z^d.
-    """
+    or ('unknowable', None), from :meth:`BallGrowth.certified_distance` of a
+    ball that stops at its first face contact."""
     xv, yv = _floor_vertex(x), _floor_vertex(y)
-    box = sample.box
-    fx, fy = box.flat_index(xv), box.flat_index(yv)
-    if fx == fy:
-        return "exact", 0
-    dist, _, _, fb, _, exhausted = _grow(
-        sample, np.asarray([fx], dtype=np.int64), targets=[fy], stop_at_boundary=True
-    )
-    if dist[fy] != _INF32:
-        return "exact", int(dist[fy])
-    if exhausted and fb is None:
-        return "disconnected", math.inf
-    return "unknowable", None
+    dist = grow_ball(
+        sample, xv, targets=[sample.box.flat_index(yv)], stop_at_boundary=True
+    ).certified_distance(yv)
+    if dist is None:
+        return "unknowable", None
+    return ("disconnected" if dist == math.inf else "exact"), dist
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
@@ -278,10 +285,8 @@ def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
         raise GeometryError("endpoint sets must be subsets of the region")
     if np.intersect1d(f_flats, t_flats).size:
         return 0
-    dist, _, _, _, _, _ = _grow(
-        sample, f_flats, targets=t_flats, region=region_mask
-    )
-    vals = dist[t_flats]
+    ball = grow_ball_flats(sample, f_flats, targets=t_flats, region=region_mask)
+    vals = ball.dist[t_flats]
     hit = vals[vals != _INF32]
     return math.inf if hit.size == 0 else int(hit.min())
 

@@ -157,15 +157,3 @@ def test_with_edges_does_not_mutate():
     before = s.open_edges.copy()
     s.with_edges(close_idx=[0, 1], open_idx=[2])
     assert np.array_equal(s.open_edges, before)
-
-
-def test_enclosed_mask():
-    box = BoxSpec(2, 4)
-    s = all_closed(box)
-    # a small open component near the centre is enclosed
-    s = s.with_edges(open_idx=[box.edge_index((0, 0), 0)])
-    mask = s.enclosed_mask()
-    assert mask[box.flat_index((0, 0))]
-    assert mask[box.flat_index((1, 0))]
-    # isolated face vertices touch the boundary trivially
-    assert not mask[box.flat_index((4, 4))]
