@@ -112,10 +112,11 @@ class RateEstimate:
 
     @property
     def rate_bounds(self):
-        """(lower, upper) for the rate; upper is inf when hits == 0."""
+        """(lower, upper) for the rate; upper is inf when hits == 0, and
+        both are nan without a resolved replicate."""
         lo_p, hi_p = self.ci
-        lower = -math.log(hi_p) / self.n if hi_p > 0 else math.inf
-        upper = -math.log(lo_p) / self.n if lo_p > 0 else math.inf
+        lower = math.inf if hi_p <= 0 else -math.log(hi_p) / self.n
+        upper = math.inf if lo_p <= 0 else -math.log(lo_p) / self.n
         return (lower, upper)
 
 
@@ -261,7 +262,7 @@ class MuPoint:
     disconnected: int
     contaminated: int
     mean: float  # conditional mean of D(0, floor(n x)) / n over connections
-    sigma: float  # standard error of the mean
+    sigma: float  # standard error of the mean; nan below two connections
 
     @property
     def ci(self):
@@ -319,7 +320,7 @@ def estimate_mu(
         if values:
             ratios = np.asarray(values, dtype=float) / n
             mean = float(ratios.mean())
-            sigma = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+            sigma = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else math.nan
         else:
             mean, sigma = math.nan, math.nan
         points.append(

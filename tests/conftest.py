@@ -45,6 +45,30 @@ def dijkstra_distances(sample: PercolationSample, source) -> np.ndarray:
     return dijkstra(g, directed=False, unweighted=True, indices=[src])[0]
 
 
+def face_mask(box: BoxSpec) -> np.ndarray:
+    """Vertices with a grid index 0 or side - 1 along some axis (oracle)."""
+    grid = np.indices(box.shape).reshape(box.dimension, -1)
+    return ((grid == 0) | (grid == box.side - 1)).any(axis=0)
+
+
+def certified_distance_oracle(sample: PercolationSample, source, target):
+    """What the box proves about D(source, target) in Z^d (oracle).
+
+    ('exact', D) when D is at most the distance from the source to the
+    nearest face vertex, ('disconnected', inf) when the source cluster avoids
+    every face, ('unknowable', None) otherwise. Built from Dijkstra distances
+    and :func:`face_mask`, not from the package's ball growth.
+    """
+    dist = dijkstra_distances(sample, source)
+    first_face = dist[face_mask(sample.box)].min()
+    value = dist[sample.box.flat_index(target)]
+    if math.isfinite(value) and value <= first_face:
+        return "exact", int(value)
+    if math.isinf(first_face):
+        return "disconnected", math.inf
+    return "unknowable", None
+
+
 def flood_fill_labels(sample: PercolationSample) -> np.ndarray:
     """DFS flood-fill cluster labels (oracle; no scipy, no union-find)."""
     box = sample.box

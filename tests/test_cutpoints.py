@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_closed, all_open, ball_dist_array
+from conftest import (
+    all_closed,
+    all_open,
+    ball_dist_array,
+    certified_distance_oracle,
+    dijkstra_distances,
+    face_mask,
+)
 from percolab import (
     BoxSpec,
     EventOutcome,
@@ -306,23 +313,46 @@ def test_upper_tail_event_cases():
     assert upper_tail_event(s, n, xi, 1.0).outcome is EventOutcome.HIT
 
 
-def test_upper_tail_event_matches_resolved_distance():
-    # resolved_distance is the oracle: it certifies D on its own growth
-    n, xi, mu = 6, 0.2, 1.1
+@pytest.mark.parametrize("d, L, p, n", [(2, 9, 0.6, 6), (3, 5, 0.35, 3)])
+def test_distances_and_upper_tail_match_the_dijkstra_oracle(d, L, p, n, rng):
+    xi, mu = 0.2, 1.1
+    origin, target = (0,) * d, (n,) + (0,) * (d - 1)
     seen = set()
     for seed in range(60):
-        s = sample_configuration(BoxSpec(2, 9), 0.6, seed)
-        status, value = resolved_distance(s, (0, 0), (n, 0))
+        s = sample_configuration(BoxSpec(d, L), p, seed)
+        status, value = certified_distance_oracle(s, origin, target)
         res = upper_tail_event(s, n, xi, mu)
         if status == "exact":
             expected = EventOutcome.HIT if value > mu * (1 + xi) * n else EventOutcome.MISS
-            assert res.witness.time == value and res.witness.location == (n, 0)
+            assert res.witness.time == value and res.witness.location == target
         else:
             expected = EventOutcome(status)
             assert res.witness is None
         assert res.outcome is expected
         seen.add(expected)
+        x, y = (tuple(int(c) for c in rng.integers(-L, L + 1, d)) for _ in range(2))
+        for a, b in ((origin, target), (x, y)):
+            assert resolved_distance(s, a, b) == certified_distance_oracle(s, a, b)
+        # a ball grown past its first face contact certifies no more
+        full = grow_ball(s, origin)
+        for b in (target, y):
+            assert full.certified_distance(b) == certified_distance_oracle(s, origin, b)[1]
     assert len(seen) == 4
+
+
+@pytest.mark.parametrize("d, L, p", [(2, 12, 0.55), (3, 5, 0.35)])
+def test_certified_singleton_layers_match_the_dijkstra_oracle(d, L, p):
+    for seed in range(20):
+        s = sample_configuration(BoxSpec(d, L), p, seed)
+        dist = dijkstra_distances(s, (0,) * d)
+        horizon = dist[np.isfinite(dist)].max()
+        horizon = min(horizon, dist[face_mask(s.box)].min())
+        counts = np.bincount(dist[dist <= horizon].astype(np.int64))
+        expected = [t for t in range(1, len(counts)) if counts[t] == 1]
+        ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
+        assert [r.time for r in detect_cutpoints(ball, 1)] == expected
+        for t, flat in ball.singletons():
+            assert dist[flat] == t
 
 
 def test_event_spec_window_floor_convention():

@@ -13,6 +13,7 @@ from percolab.estimators import (
     _run_one_n,
     estimate_event_rate,
     estimate_J,
+    estimate_mu,
     wilson_interval,
 )
 from percolab.harness import cli_dispatch
@@ -29,6 +30,24 @@ def test_wilson_interval_matches_scipy(trials):
 
 def test_wilson_interval_without_trials_is_nan():
     assert all(math.isnan(v) for v in wilson_interval(0, 0))
+
+
+def test_rate_bounds_are_nan_without_resolved_replicates():
+    def bounds(**counts):
+        return RateEstimate("e", 0.25, (0.0, 0.0), 8, Tally(**counts)).rate_bounds
+
+    assert all(math.isnan(v) for v in bounds(contaminated=5))
+    lower, upper = bounds(misses=5, contaminated=1)
+    assert upper == math.inf and 0 < lower < math.inf
+    assert bounds(hits=5) == (0.0, pytest.approx(-math.log(wilson_interval(5, 5)[0]) / 8))
+
+
+def test_mu_interval_is_nan_below_two_connected_replicates():
+    (one,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 1, 3, workers=1).points
+    assert one.connected == 1 and math.isfinite(one.mean)
+    assert all(math.isnan(v) for v in one.ci)
+    (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, workers=1).points
+    assert two.connected == 2 and all(math.isfinite(v) for v in two.ci)
 
 
 FAMILY = EventFamily(kind="cutpoint", d=2, p=0.6, s_grid=(0.25, 0.5))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,20 @@ def test_write_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, "t", ["a", "b", "c"], [[np.float64(0.75), -0.0, np.int64(3)]])
     assert path.read_text().splitlines()[1:] == ["a,b,c", "0.75,0.0,3"]
+
+
+def test_replay_reproduces_a_run_and_rejects_an_edited_hash(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    argv = RATE + ["--set=n_grid=6", "--set=replicates=10", "--set=workers=1",
+                   "--set=emit_replicates=true", "--out-dir", str(run_dir)]
+    assert cli_dispatch(argv) == 0
+    manifest = run_dir / "manifest.json"
+    assert cli_dispatch(["replay", f"--set=manifest={manifest}"]) == 0
+    assert "replay ok: 2 outputs byte-identical" in capsys.readouterr().out
+
+    record = json.loads(manifest.read_text())
+    record["outputs"][1]["sha256"] = "0" * 64
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(record))
+    assert cli_dispatch(["replay", f"--set=manifest={edited}"]) == 3
+    assert "replay mismatch for outputs: ['replicates.csv']" in capsys.readouterr().err

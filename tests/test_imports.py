@@ -1,5 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses. An import kept on purpose carries a ``# noqa: F401`` comment."""
+uses, and no module defines a private module-level name that nothing in the
+package references. An import kept on purpose carries a ``# noqa: F401``
+comment."""
 
 import ast
 import pathlib
@@ -42,3 +44,43 @@ def test_detector_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict):
+    """(module, name) of every private module-level function, class or
+    assignment that no module of ``sources`` reads, calls or imports."""
+    referenced, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return sorted((m, n) for m, n in defined if n not in referenced)
+
+
+def test_dead_helper_detector_sees_calls_reads_and_imports():
+    sources = {
+        "a": "_K = 1\n_DEAD: int = 2\ndef _used():\n    return _K\n"
+             "def _dead():\n    _dead_local = 3\nclass _Imported:\n    pass\n"
+             "def f(m):\n    return _used(), m._attr\n_attr = 4\n",
+        "b": "from a import _Imported\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_DEAD"), ("a", "_dead")]
+
+
+def test_no_unreferenced_private_module_level_names():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
