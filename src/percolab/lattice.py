@@ -163,10 +163,6 @@ class BoxSpec:
         """Boolean mask (len n_vertices) of vertices on any box face."""
         return _face_flat(self.dimension, self.radius)
 
-    def axis_base_flats(self, axis: int) -> np.ndarray:
-        """Flat indices of lower endpoints of axis edges, in canonical order."""
-        return _axis_base_flats(self.dimension, self.radius, axis)
-
     def edge_index(self, coord, axis: int) -> int:
         """Canonical index of the edge from coord to coord + e_axis."""
         gi = list(self.grid_index(coord))
@@ -215,18 +211,6 @@ def _face_flat(dimension: int, radius: int) -> np.ndarray:
         mask[tuple(sl_hi)] = True
     mask.flags.writeable = False
     return mask.reshape(-1)
-
-
-@lru_cache(maxsize=64)
-def _axis_base_flats(dimension: int, radius: int, axis: int) -> np.ndarray:
-    side = 2 * radius + 1
-    shape = (side,) * dimension
-    idx = np.arange(side**dimension, dtype=np.int64).reshape(shape)
-    sl = [slice(None)] * dimension
-    sl[axis] = slice(0, side - 1)
-    out = idx[tuple(sl)].reshape(-1)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass

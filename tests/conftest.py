@@ -20,12 +20,19 @@ def all_closed(box: BoxSpec, p=0.5, seed=0) -> PercolationSample:
     return PercolationSample(box, p, seed, np.zeros(box.n_edges, dtype=bool))
 
 
+def edge_base_flats(box: BoxSpec, axis: int) -> np.ndarray:
+    """Flat indices of the lower endpoints of the axis edges, in canonical
+    edge order (axis-major, then C order of the lower endpoint)."""
+    grid = np.arange(box.n_vertices, dtype=np.int64).reshape(box.shape)
+    return grid.take(np.arange(box.side - 1), axis=axis).reshape(-1)
+
+
 def open_graph(sample: PercolationSample) -> csr_matrix:
     """Sparse open-edge graph, built independently of the BFS code."""
     box = sample.box
     rows, cols = [], []
     for axis in range(box.dimension):
-        base = box.axis_base_flats(axis)
+        base = edge_base_flats(box, axis)
         epa = box.edges_per_axis
         mask = sample.open_edges[axis * epa : (axis + 1) * epa]
         rows.append(base[mask])
@@ -75,7 +82,7 @@ def flood_fill_labels(sample: PercolationSample) -> np.ndarray:
     labels = np.full(box.n_vertices, -1, dtype=np.int64)
     adj = [[] for _ in range(box.n_vertices)]
     for axis in range(box.dimension):
-        base = box.axis_base_flats(axis)
+        base = edge_base_flats(box, axis)
         epa = box.edges_per_axis
         mask = sample.open_edges[axis * epa : (axis + 1) * epa]
         for lo in base[mask]:

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_closed, all_open, ball_dist_array, dijkstra_distances
+from conftest import (
+    all_closed,
+    all_open,
+    ball_dist_array,
+    dijkstra_distances,
+    edge_base_flats,
+)
 from percolab import (
     BoxSpec,
     chemical_distance,
@@ -108,7 +114,7 @@ def test_constrained_distance_slab_matches_induced_oracle():
     keep = {box.flat_index(v) for v in slab}
     rows, cols = [], []
     for axis in range(3):
-        base = box.axis_base_flats(axis)
+        base = edge_base_flats(box, axis)
         epa = box.edges_per_axis
         mask = s.open_edges[axis * epa : (axis + 1) * epa]
         for lo in base[mask]:
