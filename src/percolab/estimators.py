@@ -1,10 +1,14 @@
 """Monte Carlo estimation of the distance constant and event decay rates.
 
-Replicates are seeded as ``seed XOR replicate_index``, so a replicate is a
-pure function of its index: runs are reproducible, parallel results are
-re-sorted by index so they do not depend on the worker count, and two event
-parameterizations evaluated at the same replicate index share the sample
-exactly (coupling).
+Replicate ``index`` of a run with seed ``seed`` is sampled with
+``replicate_seed(seed, index)``, output ``index`` of a SplitMix64 stream
+keyed by the mixed seed. So a replicate is a pure function of (seed, index):
+runs are reproducible, parallel results are re-sorted by index so they do
+not depend on the worker count, two event parameterizations evaluated at the
+same replicate index share the sample exactly (coupling), and different
+seeds do not share replicates. Every n of a grid uses the same replicate
+seeds, but its box differs and an edge's uniform hashes its box-relative
+index, so samples at two values of n are not one configuration seen twice.
 
 Empirical decay rates are reported as -log(p_hat)/n at each finite n, with
 Wilson intervals propagated; no extrapolation to the n -> infinity limit is
@@ -31,7 +35,7 @@ from .cutpoints import (
     upper_tail_outcome,
 )
 from .errors import GridCoverageError, PreconditionError
-from .lattice import BoxSpec, sample_configuration
+from .lattice import _SPLIT_INC, BoxSpec, _mix64, sample_configuration
 from .metric import resolved_distance
 from .parallel import run_parallel
 from .renorm import ScaledL1Norm
@@ -39,8 +43,18 @@ from .renorm import ScaledL1Norm
 Z_95 = 1.959963984540054
 
 
-def replicate_seed(seed: int, index: int) -> int:
-    return (int(seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF
+def replicate_seed(seed: int, index):
+    """Output ``index`` of a SplitMix64 stream keyed by the mixed run seed.
+
+    The finalizer is a bijection, so one run's indices never share a seed.
+    Two runs of at most N replicates share one only when their keys differ
+    by k times the stream increment for some |k| < N. ``index`` may be an
+    integer array.
+    """
+    key = _mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    with np.errstate(over="ignore"):
+        out = _mix64(key + np.asarray(index, dtype=np.uint64) * _SPLIT_INC)
+    return out if out.ndim else int(out)
 
 
 def wilson_interval(hits: int, trials: int, z: float = Z_95):

@@ -9,9 +9,9 @@ and including that time equal the infinite-lattice layers, later ones may
 not.
 
 What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
-``certified_distance`` answers "is D(source, y) finite, and what is it?"
-and ``singletons`` lists the certified single-vertex layers. Every distance
-and cut-point question in the package is a mapping over these two.
+``certified_distance`` gives D(source, y) when the box certifies it (finite
+or infinite), and ``singletons`` lists the certified single-vertex layers.
+The distance-constant, upper-tail and cut-point scans map over these two.
 """
 
 from __future__ import annotations

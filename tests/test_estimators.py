@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import binomtest
 
@@ -14,6 +15,7 @@ from percolab.estimators import (
     estimate_event_rate,
     estimate_J,
     estimate_mu,
+    replicate_seed,
     wilson_interval,
 )
 from percolab.harness import cli_dispatch
@@ -48,6 +50,24 @@ def test_mu_interval_is_nan_below_two_connected_replicates():
     assert all(math.isnan(v) for v in one.ci)
     (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, workers=1).points
     assert two.connected == 2 and all(math.isfinite(v) for v in two.ci)
+
+
+def test_replicate_seeds_of_distinct_seed_index_pairs_are_distinct():
+    seeds = np.concatenate([replicate_seed(s, np.arange(1024)) for s in range(1024)])
+    assert len(np.unique(seeds)) == 1 << 20
+    assert replicate_seed(7, 3) == int(replicate_seed(7, np.arange(4))[3])
+
+
+def test_nearby_seeds_write_different_rates(tmp_path):
+    # seed XOR index gave seeds 0, 1, 2, 3 and 5 the same 8 replicates
+    written = set()
+    for seed in (0, 1, 2, 3, 5):
+        argv = ["estimate-rate", "--set=d=2", "--set=p=0.6", f"--set=seed={seed}",
+                "--set=n_grid=6", "--set=replicates=8", "--set=workers=1",
+                "--out-dir", str(tmp_path / str(seed))]
+        assert cli_dispatch(argv) == 0
+        written.add((tmp_path / str(seed) / "rates.csv").read_bytes())
+    assert len(written) > 1
 
 
 FAMILY = EventFamily(kind="cutpoint", d=2, p=0.6, s_grid=(0.25, 0.5))

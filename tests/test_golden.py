@@ -16,7 +16,7 @@ GOLDEN = {
     "rate-cutpoint-d2": (
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=11",
          "--set=s=0.25,0.5", "--set=n_grid=6,8", "--set=replicates=30"],
-        {"rates.csv": "82ee967a9fceeb9a6843567b06f45a48270ce1eff7e306b22980f672af292026"},
+        {"rates.csv": "85abfdbdd721be7469b4a7ed6aa23005325a9143cbf35f9812e9211034d04720"},
     ),
     "rate-free-d2": (
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=12",
@@ -28,12 +28,12 @@ GOLDEN = {
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=13",
          "--set=event=upper_tail", "--set=xi=0.3", "--set=mu1=1.2",
          "--set=n_grid=6,10", "--set=replicates=30"],
-        {"rates.csv": "f01dc43b6fb73543164ff8c45a331ffe574df5693f956095fd76cd4a861a8802"},
+        {"rates.csv": "781d671ebce8728374d952912f186cbe29747d9c393bb7392e49c380af08dc79"},
     ),
     "rate-cutpoint-d3": (
         ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=14",
          "--set=n_grid=4", "--set=replicates=12"],
-        {"rates.csv": "373fded121cf8faf019e17b93ea43cd9323ed660b8f03ca95fc3081482118914"},
+        {"rates.csv": "cba71002ea1887485679ca03c2f5b60c905fa6f410b338fb3fe0bb84c1216f1e"},
     ),
     "rate-free-d3": (
         ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=15",
@@ -43,40 +43,40 @@ GOLDEN = {
     "rate-upper-tail-d3": (
         ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=16",
          "--set=event=upper_tail", "--set=n_grid=4", "--set=replicates=12"],
-        {"rates.csv": "d936c303a5cc1f9bfdb691fdd3d9681a7f022e02be0818cf681c1f98e2c33de0"},
+        {"rates.csv": "825439babab7e743f2194096a39bb85572799e4ae3dc412da1b38df620281435"},
     ),
     "rate-emit-replicates": (
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=17",
          "--set=s=0.25,0.5", "--set=n_grid=6", "--set=replicates=20",
          "--set=emit_replicates=true"],
-        {"rates.csv": "8900ff3a439d43fb93cae7c333c139b003d78886f4435ae6422c8210a267c572",
-         "replicates.csv": "9c17f9cd69203fbe4061941f6edc2c1c9b1e637d1fadfc5f8a0ffd45e43d21f2"},
+        {"rates.csv": "1b7eb521fbd8e5fd60e03ce20ce50ec370f3db0276fc1c34a378ef240e541a1e",
+         "replicates.csv": "44d672b706f1de836b643a8441916d9751ee52969da2308151548506cf7a2ecc"},
     ),
     "j-d2": (
         ["estimate-j", "--set=d=2", "--set=p=0.52", "--set=seed=30", "--set=n=6",
          "--set=s_grid=0.25,0.5,1", "--set=xi_grid=0,0.5", "--set=y_max=0.5",
          "--set=replicates=40"],
-        {"j.csv": "3107a85f8b3997e00e8c993102147ebe47e75250e28904a84a0a0ee6818dcb35"},
+        {"j.csv": "020f8f7a1383e661c81531eed0c83c0852a9f65de7c0e6ee2a7d4ab56830095f"},
     ),
     "upper-tail-d2": (
         ["upper-tail", "--set=d=2", "--set=p=0.6", "--set=seed=19",
          "--set=mu1=1.3", "--set=n_grid=8,12", "--set=replicates=60"],
-        {"paired.csv": "1b281df92943bd9d43d14ac8e21661049c46ed149fe18334439e397d91518772"},
+        {"paired.csv": "c00053e6d4f1d3f00c01501bfb62054937774e90339080881c8eab77e57449ac"},
     ),
     "upper-tail-d3": (
         ["upper-tail", "--set=d=3", "--set=p=0.4", "--set=seed=20",
          "--set=n_grid=5", "--set=replicates=20"],
-        {"paired.csv": "9ec0a4d08c92482796df24777921d49ba9c0db8d7755278e117a1431d78d9c14"},
+        {"paired.csv": "8ec8bed233e4236675348484884aa4e0a3082cde2504bbbae1cc1b379f60aa1a"},
     ),
     "mu-d2": (
         ["estimate-mu", "--set=d=2", "--set=p=0.6", "--set=seed=21",
          "--set=n_grid=6,10", "--set=replicates=30"],
-        {"mu.csv": "2fe3e8529df5e2e2c5cfac5aba3f8d986fd69c4f65470edb8dddc9dd5b4354b7"},
+        {"mu.csv": "888b1f3e05a012bc62f1be89fe8e8d44fd982ed926945948a7075a01d773ed4c"},
     ),
     "mu-d3": (
         ["estimate-mu", "--set=d=3", "--set=p=0.4", "--set=seed=22",
          "--set=x=1,1,0", "--set=n_grid=4", "--set=replicates=12"],
-        {"mu.csv": "c0f6ea4fae35466906b6095e85ec0fa28df3eebd82926e449a56c08de2be280d"},
+        {"mu.csv": "11afc0f626161de5c1a74e39d43d70f09413fc9dc83dc7ded2732f6807b928b9"},
     ),
 }
 
@@ -118,7 +118,7 @@ def test_partial_run_keeps_replicates_below_the_fault(tmp_path, workers):
 
 def test_estimate_j_without_unit_rate_reports_nan_radius(tmp_path):
     # no replicate hits the (s=1, y=0) cell, so the search radius R is unknown
-    argv = ["estimate-j", "--set=d=2", "--set=p=0.6", "--set=seed=4194304",
+    argv = ["estimate-j", "--set=d=2", "--set=p=0.6", "--set=seed=1",
             "--set=n=6", "--set=s_grid=0.25,1", "--set=xi_grid=0,0.5",
             "--set=y_max=0.5", "--set=replicates=20", "--set=workers=1",
             "--out-dir", str(tmp_path)]
