@@ -20,7 +20,6 @@ from .cutpoints import (
     evaluate_event_grid,
     force_cutpoint,
     line_count,
-    upper_tail_event,
 )
 from .combinatorics import (
     ExteriorBoundary,
@@ -70,7 +69,6 @@ from .metric import (
     constrained_distance,
     geodesic,
     grow_ball,
-    resolved_distance,
     volume_threshold_time,
 )
 from .renorm import (

@@ -99,7 +99,6 @@ class EventResult:
     outcome: EventOutcome
     witness: CutPointRecord | None = None
     axes: tuple[int, int] | None = None  # free-line / hyperplane axes
-    cap_time: int | None = None  # scan horizon actually certified
 
 
 def detect_cutpoints(ball: BallGrowth, t_min: int, t_max: int | None = None):
@@ -197,7 +196,7 @@ def event_A(
 
     Returns the least witness time when the event holds. With ``K`` given,
     a witness additionally needs an exterior ball boundary of size <= K*n.
-    The scan is capped at ball exhaustion (recorded in ``cap_time``).
+    The scan is capped at the ball's certified horizon ``resolved_through``.
     """
     box = sample.box
     d = box.dimension
@@ -250,7 +249,6 @@ def _eval_windowed(
     alpha_window, volume_cap,
 ):
     ball = ctx.ball
-    horizon = ball.resolved_through
     candidates = []
     if threshold <= 0:
         candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
@@ -260,24 +258,19 @@ def _eval_windowed(
             continue
         if K is not None and not _boundary_stat_ok(ball, t, K * n):
             continue
+        axes = None
         if free:
             ok, axes = _free_conditions(ball, t, coord, alpha_window, volume_cap)
             if not ok:
                 continue
-            return EventResult(
-                outcome=EventOutcome.HIT,
-                witness=CutPointRecord(t, tuple(int(c) for c in coord)),
-                axes=axes,
-                cap_time=horizon,
-            )
         return EventResult(
             outcome=EventOutcome.HIT,
             witness=CutPointRecord(t, tuple(int(c) for c in coord)),
-            cap_time=horizon,
+            axes=axes,
         )
     if ctx.window_resolved(center, w_rad):
-        return EventResult(outcome=EventOutcome.MISS, cap_time=horizon)
-    return EventResult(outcome=EventOutcome.UNKNOWABLE, cap_time=horizon)
+        return EventResult(outcome=EventOutcome.MISS)
+    return EventResult(outcome=EventOutcome.UNKNOWABLE)
 
 
 def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap):
@@ -448,27 +441,3 @@ def upper_tail_outcome(distance, threshold: float) -> EventOutcome:
         return EventOutcome.DISCONNECTED
     return EventOutcome.HIT if distance > threshold else EventOutcome.MISS
 
-
-def upper_tail_event(
-    sample: PercolationSample,
-    n: int,
-    xi: float,
-    mu_hat: float,
-    x=None,
-) -> EventResult:
-    """Tri-state upper-tail event mu_hat (1+xi) n < D(0, floor(n x)) < inf.
-
-    Default direction is the first coordinate vector. The witness field
-    carries (D, target) when the distance is certified finite.
-    """
-    d = sample.box.dimension
-    if x is None:
-        x = (1.0,) + (0.0,) * (d - 1)
-    target = tuple(int(math.floor(n * float(c))) for c in x)
-    dist = grow_ball(
-        sample, (0,) * d,
-        targets=[sample.box.flat_index(target)], stop_at_boundary=True,
-    ).certified_distance(target)
-    outcome = upper_tail_outcome(dist, mu_hat * (1.0 + xi) * n)
-    finite = outcome in (EventOutcome.HIT, EventOutcome.MISS)
-    return EventResult(outcome, CutPointRecord(dist, target) if finite else None)

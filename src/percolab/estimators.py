@@ -10,6 +10,16 @@ seeds do not share replicates. Every n of a grid uses the same replicate
 seeds, but its box differs and an edge's uniform hashes its box-relative
 index, so samples at two values of n are not one configuration seen twice.
 
+Every estimator reads the chemical distance D(0, floor(n x)) through one
+helper, :func:`target_distance`: the origin ball grown toward the target
+until it reaches it, exhausts its cluster or first touches a box face, and
+that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
+misses the target, None when the box cannot tell). The distance constant
+averages the finite values, the upper-tail event maps the value through
+``upper_tail_outcome``, and the paired experiment also scans the same ball's
+certified singleton layers. Every box is ``BoxSpec(d, ceil(reach) + 2)``
+for a reach that each estimator states.
+
 Empirical decay rates are reported as -log(p_hat)/n at each finite n, with
 Wilson intervals propagated; no extrapolation to the n -> infinity limit is
 attempted, exact limit values are out of reach at this scale.
@@ -31,12 +41,10 @@ from .cutpoints import (
     event_A,
     event_A_free,
     grow_ball,
-    upper_tail_event,
     upper_tail_outcome,
 )
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _SPLIT_INC, BoxSpec, _mix64, sample_configuration
-from .metric import resolved_distance
 from .parallel import run_parallel
 from .renorm import ScaledL1Norm
 
@@ -168,13 +176,30 @@ def _run_all(fn, replicates: int, workers):
     return run.results
 
 
-def _ball_codes(sample, d: int, specs, K=None, free: bool = False):
+def _ball_codes(sample, d: int, specs, free: bool = False):
     """Outcome codes of every spec, evaluated on one ball grown from the
     origin (the events share the sample and the ball)."""
     ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
     ctx = BallEventContext(sample, ball)
     fn = event_A_free if free else event_A
-    return tuple(OUTCOME_CODES[fn(sample, spec, K, ball=ctx).outcome] for spec in specs)
+    return tuple(OUTCOME_CODES[fn(sample, spec, ball=ctx).outcome] for spec in specs)
+
+
+def target_distance(sample, n: int, x):
+    """The origin ball grown toward floor(n x), stopped at the target, at
+    cluster exhaustion or at its first face contact, and its certified
+    distance to the target: an int, ``math.inf`` or None (unknowable)."""
+    target = tuple(int(math.floor(n * c)) for c in x)
+    ball = grow_ball(
+        sample, (0,) * len(target),
+        targets=[sample.box.flat_index(target)], stop_at_boundary=True,
+    )
+    return ball, ball.certified_distance(target)
+
+
+def _box(d: int, reach: float) -> BoxSpec:
+    """The estimators' box: radius ceil(reach) + 2."""
+    return BoxSpec(d, int(math.ceil(reach)) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +222,6 @@ class EventFamily:
     xi: float = 0.0
     mu1: float = 1.0
     alpha: float | None = None
-    K: float | None = None
     box_factor: float = 2.0
 
     def __post_init__(self):
@@ -210,15 +234,14 @@ class EventFamily:
         object.__setattr__(self, "x", tuple(float(c) for c in x))
 
     def box_for(self, n: int) -> BoxSpec:
-        w = int(n ** (self.alpha if self.alpha is not None else alpha_default(self.d)))
         if self.kind == "upper_tail":
             span = max(1.0, max(abs(c) for c in self.x))
             reach = self.box_factor * max(1.0, self.mu1 * (1.0 + self.xi)) * n * span
-            return BoxSpec(self.d, int(math.ceil(reach)) + 2)
-        # the witness scan only needs distances across the window around n x
-        span = max(abs(c) for c in self.x)
-        reach = self.box_factor * (n * span + 2.0 * w)
-        return BoxSpec(self.d, int(math.ceil(reach)) + 2)
+        else:
+            # the witness scan only needs distances across the window around n x
+            w = int(n ** (self.alpha if self.alpha is not None else alpha_default(self.d)))
+            reach = self.box_factor * (n * max(abs(c) for c in self.x) + 2.0 * w)
+        return _box(self.d, reach)
 
     def specs(self, n: int):
         return [EventSpec(s=s, x=self.x, n=n, alpha=self.alpha) for s in self.s_grid]
@@ -237,11 +260,10 @@ def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
         family.box_for(n), family.p, replicate_seed(seed, index)
     )
     if family.kind == "upper_tail":
-        res = upper_tail_event(sample, n, family.xi, family.mu1, family.x)
-        return (OUTCOME_CODES[res.outcome],)
-    return _ball_codes(
-        sample, family.d, family.specs(n), family.K, free=family.kind == "free"
-    )
+        _, dist = target_distance(sample, n, family.x)
+        threshold = family.mu1 * (1.0 + family.xi) * n
+        return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
+    return _ball_codes(sample, family.d, family.specs(n), free=family.kind == "free")
 
 
 def estimate_event_rate(
@@ -291,14 +313,10 @@ class MuEstimate:
 
 
 def _mu_replicate(index: int, *, d, p, x, n, box_factor, seed):
-    box_radius = int(math.ceil(box_factor * n * max(abs(c) for c in x))) + 2
-    box = BoxSpec(d, box_radius)
+    """Certified D(0, floor(n x)) of one replicate: int, inf or None."""
+    box = _box(d, box_factor * n * max(abs(c) for c in x))
     sample = sample_configuration(box, p, replicate_seed(seed, index))
-    target = tuple(int(math.floor(n * c)) for c in x)
-    status, value = resolved_distance(sample, (0,) * d, target)
-    if status == "exact":
-        return 0, int(value)
-    return (1, 0) if status == "disconnected" else (2, 0)
+    return target_distance(sample, n, x)[1]
 
 
 def estimate_mu(
@@ -328,9 +346,9 @@ def estimate_mu(
             box_factor=box_factor, seed=seed,
         )
         results = _run_all(fn, replicates, workers)
-        values = [v for code, v in results if code == 0]
-        n_dis = sum(1 for code, _ in results if code == 1)
-        n_cont = sum(1 for code, _ in results if code == 2)
+        values = [v for v in results if v not in (None, math.inf)]
+        n_dis = results.count(math.inf)
+        n_cont = results.count(None)
         if values:
             ratios = np.asarray(values, dtype=float) / n
             mean = float(ratios.mean())
@@ -478,12 +496,7 @@ def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
         kind="upper_tail", d=d, p=p, xi=xi, mu1=mu1, box_factor=box_factor
     )
     sample = sample_configuration(family.box_for(n), p, replicate_seed(seed, index))
-    target = tuple(int(math.floor(n * c)) for c in family.x)
-    ball = grow_ball(
-        sample, (0,) * d,
-        targets=[sample.box.flat_index(target)], stop_at_boundary=True,
-    )
-    dist = ball.certified_distance(target)
+    ball, dist = target_distance(sample, n, family.x)
     upper = upper_tail_outcome(dist, mu1 * (1.0 + xi) * n)
     # late cut-point within the certified horizon, capped at the distance
     if ball.singletons(max(1, math.ceil(s * n)), dist):

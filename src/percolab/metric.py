@@ -9,9 +9,12 @@ and including that time equal the infinite-lattice layers, later ones may
 not.
 
 What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
-``certified_distance`` gives D(source, y) when the box certifies it (finite
-or infinite), and ``singletons`` lists the certified single-vertex layers.
-The distance-constant, upper-tail and cut-point scans map over these two.
+``certified_distance`` gives D(source, y) when the box certifies it (an int,
+``math.inf`` for a finite cluster that misses y, None when the box cannot
+tell), and ``singletons`` lists the certified single-vertex layers. The
+estimators read the distance constant and the upper-tail event from the
+first and the cut-point scans from the second; no other mapping of a ball
+onto outcomes exists.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ class BallGrowth:
     dist: np.ndarray  # flat uint32, 0xFFFFFFFF = unreached
     pred: np.ndarray  # flat int64 predecessor, -1 = none
     first_boundary_time: int | None
-    truncated_at: int | None  # t_max or early stop, None if ran to exhaustion
     exhausted: bool  # frontier emptied (cluster fully explored in box)
 
     @property
@@ -135,19 +137,13 @@ def _grow(
     if targets is not None:
         target_set = np.asarray(list(targets), dtype=np.int64)
 
-    truncated_at = None
     exhausted = False
     t = 0
-    while True:
-        if target_set is not None and (dist[target_set] != _INF32).any():
-            truncated_at = t
-            break
-        if stop_at_boundary and first_boundary is not None:
-            truncated_at = t
-            break
-        if t_max is not None and t >= t_max:
-            truncated_at = t
-            break
+    while not (
+        (target_set is not None and (dist[target_set] != _INF32).any())
+        or (stop_at_boundary and first_boundary is not None)
+        or (t_max is not None and t >= t_max)
+    ):
         t += 1
         parts = []
         for axis, sign in moves:
@@ -182,7 +178,7 @@ def _grow(
         if first_boundary is None and face[newly].any():
             first_boundary = t
 
-    return dist, pred, layers, first_boundary, truncated_at, exhausted
+    return dist, pred, layers, first_boundary, exhausted
 
 
 def grow_ball(
@@ -218,7 +214,7 @@ def grow_ball_flats(
     The first source names the ball.
     """
     src = np.asarray(source_flats, dtype=np.int64)
-    dist, pred, layers, fb, trunc, exhausted = _grow(
+    dist, pred, layers, fb, exhausted = _grow(
         sample, src, t_max=t_max, targets=targets, region=region,
         stop_at_boundary=stop_at_boundary,
     )
@@ -229,7 +225,6 @@ def grow_ball_flats(
         dist=dist,
         pred=pred,
         first_boundary_time=fb,
-        truncated_at=trunc,
         exhausted=exhausted,
     )
 
@@ -246,19 +241,6 @@ def chemical_distance(sample: PercolationSample, x, y) -> float:
     """
     xv, yv = _floor_vertex(x), _floor_vertex(y)
     return grow_ball(sample, xv, targets=[sample.box.flat_index(yv)]).dist_of(yv)
-
-
-def resolved_distance(sample: PercolationSample, x, y):
-    """Distance with finite-box honesty: ('exact', D), ('disconnected', inf)
-    or ('unknowable', None), from :meth:`BallGrowth.certified_distance` of a
-    ball that stops at its first face contact."""
-    xv, yv = _floor_vertex(x), _floor_vertex(y)
-    dist = grow_ball(
-        sample, xv, targets=[sample.box.flat_index(yv)], stop_at_boundary=True
-    ).certified_distance(yv)
-    if dist is None:
-        return "unknowable", None
-    return ("disconnected" if dist == math.inf else "exact"), dist
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:

@@ -25,11 +25,11 @@ from percolab import (
     force_cutpoint,
     grow_ball,
     line_count,
-    resolved_distance,
     sample_configuration,
-    upper_tail_event,
 )
+from percolab.cutpoints import upper_tail_outcome
 from percolab.errors import ContaminatedBallError, PreconditionError, SurgeryPlanError
+from percolab.estimators import target_distance
 
 
 def open_spine(box, length, closed_sides=True):
@@ -300,17 +300,23 @@ def test_force_cutpoint_preconditions():
         force_cutpoint(s, ball, 5, (5, 0), 10)  # |B_5| > 10
 
 
-def test_upper_tail_event_cases():
-    assert upper_tail_event(all_open(BoxSpec(2, 16)), 10, 0.1, 1.0).outcome \
-        is EventOutcome.MISS
-    assert upper_tail_event(all_closed(BoxSpec(2, 16)), 10, 0.1, 1.0).outcome \
+def upper_tail(sample, n, xi, mu):
+    """Upper-tail outcome of D(0, n e1), read as the estimators read it."""
+    e1 = (1.0,) + (0.0,) * (sample.box.dimension - 1)
+    _, dist = target_distance(sample, n, e1)
+    return upper_tail_outcome(dist, mu * (1.0 + xi) * n)
+
+
+def test_upper_tail_outcome_cases():
+    assert upper_tail(all_open(BoxSpec(2, 16)), 10, 0.1, 1.0) is EventOutcome.MISS
+    assert upper_tail(all_closed(BoxSpec(2, 16)), 10, 0.1, 1.0) \
         is EventOutcome.DISCONNECTED
 
     n, xi = 12, 0.3
     k = int(xi * n) + 2
     s = figure_spine_sample(BoxSpec(2, 40), k)
     # geodesic must run the spine backwards, then detour around it
-    assert upper_tail_event(s, n, xi, 1.0).outcome is EventOutcome.HIT
+    assert upper_tail(s, n, xi, 1.0) is EventOutcome.HIT
 
 
 @pytest.mark.parametrize("d, L, p, n", [(2, 9, 0.6, 6), (3, 5, 0.35, 3)])
@@ -321,18 +327,20 @@ def test_distances_and_upper_tail_match_the_dijkstra_oracle(d, L, p, n, rng):
     for seed in range(60):
         s = sample_configuration(BoxSpec(d, L), p, seed)
         status, value = certified_distance_oracle(s, origin, target)
-        res = upper_tail_event(s, n, xi, mu)
+        ball, dist = target_distance(s, n, (1.0,) + (0.0,) * (d - 1))
+        assert dist == value and ball.source == origin
         if status == "exact":
             expected = EventOutcome.HIT if value > mu * (1 + xi) * n else EventOutcome.MISS
-            assert res.witness.time == value and res.witness.location == target
         else:
             expected = EventOutcome(status)
-            assert res.witness is None
-        assert res.outcome is expected
+        assert upper_tail(s, n, xi, mu) is expected
         seen.add(expected)
         x, y = (tuple(int(c) for c in rng.integers(-L, L + 1, d)) for _ in range(2))
         for a, b in ((origin, target), (x, y)):
-            assert resolved_distance(s, a, b) == certified_distance_oracle(s, a, b)
+            stopped = grow_ball(
+                s, a, targets=[s.box.flat_index(b)], stop_at_boundary=True
+            )
+            assert stopped.certified_distance(b) == certified_distance_oracle(s, a, b)[1]
         # a ball grown past its first face contact certifies no more
         full = grow_ball(s, origin)
         for b in (target, y):

@@ -21,7 +21,7 @@ from percolab import (
     volume_threshold_time,
 )
 from percolab.errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
-from percolab.metric import distance_map_csv, resolved_distance
+from percolab.metric import distance_map_csv
 
 
 def open_path_sample(box, vertices):
@@ -211,18 +211,23 @@ def test_boundary_contamination_flag():
 
     small = grow_ball(all_open(box), (0, 0), t_max=2)
     assert not small.contaminated
-    assert small.truncated_at == 2
+    assert small.last_time == 2 and not small.exhausted
 
 
-def test_resolved_distance_statuses():
+def test_certified_distance_statuses():
+    def certified(sample, target):
+        return grow_ball(
+            sample, (0, 0), targets=[sample.box.flat_index(target)],
+            stop_at_boundary=True,
+        ).certified_distance(target)
+
     box = BoxSpec(2, 6)
     s = open_path_sample(box, [(k, 0) for k in range(4)])
-    assert resolved_distance(s, (0, 0), (3, 0)) == ("exact", 3)
-    status, val = resolved_distance(s, (0, 0), (0, 3))
-    assert status == "disconnected" and val == math.inf
+    assert certified(s, (3, 0)) == 3
+    assert certified(s, (0, 3)) == math.inf
     # open line running into the face: cluster truth unknowable
     s2 = open_path_sample(box, [(k, 0) for k in range(-6, 1)])
-    assert resolved_distance(s2, (0, 0), (0, 3))[0] == "unknowable"
+    assert certified(s2, (0, 3)) is None
 
 
 def test_distance_map_csv():
