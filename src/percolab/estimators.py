@@ -49,6 +49,7 @@ from .parallel import run_parallel
 from .renorm import ScaledL1Norm
 
 Z_95 = 1.959963984540054
+EVENT_KINDS = ("cutpoint", "free", "upper_tail")
 
 
 def replicate_seed(seed: int, index):
@@ -225,7 +226,7 @@ class EventFamily:
     box_factor: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("cutpoint", "free", "upper_tail"):
+        if self.kind not in EVENT_KINDS:
             raise PreconditionError(f"unknown event kind {self.kind!r}")
         object.__setattr__(self, "s_grid", tuple(float(s) for s in self.s_grid))
         x = self.x or (0.0,) * self.d

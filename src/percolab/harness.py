@@ -30,6 +30,7 @@ from .cutpoints import detect_cutpoints, grow_ball
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
+    EVENT_KINDS,
     EventFamily,
     _run_one_n,
     estimate_J,
@@ -38,7 +39,12 @@ from .estimators import (
     rate_estimates,
     upper_tail_vs_cutpoint_experiment,
 )
-from .lattice import BoxSpec, PercolationSample, sample_configuration
+from .lattice import (
+    SUPPORTED_DIMENSIONS,
+    BoxSpec,
+    PercolationSample,
+    sample_configuration,
+)
 from .metric import distance_map_csv
 from .parallel import run_parallel
 from .renorm import classify_boxes, route_through_good, slab_experiment
@@ -75,6 +81,28 @@ def _parse_ints(text: str):
 
 def _parse_floats(text: str):
     return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+
+
+def _checked(parse, ok, what: str):
+    """``parse`` followed by a range check: values failing ``ok`` are a
+    configuration error, wherever the value came from."""
+
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{value!r} is not {what}")
+        return value
+
+    return check
+
+
+_DIMENSION = _checked(
+    int, lambda d: d in SUPPORTED_DIMENSIONS, f"one of {SUPPORTED_DIMENSIONS}"
+)
+_PROBABILITY = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
+_REPLICATES = _checked(int, lambda r: r >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_EVENT = _checked(str, lambda e: e in EVENT_KINDS, f"one of {EVENT_KINDS}")
 
 
 def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict:
@@ -249,27 +277,27 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "csv": Field(str, default="lemma.csv"),
     },
     "estimate-mu": {
-        "d": Field(int),
-        "p": Field(float),
+        "d": Field(_DIMENSION),
+        "p": Field(_PROBABILITY),
         "seed": Field(int),
         "x": Field(_parse_floats, default=(1.0, 0.0), help="direction"),
         "n_grid": Field(_parse_ints, default=(20, 40)),
-        "replicates": Field(int, default=100),
+        "replicates": Field(_REPLICATES, default=100),
         "box_factor": Field(float, default=1.6),
         "workers": Field(int, default=0, help="0 = auto"),
         "csv": Field(str, default="mu.csv"),
     },
     "estimate-rate": {
-        "d": Field(int),
-        "p": Field(float),
+        "d": Field(_DIMENSION),
+        "p": Field(_PROBABILITY),
         "seed": Field(int),
-        "event": Field(str, default="cutpoint", help="cutpoint|free|upper_tail"),
+        "event": Field(_EVENT, default="cutpoint", help="cutpoint|free|upper_tail"),
         "s": Field(_parse_floats, default=(0.25,)),
         "x": Field(_parse_floats, default=()),
         "xi": Field(float, default=0.0),
-        "mu1": Field(float, default=1.0),
+        "mu1": Field(_POSITIVE, default=1.0),
         "n_grid": Field(_parse_ints, default=(8,)),
-        "replicates": Field(int, default=1000),
+        "replicates": Field(_REPLICATES, default=1000),
         "box_factor": Field(float, default=2.0),
         "workers": Field(int, default=0),
         "emit_replicates": Field(_parse_bool, default=False),
@@ -277,30 +305,30 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "csv": Field(str, default="rates.csv"),
     },
     "estimate-j": {
-        "d": Field(int),
-        "p": Field(float),
+        "d": Field(_DIMENSION),
+        "p": Field(_PROBABILITY),
         "seed": Field(int),
         "n": Field(int, default=8),
         "x": Field(_parse_floats, default=()),
         "xi_grid": Field(_parse_floats, default=(0.0, 0.25, 0.5)),
-        "mu1": Field(float, default=1.0),
+        "mu1": Field(_POSITIVE, default=1.0),
         "s_grid": Field(_parse_floats, default=(0.0, 0.25, 0.5, 0.75, 1.0)),
         "y_max": Field(float, default=1.0),
         "y_step": Field(float, default=0.5),
-        "replicates": Field(int, default=2000),
+        "replicates": Field(_REPLICATES, default=2000),
         "box_factor": Field(float, default=2.0),
         "workers": Field(int, default=0),
         "csv": Field(str, default="j.csv"),
     },
     "upper-tail": {
-        "d": Field(int),
-        "p": Field(float),
+        "d": Field(_DIMENSION),
+        "p": Field(_PROBABILITY),
         "seed": Field(int),
         "xi": Field(float, default=0.3),
         "s": Field(float, default=0.1),
-        "mu1": Field(float, default=1.0),
+        "mu1": Field(_POSITIVE, default=1.0),
         "n_grid": Field(_parse_ints, default=(12,)),
-        "replicates": Field(int, default=1000),
+        "replicates": Field(_REPLICATES, default=1000),
         "box_factor": Field(float, default=1.3),
         "workers": Field(int, default=0),
         "csv": Field(str, default="paired.csv"),

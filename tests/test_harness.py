@@ -26,6 +26,38 @@ def test_unknown_set_key_exits_2(tmp_path):
     assert cli_dispatch(argv) == 2
 
 
+@pytest.mark.parametrize("via", ["set", "flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("estimate-rate", "p", "1.5"),
+        ("estimate-rate", "d", "7"),
+        ("estimate-rate", "event", "bogus"),
+        ("estimate-rate", "replicates", "-1"),
+        ("upper-tail", "mu1", "0"),
+        ("estimate-j", "mu1", "0"),
+    ],
+)
+def test_out_of_range_estimator_value_exits_2_before_writing(
+    tmp_path, capsys, command, key, value, via
+):
+    out = tmp_path / "out"
+    argv = [command, "--set=d=2", "--set=p=0.6", "--set=seed=1",
+            "--set=replicates=4", "--out-dir", str(out)]
+    if via == "set":
+        argv.append(f"--set={key}={value}")
+    elif via == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [a for a in argv if not a.startswith(f"--set={key}=")]
+        argv += ["--config", str(cfg)]
+    assert cli_dispatch(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_without_equals_exits_1(tmp_path):
     assert cli_dispatch(RATE + ["--set=replicates", "--out-dir", str(tmp_path)]) == 1
 
