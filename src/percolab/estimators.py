@@ -46,7 +46,6 @@ from .cutpoints import (
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _SPLIT_INC, BoxSpec, _mix64, sample_configuration
 from .parallel import run_parallel
-from .renorm import ScaledL1Norm
 
 Z_95 = 1.959963984540054
 EVENT_KINDS = ("cutpoint", "free", "upper_tail")
@@ -436,24 +435,25 @@ class JEstimate:
 def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     """Grid infimum of the rate surface over the detour-cost constraint.
 
-    Feasible points satisfy s + mu(y - x) >= (1 + xi) mu(x); with an
-    interval norm estimate (lo, hi) the pessimistic edges are used. The
-    value is the exact minimum over the enumerated feasible grid (entries
-    without hits are excluded but counted). R = J / rate(1, 0) is the
+    Feasible points satisfy s + mu(y - x) >= (1 + xi) mu(x). Only
+    ``mu_hat`` = mu(e1) is known, and a norm with the lattice's reflection
+    symmetries satisfies mu_hat |v|_inf <= mu(v) <= mu_hat |v|_1, so a point
+    is admitted only when the lower bound for mu(y - x) clears the upper
+    bound for mu(x). The value is the exact minimum over the admitted grid
+    (entries without hits are excluded but counted). R = J / rate(1, 0) is the
     half-side of the box the search could be restricted to; it is nan when
     the surface has no defined rate at (1, 0), and then ``covered`` is false.
     """
     x = np.asarray(direction, dtype=float)
-    if isinstance(mu_hat, tuple):
-        lo_unit, hi_unit = float(mu_hat[0]), float(mu_hat[1])
-    else:
-        lo_unit = hi_unit = float(ScaledL1Norm(float(mu_hat)).unit)
-    need = (1.0 + xi) * hi_unit * np.abs(x).sum()
+    unit = float(mu_hat)
+    if not unit > 0:
+        raise PreconditionError("mu_hat must be positive")
+    need = (1.0 + xi) * unit * np.abs(x).sum()
 
     feasible = []
     excluded = 0
     for (s, y), est in surface.entries.items():
-        margin = s + lo_unit * np.abs(np.asarray(y) - x).sum() - need
+        margin = s + unit * np.abs(np.asarray(y) - x).max() - need
         if margin < -1e-12:
             continue
         if est.rate is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from percolab.errors import GridCoverageError
+from percolab.errors import GridCoverageError, PreconditionError
 from percolab.estimators import (
     CODE_OUTCOMES,
     EventFamily,
@@ -136,7 +136,7 @@ def _surface(*entries):
 
 
 def test_estimate_J_minimises_over_the_feasible_points_only():
-    # x = e1, xi = 0.5, mu = 1: feasible iff s + |y - x|_1 >= 1.5
+    # x = e1, xi = 0.5, mu = 1: feasible iff s + |y - x|_inf >= 1.5
     surface = _surface(
         (0.25, (0, 0), 9, 1),  # lowest rate, but 0.25 + 1 < 1.5
         (1.0, (1, 0), 9, 1),  # 1 + 0 < 1.5
@@ -166,17 +166,34 @@ def test_estimate_J_breaks_rate_ties_by_s_then_y():
 
 
 def test_estimate_J_radius_and_coverage():
-    # at xi = 1.5 only (1, (2, 1)) is feasible: R = J / rate(1, 0) = 2 > max s
-    surface = _surface((1.0, (0, 0), 1, 1), (1.0, (2, 1), 1, 3))
+    # at xi = 1.5 only (1, (3, 1)) is feasible: R = J / rate(1, 0) = 2 > max s
+    surface = _surface((1.0, (0, 0), 1, 1), (1.0, (3, 1), 1, 3))
     j = estimate_J((1.0, 0.0), 0.0, 1.0, surface)
     assert j.value == pytest.approx(math.log(2)) and j.R == pytest.approx(1.0)
     assert j.covered
     j = estimate_J((1.0, 0.0), 1.5, 1.0, surface)
-    assert j.argmin == (1.0, (2.0, 1.0))
+    assert j.argmin == (1.0, (3.0, 1.0))
     assert j.R == pytest.approx(2.0) and not j.covered
     # a certain unit event has rate 0: the radius is unbounded
     j = estimate_J((1.0, 0.0), 0.0, 1.0, _surface((1.0, (0, 0), 3, 0), (1.0, (1, 1), 1, 1)))
     assert j.R == math.inf and not j.covered
+
+
+def test_estimate_J_refuses_off_axis_points_only_the_l1_margin_admits():
+    # x = e1, xi = 0.5, mu = 1: (0.25, (0, 1)) has |y - x|_1 = 2, so the l1
+    # margin 0.25 + 2 - 1.5 admits it, but mu(y - x) may be as low as
+    # |y - x|_inf = 1 and 0.25 + 1 < 1.5
+    surface = _surface((0.25, (0, 1), 9, 1), (1.0, (0, 0), 1, 1))
+    j = estimate_J((1.0, 0.0), 0.5, 1.0, surface)
+    assert j.argmin == (1.0, (0.0, 0.0)) and j.value == pytest.approx(math.log(2))
+    assert j.slack == pytest.approx(0.5)
+
+
+def test_estimate_J_rejects_a_nonpositive_unit():
+    surface = _surface((1.0, (0, 0), 1, 1))
+    for mu in (0.0, -1.0):
+        with pytest.raises(PreconditionError):
+            estimate_J((1.0, 0.0), 0.0, mu, surface)
 
 
 def test_estimate_J_without_hits_at_the_unit_point_reports_nan_radius():

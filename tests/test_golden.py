@@ -56,7 +56,7 @@ GOLDEN = {
         ["estimate-j", "--set=d=2", "--set=p=0.52", "--set=seed=30", "--set=n=6",
          "--set=s_grid=0.25,0.5,1", "--set=xi_grid=0,0.5", "--set=y_max=0.5",
          "--set=replicates=40"],
-        {"j.csv": "020f8f7a1383e661c81531eed0c83c0852a9f65de7c0e6ee2a7d4ab56830095f"},
+        {"j.csv": "736b91126b55cdfdfeaf1935528440b36970097dd2702d32cd615f677bf73c40"},
     ),
     "upper-tail-d2": (
         ["upper-tail", "--set=d=2", "--set=p=0.6", "--set=seed=19",
