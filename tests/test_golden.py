@@ -5,6 +5,7 @@ The sha256 values pin the bytes; a change that alters them on purpose says
 so and why in CHANGES.md.
 """
 
+import csv
 import hashlib
 import math
 
@@ -20,9 +21,9 @@ GOLDEN = {
     ),
     "rate-free-d2": (
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=12",
-         "--set=event=free", "--set=s=0.25,0.75", "--set=x=0.5,0",
+         "--set=event=free", "--set=s=2.5,3.5", "--set=x=0.5,0",
          "--set=n_grid=8", "--set=replicates=30"],
-        {"rates.csv": "c49a4867eee996670e394b556fe360c90f70d297f34772cbefc3464b8326c0de"},
+        {"rates.csv": "6e6f907d263792c52f60fe96e70e13897741596e6a2220d2e59a67c462ea4adf"},
     ),
     "rate-upper-tail-d2": (
         ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=13",
@@ -36,9 +37,10 @@ GOLDEN = {
         {"rates.csv": "cba71002ea1887485679ca03c2f5b60c905fa6f410b338fb3fe0bb84c1216f1e"},
     ),
     "rate-free-d3": (
-        ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=15",
-         "--set=event=free", "--set=n_grid=4", "--set=replicates=12"],
-        {"rates.csv": "f73886b5280cfcfeecaebb34a7e4c4951339c37a9fcab92eb71ec87bcc534c65"},
+        ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=12",
+         "--set=event=free", "--set=s=2.5,3.5", "--set=n_grid=4",
+         "--set=replicates=30"],
+        {"rates.csv": "76672f4a46a13ed31ecfc678c9a8ad755d4387fa1ba52fdcf6a6c70e00ed0f6b"},
     ),
     "rate-upper-tail-d3": (
         ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=seed=16",
@@ -46,11 +48,11 @@ GOLDEN = {
         {"rates.csv": "825439babab7e743f2194096a39bb85572799e4ae3dc412da1b38df620281435"},
     ),
     "rate-emit-replicates": (
-        ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=17",
+        ["estimate-rate", "--set=d=2", "--set=p=0.52", "--set=seed=17",
          "--set=s=0.25,0.5", "--set=n_grid=6", "--set=replicates=20",
          "--set=emit_replicates=true"],
-        {"rates.csv": "1b7eb521fbd8e5fd60e03ce20ce50ec370f3db0276fc1c34a378ef240e541a1e",
-         "replicates.csv": "44d672b706f1de836b643a8441916d9751ee52969da2308151548506cf7a2ecc"},
+        {"rates.csv": "d742f8b61292fdaa2a5472d25e17084251aa68e08cf28701922be5646d3d92ac",
+         "replicates.csv": "5d6151e62b66b3e8a13cbecac7f4202bd17f1dd6ff3ca569f8b28f634b525ebf"},
     ),
     "j-d2": (
         ["estimate-j", "--set=d=2", "--set=p=0.52", "--set=seed=30", "--set=n=6",
@@ -85,6 +87,11 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_csv_bytes(tmp_path, name, workers):
@@ -94,6 +101,13 @@ def test_golden_csv_bytes(tmp_path, name, workers):
     assert (tmp_path / "manifest.json").exists()
     written = {p.name: _sha256(p) for p in tmp_path.glob("*.csv")}
     assert written == expected
+    if "rates.csv" in written:
+        # a pin where every replicate hits (or misses) cannot see a change
+        # of the sample stream that keeps the event trivially decided
+        assert any(
+            0 < int(row["hits"]) < int(row["hits"]) + int(row["misses"])
+            for row in _rows(tmp_path / "rates.csv")
+        )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
