@@ -1,5 +1,6 @@
-"""Golden CLI outputs: every estimator command writes byte-identical CSVs
-for a fixed config and seed, at any worker count.
+"""Golden CLI outputs: every command writes byte-identical outputs for a
+fixed config and seed, and every estimator command does so at any worker
+count.
 
 The sha256 values pin the bytes; a change that alters them on purpose says
 so and why in CHANGES.md.
@@ -82,6 +83,58 @@ GOLDEN = {
     ),
 }
 
+SAMPLE = ["sample", "--set=d=2", "--set=L=8", "--set=p=0.7", "--set=seed=3",
+          "--set=out=sample.bin"]
+SITES = ["--set=d=2", "--set=L=20", "--set=p=0.75", "--set=seed=4", "--set=N=4",
+         "--set=mu1=10"]
+
+# commands without a worker count; ``{sample}`` is the file SAMPLE writes
+GOLDEN_SERIAL = {
+    "sample-d2": (
+        SAMPLE,
+        {"sample.bin": "3f72102df988bac80b51c42fb2455fabbc42830f2892c96c09e3f5d55bd7b01a"},
+    ),
+    "ball-d2": (
+        ["ball", "--set=sample={sample}", "--set=source=0,0"],
+        {"dist.csv": "3d5487bc661cafe46cc47f8deea66bc77f3a333f435c544bf9aca17eb0b9f58a"},
+    ),
+    "cutpoint-scan-d2": (
+        ["cutpoint-scan", "--set=d=2", "--set=L=10", "--set=p=0.7", "--set=seed=28"],
+        {"cutpoints.csv": "9080eaf2dc18805358938884b5b12d5dd35791ecb1d50adca7aba9aca7b925a8"},
+    ),
+    # good sites and sites that fail conditions 1 and 3
+    "classify-d2": (
+        ["classify"] + SITES,
+        {"classify.csv": "ccef006d6be494710cd4579f22406522efa05c22b549a6bab91b365f68621fc4"},
+    ),
+    "route-d2": (
+        ["route"] + SITES + ["--set=sites=-1,-1;-1,0;0,0"],
+        {"route.csv": "a29b746caaf5159d3ec34bd1f8862b0aae3f10565f16b27e79f9ab36bd905922"},
+    ),
+    # three parallel slabs, the event holds in one of them
+    "slab-d3": (
+        ["slab", "--set=d=3", "--set=L=9", "--set=p=0.5", "--set=seed=5",
+         "--set=N=1", "--set=n=6", "--set=rho=1", "--set=xi=0.4"],
+        {"slab.csv": "62843b24b1715596cc9f5cd58d6497ea2e35e2bb4f358932719e239963900a37"},
+    ),
+    **{
+        f"lemma-{lemma}": (
+            ["lemma-check", f"--set=lemma={lemma}", "--set=instances=4",
+             "--set=seed=7"],
+            {"lemma.csv": digest},
+        )
+        for lemma, digest in {
+            "projection": "a58b0469aa08ec230872fb64a0c8ed73970f4bc715f3dc74edb398629de71a31",
+            "distinct-subset": "11daf46aff7623091903f5ec596f52588bb1a07ca099c8ca7ece451c3ff33b69",
+            "separated-matching": "1157df50ad22edf9150539e5466bdbd5de469950badaa6fd154776475e1af50c",
+            "disjoint-paths": "c2c02b9c64b165ec8f385107b3e4c86bd5db6a070b7e1db778023b1205eabd0b",
+            "axis-avoiding": "a8cfd49bcb372c988e6bb6a9b7e89483ab317639acd454c1781e3ccc41e6353a",
+            "exterior-boundary": "5bd2f4338867405d4b136bf46f4cf9f289841a3d7eee0dd68a67a80c3611b80c",
+            "animals": "2519a270cc16e7b732f65b5955409deba20db42a78e2d8b186bc3194876c4a0e",
+        }.items()
+    },
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -109,6 +162,18 @@ def test_golden_csv_bytes(tmp_path, name, workers):
             for row in _rows(tmp_path / "rates.csv")
         )
 
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SERIAL))
+def test_golden_serial_output_bytes(tmp_path, name):
+    argv, expected = GOLDEN_SERIAL[name]
+    sample = tmp_path / "in" / "sample.bin"
+    assert cli_dispatch(SAMPLE + ["--out-dir", str(sample.parent)]) == 0
+    out = tmp_path / "out"
+    argv = [a.format(sample=sample) for a in argv]
+    assert cli_dispatch(argv + ["--out-dir", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    written = {p.name: _sha256(p) for p in out.iterdir() if p.name != "manifest.json"}
+    assert written == expected
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_partial_run_keeps_replicates_below_the_fault(tmp_path, workers):

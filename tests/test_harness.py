@@ -1,9 +1,18 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from percolab.harness import _fmt_cell, cli_dispatch, write_csv
+from percolab.harness import (
+    SCHEMAS,
+    _fmt_cell,
+    canonical_config,
+    cli_dispatch,
+    parse_config_text,
+    resolve_config,
+    write_csv,
+)
 
 RATE = ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=1"]
 
@@ -95,3 +104,84 @@ def test_replay_reproduces_a_run_and_rejects_an_edited_hash(tmp_path, capsys):
     edited.write_text(json.dumps(record))
     assert cli_dispatch(["replay", f"--set=manifest={edited}"]) == 3
     assert "replay mismatch for outputs: ['replicates.csv']" in capsys.readouterr().err
+
+
+ESTIMATOR = {"d": "2", "p": "0.6", "seed": "1", "replicates": "3", "workers": "1"}
+SITES = {"d": "2", "L": "20", "p": "0.75", "seed": "4", "N": "4", "mu1": "10"}
+
+# command: (values set, sha256 of the canonical config they resolve to); every
+# other key takes its default, so the pin also holds the defaults
+CANONICAL = {
+    "sample": (
+        {"d": "2", "L": "8", "p": "0.7", "seed": "3", "out": "sample.bin"},
+        "71e7287f3c50055357b71d3866dbb185f2cff9c6e6e04c794e00c9259fed6995",
+    ),
+    "ball": (
+        {"sample": "sample.bin", "source": "0,0"},
+        "ffe708bc0d4e08a8efea852ca4e4ef5a330401e3b13f1dfe8aa8acba6e80028f",
+    ),
+    "cutpoint-scan": (
+        {"d": "2", "L": "10", "p": "0.7", "seed": "28"},
+        "09d80c9726b7c5317aa85eb4ed7127687d547ba75e3999129ec0cc41365bcc5b",
+    ),
+    "classify": (
+        SITES,
+        "6d3a729f7ed2a5b5c0298b8aea36e650edcda0a802225d2e583774538484c719",
+    ),
+    "route": (
+        {**SITES, "sites": "-1,-1;-1,0;0,0"},
+        "43a4e4e75ab4a384bb6c293391761f982b3f05c0876727c76e1dbef3085ce2b4",
+    ),
+    "slab": (
+        {"d": "3", "L": "9", "p": "0.5", "seed": "5", "N": "1", "n": "6", "rho": "1"},
+        "ead02e8e15f0465d3129f2eb74c97251f4e8b4ab287c98adcf895887716d11df",
+    ),
+    "lemma-check": (
+        {"lemma": "proj", "instances": "3"},
+        "e6ceab9cba60f2dae93a8d433a5720d3c97ca5dfdda28956e5c4b5d5205cc30e",
+    ),
+    "estimate-mu": (
+        ESTIMATOR,
+        "02599c0022cbee1caacf41d54d937cf59c7c6d9cbae5885bc05aa7c2d34a46e7",
+    ),
+    "estimate-rate": (
+        ESTIMATOR,
+        "93a4932da02a8cfe5d6a603cae18969e6b7659e0fce3e11a995bbb0f2519e89d",
+    ),
+    "estimate-j": (
+        ESTIMATOR,
+        "638744d3d25945b9d5248c2fd8479cc4e84e47ed7dea411f8de69e1b7257c160",
+    ),
+    "upper-tail": (
+        ESTIMATOR,
+        "a5470c4aa523d39ec61302ed566d120145fe77dcc31fbbc86cdb92be76bbd26e",
+    ),
+    "replay": (
+        {"manifest": "manifest.json"},
+        "0eea2df403b51fe1806986296d622cae5ba06d9f27e80c8e250cf9f4639c6855",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CANONICAL))
+def test_canonical_config_is_pinned_and_its_manifest_replays(
+    tmp_path, monkeypatch, command
+):
+    # replay and experiment ids read the canonical config of old manifests
+    values, pin = CANONICAL[command]
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    schema = SCHEMAS[command]
+    cfg = resolve_config(schema, parse_config_text(text, schema), {})
+    assert hashlib.sha256(canonical_config(command, cfg).encode()).hexdigest() == pin
+    if command == "replay":
+        return
+    monkeypatch.chdir(tmp_path)
+    if command == "ball":
+        sample, _ = CANONICAL["sample"]
+        assert cli_dispatch(["sample", "--out-dir", "."]
+                            + [f"--set={k}={v}" for k, v in sample.items()]) == 0
+    (tmp_path / "fixed.cfg").write_text(text)
+    assert cli_dispatch([command, "--config", "fixed.cfg", "--out-dir", "run"]) == 0
+    record = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert record["input_hash"] == pin
+    assert cli_dispatch(["replay", "--set=manifest=run/manifest.json"]) == 0
