@@ -17,7 +17,6 @@ from .cutpoints import (
     detect_cutpoints,
     event_A,
     event_A_free,
-    evaluate_event_grid,
     force_cutpoint,
     line_count,
 )
@@ -48,7 +47,6 @@ from .estimators import (
     RateSurface,
     Tally,
     estimate_J,
-    estimate_event_rate,
     estimate_mu,
     estimate_rate_surface,
     upper_tail_vs_cutpoint_experiment,

@@ -839,15 +839,17 @@ def _is_connected(cells, offsets) -> bool:
     return len(seen) == len(cells)
 
 
-def isoperimetry_holds(gamma_size: int, boundary_size: int, d: int, kappa: float = 1.0) -> bool:
-    """|Gamma| <= kappa |dGamma|^(d/(d-1)). kappa = 1 is safe: the largest
-    axis projection of Gamma injects into the exterior boundary, and by
-    Loomis-Whitney it is at least |Gamma|^((d-1)/d)."""
-    return gamma_size <= kappa * boundary_size ** (d / (d - 1)) + SEPARATION_TOLERANCE
+def isoperimetry_holds(gamma_size: int, boundary_size: int, d: int) -> bool:
+    """|Gamma| <= |dGamma|^(d/(d-1)), the isoperimetric bound with constant
+    1. That constant is safe: the largest axis projection of Gamma injects
+    into the exterior boundary, and by Loomis-Whitney it is at least
+    |Gamma|^((d-1)/d)."""
+    return gamma_size <= boundary_size ** (d / (d - 1)) + SEPARATION_TOLERANCE
 
 
-def count_lattice_animals(d: int, k: int, containing=None) -> int:
-    """Exact number of star-connected k-sets containing the given site.
+def count_lattice_animals(d: int, k: int) -> int:
+    """Exact number of star-connected k-sets containing the origin; by
+    translation invariance, the number containing any fixed site.
 
     Enumeration work is capped at d*k <= 14. The count never exceeds 7^(dk),
     which is asserted.
@@ -858,7 +860,7 @@ def count_lattice_animals(d: int, k: int, containing=None) -> int:
         )
     if k < 1:
         raise PreconditionError("animal size must be >= 1")
-    root = tuple(containing) if containing is not None else (0,) * d
+    root = (0,) * d
     if k == 1:
         return 1
     offsets = _star_offsets(d)

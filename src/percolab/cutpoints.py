@@ -324,19 +324,6 @@ def line_count(points, axis: int) -> int:
     return len(np.unique(arr, axis=0))
 
 
-def evaluate_event_grid(
-    sample: PercolationSample,
-    specs,
-    K: float | None = None,
-    *,
-    free: bool = False,
-):
-    """Evaluate several event specs against one shared ball (coupled)."""
-    ctx = _as_context(sample, None)
-    fn = event_A_free if free else event_A
-    return [fn(sample, spec, K, ball=ctx) for spec in specs]
-
-
 # ---------------------------------------------------------------------------
 # surgery
 

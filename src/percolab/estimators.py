@@ -266,26 +266,6 @@ def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
     return _ball_codes(sample, family.d, family.specs(n), free=family.kind == "free")
 
 
-def estimate_event_rate(
-    family: EventFamily,
-    n_grid,
-    replicates: int,
-    seed: int,
-    workers: int | None = None,
-):
-    """Per-(n, event) rate estimates over the family grid.
-
-    Shards by replicate index; the result is independent of worker count.
-    """
-    estimates = []
-    for n in n_grid:
-        fn = partial(_run_one_n, family=family, seed=seed, n=n)
-        estimates.extend(
-            rate_estimates(family.events(), n, _run_all(fn, replicates, workers))
-        )
-    return estimates
-
-
 # ---------------------------------------------------------------------------
 # distance constant
 

@@ -6,6 +6,11 @@ result CSVs (schema-versioned, byte-reproducible for a fixed config and
 seed, independent of worker count) plus a JSON manifest with a content hash
 of the configuration and of every output file.
 
+Every config key is defined once, in ``_KEYS``: its parser, range check and
+help. A command lists only its required keys and the defaults it gives the
+others. Every value from outside (config file, ``--set``, flag or replayed
+manifest) is parsed and checked before anything is written.
+
 Exit codes: 0 ok, 1 usage, 2 configuration, 3 runtime failure.
 """
 
@@ -20,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -61,6 +66,9 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class Field:
+    """One config key: its parser and range check, its default (absent:
+    the key is required) and its help."""
+
     parse: object
     default: object = _REQUIRED
     help: str = ""
@@ -104,6 +112,94 @@ _REPLICATES = _checked(int, lambda r: r >= 1, ">= 1")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
 _EVENT = _checked(str, lambda e: e in EVENT_KINDS, f"one of {EVENT_KINDS}")
 
+LEMMA_ALIASES = {
+    "projection": "projection",
+    "proj": "projection",
+    "distinct-subset": "distinct-subset",
+    "subset": "distinct-subset",
+    "separated-matching": "separated-matching",
+    "dislines": "separated-matching",
+    "disjoint-paths": "disjoint-paths",
+    "disjpaths": "disjoint-paths",
+    "axis-avoiding": "axis-avoiding",
+    "case1": "axis-avoiding",
+    "exterior-boundary": "exterior-boundary",
+    "boundary": "exterior-boundary",
+    "animals": "animals",
+}
+_LEMMA = _checked(
+    str, lambda name: name in LEMMA_ALIASES, f"one of {sorted(LEMMA_ALIASES)}"
+)
+
+
+def _sites(text: str):
+    """The macroscopic path 'i,j;k,l;...' as a list of integer sites."""
+    return [tuple(int(c) for c in tok.split(",")) for tok in text.split(";")]
+
+
+def _parse_sites(text: str) -> str:
+    """A macroscopic path, checked and kept as text."""
+    if len({len(site) for site in _sites(text)}) != 1:
+        raise ValueError(f"the sites of {text!r} differ in dimension")
+    return text
+
+
+_KEYS = {
+    "d": Field(_DIMENSION, help="lattice dimension"),
+    "L": Field(int, help="box radius"),
+    "p": Field(_PROBABILITY, help="edge probability"),
+    "seed": Field(int, help="sample seed"),
+    "sample": Field(str, help="sample file"),
+    "out": Field(str, help="output sample file"),
+    "csv": Field(str, help="output CSV name"),
+    "source": Field(_parse_ints, help="source vertex, e.g. 0,0"),
+    "t_max": Field(int, help="layer cap (0 = none)"),
+    "t_min": Field(int, help="first cut-point time"),
+    "N": Field(int, help="macroscopic block half-side"),
+    "n": Field(int, help="scale n (slab: endpoint separation)"),
+    "epsilon": Field(float, help="block fraction epsilon"),
+    "xi": Field(float, help="distance slack xi"),
+    "mu1": Field(_POSITIVE, help="norm estimate for a unit step"),
+    "rho": Field(int, help="slab dependency range (0 = derive from mu1)"),
+    "sites": Field(_parse_sites, help="macro path, e.g. 0,0;1,0;1,1"),
+    "lemma": Field(_LEMMA, help="which construction to verify"),
+    "instances": Field(int, help="random instances"),
+    "event": Field(_EVENT, help="cutpoint|free|upper_tail"),
+    "s": Field(_parse_floats, help="time slack grid"),
+    "x": Field(_parse_floats, help="direction"),
+    "n_grid": Field(_parse_ints, help="scales n"),
+    "xi_grid": Field(_parse_floats, help="slacks xi of J"),
+    "s_grid": Field(_parse_floats, help="time slacks s of the surface"),
+    "y_max": Field(float, help="half-width of the surface's y grid"),
+    "y_step": Field(float, help="spacing of the surface's y grid"),
+    "replicates": Field(_REPLICATES, help="replicates per scale"),
+    "box_factor": Field(float, help="box radius per unit of n"),
+    "workers": Field(int, help="0 = auto"),
+    "emit_replicates": Field(_parse_bool, help="also write replicates.csv"),
+    "fail_at": Field(int, help="fault injection (testing)"),
+    "manifest": Field(str, help="manifest to reproduce and compare"),
+}
+
+
+def _schema(required, defaults) -> dict:
+    """A command's keys: the required ones, then the others with the
+    command's defaults."""
+    schema = {key: _KEYS[key] for key in required}
+    for key, value in defaults.items():
+        schema[key] = replace(_KEYS[key], default=value)
+    return schema
+
+
+def _parse_value(schema: dict, key: str, value: str, where: str = ""):
+    """``value`` parsed and checked by the field of ``key``; every source of
+    configuration goes through here."""
+    if key not in schema:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return schema[key].parse(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}bad value for {key!r}: {exc}")
+
 
 def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict:
     out = {}
@@ -114,12 +210,7 @@ def parse_config_text(text: str, schema: dict, source: str = "<config>") -> dict
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in schema:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = schema[key].parse(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
+        out[key] = _parse_value(schema, key, value, f"{source}:{lineno}: ")
     return out
 
 
@@ -134,6 +225,9 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
             merged[key] = fld.default
         else:
             raise ConfigError(f"missing required key {key!r}")
+    x = merged.get("x")
+    if x and len(x) != merged["d"]:
+        raise ConfigError(f"x = {_fmt(x)} has length {len(x)}, not d = {merged['d']}")
     return merged
 
 
@@ -207,16 +301,7 @@ def write_manifest(out_dir, command: str, cfg: dict, outputs, started: float) ->
 
 
 # ---------------------------------------------------------------------------
-# shared schema pieces
-
-
-def _sample_schema():
-    return {
-        "d": Field(int, help="lattice dimension"),
-        "L": Field(int, help="box radius"),
-        "p": Field(float, help="edge probability"),
-        "seed": Field(int, help="sample seed"),
-    }
+# command schemas
 
 
 def _load_or_sample(cfg) -> PercolationSample:
@@ -226,116 +311,45 @@ def _load_or_sample(cfg) -> PercolationSample:
     return sample_configuration(box, cfg["p"], cfg["seed"])
 
 
+_SAMPLED = ("d", "L", "p", "seed")
+_ESTIMATED = ("d", "p", "seed")
+
 SCHEMAS: dict[str, dict[str, Field]] = {
-    "sample": {
-        **_sample_schema(),
-        "out": Field(str, help="output sample file"),
-    },
-    "ball": {
-        "sample": Field(str, help="sample file"),
-        "source": Field(_parse_ints, help="source vertex, e.g. 0,0"),
-        "t_max": Field(int, default=0, help="layer cap (0 = none)"),
-        "csv": Field(str, default="dist.csv", help="output CSV name"),
-    },
-    "cutpoint-scan": {
-        **_sample_schema(),
-        "sample": Field(str, default="", help="optional sample file"),
-        "t_min": Field(int, default=1),
-        "csv": Field(str, default="cutpoints.csv"),
-    },
-    "classify": {
-        **_sample_schema(),
-        "sample": Field(str, default="", help="optional sample file"),
-        "N": Field(int, help="macroscopic half-side"),
-        "epsilon": Field(float, default=0.5),
-        "mu1": Field(float, help="norm estimate for a unit step"),
-        "csv": Field(str, default="classify.csv"),
-    },
-    "route": {
-        **_sample_schema(),
-        "sample": Field(str, default="", help="optional sample file"),
-        "N": Field(int),
-        "epsilon": Field(float, default=0.5),
-        "mu1": Field(float),
-        "sites": Field(str, help="macro path, e.g. 0,0;1,0;1,1"),
-        "csv": Field(str, default="route.csv"),
-    },
-    "slab": {
-        **_sample_schema(),
-        "n": Field(int, help="endpoint separation"),
-        "N": Field(int, help="block half-side"),
-        "epsilon": Field(float, default=0.1),
-        "xi": Field(float, default=0.3),
-        "mu1": Field(float, default=1.0),
-        "rho": Field(int, default=0, help="0 = derive from mu1"),
-        "csv": Field(str, default="slab.csv"),
-    },
-    "lemma-check": {
-        "lemma": Field(str, help="which construction to verify"),
-        "instances": Field(int, default=100),
-        "seed": Field(int, default=1),
-        "csv": Field(str, default="lemma.csv"),
-    },
-    "estimate-mu": {
-        "d": Field(_DIMENSION),
-        "p": Field(_PROBABILITY),
-        "seed": Field(int),
-        "x": Field(_parse_floats, default=(1.0, 0.0), help="direction"),
-        "n_grid": Field(_parse_ints, default=(20, 40)),
-        "replicates": Field(_REPLICATES, default=100),
-        "box_factor": Field(float, default=1.6),
-        "workers": Field(int, default=0, help="0 = auto"),
-        "csv": Field(str, default="mu.csv"),
-    },
-    "estimate-rate": {
-        "d": Field(_DIMENSION),
-        "p": Field(_PROBABILITY),
-        "seed": Field(int),
-        "event": Field(_EVENT, default="cutpoint", help="cutpoint|free|upper_tail"),
-        "s": Field(_parse_floats, default=(0.25,)),
-        "x": Field(_parse_floats, default=()),
-        "xi": Field(float, default=0.0),
-        "mu1": Field(_POSITIVE, default=1.0),
-        "n_grid": Field(_parse_ints, default=(8,)),
-        "replicates": Field(_REPLICATES, default=1000),
-        "box_factor": Field(float, default=2.0),
-        "workers": Field(int, default=0),
-        "emit_replicates": Field(_parse_bool, default=False),
-        "fail_at": Field(int, default=-1, help="fault injection (testing)"),
-        "csv": Field(str, default="rates.csv"),
-    },
-    "estimate-j": {
-        "d": Field(_DIMENSION),
-        "p": Field(_PROBABILITY),
-        "seed": Field(int),
-        "n": Field(int, default=8),
-        "x": Field(_parse_floats, default=()),
-        "xi_grid": Field(_parse_floats, default=(0.0, 0.25, 0.5)),
-        "mu1": Field(_POSITIVE, default=1.0),
-        "s_grid": Field(_parse_floats, default=(0.0, 0.25, 0.5, 0.75, 1.0)),
-        "y_max": Field(float, default=1.0),
-        "y_step": Field(float, default=0.5),
-        "replicates": Field(_REPLICATES, default=2000),
-        "box_factor": Field(float, default=2.0),
-        "workers": Field(int, default=0),
-        "csv": Field(str, default="j.csv"),
-    },
-    "upper-tail": {
-        "d": Field(_DIMENSION),
-        "p": Field(_PROBABILITY),
-        "seed": Field(int),
-        "xi": Field(float, default=0.3),
-        "s": Field(float, default=0.1),
-        "mu1": Field(_POSITIVE, default=1.0),
-        "n_grid": Field(_parse_ints, default=(12,)),
-        "replicates": Field(_REPLICATES, default=1000),
-        "box_factor": Field(float, default=1.3),
-        "workers": Field(int, default=0),
-        "csv": Field(str, default="paired.csv"),
-    },
-    "replay": {
-        "manifest": Field(str, help="manifest to reproduce and compare"),
-    },
+    "sample": _schema(_SAMPLED + ("out",), {}),
+    "ball": _schema(("sample", "source"), {"t_max": 0, "csv": "dist.csv"}),
+    "cutpoint-scan": _schema(_SAMPLED, {"sample": "", "t_min": 1, "csv": "cutpoints.csv"}),
+    "classify": _schema(
+        _SAMPLED + ("N", "mu1"), {"sample": "", "epsilon": 0.5, "csv": "classify.csv"}
+    ),
+    "route": _schema(
+        _SAMPLED + ("N", "mu1", "sites"),
+        {"sample": "", "epsilon": 0.5, "csv": "route.csv"},
+    ),
+    "slab": _schema(
+        _SAMPLED + ("n", "N"),
+        {"epsilon": 0.1, "xi": 0.3, "mu1": 1.0, "rho": 0, "csv": "slab.csv"},
+    ),
+    "lemma-check": _schema(("lemma",), {"instances": 100, "seed": 1, "csv": "lemma.csv"}),
+    "estimate-mu": _schema(_ESTIMATED, {
+        "x": (1.0, 0.0), "n_grid": (20, 40), "replicates": 100,
+        "box_factor": 1.6, "workers": 0, "csv": "mu.csv",
+    }),
+    "estimate-rate": _schema(_ESTIMATED, {
+        "event": "cutpoint", "s": (0.25,), "x": (), "xi": 0.0, "mu1": 1.0,
+        "n_grid": (8,), "replicates": 1000, "box_factor": 2.0, "workers": 0,
+        "emit_replicates": False, "fail_at": -1, "csv": "rates.csv",
+    }),
+    "estimate-j": _schema(_ESTIMATED, {
+        "n": 8, "x": (), "xi_grid": (0.0, 0.25, 0.5), "mu1": 1.0,
+        "s_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "y_max": 1.0, "y_step": 0.5,
+        "replicates": 2000, "box_factor": 2.0, "workers": 0, "csv": "j.csv",
+    }),
+    # one time slack s here, where estimate-rate takes a grid
+    "upper-tail": _schema(_ESTIMATED, {
+        "xi": 0.3, "mu1": 1.0, "n_grid": (12,), "replicates": 1000,
+        "box_factor": 1.3, "workers": 0, "csv": "paired.csv",
+    }) | {"s": Field(float, default=0.1, help="time slack")},
+    "replay": _schema(("manifest",), {}),
 }
 
 
@@ -389,7 +403,7 @@ def _cmd_classify(cfg, out_dir):
 def _cmd_route(cfg, out_dir):
     sample = _load_or_sample(cfg)
     cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
-    sites = [tuple(int(c) for c in tok.split(",")) for tok in cfg["sites"].split(";")]
+    sites = _sites(cfg["sites"])
     box = sample.box
     x = box.vertex_coord(int(cls.cluster(sites[0])[0]))
     y = box.vertex_coord(int(cls.cluster(sites[-1])[0]))
@@ -416,30 +430,8 @@ def _cmd_slab(cfg, out_dir):
     return [path]
 
 
-LEMMA_ALIASES = {
-    "projection": "projection",
-    "proj": "projection",
-    "distinct-subset": "distinct-subset",
-    "subset": "distinct-subset",
-    "separated-matching": "separated-matching",
-    "dislines": "separated-matching",
-    "disjoint-paths": "disjoint-paths",
-    "disjpaths": "disjoint-paths",
-    "axis-avoiding": "axis-avoiding",
-    "case1": "axis-avoiding",
-    "exterior-boundary": "exterior-boundary",
-    "boundary": "exterior-boundary",
-    "animals": "animals",
-}
-
-
 def _cmd_lemma_check(cfg, out_dir):
-    name = LEMMA_ALIASES.get(cfg["lemma"])
-    if name is None:
-        raise ConfigError(
-            f"unknown lemma {cfg['lemma']!r}; choose from "
-            f"{sorted(set(LEMMA_ALIASES.values()))}"
-        )
+    name = LEMMA_ALIASES[cfg["lemma"]]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for inst in range(cfg["instances"]):
@@ -780,13 +772,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_override(schema, key, raw):
-    try:
-        return schema[key].parse(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}")
-
-
 def cli_dispatch(argv) -> int:
     try:
         parser = _build_parser()
@@ -806,15 +791,12 @@ def cli_dispatch(argv) -> int:
         for item in args.set:
             if "=" not in item:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            key = key.strip()
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r}")
-            overrides[key] = _parse_override(schema, key, value.strip())
+            key, value = (part.strip() for part in item.split("=", 1))
+            overrides[key] = _parse_value(schema, key, value)
         for key in schema:
             raw = getattr(args, f"opt_{key}", None)
             if raw is not None:
-                overrides[key] = _parse_override(schema, key, raw)
+                overrides[key] = _parse_value(schema, key, raw)
         cfg = resolve_config(schema, file_values, overrides)
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()

@@ -21,13 +21,12 @@ from percolab import (
     detect_cutpoints,
     event_A,
     event_A_free,
-    evaluate_event_grid,
     force_cutpoint,
     grow_ball,
     line_count,
     sample_configuration,
 )
-from percolab.cutpoints import upper_tail_outcome
+from percolab.cutpoints import BallEventContext, upper_tail_outcome
 from percolab.errors import ContaminatedBallError, PreconditionError, SurgeryPlanError
 from percolab.estimators import target_distance
 
@@ -129,12 +128,13 @@ def test_event_A_window_constraint():
 
 
 def test_event_nesting_in_s_exact():
-    # on one sample, a hit at s' >= s implies a hit at s
+    # on one sample and one shared ball, a hit at s' >= s implies a hit at s
     box_specs = [EventSpec(s, (0.0, 0.0), 8) for s in (0.1, 0.25, 0.4, 0.6)]
     hits = np.zeros(4, dtype=int)
     for seed in range(300):
         s = sample_configuration(BoxSpec(2, 26), 0.7, seed)
-        results = evaluate_event_grid(s, box_specs)
+        ctx = BallEventContext(s, grow_ball(s, (0, 0), stop_at_boundary=True))
+        results = [event_A(s, spec, ball=ctx) for spec in box_specs]
         flags = [r.outcome is EventOutcome.HIT for r in results]
         for i in range(3):
             assert flags[i + 1] <= flags[i]

@@ -12,9 +12,9 @@ from percolab.estimators import (
     RateSurface,
     Tally,
     _run_one_n,
-    estimate_event_rate,
     estimate_J,
     estimate_mu,
+    rate_estimates,
     replicate_seed,
     wilson_interval,
 )
@@ -76,41 +76,67 @@ REPLICATES = 24
 SEED = 41
 
 
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+
 @pytest.fixture(scope="module")
-def rate_runs():
+def rate_runs(tmp_path_factory):
+    """Rows of rates.csv and replicates.csv of one CLI run per worker count."""
+    runs = {}
+    for w in (1, 2):
+        out = tmp_path_factory.mktemp(f"rates-{w}")
+        argv = ["estimate-rate", "--set=d=2", "--set=p=0.6", f"--set=seed={SEED}",
+                "--set=s=0.25,0.5", "--set=n_grid=6,8",
+                f"--set=replicates={REPLICATES}", "--set=emit_replicates=true",
+                f"--set=workers={w}", "--out-dir", str(out)]
+        assert cli_dispatch(argv) == 0
+        runs[w] = (_csv_rows(out / "rates.csv"), _csv_rows(out / "replicates.csv"))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def replicate_codes():
+    """Outcome codes of every replicate, recomputed outside the CLI."""
     return {
-        w: estimate_event_rate(FAMILY, N_GRID, REPLICATES, SEED, workers=w)
-        for w in (1, 2)
+        n: [_run_one_n(i, family=FAMILY, seed=SEED, n=n) for i in range(REPLICATES)]
+        for n in N_GRID
     }
 
 
-def test_event_rate_tallies_recount_the_replicates(rate_runs):
-    estimates = rate_runs[1]
-    assert [(e.n, e.s) for e in estimates] == [
+def test_event_rate_tallies_recount_the_replicates(rate_runs, replicate_codes):
+    rates, reps = rate_runs[1]
+    assert [(int(r["n"]), float(r["s"])) for r in rates] == [
         (n, s) for n in N_GRID for s in FAMILY.s_grid
     ]
-    for n in N_GRID:
-        codes = [_run_one_n(i, family=FAMILY, seed=SEED, n=n) for i in range(REPLICATES)]
-        for k, est in enumerate(e for e in estimates if e.n == n):
-            assert est.tally.replicates == REPLICATES
+    for n, codes in replicate_codes.items():
+        for k, row in enumerate(r for r in rates if int(r["n"]) == n):
+            assert int(row["replicates"]) == REPLICATES
             expected = Tally()
             for c in codes:
                 expected.add(CODE_OUTCOMES[c[k]])
-            assert est.tally == expected
+            counts = [int(row[key]) for key in ("hits", "misses", "disconnected",
+                                                "contaminated")]
+            assert counts == [expected.hits, expected.misses, expected.disconnected,
+                              expected.contaminated]
+            outcomes = [r["outcome"] for r in reps
+                        if int(r["n"]) == n and r["event"] == row["event"]]
+            assert outcomes == [CODE_OUTCOMES[c[k]].value for c in codes]
 
 
-def test_event_rate_is_independent_of_workers_and_matches_the_cli(rate_runs, tmp_path):
-    one, two = rate_runs[1], rate_runs[2]
-    assert one == two
-    argv = ["estimate-rate", "--set=d=2", "--set=p=0.6", f"--set=seed={SEED}",
-            "--set=s=0.25,0.5", "--set=n_grid=6,8", f"--set=replicates={REPLICATES}",
-            "--set=workers=1", "--out-dir", str(tmp_path)]
-    assert cli_dispatch(argv) == 0
-    lines = (tmp_path / "rates.csv").read_text().splitlines()
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
-    assert len(rows) == len(one)
-    for row, est in zip(rows, one):
+def test_event_rate_is_independent_of_workers_and_matches_the_cli(
+    rate_runs, replicate_codes
+):
+    assert rate_runs[1] == rate_runs[2]
+    rates, _ = rate_runs[1]
+    estimates = [
+        est for n, codes in replicate_codes.items()
+        for est in rate_estimates(FAMILY.events(), n, codes)
+    ]
+    assert len(rates) == len(estimates)
+    for row, est in zip(rates, estimates):
         assert row["event"] == est.label and float(row["s"]) == est.s
         assert int(row["n"]) == est.n
         counts = [int(row[k]) for k in ("hits", "misses", "disconnected", "contaminated")]
