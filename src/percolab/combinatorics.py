@@ -755,88 +755,61 @@ def _star_offsets(d: int):
     ]
 
 
-def _axis_offsets(d: int):
-    out = []
-    for k in range(d):
-        for s in (-1, 1):
-            off = [0] * d
-            off[k] = s
-            out.append(tuple(off))
-    return out
+def _label_cells(cells, star: bool = False, pad: int = 0):
+    """Components of a finite vertex set, labelled on a boolean grid.
+
+    ``cells`` is an (m, d) integer array. The grid spans the bounding box of
+    ``cells`` grown by ``pad`` on every side, with the box's low corner
+    ``lo`` at index 0. Returns ``(labels, count, lo)``: ``labels[v - lo]`` is
+    the component number (1..count) of each vertex v of ``cells`` and 0 off
+    them. Adjacency is nearest-neighbour, or sup-norm 1 when ``star``. The
+    cost is linear in the volume of the grid.
+    """
+    # imported here, not at module level: no benchmark workload labels
+    # vertex sets, and every process importing the package would pay for it
+    from scipy import ndimage
+
+    lo = cells.min(axis=0) - pad
+    grid = np.zeros(tuple(cells.max(axis=0) + pad + 1 - lo), dtype=bool)
+    grid[tuple((cells - lo).T)] = True
+    structure = ndimage.generate_binary_structure(grid.ndim, grid.ndim if star else 1)
+    labels, count = ndimage.label(grid, structure)
+    return labels, count, lo
 
 
 def exterior_boundary(gamma) -> ExteriorBoundary:
     """Vertices of Z^d off Gamma, adjacent to it, and connected to infinity
     off it.
 
-    The flood runs in Gamma's bounding box grown by one: its shell avoids
-    Gamma and connects to infinity, so the result is exact in Z^d. Also
-    reports whether the boundary is star-connected and returns the enclosed
-    interior.
+    ``gamma`` is an iterable of points or an (m, d) integer array. Gamma,
+    its complement and the boundary are each labelled once by
+    ``_label_cells`` in Gamma's bounding box grown by one. That box's shell
+    avoids Gamma and is connected, so the complement component holding the
+    shell is the one reaching infinity, and the result is exact in Z^d. The
+    cost is linear in the volume of the bounding box. Also reports whether
+    the boundary is star-connected and returns the enclosed interior.
     """
-    cells = {tuple(int(c) for c in v) for v in gamma}
-    if not cells:
-        raise PreconditionError("gamma must be nonempty")
-    d = len(next(iter(cells)))
-    axis_off = _axis_offsets(d)
-    if not _is_connected(cells, axis_off):
-        raise PreconditionError("gamma must be Z^d-connected")
-
-    lo = [min(v[k] for v in cells) - 1 for k in range(d)]
-    hi = [max(v[k] for v in cells) + 1 for k in range(d)]
-
-    def in_arena(v):
-        return all(lo[k] <= v[k] <= hi[k] for k in range(d))
-
-    # flood the complement from the arena shell: reachable = off to infinity
-    outside = set()
-    stack = []
-    for v in itertools.product(*(range(lo[k], hi[k] + 1) for k in range(d))):
-        if any(v[k] in (lo[k], hi[k]) for k in range(d)) and v not in cells:
-            outside.add(v)
-            stack.append(v)
-    while stack:
-        v = stack.pop()
-        for off in axis_off:
-            w = tuple(v[k] + off[k] for k in range(d))
-            if in_arena(w) and w not in cells and w not in outside:
-                outside.add(w)
-                stack.append(w)
-
-    boundary = set()
-    for v in outside:
-        for off in axis_off:
-            w = tuple(v[k] + off[k] for k in range(d))
-            if w in cells:
-                boundary.add(v)
-                break
-    interior = {
-        v
-        for v in itertools.product(*(range(lo[k], hi[k] + 1) for k in range(d)))
-        if v not in cells and v not in outside
-    }
-    return ExteriorBoundary(
-        boundary=frozenset(boundary),
-        interior=frozenset(interior),
-        star_connected=_is_connected(boundary, _star_offsets(d)),
+    cells = np.asarray(
+        gamma if isinstance(gamma, np.ndarray) else list(gamma), dtype=np.int64
     )
-
-
-def _is_connected(cells, offsets) -> bool:
-    if not cells:
-        return True
-    it = iter(cells)
-    start = next(it)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for off in offsets:
-            w = tuple(v[k] + off[k] for k in range(len(off)))
-            if w in cells and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(cells)
+    if cells.size == 0:
+        raise PreconditionError("gamma must be nonempty")
+    labels, count, lo = _label_cells(cells, pad=1)
+    if count != 1:
+        raise PreconditionError("gamma must be Z^d-connected")
+    inside = labels > 0
+    off, _, _ = _label_cells(np.argwhere(~inside))
+    outside = off == off.flat[0]  # index 0 is a shell corner
+    # the shell of the grid is off Gamma, so np.roll wraps in no Gamma vertex
+    near = np.zeros_like(inside)
+    for axis in range(inside.ndim):
+        near |= np.roll(inside, 1, axis) | np.roll(inside, -1, axis)
+    boundary = np.argwhere(outside & near)
+    return ExteriorBoundary(
+        boundary=frozenset(map(tuple, (boundary + lo).tolist())),
+        interior=frozenset(map(tuple, (np.argwhere(~inside & ~outside) + lo).tolist())),
+        star_connected=_label_cells(boundary, star=True)[1] == 1,
+    )
 
 
 def isoperimetry_holds(gamma_size: int, boundary_size: int, d: int) -> bool:

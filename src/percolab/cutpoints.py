@@ -179,8 +179,7 @@ def _boundary_stat_ok(ball: BallGrowth, t: int, cap: float) -> bool:
     from .combinatorics import exterior_boundary
 
     flats = np.concatenate(ball.layers[: t + 1])
-    coords = ball.box.coords_of_flats(flats)
-    bnd = exterior_boundary(map(tuple, coords))
+    bnd = exterior_boundary(ball.box.coords_of_flats(flats))
     return len(bnd.boundary) <= cap
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import _label_cells
 from .errors import GeometryError, PreconditionError, RoutingError
 from .lattice import BoxSpec, PercolationSample, window_components
 from .metric import geodesic, grow_ball
@@ -391,36 +392,22 @@ class BadClusterReport:
         return sorted((len(c) for c in comps), reverse=True)
 
 
-def _site_components(sites, offsets):
-    remaining = set(sites)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        remaining.discard(start)
-        while stack:
-            v = stack.pop()
-            for off in offsets:
-                w = tuple(v[k] + off[k] for k in range(len(off)))
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: (-len(c), sorted(c)))
-
-
 def bad_clusters(classification: MacroClassification) -> BadClusterReport:
-    """Components of bad sites; both plain and star adjacency are reported."""
-    from .combinatorics import _axis_offsets, _star_offsets
-
-    d = classification.lattice.dimension
-    bad = classification.bad_sites
-    return BadClusterReport(
-        z_components=_site_components(bad, _axis_offsets(d)),
-        star_components=_site_components(bad, _star_offsets(d)),
-    )
+    """Components of bad sites under both adjacencies, each list largest
+    first with ties broken by sorted vertices."""
+    if not classification.bad_sites:
+        return BadClusterReport([], [])
+    sites = np.asarray(classification.bad_sites, dtype=np.int64)
+    found = []
+    for star in (False, True):
+        labels, count, lo = _label_cells(sites, star)
+        of_site = labels[tuple((sites - lo).T)]
+        comps = [
+            frozenset(map(tuple, sites[of_site == k].tolist()))
+            for k in range(1, count + 1)
+        ]
+        found.append(sorted(comps, key=lambda c: (-len(c), sorted(c))))
+    return BadClusterReport(z_components=found[0], star_components=found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +104,62 @@ def flood_fill_labels(sample: PercolationSample) -> np.ndarray:
                     stack.append(w)
         nxt += 1
     return labels
+
+
+def flood_components(cells, star: bool) -> list:
+    """Components of a finite vertex set by a set-based DFS flood, under
+    nearest-neighbour or (``star``) sup-norm 1 adjacency (oracle)."""
+    cells = {tuple(int(c) for c in v) for v in cells}
+    d = len(next(iter(cells))) if cells else 0
+    offsets = [
+        off for off in itertools.product((-1, 0, 1), repeat=d)
+        if any(off) and (star or sum(map(abs, off)) == 1)
+    ]
+    comps = []
+    while cells:
+        start = cells.pop()
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for off in offsets:
+                w = tuple(a + b for a, b in zip(v, off))
+                if w in cells:
+                    cells.discard(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def exterior_boundary_oracle(cells):
+    """(boundary, interior, star-connected) of a finite vertex set (oracle).
+
+    Floods the complement from a corner of the set's bounding box grown by
+    one, through axis neighbours inside that box: the box's shell is off the
+    set and connected, so the flood is the part connected to infinity.
+    """
+    cells = {tuple(int(c) for c in v) for v in cells}
+    d = len(next(iter(cells)))
+    lo = [min(v[k] for v in cells) - 1 for k in range(d)]
+    hi = [max(v[k] for v in cells) + 1 for k in range(d)]
+    arena = set(itertools.product(*(range(lo[k], hi[k] + 1) for k in range(d))))
+    axis_steps = [
+        tuple(sign if k == axis else 0 for k in range(d))
+        for axis in range(d) for sign in (-1, 1)
+    ]
+
+    def axis_neighbours(v):
+        return [tuple(a + b for a, b in zip(v, step)) for step in axis_steps]
+
+    outside, stack = {tuple(lo)}, [tuple(lo)]
+    while stack:
+        for w in axis_neighbours(stack.pop()):
+            if w in arena and w not in cells and w not in outside:
+                outside.add(w)
+                stack.append(w)
+    boundary = {v for v in outside if any(w in cells for w in axis_neighbours(v))}
+    interior = arena - cells - outside
+    return boundary, interior, len(flood_components(boundary, star=True)) == 1
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exterior_boundary_oracle, flood_components
 from percolab import combinatorics as comb
 from percolab.errors import (
     BundleInvariantError,
@@ -424,6 +425,28 @@ def test_exterior_boundary_random_star_connected_and_isoperimetry(rng):
         assert comb.isoperimetry_holds(len(cells), len(out.boundary), d)
 
 
+def test_exterior_boundary_matches_flood_oracle(rng):
+    # random connected sets in d = 2, 3, 4; every other one is joined to the
+    # shell of a box [0, 2r]^d, whose inside the walk need not fill
+    holes = 0
+    for i in range(60):
+        d = 2 + i % 3
+        cells = random_connected(rng, d, int(rng.integers(1, 60)))
+        if i % 2:
+            r = int(rng.integers(1, 3))
+            cube = itertools.product(range(2 * r + 1), repeat=d)
+            cells |= {v for v in cube if min(v) == 0 or max(v) == 2 * r}
+        boundary, interior, star_connected = exterior_boundary_oracle(cells)
+        holes += bool(interior)
+        as_array = np.asarray(sorted(cells), dtype=np.int64)
+        for gamma in (cells, as_array):
+            out = comb.exterior_boundary(gamma)
+            assert out.boundary == boundary
+            assert out.interior == interior
+            assert out.star_connected == star_connected
+    assert holes >= 20
+
+
 def test_count_lattice_animals():
     assert comb.count_lattice_animals(2, 1) == 1
     assert comb.count_lattice_animals(2, 2) == 8
@@ -440,6 +463,6 @@ def test_count_lattice_animals_bruteforce_oracle():
         count = 0
         for rest in itertools.combinations([c for c in window if c != (0, 0)], k - 1):
             cells = set(rest) | {(0, 0)}
-            if comb._is_connected(cells, comb._star_offsets(2)):
+            if len(flood_components(cells, star=True)) == 1:
                 count += 1
         assert comb.count_lattice_animals(2, k) == count

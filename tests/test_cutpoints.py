@@ -9,6 +9,8 @@ from conftest import (
     ball_dist_array,
     certified_distance_oracle,
     dijkstra_distances,
+    edge_base_flats,
+    exterior_boundary_oracle,
     face_mask,
 )
 from percolab import (
@@ -117,6 +119,61 @@ def test_event_A_boundary_cap_on_a_spine_touching_the_face():
     res = event_A(open_spine(box, 5), EventSpec(s=1.0, x=(1, 0), n=5), K=10)
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 5 and res.witness.location == (5, 0)
+
+
+def cube_with_spine(box, p, seed, R):
+    """A p-sample with every edge leaving [-R, R]^d closed, plus an open
+    spine along axis 0 from the origin to the face."""
+    keep = []
+    for axis in range(box.dimension):
+        low = box.coords_of_flats(edge_base_flats(box, axis))
+        high = low.copy()
+        high[:, axis] += 1
+        keep.append((np.abs(low).max(axis=1) <= R) & (np.abs(high).max(axis=1) <= R))
+    sample = sample_configuration(box, p, seed)
+    cube = sample.with_edges(close_idx=np.flatnonzero(~np.concatenate(keep)))
+    zeros = (0,) * (box.dimension - 1)
+    return cube.with_edges(
+        open_idx=[box.edge_index((k,) + zeros, 0) for k in range(box.radius)]
+    )
+
+
+def test_event_A_boundary_cap_agrees_with_the_oracle_d3():
+    # face-stopped d = 3 balls: a random cluster in [-4, 4]^3 with a spine
+    # out to the face, whose vertices past the cube are the late singleton
+    # layers. With K given, the witness is the first of them whose B_t has
+    # an oracle exterior boundary of at most K n.
+    box = BoxSpec(3, 20)
+    n = 30
+    checked = 0
+    for seed in range(20):
+        sample = cube_with_spine(box, 0.45, seed, 4)
+        ball = grow_ball(sample, (0, 0, 0), stop_at_boundary=True)
+        assert ball.contaminated
+        past = int(ball.dist[box.flat_index((5, 0, 0))])
+        times = [t for t, _ in ball.singletons(past)]
+        if len(times) < 2:
+            continue
+        size = {
+            t: len(exterior_boundary_oracle(
+                box.coords_of_flats(np.concatenate(ball.layers[: t + 1]))
+            )[0])
+            for t in times
+        }
+        assert size[times[0]] > 100
+        spec = EventSpec((past - 0.5) / n, (0.0, 0.0, 0.0), n)
+        assert spec.window(3) >= box.radius
+        for cap in sorted(set(size.values()) | {min(size.values()) - 1}):
+            res = event_A(sample, spec, K=cap / n, ball=ball)
+            first = next((t for t in times if size[t] <= cap), None)
+            if first is None:
+                assert res.outcome is not EventOutcome.HIT
+            else:
+                assert res.outcome is EventOutcome.HIT and res.witness.time == first
+        checked += 1
+        if checked == 5:
+            break
+    assert checked == 5
 
 
 def test_event_A_window_constraint():

@@ -1,12 +1,19 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scipy.sparse.csgraph import shortest_path
 
-from conftest import all_closed, all_open, flood_fill_labels, open_graph
+from conftest import (
+    all_closed,
+    all_open,
+    flood_components,
+    flood_fill_labels,
+    open_graph,
+)
 from percolab import (
     BoxSpec,
     MacroLattice,
@@ -18,8 +25,9 @@ from percolab import (
     sample_configuration,
     slab_experiment,
 )
+from percolab.combinatorics import _label_cells
 from percolab.errors import GeometryError, PreconditionError, RoutingError
-from percolab.renorm import _component_diameters, _condition3, _site_components
+from percolab.renorm import _component_diameters, _condition3
 
 
 def test_macro_lattice_partition():
@@ -213,41 +221,30 @@ def test_bad_clusters_extremes_and_oracle(rng):
     rep = bad_clusters(cls)
     assert rep.z_components == [] and rep.star_components == []
 
-    # oracle comparison on synthetic site sets under both adjacencies
-    for _ in range(50):
-        sites = {tuple(v) for v in rng.integers(-4, 5, size=(rng.integers(1, 25), 2))}
-        from percolab.combinatorics import _axis_offsets, _star_offsets
+    # the labeller and bad_clusters against an independent flood, under both
+    # adjacencies
+    def ordered(comps):
+        return sorted(comps, key=lambda c: (-len(c), sorted(c)))
 
-        z_comp = _site_components(sites, _axis_offsets(2))
-        star_comp = _site_components(sites, _star_offsets(2))
-        assert sum(len(c) for c in z_comp) == len(sites)
-        assert len(star_comp) <= len(z_comp)
-        # flood-fill oracle (independent, dict-based)
-        def oracle(cells, diag):
-            cells = set(cells)
-            comps = []
-            while cells:
-                v = cells.pop()
-                comp = {v}
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    for dx in (-1, 0, 1):
-                        for dy in (-1, 0, 1):
-                            if (dx, dy) == (0, 0):
-                                continue
-                            if not diag and abs(dx) + abs(dy) != 1:
-                                continue
-                            w = (u[0] + dx, u[1] + dy)
-                            if w in cells:
-                                cells.discard(w)
-                                comp.add(w)
-                                stack.append(w)
-                comps.append(frozenset(comp))
-            return sorted(comps, key=lambda c: (-len(c), sorted(c)))
-
-        assert oracle(sites, False) == z_comp
-        assert oracle(sites, True) == star_comp
+    for d in (2, 3):
+        for _ in range(50):
+            size = rng.integers(1, 25)
+            sites = {tuple(int(c) for c in v) for v in rng.integers(-4, 5, size=(size, d))}
+            cells = np.asarray(sorted(sites), dtype=np.int64)
+            report = bad_clusters(
+                SimpleNamespace(bad_sites=sorted(sites), lattice=SimpleNamespace(dimension=d))
+            )
+            assert sum(len(c) for c in report.z_components) == len(sites)
+            assert len(report.star_components) <= len(report.z_components)
+            for star, listed in ((False, report.z_components), (True, report.star_components)):
+                expected = flood_components(sites, star)
+                labels, count, lo = _label_cells(cells, star)
+                of_site = labels[tuple((cells - lo).T)]
+                assert {
+                    frozenset(map(tuple, cells[of_site == k].tolist()))
+                    for k in range(1, count + 1)
+                } == set(expected)
+                assert listed == ordered(expected)
 
 
 def test_route_single_box_trivial():
