@@ -108,9 +108,14 @@ _DIMENSION = _checked(
     int, lambda d: d in SUPPORTED_DIMENSIONS, f"one of {SUPPORTED_DIMENSIONS}"
 )
 _PROBABILITY = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
-_REPLICATES = _checked(int, lambda r: r >= 1, ">= 1")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0.0, ">= 0")
+_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_SCALES = _checked(_parse_ints, lambda g: min(g, default=0) >= 1, "nonempty, each >= 1")
 _EVENT = _checked(str, lambda e: e in EVENT_KINDS, f"one of {EVENT_KINDS}")
+_DIRECTION = _checked(_parse_floats, any, "a nonzero direction")
 
 LEMMA_ALIASES = {
     "projection": "projection",
@@ -146,7 +151,7 @@ def _parse_sites(text: str) -> str:
 
 _KEYS = {
     "d": Field(_DIMENSION, help="lattice dimension"),
-    "L": Field(int, help="box radius"),
+    "L": Field(_COUNT, help="box radius"),
     "p": Field(_PROBABILITY, help="edge probability"),
     "seed": Field(int, help="sample seed"),
     "sample": Field(str, help="sample file"),
@@ -154,27 +159,27 @@ _KEYS = {
     "csv": Field(str, help="output CSV name"),
     "source": Field(_parse_ints, help="source vertex, e.g. 0,0"),
     "t_max": Field(int, help="layer cap (0 = none)"),
-    "t_min": Field(int, help="first cut-point time"),
-    "N": Field(int, help="macroscopic block half-side"),
-    "n": Field(int, help="scale n (slab: endpoint separation)"),
-    "epsilon": Field(float, help="block fraction epsilon"),
+    "t_min": Field(_COUNT, help="first cut-point time"),
+    "N": Field(_COUNT, help="macroscopic block half-side"),
+    "n": Field(_COUNT, help="scale n (slab: endpoint separation)"),
+    "epsilon": Field(_FRACTION, help="block fraction epsilon"),
     "xi": Field(float, help="distance slack xi"),
     "mu1": Field(_POSITIVE, help="norm estimate for a unit step"),
-    "rho": Field(int, help="slab dependency range (0 = derive from mu1)"),
+    "rho": Field(_NONNEGATIVE_INT, help="slab dependency range (0 = derive from mu1)"),
     "sites": Field(_parse_sites, help="macro path, e.g. 0,0;1,0;1,1"),
     "lemma": Field(_LEMMA, help="which construction to verify"),
-    "instances": Field(int, help="random instances"),
+    "instances": Field(_COUNT, help="random instances"),
     "event": Field(_EVENT, help="cutpoint|free|upper_tail"),
     "s": Field(_parse_floats, help="time slack grid"),
     "x": Field(_parse_floats, help="direction"),
-    "n_grid": Field(_parse_ints, help="scales n"),
+    "n_grid": Field(_SCALES, help="scales n"),
     "xi_grid": Field(_parse_floats, help="slacks xi of J"),
     "s_grid": Field(_parse_floats, help="time slacks s of the surface"),
-    "y_max": Field(float, help="half-width of the surface's y grid"),
-    "y_step": Field(float, help="spacing of the surface's y grid"),
-    "replicates": Field(_REPLICATES, help="replicates per scale"),
+    "y_max": Field(_NONNEGATIVE, help="half-width of the surface's y grid"),
+    "y_step": Field(_POSITIVE, help="spacing of the surface's y grid"),
+    "replicates": Field(_COUNT, help="replicates per scale"),
     "box_factor": Field(float, help="box radius per unit of n"),
-    "workers": Field(int, help="0 = auto"),
+    "workers": Field(_NONNEGATIVE_INT, help="0 = auto"),
     "emit_replicates": Field(_parse_bool, help="also write replicates.csv"),
     "fail_at": Field(int, help="fault injection (testing)"),
     "manifest": Field(str, help="manifest to reproduce and compare"),
@@ -330,10 +335,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         {"epsilon": 0.1, "xi": 0.3, "mu1": 1.0, "rho": 0, "csv": "slab.csv"},
     ),
     "lemma-check": _schema(("lemma",), {"instances": 100, "seed": 1, "csv": "lemma.csv"}),
+    # a nonzero direction here, where estimate-rate and estimate-j take zero
     "estimate-mu": _schema(_ESTIMATED, {
-        "x": (1.0, 0.0), "n_grid": (20, 40), "replicates": 100,
-        "box_factor": 1.6, "workers": 0, "csv": "mu.csv",
-    }),
+        "n_grid": (20, 40), "replicates": 100, "box_factor": 1.6, "workers": 0,
+        "csv": "mu.csv",
+    }) | {"x": Field(_DIRECTION, default=(1.0, 0.0), help="nonzero direction")},
     "estimate-rate": _schema(_ESTIMATED, {
         "event": "cutpoint", "s": (0.25,), "x": (), "xi": 0.0, "mu1": 1.0,
         "n_grid": (8,), "replicates": 1000, "box_factor": 2.0, "workers": 0,
@@ -367,8 +373,20 @@ def _cmd_sample(cfg, out_dir):
     return [path]
 
 
+def _require_dimension(sample: PercolationSample, key: str, points) -> None:
+    """Points named by ``key`` must have the sample's dimension, which may
+    come from the sample file rather than from ``d``."""
+    d = sample.box.dimension
+    for point in points:
+        if len(point) != d:
+            raise ConfigError(
+                f"{key}: {_fmt(point)} has length {len(point)}, not d = {d}"
+            )
+
+
 def _cmd_ball(cfg, out_dir):
     sample = PercolationSample.load(cfg["sample"])
+    _require_dimension(sample, "source", [cfg["source"]])
     t_max = cfg["t_max"] or None
     ball = grow_ball(sample, tuple(cfg["source"]), t_max=t_max)
     path = os.path.join(out_dir, cfg["csv"])
@@ -402,8 +420,9 @@ def _cmd_classify(cfg, out_dir):
 
 def _cmd_route(cfg, out_dir):
     sample = _load_or_sample(cfg)
-    cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     sites = _sites(cfg["sites"])
+    _require_dimension(sample, "sites", sites)
+    cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     box = sample.box
     x = box.vertex_coord(int(cls.cluster(sites[0])[0]))
     y = box.vertex_coord(int(cls.cluster(sites[-1])[0]))
@@ -798,6 +817,8 @@ def cli_dispatch(argv) -> int:
             if raw is not None:
                 overrides[key] = _parse_value(schema, key, raw)
         cfg = resolve_config(schema, file_values, overrides)
+        if cfg.get("sample") and not os.path.isfile(cfg["sample"]):
+            raise ConfigError(f"sample file {cfg['sample']!r} does not exist")
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
         outputs = _HANDLERS[args.command](cfg, args.out_dir)

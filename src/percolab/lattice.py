@@ -117,6 +117,11 @@ class BoxSpec:
         return tuple(o + self.radius for o in self.origin_offset)
 
     def contains(self, coord) -> bool:
+        if len(coord) != self.dimension:
+            raise GeometryError(
+                f"vertex {tuple(coord)} has {len(coord)} coordinates, "
+                f"not {self.dimension}"
+            )
         lo, hi = self.low_corner, self.high_corner
         return all(lo[k] <= coord[k] <= hi[k] for k in range(self.dimension))
 

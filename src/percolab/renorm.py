@@ -122,7 +122,9 @@ class MacroClassification:
         return len(self.bad_sites) / len(cls)
 
     def cluster(self, site) -> np.ndarray:
-        rec = self.records[tuple(site)]
+        rec = self.records.get(tuple(site))
+        if rec is None:
+            raise RoutingError(f"site {tuple(site)} not classified")
         if rec.cluster_flats is None:
             raise RoutingError(f"site {tuple(site)} has no dominant cluster")
         return rec.cluster_flats

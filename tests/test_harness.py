@@ -118,6 +118,22 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("estimate-rate", "x", "1"),
         ("estimate-j", "x", "1,0,0"),
         ("estimate-mu", "d", "3"),
+        # sizes, scales, grid steps and fractions out of range
+        ("sample", "L", "-3"),
+        ("cutpoint-scan", "t_min", "0"),
+        ("classify", "N", "0"),
+        ("classify", "epsilon", "0"),
+        ("classify", "epsilon", "7"),
+        ("slab", "rho", "-1"),
+        ("lemma-check", "instances", "-2"),
+        ("estimate-rate", "n_grid", "0"),
+        ("estimate-rate", "n_grid", ""),
+        ("estimate-rate", "workers", "-1"),
+        ("estimate-j", "n", "0"),
+        ("estimate-j", "y_step", "0"),
+        ("estimate-j", "y_max", "-1"),
+        ("estimate-mu", "x", "0,0"),
+        ("ball", "sample", "missing.bin"),
     ],
 )
 def test_out_of_range_estimator_value_exits_2_before_writing(
@@ -139,6 +155,38 @@ def test_out_of_range_estimator_value_exits_2_before_writing(
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("ball", {"sample": "sample.bin", "source": "0,0,0"}),
+        ("route", {**SITES, "sites": "0,0,0;1,0,0"}),
+        ("route", {**SITES, "sample": "sample.bin", "sites": "0,0,0;1,0,0"}),
+    ],
+)
+def test_point_of_another_dimension_than_the_sample_exits_2_writing_nothing(
+    tmp_path, monkeypatch, capsys, command, values
+):
+    # the dimension comes from the sample, so the output directory may exist
+    monkeypatch.chdir(tmp_path)
+    sample, _ = CANONICAL["sample"]
+    assert cli_dispatch(["sample", "--out-dir", "."]
+                        + [f"--set={k}={v}" for k, v in sample.items()]) == 0
+    argv = [command, "--out-dir", "run"] + [f"--set={k}={v}" for k, v in values.items()]
+    assert cli_dispatch(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
+    tmp_path, capsys
+):
+    argv = ["route", "--out-dir", str(tmp_path)] + [
+        f"--set={k}={v}" for k, v in {**SITES, "sites": "9,9;9,10"}.items()
+    ]
+    assert cli_dispatch(argv) == 3
+    assert "error: site (9, 9) not classified" in capsys.readouterr().err
 
 
 def test_set_without_equals_exits_1(tmp_path):

@@ -22,6 +22,15 @@ def test_determinism():
     assert a == b
 
 
+def test_coordinate_of_another_dimension_is_refused():
+    box = BoxSpec(2, 5)
+    for coord in ((0, 0, 99), (0,)):
+        with pytest.raises(GeometryError):
+            box.contains(coord)
+        with pytest.raises(GeometryError):
+            box.flat_index(coord)
+
+
 def test_near_one_probability_almost_all_open():
     box = BoxSpec(2, 3)
     s = sample_configuration(box, 0.999999, 123)
