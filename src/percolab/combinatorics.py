@@ -12,6 +12,14 @@ axis-0 coordinate, and their transverse gap there must be >= 1/sqrt2 (see
 ``separated_matching`` for the proof). The Euclidean distance between the
 segments is only bounded by the corollary l / sqrt(2 (l^2 + (d-1) K^2)); no
 bijection need reach l / (sqrt2 K) in Euclidean distance.
+
+Finite vertex sets are labelled by one helper, ``_label_cells``: it puts
+the set on a boolean grid over its bounding box and calls
+``scipy.ndimage.label`` under nearest-neighbour or star (sup-norm 1)
+adjacency. ``exterior_boundary`` (its connectivity check, the complement
+component that reaches infinity and the star-connectivity of the boundary)
+and ``renorm.bad_clusters`` go through it. Its cost is linear in the volume
+of the bounding box, not in the size of the set.
 """
 
 from __future__ import annotations
