@@ -122,8 +122,8 @@ def test_event_A_boundary_cap_on_a_spine_touching_the_face():
 
 
 def cube_with_spine(box, p, seed, R):
-    """A p-sample with every edge leaving [-R, R]^d closed, plus an open
-    spine along axis 0 from the origin to the face."""
+    """A p-sample with every edge that is not inside [-R, R]^d closed, plus
+    an open spine along axis 0 from the origin to the face."""
     keep = []
     for axis in range(box.dimension):
         low = box.coords_of_flats(edge_base_flats(box, axis))
