@@ -8,6 +8,14 @@ uniform in [0, 1) and the edge is open iff that uniform is below ``p``. The
 same uniforms are reused for every ``p``, which yields the monotone coupling
 ``open(p) subset-of open(p')`` for ``p < p'`` under a shared seed.
 
+The uniform of edge ``i`` is ``k * 2**-53`` with ``k = z >> 11`` and
+``z = mix64(i ^ mix64(seed))`` (the SplitMix64 finalizer). It is never
+formed as a float: since ``k < 2**53`` and scaling by ``2**53`` is exact,
+``k * 2**-53 < p`` iff ``k < p * 2**53`` iff ``k < ceil(p * 2**53)`` iff
+``z < ceil(p * 2**53) * 2**11``, an integer threshold below ``2**64`` for
+``p < 1``. The hash is counter-based, so it is computed in cache-sized
+chunks of edge indices.
+
 Canonical edge indexing (also the serialized order) is axis-major: all edges
 parallel to axis 0 first, then axis 1, and so on. Within one axis family the
 edges are ordered by the C-order (row-major) position of their lower
@@ -16,6 +24,7 @@ endpoint, whose coordinate along the edge axis ranges over [-L, L-1].
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,13 +41,21 @@ MAX_VERTICES = 100_000_000
 _MAGIC = b"PLB1"
 _FORMAT_VERSION = 1
 
-_SPLIT_INC = np.uint64(0x9E3779B97F4A7C15)
-_SPLIT_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLIT_M2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_SPLIT = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_SPLIT_INC, _SPLIT_M1, _SPLIT_M2 = (np.uint64(c) for c in _SPLIT)
+_CHUNK = 1 << 15  # edges hashed per pass: three uint64 buffers fit in L2
 
 
 def _mix64(x):
-    """SplitMix64 finalizer, vectorized over uint64."""
+    """SplitMix64 finalizer over uint64 values, or over one Python int in
+    masked integer arithmetic."""
+    if isinstance(x, int):
+        inc, m1, m2 = _SPLIT
+        z = (x + inc) & _MASK64
+        z = ((z ^ (z >> 30)) * m1) & _MASK64
+        z = ((z ^ (z >> 27)) * m2) & _MASK64
+        return z ^ (z >> 31)
     with np.errstate(over="ignore"):
         z = x + _SPLIT_INC
         z = (z ^ (z >> np.uint64(30))) * _SPLIT_M1
@@ -46,12 +63,35 @@ def _mix64(x):
         return z ^ (z >> np.uint64(31))
 
 
-def edge_uniforms(seed: int, n_edges: int) -> np.ndarray:
-    """Per-edge uniforms in [0, 1), a pure function of (seed, edge index)."""
-    idx = np.arange(n_edges, dtype=np.uint64)
-    key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    z = _mix64(idx ^ key)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _hash_threshold(p: float) -> int:
+    """The least z with (z >> 11) * 2**-53 >= p, for 0 < p < 1."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _open_edges(seed: int, n_edges: int, p: float) -> np.ndarray:
+    """Edge i is open iff mix64(i ^ mix64(seed)) < _hash_threshold(p),
+    computed _CHUNK edges at a time in place."""
+    out = np.empty(n_edges, dtype=bool)
+    key = np.uint64(_mix64(seed & _MASK64))
+    below = np.uint64(_hash_threshold(p))
+    idx = np.arange(_CHUNK, dtype=np.uint64)
+    z = np.empty(_CHUNK, dtype=np.uint64)
+    tmp = np.empty(_CHUNK, dtype=np.uint64)
+    step = np.uint64(_CHUNK)
+    for start in range(0, n_edges, _CHUNK):
+        m = min(_CHUNK, n_edges - start)
+        zc, tc = z[:m], tmp[:m]
+        np.bitwise_xor(idx[:m], key, out=zc)
+        np.add(zc, _SPLIT_INC, out=zc)
+        for shift, mult in ((30, _SPLIT_M1), (27, _SPLIT_M2)):
+            np.right_shift(zc, np.uint64(shift), out=tc)
+            np.bitwise_xor(zc, tc, out=zc)
+            np.multiply(zc, mult, out=zc)
+        np.right_shift(zc, np.uint64(31), out=tc)
+        np.bitwise_xor(zc, tc, out=zc)
+        np.less(zc, below, out=out[start : start + m])
+        np.add(idx, step, out=idx)
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,8 +368,8 @@ def sample_configuration(box: BoxSpec, p: float, seed: int) -> PercolationSample
     """Draw a bond configuration, deterministically in (box, p, seed)."""
     if not 0.0 < p < 1.0:
         raise ResourceLimitError("p must lie strictly inside (0, 1)")
-    u = edge_uniforms(seed, box.n_edges)
-    return PercolationSample(box, float(p), int(seed), u < p)
+    open_edges = _open_edges(int(seed), box.n_edges, float(p))
+    return PercolationSample(box, float(p), int(seed), open_edges)
 
 
 @dataclass

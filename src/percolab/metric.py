@@ -161,18 +161,20 @@ def _grow(
                 nb = base - st
             if nb.size == 0:
                 continue
-            fresh = (dist[nb] == _INF32) & (pred[nb] == -1)
+            # a vertex is claimed by the first move that reaches it, and its
+            # distance is written at once so that later moves skip it
+            fresh = dist[nb] == _INF32
             if region is not None:
                 fresh &= region[nb]
             if fresh.any():
                 nb = nb[fresh]
+                dist[nb] = t
                 pred[nb] = base[fresh]
                 parts.append(nb)
         if not parts:
             exhausted = True
             break
         newly = np.sort(np.concatenate(parts))
-        dist[newly] = t
         layers.append(newly)
         frontier = newly
         if first_boundary is None and face[newly].any():

@@ -12,6 +12,26 @@ from percolab import (
     sample_configuration,
 )
 from percolab.errors import GeometryError, ResourceLimitError
+from percolab.lattice import _CHUNK, _hash_threshold, _open_edges
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64_oracle(x):
+    """SplitMix64 finalizer over a uint64 array, written out for the tests."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _open_oracle(seed, n_edges, p):
+    """Edge i is open iff its uniform ((mix64(i ^ mix64(seed)) >> 11) * 2**-53)
+    is below p, formed as a float over the whole index range at once."""
+    key = _mix64_oracle(np.uint64(seed & _MASK64))
+    z = _mix64_oracle(np.arange(n_edges, dtype=np.uint64) ^ key)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
 
 
 def test_determinism():
@@ -20,6 +40,48 @@ def test_determinism():
     b = sample_configuration(box, 0.5, 7)
     assert np.array_equal(a.open_edges, b.open_edges)
     assert a == b
+
+
+EDGE_PROBABILITIES = [
+    0.5, 0.25, 0.4, 0.7, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+    np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+]
+EDGE_SEEDS = [0, 7, 2**63, 2**64 - 1, 2**64 + 5, -1, -(2**63), -123456789]
+
+
+@pytest.mark.parametrize(
+    "n_edges", [1, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17]
+)
+def test_chunked_edge_states_equal_the_float_uniform_formula(n_edges):
+    for seed in EDGE_SEEDS:
+        for p in EDGE_PROBABILITIES:
+            assert np.array_equal(
+                _open_edges(seed, n_edges, float(p)), _open_oracle(seed, n_edges, p)
+            ), (seed, p)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_sample_configuration_equals_the_float_uniform_formula(seed):
+    # 12 edges, and 669,780 edges: 20 chunks plus a remainder
+    for box in (BoxSpec(2, 1), BoxSpec(3, 30)):
+        for p in (0.5, 0.25, 0.4, np.nextafter(1.0, 0.0)):
+            s = sample_configuration(box, p, seed)
+            assert np.array_equal(s.open_edges, _open_oracle(seed, box.n_edges, p))
+
+
+def test_hash_threshold_splits_uniforms_exactly_at_p():
+    rng = np.random.default_rng(5)
+    ps = [0.5, 0.25, 2.0**-53, 1.0 - 2.0**-53, *EDGE_PROBABILITIES[4:]]
+    ps += list(rng.random(200))
+    for p in ps:
+        below = _hash_threshold(float(p))
+        assert below % 2048 == 0 and below < 2**64
+        k = below >> 11  # least k whose uniform k * 2**-53 is not below p
+        for kk in (k - 2, k - 1, k, k + 1):
+            if 0 <= kk < 2**53:
+                # every z with z >> 11 == kk falls on the same side
+                for z in (kk << 11, (kk << 11) | 2047):
+                    assert (z < below) == (kk * 2.0**-53 < p), (p, kk)
 
 
 def test_coordinate_of_another_dimension_is_refused():

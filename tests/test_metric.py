@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    INF32,
     all_closed,
     all_open,
     ball_dist_array,
@@ -20,6 +21,7 @@ from percolab import (
     sample_configuration,
     volume_threshold_time,
 )
+from percolab import metric
 from percolab.errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
 from percolab.metric import distance_map_csv
 
@@ -163,6 +165,45 @@ def test_geodesic_length_equals_distance_and_self_avoiding():
             assert len(set(path)) == len(path)
     with pytest.raises(UnreachableVertexError):
         geodesic(grow_ball(all_closed(BoxSpec(2, 3)), (0, 0)), (1, 1))
+
+
+def _assert_least_predecessors(sample, dist, pred):
+    """Brute force over open neighbours: every reached vertex v at distance
+    t > 0 has as predecessor the lexicographically least open neighbour u
+    with dist[u] = t - 1; a source has none."""
+    box = sample.box
+    for v in np.flatnonzero(dist != INF32):
+        t = int(dist[v])
+        coord = box.vertex_coord(v)
+        earlier = [
+            nb for e, nb in box.incident_edges(coord)
+            if sample.is_edge_open(e) and dist[box.flat_index(nb)] == t - 1
+        ]
+        if t == 0:
+            assert pred[v] == -1
+        else:
+            assert pred[v] == box.flat_index(min(earlier)), (coord, earlier)
+
+
+@pytest.mark.parametrize("d, radius, p", [(2, 6, 0.6), (2, 5, 0.8), (3, 3, 0.5)])
+def test_predecessor_is_the_least_open_neighbour_one_layer_closer(d, radius, p):
+    rng = np.random.default_rng(d * 100 + radius)
+    for seed in range(4):
+        s = sample_configuration(BoxSpec(d, radius), p, seed)
+        box = s.box
+        origin = np.array([box.flat_index((0,) * d)])
+        region = rng.random(box.n_vertices) < 0.85
+        region[origin] = True
+        far = box.flat_index((radius - 1,) + (0,) * (d - 1))
+        for kw in ({}, {"region": region}, {"targets": [far]},
+                   {"region": region, "targets": [far]}, {"t_max": 3}):
+            dist, pred, layers, _, _ = metric._grow(s, origin, **kw)
+            assert np.array_equal(
+                np.sort(np.flatnonzero(dist != INF32)), np.sort(np.concatenate(layers))
+            )
+            for t, layer in enumerate(layers):
+                assert (dist[layer] == t).all() and (np.diff(layer) > 0).all()
+            _assert_least_predecessors(s, dist, pred)
 
 
 def test_volume_threshold_time():
