@@ -44,7 +44,7 @@ from .cutpoints import (
     upper_tail_outcome,
 )
 from .errors import GridCoverageError, PreconditionError
-from .lattice import _SPLIT_INC, BoxSpec, _mix64, sample_configuration
+from .lattice import _MASK64, _SPLIT, _SPLIT_INC, BoxSpec, _mix64, sample_configuration
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
@@ -57,11 +57,13 @@ def replicate_seed(seed: int, index):
     The finalizer is a bijection, so one run's indices never share a seed.
     Two runs of at most N replicates share one only when their keys differ
     by k times the stream increment for some |k| < N. ``index`` may be an
-    integer array.
+    integer array; a Python int takes the same step in Python integers.
     """
-    key = _mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    key = _mix64(int(seed) & _MASK64)
+    if isinstance(index, int):
+        return _mix64((key + index * _SPLIT[0]) & _MASK64)
     with np.errstate(over="ignore"):
-        out = _mix64(key + np.asarray(index, dtype=np.uint64) * _SPLIT_INC)
+        out = _mix64(np.uint64(key) + np.asarray(index, dtype=np.uint64) * _SPLIT_INC)
     return out if out.ndim else int(out)
 
 

@@ -58,6 +58,16 @@ def test_replicate_seeds_of_distinct_seed_index_pairs_are_distinct():
     assert replicate_seed(7, 3) == int(replicate_seed(7, np.arange(4))[3])
 
 
+def test_scalar_replicate_seed_equals_the_array_path():
+    indices = list(range(300)) + [2**31, 2**32 + 7, 2**53 + 1, 2**63, 2**64 - 1]
+    array = np.array(indices, dtype=np.uint64)
+    for seed in [0, 1, 7, 311, -1, -(2**63), 2**63, 2**64 - 1, 2**64 + 9, 2**70 + 3]:
+        expected = replicate_seed(seed, array)
+        got = [replicate_seed(seed, i) for i in indices]
+        assert all(type(g) is int for g in got)
+        assert got == [int(e) for e in expected], seed
+
+
 def test_nearby_seeds_write_different_rates(tmp_path):
     # seed XOR index gave seeds 0, 1, 2, 3 and 5 the same 8 replicates
     written = set()
