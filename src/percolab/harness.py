@@ -158,7 +158,7 @@ _KEYS = {
     "out": Field(str, help="output sample file"),
     "csv": Field(str, help="output CSV name"),
     "source": Field(_parse_ints, help="source vertex, e.g. 0,0"),
-    "t_max": Field(int, help="layer cap (0 = none)"),
+    "t_max": Field(_NONNEGATIVE_INT, help="layer cap (0 = none)"),
     "t_min": Field(_COUNT, help="first cut-point time"),
     "N": Field(_COUNT, help="macroscopic block half-side"),
     "n": Field(_COUNT, help="scale n (slab: endpoint separation)"),
@@ -178,7 +178,7 @@ _KEYS = {
     "y_max": Field(_NONNEGATIVE, help="half-width of the surface's y grid"),
     "y_step": Field(_POSITIVE, help="spacing of the surface's y grid"),
     "replicates": Field(_COUNT, help="replicates per scale"),
-    "box_factor": Field(float, help="box radius per unit of n"),
+    "box_factor": Field(_POSITIVE, help="box radius per unit of n"),
     "workers": Field(_NONNEGATIVE_INT, help="0 = auto"),
     "emit_replicates": Field(_parse_bool, help="also write replicates.csv"),
     "fail_at": Field(int, help="fault injection (testing)"),
@@ -233,6 +233,11 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     x = merged.get("x")
     if x and len(x) != merged["d"]:
         raise ConfigError(f"x = {_fmt(x)} has length {len(x)}, not d = {merged['d']}")
+    # classify and route cut blocks of side epsilon * N; slab's epsilon scales n
+    if "epsilon" in schema and "N" in schema and "n" not in schema:
+        eps, N = merged["epsilon"], merged["N"]
+        if eps * N < 1:
+            raise ConfigError(f"need epsilon * N >= 1, got {_fmt(eps)} * {N}")
     return merged
 
 

@@ -134,6 +134,15 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("estimate-j", "y_max", "-1"),
         ("estimate-mu", "x", "0,0"),
         ("ball", "sample", "missing.bin"),
+        ("ball", "t_max", "-1"),
+        ("estimate-rate", "box_factor", "0"),
+        ("estimate-mu", "box_factor", "-1"),
+        ("estimate-j", "box_factor", "0"),
+        ("upper-tail", "box_factor", "-0.5"),
+        # classify and route cut blocks of side epsilon * N >= 1
+        ("classify", "N", "1"),
+        ("route", "N", "1"),
+        ("classify", "epsilon", "0.2"),
     ],
 )
 def test_out_of_range_estimator_value_exits_2_before_writing(
@@ -177,6 +186,20 @@ def test_point_of_another_dimension_than_the_sample_exits_2_writing_nothing(
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_negative_layer_cap_on_an_existing_sample_exits_2_before_writing(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    sample, _ = CANONICAL["sample"]
+    assert cli_dispatch(["sample", "--out-dir", "."]
+                        + [f"--set={k}={v}" for k, v in sample.items()]) == 0
+    argv = ["ball", "--out-dir", "run", "--set=sample=sample.bin",
+            "--set=source=0,0", "--set=t_max=-1"]
+    assert cli_dispatch(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
