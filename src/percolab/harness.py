@@ -114,6 +114,7 @@ _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0.0, ">= 0")
 _FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _SCALES = _checked(_parse_ints, lambda g: min(g, default=0) >= 1, "nonempty, each >= 1")
+_GRID = _checked(_parse_floats, bool, "nonempty")
 _EVENT = _checked(str, lambda e: e in EVENT_KINDS, f"one of {EVENT_KINDS}")
 _DIRECTION = _checked(_parse_floats, any, "a nonzero direction")
 
@@ -170,11 +171,11 @@ _KEYS = {
     "lemma": Field(_LEMMA, help="which construction to verify"),
     "instances": Field(_COUNT, help="random instances"),
     "event": Field(_EVENT, help="cutpoint|free|upper_tail"),
-    "s": Field(_parse_floats, help="time slack grid"),
+    "s": Field(_GRID, help="time slack grid"),
     "x": Field(_parse_floats, help="direction"),
     "n_grid": Field(_SCALES, help="scales n"),
-    "xi_grid": Field(_parse_floats, help="slacks xi of J"),
-    "s_grid": Field(_parse_floats, help="time slacks s of the surface"),
+    "xi_grid": Field(_GRID, help="slacks xi of J"),
+    "s_grid": Field(_GRID, help="time slacks s of the surface"),
     "y_max": Field(_NONNEGATIVE, help="half-width of the surface's y grid"),
     "y_step": Field(_POSITIVE, help="spacing of the surface's y grid"),
     "replicates": Field(_COUNT, help="replicates per scale"),
@@ -233,6 +234,11 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     x = merged.get("x")
     if x and len(x) != merged["d"]:
         raise ConfigError(f"x = {_fmt(x)} has length {len(x)}, not d = {merged['d']}")
+    # the upper tail's target floor(n x) is the origin at x = 0, where D = 0
+    # never exceeds the threshold and J's constraint admits every grid point;
+    # cut-point and free events take x = 0
+    if x and not any(x) and merged.get("event", "upper_tail") == "upper_tail":
+        raise ConfigError(f"x = {_fmt(x)} is zero; the upper tail needs a nonzero direction")
     # classify and route cut blocks of side epsilon * N; slab's epsilon scales n
     if "epsilon" in schema and "N" in schema and "n" not in schema:
         eps, N = merged["epsilon"], merged["N"]

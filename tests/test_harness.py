@@ -128,6 +128,9 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("lemma-check", "instances", "-2"),
         ("estimate-rate", "n_grid", "0"),
         ("estimate-rate", "n_grid", ""),
+        ("estimate-rate", "s", ""),
+        ("estimate-j", "s_grid", ""),
+        ("estimate-j", "xi_grid", ""),
         ("estimate-rate", "workers", "-1"),
         ("estimate-j", "n", "0"),
         ("estimate-j", "y_step", "0"),
@@ -164,6 +167,37 @@ def test_out_of_range_estimator_value_exits_2_before_writing(
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("estimate-rate", {"event": "upper_tail", "x": "0,0"}),
+        ("estimate-j", {"x": "0,0"}),
+    ],
+)
+def test_zero_direction_of_the_upper_tail_exits_2_before_writing(
+    tmp_path, capsys, command, values
+):
+    # the target floor(n x) is the origin, so D = 0 and the upper-tail
+    # threshold (1 + xi) mu(x) n cannot be exceeded or is itself 0
+    out = tmp_path / "out"
+    argv = [command, "--out-dir", str(out)] + [
+        f"--set={k}={v}" for k, v in {**ESTIMATOR, **values}.items()
+    ]
+    assert cli_dispatch(argv) == 2
+    assert "nonzero direction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("event", ["cutpoint", "free"])
+def test_zero_direction_stays_legal_for_scanned_events(event):
+    values = {**ESTIMATOR, "event": event, "x": "0,0"}
+    schema = SCHEMAS["estimate-rate"]
+    parsed = parse_config_text(
+        "".join(f"{k} = {v}\n" for k, v in values.items()), schema
+    )
+    assert resolve_config(schema, parsed, {})["x"] == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
