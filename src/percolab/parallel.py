@@ -10,20 +10,7 @@ outcome is marked partial.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
-
-WORKERS_ENV = "PERCOLAB_WORKERS"
-
-
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, multiprocessing.cpu_count())
 
 
 @dataclass
@@ -42,9 +29,10 @@ def _wrap(fn, idx):
 
 
 def run_parallel(fn, n_tasks: int, workers: int | None = None) -> ParallelRun:
-    """Evaluate fn(0..n_tasks-1), merging results independently of order."""
+    """Evaluate fn(0..n_tasks-1), merging results independently of order;
+    ``workers`` None means one worker per CPU."""
     if workers is None:
-        workers = default_workers()
+        workers = multiprocessing.cpu_count()
     outcomes: dict[int, tuple[bool, object]] = {}
     if workers <= 1 or n_tasks <= 1:
         for i in range(n_tasks):
