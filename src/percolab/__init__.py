@@ -57,24 +57,19 @@ from .lattice import (
     BoxSpec,
     ClusterLabeling,
     PercolationSample,
-    infinite_cluster_proxy,
     label_clusters,
     sample_configuration,
 )
 from .metric import (
     BallGrowth,
-    chemical_distance,
     constrained_distance,
     geodesic,
     grow_ball,
-    volume_threshold_time,
 )
 from .renorm import (
-    BadClusterReport,
     MacroClassification,
     MacroLattice,
     ScaledL1Norm,
-    bad_clusters,
     classify_boxes,
     dependency_range,
     route_through_good,

@@ -16,10 +16,10 @@ bijection need reach l / (sqrt2 K) in Euclidean distance.
 Finite vertex sets are labelled by one helper, ``_label_cells``: it puts
 the set on a boolean grid over its bounding box and calls
 ``scipy.ndimage.label`` under nearest-neighbour or star (sup-norm 1)
-adjacency. ``exterior_boundary`` (its connectivity check, the complement
-component that reaches infinity and the star-connectivity of the boundary)
-and ``renorm.bad_clusters`` go through it. Its cost is linear in the volume
-of the bounding box, not in the size of the set.
+adjacency. ``exterior_boundary`` goes through it for its connectivity check,
+the complement component that reaches infinity and the star-connectivity of
+the boundary. Its cost is linear in the volume of the bounding box, not in
+the size of the set.
 """
 
 from __future__ import annotations
@@ -336,10 +336,10 @@ class SeparatedMatching:
             default=math.inf,
         )
 
-    def verify(self, tol: float = SEPARATION_TOLERANCE) -> None:
+    def verify(self) -> None:
         if sorted(self.sigma) != list(range(len(self.s1))):
             raise MatchingInvariantError("sigma is not a bijection")
-        if self.certified_min_separation < self.guarantee - tol:
+        if self.certified_min_separation < self.guarantee - SEPARATION_TOLERANCE:
             raise MatchingInvariantError(
                 f"separation {self.certified_min_separation:.6g} below "
                 f"guarantee {self.guarantee:.6g}"
@@ -415,23 +415,6 @@ def separated_matching(S1: PointSet, S2: PointSet, K: int) -> SeparatedMatching:
 def _pairwise_sup_spread(a1: np.ndarray, a2: np.ndarray) -> int:
     hi = np.maximum(a1.max(axis=0) - a2.min(axis=0), a2.max(axis=0) - a1.min(axis=0))
     return int(hi.max())
-
-
-def two_swap_local_assignment(cost: np.ndarray) -> list[int]:
-    """Assignment locally optimal under transpositions (cross-check path)."""
-    m = cost.shape[0]
-    sigma = list(range(m))
-    improved = True
-    while improved:
-        improved = False
-        for a in range(m):
-            for b in range(a + 1, m):
-                cur = cost[a, sigma[a]] + cost[b, sigma[b]]
-                swp = cost[a, sigma[b]] + cost[b, sigma[a]]
-                if swp < cur - 1e-12:
-                    sigma[a], sigma[b] = sigma[b], sigma[a]
-                    improved = True
-    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,11 @@ def replicate_seed(seed: int, index):
     return out if out.ndim else int(out)
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z_95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (math.nan, math.nan)
+    z = Z_95
     phat = hits / trials
     z2 = z * z
     centre = phat + z2 / (2 * trials)
@@ -113,7 +114,6 @@ class RateEstimate:
     x: tuple
     n: int
     tally: Tally
-    z: float = Z_95
 
     @property
     def resolved(self) -> int:
@@ -125,7 +125,7 @@ class RateEstimate:
 
     @property
     def ci(self):
-        return wilson_interval(self.tally.hits, self.resolved, self.z)
+        return wilson_interval(self.tally.hits, self.resolved)
 
     @property
     def rate(self):

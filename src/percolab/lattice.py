@@ -218,16 +218,6 @@ class BoxSpec:
         inner = int(np.ravel_multi_index(tuple(gi), tuple(rshape)))
         return axis * self.edges_per_axis + inner
 
-    def edge_endpoints(self, edge_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        axis, inner = divmod(int(edge_index), self.edges_per_axis)
-        rshape = list(self.shape)
-        rshape[axis] = self.side - 1
-        gi = list(np.unravel_index(inner, tuple(rshape)))
-        lo = self.low_corner
-        a = tuple(int(g) + lo[k] for k, g in enumerate(gi))
-        b = tuple(c + (1 if k == axis else 0) for k, c in enumerate(a))
-        return a, b
-
     def incident_edges(self, coord):
         """(edge_index, neighbour_coord) pairs for all box edges at coord."""
         gi = self.grid_index(coord)
@@ -287,10 +277,6 @@ class PercolationSample:
             and self.seed == other.seed
             and np.array_equal(self.open_edges, other.open_edges)
         )
-
-    @property
-    def open_fraction(self) -> float:
-        return float(self.open_edges.mean())
 
     def axis_view(self, axis: int) -> np.ndarray:
         """Edge states of one axis family, shaped like the base-vertex grid."""
@@ -379,13 +365,7 @@ class ClusterLabeling:
     box: BoxSpec
     labels: np.ndarray  # component id per vertex (flat order)
     sizes: np.ndarray  # size per component id
-    largest: int  # id of a largest component (smallest id on ties)
-    faces_touched: np.ndarray  # (n_components, 2d) bool
-    touches_boundary: np.ndarray  # (n_components,) bool
-
-    @property
-    def n_components(self) -> int:
-        return len(self.sizes)
+    touches_boundary: np.ndarray  # per component id: meets a box face
 
 
 def window_components(sample: PercolationSample, lo, hi):
@@ -417,27 +397,7 @@ def label_clusters(sample: PercolationSample) -> ClusterLabeling:
     labels, sizes, _ = window_components(
         sample, box.low_corner, np.add(box.high_corner, 1)
     )
-    faces = np.zeros((len(sizes), 2 * box.dimension), dtype=bool)
-    for axis in range(box.dimension):
-        for j, pos in enumerate((0, box.side - 1)):
-            faces[labels.take(pos, axis=axis), 2 * axis + j] = True
-    return ClusterLabeling(
-        box=box,
-        labels=labels.reshape(-1),
-        sizes=sizes,
-        largest=int(np.argmax(sizes)),  # argmax takes the smallest id on ties
-        faces_touched=faces,
-        touches_boundary=faces.any(axis=1),
-    )
-
-
-def infinite_cluster_proxy(labeling: ClusterLabeling):
-    """Largest component touching all 2d faces; None when there is none.
-
-    Finite-box stand-in for the unique unbounded cluster. Ties are broken
-    toward the smallest component id.
-    """
-    spanning = np.flatnonzero(labeling.faces_touched.all(axis=1))
-    if spanning.size == 0:
-        return None
-    return int(spanning[np.argmax(labeling.sizes[spanning])])
+    labels = labels.reshape(-1)
+    touches = np.zeros(len(sizes), dtype=bool)
+    touches[labels[box.face_flat]] = True
+    return ClusterLabeling(box=box, labels=labels, sizes=sizes, touches_boundary=touches)

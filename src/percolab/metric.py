@@ -102,10 +102,6 @@ class BallGrowth:
             if len(self.layers[t]) == 1
         ]
 
-    def layer_vertices(self, t: int) -> np.ndarray:
-        """(m, d) coordinates of layer t."""
-        return self.box.coords_of_flats(self.layers[t])
-
 
 def _grow(
     sample: PercolationSample,
@@ -231,20 +227,6 @@ def grow_ball_flats(
     )
 
 
-def _floor_vertex(v):
-    return tuple(int(math.floor(float(c))) for c in v)
-
-
-def chemical_distance(sample: PercolationSample, x, y) -> float:
-    """Length of a shortest open path between x and y inside the box.
-
-    Real-valued inputs are floored componentwise. Returns ``math.inf`` when
-    the endpoints are not connected within the box.
-    """
-    xv, yv = _floor_vertex(x), _floor_vertex(y)
-    return grow_ball(sample, xv, targets=[sample.box.flat_index(yv)]).dist_of(yv)
-
-
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
     """Shortest open path from set ``frm`` to set ``to`` with all vertices in
     ``region``. Endpoint sets must be subsets of the region.
@@ -303,13 +285,6 @@ def geodesic(ball: BallGrowth, target) -> list[tuple[int, ...]]:
     path.reverse()
     assert len(path) - 1 == int(ball.dist[ft])
     return [box.vertex_coord(f) for f in path]
-
-
-def volume_threshold_time(ball: BallGrowth, volume: int):
-    """Least t with |B_t| >= volume over the grown layers, None if never."""
-    sizes = ball.ball_sizes
-    hit = np.flatnonzero(sizes >= volume)
-    return int(hit[0]) if hit.size else None
 
 
 def distance_map_csv(ball: BallGrowth, fh) -> None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _label_cells
 from .errors import GeometryError, PreconditionError, RoutingError
 from .lattice import BoxSpec, PercolationSample, window_components
 from .metric import geodesic, grow_ball
@@ -65,16 +64,6 @@ class MacroLattice:
     N: int
     dimension: int
 
-    def site_of(self, coord) -> tuple[int, ...]:
-        return tuple((int(c) + self.N) // (2 * self.N) for c in coord)
-
-    def block_low(self, site) -> tuple[int, ...]:
-        return tuple(2 * int(i) * self.N - self.N for i in site)
-
-    def block_high(self, site) -> tuple[int, ...]:
-        """Exclusive upper corner."""
-        return tuple(2 * int(i) * self.N + self.N for i in site)
-
     def enlarged_low(self, site) -> tuple[int, ...]:
         return tuple(2 * int(i) * self.N - 3 * self.N for i in site)
 
@@ -85,7 +74,7 @@ class MacroLattice:
 @dataclass
 class SiteRecord:
     site: tuple[int, ...]
-    verdict: str  # 'good' | 'bad' | 'unclassifiable'
+    verdict: str  # 'good' | 'bad'
     failed_condition: int | None  # 1, 2 or 3 for bad sites
     cluster_size: int  # dominant cluster size (0 if none)
     cluster_flats: np.ndarray | None  # global flat indices, good sites only
@@ -102,24 +91,6 @@ class MacroClassification:
 
     def verdict(self, site) -> str:
         return self.records[tuple(site)].verdict
-
-    @property
-    def classified_sites(self):
-        return [s for s, r in self.records.items() if r.verdict != "unclassifiable"]
-
-    @property
-    def good_sites(self):
-        return [s for s, r in self.records.items() if r.verdict == "good"]
-
-    @property
-    def bad_sites(self):
-        return [s for s, r in self.records.items() if r.verdict == "bad"]
-
-    def bad_fraction(self) -> float:
-        cls = self.classified_sites
-        if not cls:
-            return math.nan
-        return len(self.bad_sites) / len(cls)
 
     def cluster(self, site) -> np.ndarray:
         rec = self.records.get(tuple(site))
@@ -206,17 +177,16 @@ def classify_boxes(
     epsilon: float,
     mu_hat,
     *,
-    condition3_cutoff: int = CONDITION3_EXACT_CUTOFF,
     condition3_sources: int = CONDITION3_SAMPLED_SOURCES,
 ) -> MacroClassification:
     """Classify every macroscopic site whose enlarged block fits in the box.
 
     Condition 3 takes every dominant-cluster vertex as a source and
-    measures distances in the whole sample box; above ``condition3_cutoff``
-    cluster vertices only ``condition3_sources`` evenly spaced sources are
-    used and the record is flagged as sampled. All sources of a site grow
-    in one bit-parallel BFS that stops as soon as the verdict is certain
-    (see :func:`_condition3`).
+    measures distances in the whole sample box; above
+    ``CONDITION3_EXACT_CUTOFF`` cluster vertices only ``condition3_sources``
+    evenly spaced sources are used and the record is flagged as sampled.
+    All sources of a site grow in one bit-parallel BFS that stops as soon
+    as the verdict is certain (see :func:`_condition3`).
     """
     box = sample.box
     d = box.dimension
@@ -249,7 +219,7 @@ def classify_boxes(
             continue
         ok3, sampled = _condition3(
             sample, mask, lo, mu, epsilon * N,
-            cutoff=condition3_cutoff, n_sources=condition3_sources,
+            cutoff=CONDITION3_EXACT_CUTOFF, n_sources=condition3_sources,
         )
         if not ok3:
             records[tuple(site)] = SiteRecord(
@@ -379,40 +349,6 @@ def _earliest_deadline(missing, deadline) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bad clusters
-
-
-@dataclass
-class BadClusterReport:
-    """Connected components of bad sites under both adjacencies."""
-
-    z_components: list  # nearest-neighbour adjacency
-    star_components: list  # sup-norm-1 adjacency
-
-    def sizes(self, star: bool = False):
-        comps = self.star_components if star else self.z_components
-        return sorted((len(c) for c in comps), reverse=True)
-
-
-def bad_clusters(classification: MacroClassification) -> BadClusterReport:
-    """Components of bad sites under both adjacencies, each list largest
-    first with ties broken by sorted vertices."""
-    if not classification.bad_sites:
-        return BadClusterReport([], [])
-    sites = np.asarray(classification.bad_sites, dtype=np.int64)
-    found = []
-    for star in (False, True):
-        labels, count, lo = _label_cells(sites, star)
-        of_site = labels[tuple((sites - lo).T)]
-        comps = [
-            frozenset(map(tuple, sites[of_site == k].tolist()))
-            for k in range(1, count + 1)
-        ]
-        found.append(sorted(comps, key=lambda c: (-len(c), sorted(c))))
-    return BadClusterReport(z_components=found[0], star_components=found[1])
-
-
-# ---------------------------------------------------------------------------
 # routing through good blocks
 
 
@@ -421,10 +357,6 @@ class RoutedPath:
     vertices: list
     length: int
     length_bound: float
-
-    @property
-    def within_bound(self) -> bool:
-        return self.length <= self.length_bound
 
 
 def route_through_good(
@@ -528,10 +460,6 @@ class SlabExperimentRecord:
     xi: float
     threshold: float
     outcomes: list
-
-    @property
-    def main_event(self) -> bool:
-        return self.outcomes[0].event
 
     def to_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")

@@ -145,6 +145,23 @@ def test_matching_bruteforce_equality(rng):
         assert matching.cost == pytest.approx(brute, abs=1e-9)
 
 
+def two_swap_local_assignment(cost: np.ndarray) -> list[int]:
+    """Assignment locally optimal under transpositions (cross-check path)."""
+    m = cost.shape[0]
+    sigma = list(range(m))
+    improved = True
+    while improved:
+        improved = False
+        for a in range(m):
+            for b in range(a + 1, m):
+                cur = cost[a, sigma[a]] + cost[b, sigma[b]]
+                swp = cost[a, sigma[b]] + cost[b, sigma[a]]
+                if swp < cur - 1e-12:
+                    sigma[a], sigma[b] = sigma[b], sigma[a]
+                    improved = True
+    return sigma
+
+
 def test_two_swap_local_minimum_also_separated(rng):
     # the exchange argument only needs transposition optimality, so a
     # 2-swap local optimum must certify the same separation bound
@@ -155,7 +172,7 @@ def test_two_swap_local_minimum_also_separated(rng):
         s1 = plane_points(rng, 3, 0, 0, K // 2, m_size)
         s2 = plane_points(rng, 3, 0, ell, K // 2, m_size)
         cost = comb._matching_cost_matrix(s1.array, s2.array, K)
-        sigma = comb.two_swap_local_assignment(cost)
+        sigma = two_swap_local_assignment(cost)
         local = comb.SeparatedMatching(
             s1=s1.points,
             s2=s2.points,
@@ -484,6 +501,21 @@ def test_exterior_boundary_translates_and_separates(cells, shift):
             v[:axis] + (v[axis] + sign,) + v[axis + 1 :] in cells
             for axis in range(d) for sign in (-1, 1)
         )
+
+
+def test_label_cells_matches_flood_under_both_adjacencies(rng):
+    for d in (2, 3):
+        for _ in range(50):
+            size = rng.integers(1, 25)
+            sites = {tuple(int(c) for c in v) for v in rng.integers(-4, 5, size=(size, d))}
+            cells = np.asarray(sorted(sites), dtype=np.int64)
+            for star in (False, True):
+                labels, count, lo = comb._label_cells(cells, star)
+                of_site = labels[tuple((cells - lo).T)]
+                assert {
+                    frozenset(map(tuple, cells[of_site == k].tolist()))
+                    for k in range(1, count + 1)
+                } == set(flood_components(sites, star))
 
 
 def test_count_lattice_animals():

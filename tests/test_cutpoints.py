@@ -313,13 +313,13 @@ def test_force_cutpoint_monte_carlo():
         )
         if t_pick is None:
             continue
-        w = tuple(ball.layer_vertices(t_pick)[0])
+        w = box.vertex_coord(ball.layers[t_pick][0])
         plan = force_cutpoint(s, ball, t_pick, w, k)
         assert plan.size <= 4 * 2 * math.sqrt(k)
         after = apply_surgery(s, plan)
         ball2 = grow_ball(after, (0, 0), stop_at_boundary=True)
         assert ball2.resolved_through >= t_pick
-        assert [tuple(v) for v in ball2.layer_vertices(t_pick)] == [w]
+        assert [box.vertex_coord(f) for f in ball2.layers[t_pick]] == [w]
         assert (ball_dist_array(ball2) >= ball_dist_array(ball)).all()
         verified += 1
     assert verified == 30

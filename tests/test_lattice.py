@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_closed, all_open, flood_fill_labels, same_partition
-from percolab import (
-    BoxSpec,
-    PercolationSample,
-    infinite_cluster_proxy,
-    label_clusters,
-    sample_configuration,
+from conftest import (
+    all_closed,
+    all_open,
+    edge_base_flats,
+    face_mask,
+    flood_fill_labels,
+    same_partition,
 )
+from percolab import BoxSpec, PercolationSample, label_clusters, sample_configuration
 from percolab.errors import GeometryError, ResourceLimitError
 from percolab.lattice import _CHUNK, _hash_threshold, _open_edges
 
@@ -97,7 +98,7 @@ def test_near_one_probability_almost_all_open():
     box = BoxSpec(2, 3)
     s = sample_configuration(box, 0.999999, 123)
     assert box.n_edges == 84
-    assert s.open_fraction >= 0.99
+    assert s.open_edges.mean() >= 0.99
 
 
 def test_open_fraction_binomial_concentration():
@@ -106,7 +107,7 @@ def test_open_fraction_binomial_concentration():
     assert box.n_edges == 3 * 2 * 10 * 21**2
     s = sample_configuration(box, 0.7, 1)
     sigma = np.sqrt(0.7 * 0.3 / box.n_edges)
-    assert abs(s.open_fraction - 0.7) < 5 * sigma
+    assert abs(s.open_edges.mean() - 0.7) < 5 * sigma
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,16 +138,14 @@ def test_resource_guards():
         sample_configuration(BoxSpec(2, 3), 1.0, 1)
 
 
-def test_edge_indexing_bijection():
-    box = BoxSpec(3, 2)
-    seen = set()
-    for e in range(box.n_edges):
-        a, b = box.edge_endpoints(e)
-        axis = next(k for k in range(3) if a[k] != b[k])
-        assert b[axis] == a[axis] + 1
-        assert box.edge_index(a, axis) == e
-        seen.add((a, b))
-    assert len(seen) == box.n_edges
+def test_edge_index_follows_the_canonical_order():
+    # edge e of axis k has as lower endpoint entry e - k * edges_per_axis of
+    # the oracle's axis-major, C-ordered list, for a centred and a shifted box
+    for box in (BoxSpec(3, 2), BoxSpec(2, 3, (10, -4))):
+        for axis in range(box.dimension):
+            for j, base in enumerate(edge_base_flats(box, axis)):
+                coord = box.vertex_coord(base)
+                assert box.edge_index(coord, axis) == axis * box.edges_per_axis + j
 
 
 def test_offset_box_contains_and_flats():
@@ -166,11 +165,11 @@ def test_incident_edges_interior_and_corner():
 def test_label_clusters_extremes():
     box = BoxSpec(2, 4)
     lab = label_clusters(all_open(box))
-    assert lab.n_components == 1
+    assert len(lab.sizes) == 1
     assert lab.sizes[0] == box.n_vertices
 
     lab2 = label_clusters(all_closed(box))
-    assert lab2.n_components == box.n_vertices
+    assert len(lab2.sizes) == box.n_vertices
     assert (lab2.sizes == 1).all()
 
 
@@ -183,32 +182,25 @@ def test_label_clusters_matches_flood_fill_oracle():
         assert lab.sizes.sum() == s.box.n_vertices
 
 
-def test_infinite_cluster_proxy_extremes():
+def test_touches_boundary_matches_flood_oracle():
+    # a cluster touches the boundary iff one of its flood-fill vertices lies
+    # on a face; an open line through the centre touches two opposite faces
     box = BoxSpec(2, 4)
-    assert infinite_cluster_proxy(label_clusters(all_open(box))) == 0
-    assert infinite_cluster_proxy(label_clusters(all_closed(box))) is None
-
-
-def test_infinite_cluster_proxy_supercritical_frequency():
-    # p = 0.7 > 1/2 = critical point in d=2: the spanning proxy should
-    # exist in nearly every sample
-    box = BoxSpec(2, 30)
-    found = 0
-    for seed in range(100):
-        lab = label_clusters(sample_configuration(box, 0.7, seed))
-        if infinite_cluster_proxy(lab) is not None:
-            found += 1
-    assert found >= 95
-
-
-def test_proxy_requires_all_faces():
-    # an open straight line spans two opposite faces only: no proxy
-    box = BoxSpec(2, 3)
-    s = all_closed(box)
-    line = [box.edge_index((x, 0), 0) for x in range(-3, 3)]
-    s = s.with_edges(open_idx=line)
-    lab = label_clusters(s)
-    assert infinite_cluster_proxy(lab) is None
+    line = all_closed(box).with_edges(
+        open_idx=[box.edge_index((x, 0), 0) for x in range(-4, 4)]
+    )
+    samples = [all_open(box), all_closed(box), line]
+    samples += [
+        sample_configuration(BoxSpec(d, 4), 0.4, seed) for d in (2, 3) for seed in range(4)
+    ]
+    for s in samples:
+        lab = label_clusters(s)
+        oracle = flood_fill_labels(s)
+        on_face = set(oracle[face_mask(s.box)].tolist())
+        expected = np.isin(oracle, list(on_face))
+        assert np.array_equal(lab.touches_boundary[lab.labels], expected)
+    lab = label_clusters(line)
+    assert lab.touches_boundary[lab.labels[box.flat_index((0, 0))]]
 
 
 def test_serialization_roundtrip_bitexact(tmp_path):

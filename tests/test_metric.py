@@ -14,12 +14,10 @@ from conftest import (
 )
 from percolab import (
     BoxSpec,
-    chemical_distance,
     constrained_distance,
     geodesic,
     grow_ball,
     sample_configuration,
-    volume_threshold_time,
 )
 from percolab import metric
 from percolab.errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
@@ -63,16 +61,15 @@ def test_dist_oracle_more_samples(d, radius, p, seed):
     assert np.array_equal(ball_dist_array(ball), dijkstra_distances(s, src))
 
 
+def chemical_distance(sample, x, y):
+    return grow_ball(sample, x).dist_of(y)
+
+
 def test_chemical_distance_straight_path():
     box = BoxSpec(2, 8)
     s = open_path_sample(box, [(k, 0) for k in range(6)])
     assert chemical_distance(s, (0, 0), (5, 0)) == 5
     assert chemical_distance(s, (0, 0), (0, 1)) == math.inf
-
-
-def test_chemical_distance_floors_real_inputs():
-    s = all_open(BoxSpec(2, 6))
-    assert chemical_distance(s, (0.9, 0.2), (3.7, 0.0)) == 3  # (0,0) -> (3,0)
 
 
 def test_chemical_distance_symmetric_and_l1_bound():
@@ -81,6 +78,7 @@ def test_chemical_distance_symmetric_and_l1_bound():
         x, y = (-2, 1), (3, -2)
         dxy = chemical_distance(s, x, y)
         assert dxy == chemical_distance(s, y, x)
+        assert dxy == dijkstra_distances(s, x)[s.box.flat_index(y)]
         if dxy != math.inf:
             assert dxy >= abs(x[0] - y[0]) + abs(x[1] - y[1])
     assert chemical_distance(all_open(BoxSpec(2, 6)), (-2, 1), (3, -2)) == 8
@@ -204,20 +202,6 @@ def test_predecessor_is_the_least_open_neighbour_one_layer_closer(d, radius, p):
             for t, layer in enumerate(layers):
                 assert (dist[layer] == t).all() and (np.diff(layer) > 0).all()
             _assert_least_predecessors(s, dist, pred)
-
-
-def test_volume_threshold_time():
-    ball = grow_ball(all_open(BoxSpec(2, 8)), (0, 0), t_max=6)
-    assert volume_threshold_time(ball, 1) == 0
-    assert volume_threshold_time(ball, 5) == 1  # |B_1| = 5
-    assert volume_threshold_time(ball, 10**9) is None
-    # prefix-sum oracle on a random sample
-    s = sample_configuration(BoxSpec(2, 7), 0.6, 8)
-    b = grow_ball(s, (0, 0))
-    sizes = np.cumsum([len(l) for l in b.layers])
-    for vol in (1, 3, 7, 20, 10**6):
-        want = next((t for t, c in enumerate(sizes) if c >= vol), None)
-        assert volume_threshold_time(b, vol) == want
 
 
 def test_layers_disjoint_prefix_union():
