@@ -10,6 +10,15 @@ counts through w's hyperplane, and a volume cap floor(n^(7/4)).
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
 lattice; otherwise it is unknowable.
+
+A miss on a face-contaminated ball needs every window vertex resolved: within
+the certified horizon, or unreached with an open cluster that avoids every
+box face. The unreached ones are probed together by a second growth that
+stops at a face or at the ball's frontier ``layers[-1]``: an open edge from
+an unreached vertex into the ball lands in its last layer, so reaching the
+frontier proves the vertex joins the source cluster, which touches a face.
+Each vertex's verdict (in a finite cluster, or joined to a face) is exact,
+so :class:`BallEventContext` keeps it for every later window of that ball.
 """
 
 from __future__ import annotations
@@ -101,26 +110,25 @@ class EventResult:
     axes: tuple[int, int] | None = None  # free-line / hyperplane axes
 
 
-def detect_cutpoints(ball: BallGrowth, t_min: int, t_max: int | None = None):
-    """All singleton layers with t_min <= t (<= t_max), increasing in t.
-
-    Raises when the requested range extends past the certified layers of a
-    boundary-contaminated ball.
-    """
+def detect_cutpoints(ball: BallGrowth, t_min: int):
+    """All certified singleton layers with t >= t_min, increasing in t."""
     if t_min < 1:
         raise PreconditionError("t_min must be >= 1")
-    if t_max is not None and min(t_max, ball.last_time) > ball.resolved_through:
-        raise ContaminatedBallError(
-            f"layers beyond t={ball.resolved_through} are not certified"
-        )
     return [
         CutPointRecord(time=t, location=ball.box.vertex_coord(flat))
-        for t, flat in ball.singletons(t_min, t_max)
+        for t, flat in ball.singletons(t_min)
     ]
 
 
+# verdicts of unreached vertices on one ball; 0 means not probed yet
+_FINITE = np.int8(1)  # open cluster is finite and avoids every box face
+_JOINED = np.int8(2)  # open path to a box face or to the ball's frontier
+
+
 class BallEventContext:
-    """Caches shared work when many specs are evaluated on one ball."""
+    """Caches shared work when many specs are evaluated on one ball: its
+    certified singleton layers, each window's certificate, and the verdict
+    of every vertex a window probe has settled."""
 
     def __init__(self, sample: PercolationSample, ball: BallGrowth):
         self.sample = sample
@@ -129,17 +137,18 @@ class BallEventContext:
             (t, ball.box.coords_of_flats([flat])[0]) for t, flat in ball.singletons()
         ]
         self._resolved: dict = {}
+        self._verdict: np.ndarray | None = None  # int8 per vertex, from the first probe
 
     def window_resolved(self, center: np.ndarray, radius: int) -> bool:
         key = (center.tobytes(), radius)
         hit = self._resolved.get(key)
         if hit is None:
-            hit = _window_resolved(self.sample, self.ball, center, radius)
+            hit = _window_resolved(self, center, radius)
             self._resolved[key] = hit
         return hit
 
 
-def _window_resolved(sample, ball: BallGrowth, center: np.ndarray, radius: int) -> bool:
+def _window_resolved(ctx: BallEventContext, center: np.ndarray, radius: int) -> bool:
     """Every possible witness location has a certified status.
 
     With no contamination the grown cluster is the full Z^d cluster of the
@@ -147,7 +156,14 @@ def _window_resolved(sample, ball: BallGrowth, center: np.ndarray, radius: int) 
     contamination a window vertex is resolved when its distance is within
     the certified horizon, or when it is unreached and its own open cluster
     avoids every box face (then it truly never joins the source cluster).
+
+    The unreached vertices without a verdict are probed together, stopping
+    at a face or at the frontier ``ball.layers[-1]``. A clean probe marks
+    every vertex it reached finite; a failed one marks the predecessor path
+    from each face or frontier vertex it reached back to its source joined.
+    A later window with a joined unreached vertex fails without a probe.
     """
+    ball = ctx.ball
     if not ball.contaminated:
         return True
     lo = np.ceil(center - radius).astype(np.int64)
@@ -163,10 +179,38 @@ def _window_resolved(sample, ball: BallGrowth, center: np.ndarray, radius: int) 
     unreached = dvals == _INF32
     if not (near | unreached).all():
         return False
-    # unreached vertices are certified never-witnesses when their own open
-    # clusters avoid every face; probe them together, stopping at a face
-    probe = grow_ball_flats(sample, flats[unreached], stop_at_boundary=True)
-    return probe.exhausted and not probe.contaminated
+    pending = flats[unreached]
+    if ctx._verdict is not None:
+        status = ctx._verdict[pending]
+        if (status == _JOINED).any():
+            return False
+        pending = pending[status == 0]
+        if pending.size == 0:
+            return True
+    probe = grow_ball_flats(
+        ctx.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
+    )
+    clean = probe.exhausted and not probe.contaminated
+    if clean:
+        marked = np.concatenate(probe.layers)
+    else:
+        # the probe stopped right after its first layer with a face or
+        # frontier vertex, so every such vertex it reached is in that layer
+        last = probe.layers[-1]
+        ends = last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]
+        path = []
+        while ends.size:  # merging paths repeat vertices, never grow in number
+            path.append(ends)
+            ends = probe.pred[ends]
+            ends = ends[ends >= 0]
+        marked = np.concatenate(path)
+    # the verdicts are allocated once the probe's arrays are freed, so that
+    # they do not raise the peak memory of a one-window ball
+    del probe
+    if ctx._verdict is None:
+        ctx._verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
+    ctx._verdict[marked] = _FINITE if clean else _JOINED
+    return clean
 
 
 def _in_window(coord, center: np.ndarray, radius: int) -> bool:

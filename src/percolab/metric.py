@@ -131,7 +131,7 @@ def _grow(
 
     target_set = None
     if targets is not None:
-        target_set = np.asarray(list(targets), dtype=np.int64)
+        target_set = np.asarray(targets, dtype=np.int64)
 
     exhausted = False
     t = 0

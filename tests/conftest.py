@@ -29,6 +29,17 @@ def all_closed(box: BoxSpec, p=0.5, seed=0) -> PercolationSample:
     return PercolationSample(box, p, seed, np.zeros(box.n_edges, dtype=bool))
 
 
+def open_path_sample(box: BoxSpec, vertices) -> PercolationSample:
+    """All closed except the edges between consecutive path vertices."""
+    s = all_closed(box)
+    idx = []
+    for a, b in zip(vertices, vertices[1:]):
+        axis = next(k for k in range(box.dimension) if a[k] != b[k])
+        base = a if b[axis] > a[axis] else b
+        idx.append(box.edge_index(base, axis))
+    return s.with_edges(open_idx=idx)
+
+
 def edge_base_flats(box: BoxSpec, axis: int) -> np.ndarray:
     """Flat indices of the lower endpoints of the axis edges, in canonical
     edge order (axis-major, then C order of the lower endpoint)."""

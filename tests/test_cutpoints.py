@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     all_closed,
@@ -12,6 +15,8 @@ from conftest import (
     edge_base_flats,
     exterior_boundary_oracle,
     face_mask,
+    flood_fill_labels,
+    open_path_sample,
 )
 from percolab import (
     BoxSpec,
@@ -28,8 +33,9 @@ from percolab import (
     line_count,
     sample_configuration,
 )
+from percolab import cutpoints
 from percolab.cutpoints import BallEventContext, upper_tail_outcome
-from percolab.errors import ContaminatedBallError, PreconditionError, SurgeryPlanError
+from percolab.errors import PreconditionError, SurgeryPlanError
 from percolab.estimators import target_distance
 
 
@@ -71,13 +77,18 @@ def test_detect_all_open_empty():
     assert detect_cutpoints(ball, 1) == []
 
 
-def test_detect_contaminated_errors():
-    ball = grow_ball(all_open(BoxSpec(2, 4)), (0, 0))
-    assert ball.contaminated
-    with pytest.raises(ContaminatedBallError):
-        detect_cutpoints(ball, 1, t_max=ball.last_time)
-    # certified range still works
-    assert detect_cutpoints(ball, 1, t_max=ball.resolved_through) == []
+def test_detect_lists_only_certified_singletons_of_a_contaminated_ball():
+    # a spine that reaches the face at t = 4 and then runs along it: the
+    # layers past the first face contact are singletons too, but uncertified
+    box = BoxSpec(2, 4)
+    s = open_spine(box, 4).with_edges(
+        open_idx=[box.edge_index((4, j), 1) for j in range(4)]
+    )
+    ball = grow_ball(s, (0, 0))
+    assert ball.contaminated and ball.resolved_through == 4
+    assert [len(layer) for layer in ball.layers] == [1] * 9
+    recs = detect_cutpoints(ball, 1)
+    assert [(r.time, r.location) for r in recs] == [(t, (t, 0)) for t in range(1, 5)]
 
 
 def test_figure_construction_cutpoint_at_spine_end():
@@ -197,6 +208,100 @@ def test_event_nesting_in_s_exact():
             assert flags[i + 1] <= flags[i]
         hits += np.asarray(flags, dtype=int)
     assert (np.diff(hits) <= 0).all()
+
+
+def resolved_vertices_oracle(sample):
+    """Per vertex: within the origin's first face distance, or in an open
+    cluster with no face vertex (oracle)."""
+    box = sample.box
+    dist = dijkstra_distances(sample, (0,) * box.dimension)
+    face = face_mask(box)
+    labels = flood_fill_labels(sample)
+    return (dist <= dist[face].min()) | ~np.isin(labels, labels[face])
+
+
+def centred_windows(radius, d):
+    """(r, 2 * centre) of windows inside [-radius, radius]^d, touching its
+    faces at the ends of the ranges."""
+    return st.integers(0, radius).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.integers(2 * (r - radius), 2 * (radius - r)), min_size=d, max_size=d),
+    ))
+
+
+@pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
+@given(data=st.data())
+def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
+    radius = data.draw(st.integers(*radii))
+    p = data.draw(st.sampled_from((0.3, 0.45, 0.55, 0.7)))
+    s = sample_configuration(BoxSpec(d, radius), p, data.draw(st.integers(0, 2**32 - 1)))
+    box = s.box
+    resolved = resolved_vertices_oracle(s)
+    ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
+    shared = BallEventContext(s, ball)
+    for r, twice in data.draw(st.lists(centred_windows(radius, d), min_size=1, max_size=8)):
+        center = np.asarray(twice, dtype=float) / 2
+        lo = np.ceil(center - r).astype(int)
+        hi = np.floor(center + r).astype(int)
+        window = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        expected = all(resolved[box.flat_index(v)] for v in window)
+        assert shared.window_resolved(center, r) == expected
+        assert BallEventContext(s, ball).window_resolved(center, r) == expected
+    # the verdicts kept on a shared context do not depend on the call order
+    specs = data.draw(st.lists(st.builds(
+        EventSpec,
+        s=st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+        x=st.tuples(*[st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))] * d),
+        n=st.integers(2, 4),
+    ), min_size=1, max_size=10))
+    shared = BallEventContext(s, ball)
+    for spec in data.draw(st.permutations(specs)):
+        fresh = event_A(s, spec, ball=ball)
+        assert event_A(s, spec, ball=shared).outcome is fresh.outcome
+
+
+def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
+    # the ball first touches the face at (-12, 0), at t = 12, when its other
+    # arm ends at the interior frontier vertex (6, 6); an unreached corridor
+    # (6, 7) .. (6, 9) leads into that vertex
+    box = BoxSpec(2, 12)
+    spine = [(k, 0) for k in range(-12, 0)]
+    arm = [(0, j) for j in range(7)] + [(i, 6) for i in range(1, 7)]
+    corridor = [(6, j) for j in range(7, 10)]
+    s = open_path_sample(box, spine + arm + corridor)
+    ball = grow_ball(s, (0, 0), stop_at_boundary=True)
+    assert ball.resolved_through == ball.last_time == 12
+    assert {box.vertex_coord(f) for f in ball.layers[-1]} == {(-12, 0), (6, 6)}
+
+    probes = []
+    grow = cutpoints.grow_ball_flats
+
+    def counting(*args, **kwargs):
+        probes.append(grow(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(cutpoints, "grow_ball_flats", counting)
+    ctx = BallEventContext(s, ball)
+    assert not ctx.window_resolved(np.array([6.0, 9.0]), 1)
+    # the failed probe stops on entering the frontier, short of any face
+    probe, = probes
+    assert probe.first_boundary_time is None and not probe.exhausted
+    assert box.flat_index((6, 6)) in probe.layers[-1] and probe.last_time == 2
+    for center in ((7.0, 8.0), (6.0, 8.0), (5.5, 8.5)):
+        assert not ctx.window_resolved(np.array(center), 1)
+    assert len(probes) == 1
+    # the frontier vertex's own verdict is never read: with the corridor
+    # left out, its window holds only ball vertices and isolated ones
+    assert ctx.window_resolved(np.array([6.0, 5.0]), 1)
+
+    # isolated vertices: a clean probe, then only the vertices without a
+    # verdict are probed, and none when every vertex has one
+    assert ctx.window_resolved(np.array([-6.0, 8.0]), 1)
+    assert ctx.window_resolved(np.array([-5.0, 8.0]), 1)
+    assert len(probes) == 4
+    assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
+    assert ctx.window_resolved(np.array([-5.5, 8.0]), 1)
+    assert len(probes) == 4
 
 
 def test_line_count():

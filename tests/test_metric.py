@@ -11,6 +11,7 @@ from conftest import (
     ball_dist_array,
     dijkstra_distances,
     edge_base_flats,
+    open_path_sample,
 )
 from percolab import (
     BoxSpec,
@@ -22,16 +23,6 @@ from percolab import (
 from percolab import metric
 from percolab.errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
 from percolab.metric import distance_map_csv
-
-
-def open_path_sample(box, vertices):
-    s = all_closed(box)
-    idx = []
-    for a, b in zip(vertices, vertices[1:]):
-        axis = next(k for k in range(box.dimension) if a[k] != b[k])
-        base = a if b[axis] > a[axis] else b
-        idx.append(box.edge_index(base, axis))
-    return s.with_edges(open_idx=idx)
 
 
 def test_full_lattice_layers_are_l1_spheres():
@@ -253,6 +244,26 @@ def test_certified_distance_statuses():
     # open line running into the face: cluster truth unknowable
     s2 = open_path_sample(box, [(k, 0) for k in range(-6, 1)])
     assert certified(s2, (0, 3)) is None
+
+
+@pytest.mark.parametrize("d, radius, p", [(2, 8, 0.55), (3, 4, 0.4)])
+def test_targets_as_list_or_array_grow_the_same_ball(d, radius, p, rng):
+    box = BoxSpec(d, radius)
+    for seed in range(10):
+        s = sample_configuration(box, p, seed)
+        sources = rng.choice(box.n_vertices, size=3, replace=False)
+        targets = rng.choice(box.n_vertices, size=int(rng.integers(1, 40)))
+        grown = [
+            metric.grow_ball_flats(s, sources, targets=t, stop_at_boundary=stop)
+            for stop in (False, True)
+            for t in ([int(f) for f in targets], targets.astype(np.int64))
+        ]
+        for a, b in (grown[:2], grown[2:]):
+            assert np.array_equal(a.dist, b.dist)
+            assert np.array_equal(a.pred, b.pred)
+            assert len(a.layers) == len(b.layers)
+            assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
+            assert (a.first_boundary_time, a.exhausted) == (b.first_boundary_time, b.exhausted)
 
 
 def test_distance_map_csv():
