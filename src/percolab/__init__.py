@@ -55,9 +55,7 @@ from .estimators import (
 from .harness import cli_dispatch, main
 from .lattice import (
     BoxSpec,
-    ClusterLabeling,
     PercolationSample,
-    label_clusters,
     sample_configuration,
 )
 from .metric import (

@@ -7,6 +7,11 @@ within sup-distance floor(n^alpha) of n*x; the free-line refinement
 additionally demands an axis line meeting the ball only at w, thin line
 counts through w's hyperplane, and a volume cap floor(n^(7/4)).
 
+Both events are scored by ``event_A(ctx, spec)`` and
+``event_A_free(ctx, spec)`` on a :class:`BallEventContext`: the ball grown
+from the origin until its first face contact, with its certified singleton
+layers and window verdicts shared by every spec evaluated on it.
+
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
 lattice; otherwise it is unknowable.
@@ -36,13 +41,7 @@ from .errors import (
     SurgeryPlanError,
 )
 from .lattice import PercolationSample
-from .metric import (
-    BallGrowth,
-    _INF32,
-    geodesic,
-    grow_ball,
-    grow_ball_flats,
-)
+from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
 
 
 def alpha_default(d: int) -> float:
@@ -217,50 +216,18 @@ def _in_window(coord, center: np.ndarray, radius: int) -> bool:
     return bool(np.max(np.abs(np.asarray(coord, dtype=float) - center)) <= radius)
 
 
-def _boundary_stat_ok(ball: BallGrowth, t: int, cap: float) -> bool:
-    """Sufficient check for the enclosing-contour event: the exterior vertex
-    boundary of B_t has at most ``cap`` vertices."""
-    from .combinatorics import exterior_boundary
+def event_A(ctx: BallEventContext, spec: EventSpec) -> EventResult:
+    """Windowed cut-point event on the context's ball.
 
-    flats = np.concatenate(ball.layers[: t + 1])
-    bnd = exterior_boundary(ball.box.coords_of_flats(flats))
-    return len(bnd.boundary) <= cap
-
-
-def event_A(
-    sample: PercolationSample,
-    spec: EventSpec,
-    K: float | None = None,
-    *,
-    ball: BallGrowth | None = None,
-    window: int | None = None,
-) -> EventResult:
-    """Windowed cut-point event for the ball grown from the lattice origin.
-
-    Returns the least witness time when the event holds. With ``K`` given,
-    a witness additionally needs an exterior ball boundary of size <= K*n.
-    The scan is capped at the ball's certified horizon ``resolved_through``.
+    A witness is a certified singleton layer (t, w) with t >= s n and w
+    within sup-distance floor(n^alpha) of n x. Returns the least witness
+    time when the event holds; the scan stops at the ball's certified
+    horizon ``resolved_through``.
     """
-    box = sample.box
-    d = box.dimension
-    ctx = _as_context(sample, ball)
-    w_rad = spec.window(d) if window is None else window
-    center = spec.center(d)
-    threshold = spec.time_threshold()
-    return _eval_windowed(
-        ctx, center, w_rad, threshold, K,
-        n=spec.n, free=False, alpha_window=spec.window(d),
-        volume_cap=spec.volume_cap(),
-    )
+    return _eval_windowed(ctx, spec, free=False)
 
 
-def event_A_free(
-    sample: PercolationSample,
-    spec: EventSpec,
-    K: float | None = None,
-    *,
-    ball: BallGrowth | None = None,
-) -> EventResult:
+def event_A_free(ctx: BallEventContext, spec: EventSpec) -> EventResult:
     """Free-line refinement of the windowed cut-point event.
 
     A witness (t, w) needs, besides a singleton layer with t >= s n - 3 w0
@@ -268,42 +235,29 @@ def event_A_free(
     meeting B_t only at w; some axis j with all line counts through w's
     j-hyperplane slice of B_t at most w0; and |B_t| <= floor(n^(7/4)).
     """
-    d = sample.box.dimension
-    ctx = _as_context(sample, ball)
-    return _eval_windowed(
-        ctx, spec.center(d), spec.window_free(d),
-        spec.time_threshold_free(d), K,
-        n=spec.n, free=True, alpha_window=spec.window(d),
-        volume_cap=spec.volume_cap(),
-    )
+    return _eval_windowed(ctx, spec, free=True)
 
 
-def _as_context(sample, ball):
-    if isinstance(ball, BallEventContext):
-        return ball
-    if ball is None:
-        origin = (0,) * sample.box.dimension
-        ball = grow_ball(sample, origin, stop_at_boundary=True)
-    return BallEventContext(sample, ball)
-
-
-def _eval_windowed(
-    ctx: BallEventContext, center, w_rad, threshold, K, *, n, free,
-    alpha_window, volume_cap,
-):
+def _eval_windowed(ctx: BallEventContext, spec: EventSpec, free: bool) -> EventResult:
+    """The least witness of the plain or free-line event, else MISS when
+    the window is certified and UNKNOWABLE when it is not."""
     ball = ctx.ball
+    d = ball.box.dimension
+    center = spec.center(d)
+    if free:
+        radius, threshold = spec.window_free(d), spec.time_threshold_free(d)
+    else:
+        radius, threshold = spec.window(d), spec.time_threshold()
     candidates = []
     if threshold <= 0:
         candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
     candidates.extend((t, c) for t, c in ctx.singletons if t >= threshold)
     for t, coord in candidates:
-        if not _in_window(coord, center, w_rad):
-            continue
-        if K is not None and not _boundary_stat_ok(ball, t, K * n):
+        if not _in_window(coord, center, radius):
             continue
         axes = None
         if free:
-            ok, axes = _free_conditions(ball, t, coord, alpha_window, volume_cap)
+            ok, axes = _free_conditions(ball, t, coord, spec.window(d), spec.volume_cap())
             if not ok:
                 continue
         return EventResult(
@@ -311,7 +265,7 @@ def _eval_windowed(
             witness=CutPointRecord(t, tuple(int(c) for c in coord)),
             axes=axes,
         )
-    if ctx.window_resolved(center, w_rad):
+    if ctx.window_resolved(center, radius):
         return EventResult(outcome=EventOutcome.MISS)
     return EventResult(outcome=EventOutcome.UNKNOWABLE)
 

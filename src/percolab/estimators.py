@@ -40,31 +40,26 @@ from .cutpoints import (
     alpha_default,
     event_A,
     event_A_free,
-    grow_ball,
     upper_tail_outcome,
 )
 from .errors import GridCoverageError, PreconditionError
-from .lattice import _MASK64, _SPLIT, _SPLIT_INC, BoxSpec, _mix64, sample_configuration
+from .lattice import _MASK64, _SPLIT, BoxSpec, _mix64, sample_configuration
+from .metric import grow_ball
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
 EVENT_KINDS = ("cutpoint", "free", "upper_tail")
 
 
-def replicate_seed(seed: int, index):
+def replicate_seed(seed: int, index: int) -> int:
     """Output ``index`` of a SplitMix64 stream keyed by the mixed run seed.
 
     The finalizer is a bijection, so one run's indices never share a seed.
     Two runs of at most N replicates share one only when their keys differ
-    by k times the stream increment for some |k| < N. ``index`` may be an
-    integer array; a Python int takes the same step in Python integers.
+    by k times the stream increment for some |k| < N.
     """
     key = _mix64(int(seed) & _MASK64)
-    if isinstance(index, int):
-        return _mix64((key + index * _SPLIT[0]) & _MASK64)
-    with np.errstate(over="ignore"):
-        out = _mix64(np.uint64(key) + np.asarray(index, dtype=np.uint64) * _SPLIT_INC)
-    return out if out.ndim else int(out)
+    return _mix64((key + index * _SPLIT[0]) & _MASK64)
 
 
 def wilson_interval(hits: int, trials: int):
@@ -184,7 +179,7 @@ def _ball_codes(sample, d: int, specs, free: bool = False):
     ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
     ctx = BallEventContext(sample, ball)
     fn = event_A_free if free else event_A
-    return tuple(OUTCOME_CODES[fn(sample, spec, ball=ctx).outcome] for spec in specs)
+    return tuple(OUTCOME_CODES[fn(ctx, spec).outcome] for spec in specs)
 
 
 def target_distance(sample, n: int, x):

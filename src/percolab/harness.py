@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import combinatorics as comb
-from .cutpoints import detect_cutpoints, grow_ball
+from .cutpoints import detect_cutpoints
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
@@ -50,7 +50,7 @@ from .lattice import (
     PercolationSample,
     sample_configuration,
 )
-from .metric import distance_map_csv
+from .metric import _INF32, grow_ball
 from .parallel import run_parallel
 from .renorm import classify_boxes, route_through_good, slab_experiment
 
@@ -400,9 +400,17 @@ def _cmd_ball(cfg, out_dir):
     _require_dimension(sample, "source", [cfg["source"]])
     t_max = cfg["t_max"] or None
     ball = grow_ball(sample, tuple(cfg["source"]), t_max=t_max)
+    box = sample.box
+    coords = box.coords_of_flats(np.arange(box.n_vertices)).tolist()
     path = os.path.join(out_dir, cfg["csv"])
-    with open(path, "w", newline="") as fh:
-        distance_map_csv(ball, fh)
+    write_csv(
+        path, "dist",
+        [f"x{k + 1}" for k in range(box.dimension)] + ["dist"],
+        [
+            coord + ["inf" if v == _INF32 else v]
+            for coord, v in zip(coords, ball.dist.tolist())
+        ],
+    )
     return [path]
 
 
@@ -455,8 +463,14 @@ def _cmd_slab(cfg, out_dir):
         rho=cfg["rho"] or None,
     )
     path = os.path.join(out_dir, cfg["csv"])
-    with open(path, "w", newline="") as fh:
-        record.to_csv(fh)
+    write_csv(
+        path, "slab", ["n", "slab_index", "offset", "distance", "event"],
+        [
+            [record.n, i, ";".join(map(str, o.offset)),
+             "inf" if math.isinf(o.distance) else int(o.distance), int(o.event)]
+            for i, o in enumerate(record.outcomes)
+        ],
+    )
     return [path]
 
 

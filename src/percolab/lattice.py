@@ -47,20 +47,14 @@ _SPLIT_INC, _SPLIT_M1, _SPLIT_M2 = (np.uint64(c) for c in _SPLIT)
 _CHUNK = 1 << 15  # edges hashed per pass: three uint64 buffers fit in L2
 
 
-def _mix64(x):
-    """SplitMix64 finalizer over uint64 values, or over one Python int in
-    masked integer arithmetic."""
-    if isinstance(x, int):
-        inc, m1, m2 = _SPLIT
-        z = (x + inc) & _MASK64
-        z = ((z ^ (z >> 30)) * m1) & _MASK64
-        z = ((z ^ (z >> 27)) * m2) & _MASK64
-        return z ^ (z >> 31)
-    with np.errstate(over="ignore"):
-        z = x + _SPLIT_INC
-        z = (z ^ (z >> np.uint64(30))) * _SPLIT_M1
-        z = (z ^ (z >> np.uint64(27))) * _SPLIT_M2
-        return z ^ (z >> np.uint64(31))
+def _mix64(x: int) -> int:
+    """SplitMix64 finalizer of one 64-bit Python int, in masked integer
+    arithmetic (``_open_edges`` takes the same steps on uint64 arrays)."""
+    inc, m1, m2 = _SPLIT
+    z = (x + inc) & _MASK64
+    z = ((z ^ (z >> 30)) * m1) & _MASK64
+    z = ((z ^ (z >> 27)) * m2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _hash_threshold(p: float) -> int:
@@ -358,16 +352,6 @@ def sample_configuration(box: BoxSpec, p: float, seed: int) -> PercolationSample
     return PercolationSample(box, float(p), int(seed), open_edges)
 
 
-@dataclass
-class ClusterLabeling:
-    """Connected components of the open subgraph of one sample."""
-
-    box: BoxSpec
-    labels: np.ndarray  # component id per vertex (flat order)
-    sizes: np.ndarray  # size per component id
-    touches_boundary: np.ndarray  # per component id: meets a box face
-
-
 def window_components(sample: PercolationSample, lo, hi):
     """Open clusters of the subgraph induced on the coordinate window
     [lo, hi) (exclusive upper): (component id per window vertex, shaped like
@@ -389,15 +373,3 @@ def window_components(sample: PercolationSample, lo, hi):
     )
     n_comp, labels = connected_components(graph, directed=False)
     return labels.reshape(shape), np.bincount(labels, minlength=n_comp), flats
-
-
-def label_clusters(sample: PercolationSample) -> ClusterLabeling:
-    """Label open clusters (connected components of open edges)."""
-    box = sample.box
-    labels, sizes, _ = window_components(
-        sample, box.low_corner, np.add(box.high_corner, 1)
-    )
-    labels = labels.reshape(-1)
-    touches = np.zeros(len(sizes), dtype=bool)
-    touches[labels[box.face_flat]] = True
-    return ClusterLabeling(box=box, labels=labels, sizes=sizes, touches_boundary=touches)

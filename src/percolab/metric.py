@@ -19,7 +19,6 @@ onto outcomes exists.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -285,17 +284,3 @@ def geodesic(ball: BallGrowth, target) -> list[tuple[int, ...]]:
     path.reverse()
     assert len(path) - 1 == int(ball.dist[ft])
     return [box.vertex_coord(f) for f in path]
-
-
-def distance_map_csv(ball: BallGrowth, fh) -> None:
-    """Dump the distance map: columns x1..xd then dist ('inf' if unreached)."""
-    box = ball.box
-    writer = csv.writer(fh, lineterminator="\n")
-    fh.write(f"# percolab-csv dist v1\n")
-    writer.writerow([f"x{k + 1}" for k in range(box.dimension)] + ["dist"])
-    coords = box.coords_of_flats(np.arange(box.n_vertices))
-    for flat in range(box.n_vertices):
-        v = ball.dist[flat]
-        writer.writerow(
-            [int(c) for c in coords[flat]] + ["inf" if v == _INF32 else int(v)]
-        )

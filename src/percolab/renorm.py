@@ -176,17 +176,16 @@ def classify_boxes(
     N: int,
     epsilon: float,
     mu_hat,
-    *,
-    condition3_sources: int = CONDITION3_SAMPLED_SOURCES,
 ) -> MacroClassification:
     """Classify every macroscopic site whose enlarged block fits in the box.
 
     Condition 3 takes every dominant-cluster vertex as a source and
     measures distances in the whole sample box; above
-    ``CONDITION3_EXACT_CUTOFF`` cluster vertices only ``condition3_sources``
-    evenly spaced sources are used and the record is flagged as sampled.
-    All sources of a site grow in one bit-parallel BFS that stops as soon
-    as the verdict is certain (see :func:`_condition3`).
+    ``CONDITION3_EXACT_CUTOFF`` cluster vertices only
+    ``CONDITION3_SAMPLED_SOURCES`` evenly spaced sources are used and the
+    record is flagged as sampled. All sources of a site grow in one
+    bit-parallel BFS that stops as soon as the verdict is certain (see
+    :func:`_condition3`).
     """
     box = sample.box
     d = box.dimension
@@ -219,7 +218,7 @@ def classify_boxes(
             continue
         ok3, sampled = _condition3(
             sample, mask, lo, mu, epsilon * N,
-            cutoff=CONDITION3_EXACT_CUTOFF, n_sources=condition3_sources,
+            cutoff=CONDITION3_EXACT_CUTOFF, n_sources=CONDITION3_SAMPLED_SOURCES,
         )
         if not ok3:
             records[tuple(site)] = SiteRecord(
@@ -460,16 +459,6 @@ class SlabExperimentRecord:
     xi: float
     threshold: float
     outcomes: list
-
-    def to_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        fh.write("# percolab-csv slab v1\n")
-        writer.writerow(["n", "slab_index", "offset", "distance", "event"])
-        for i, o in enumerate(self.outcomes):
-            dist = "inf" if math.isinf(o.distance) else int(o.distance)
-            writer.writerow(
-                [self.n, i, ";".join(map(str, o.offset)), dist, int(o.event)]
-            )
 
 
 def slab_experiment(

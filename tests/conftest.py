@@ -9,9 +9,11 @@ from hypothesis import settings
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from percolab import BoxSpec, PercolationSample
+from percolab import BoxSpec, PercolationSample, grow_ball
+from percolab.cutpoints import BallEventContext
 
 INF32 = np.uint32(0xFFFFFFFF)
+MASK64 = (1 << 64) - 1
 
 # property tests draw the same examples on every run, so that Tier-1 is
 # reproducible, and an example is never failed for being slow
@@ -38,6 +40,31 @@ def open_path_sample(box: BoxSpec, vertices) -> PercolationSample:
         base = a if b[axis] > a[axis] else b
         idx.append(box.edge_index(base, axis))
     return s.with_edges(open_idx=idx)
+
+
+def origin_context(sample: PercolationSample) -> BallEventContext:
+    """Event context of the ball grown from the origin until its first face
+    contact, as the estimators build it."""
+    ball = grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
+    return BallEventContext(sample, ball)
+
+
+def mix64_oracle(x):
+    """SplitMix64 finalizer over a uint64 array, written out for the tests."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def replicate_seed_oracle(seed: int, indices) -> np.ndarray:
+    """Outputs ``indices`` (a uint64 array) of the SplitMix64 stream keyed
+    by mix64(seed), in uint64 arithmetic (oracle)."""
+    key = mix64_oracle(np.uint64(int(seed) & MASK64))
+    with np.errstate(over="ignore"):
+        steps = np.asarray(indices, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        return mix64_oracle(key + steps)
 
 
 def edge_base_flats(box: BoxSpec, axis: int) -> np.ndarray:

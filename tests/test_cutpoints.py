@@ -12,11 +12,10 @@ from conftest import (
     ball_dist_array,
     certified_distance_oracle,
     dijkstra_distances,
-    edge_base_flats,
-    exterior_boundary_oracle,
     face_mask,
     flood_fill_labels,
     open_path_sample,
+    origin_context,
 )
 from percolab import (
     BoxSpec,
@@ -103,13 +102,13 @@ def test_figure_construction_cutpoint_at_spine_end():
 
 def test_event_A_zero_spec_always_occurs():
     for sample in (all_open(BoxSpec(2, 10)), all_closed(BoxSpec(2, 10))):
-        res = event_A(sample, EventSpec(0.0, (0.0, 0.0), 8))
+        res = event_A(origin_context(sample), EventSpec(0.0, (0.0, 0.0), 8))
         assert res.outcome is EventOutcome.HIT
         assert res.witness.time == 0 and res.witness.location == (0, 0)
 
 
 def test_event_A_all_open_miss():
-    res = event_A(all_open(BoxSpec(2, 20)), EventSpec(0.25, (0.0, 0.0), 8))
+    res = event_A(origin_context(all_open(BoxSpec(2, 20))), EventSpec(0.25, (0.0, 0.0), 8))
     assert res.outcome is EventOutcome.MISS
 
 
@@ -118,80 +117,25 @@ def test_event_A_forced_path():
     # are singleton layers, so the event holds for s n within the length
     box = BoxSpec(2, 20)
     s = open_spine(box, 7)
-    res = event_A(s, EventSpec(0.5, (0.0, 0.0), 8))
+    res = event_A(origin_context(s), EventSpec(0.5, (0.0, 0.0), 8))
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 4 and res.witness.location == (4, 0)
 
 
-def test_event_A_boundary_cap_on_a_spine_touching_the_face():
-    # B_5 is the spine (0,0)..(5,0) and reaches the box face at t = 5; its
-    # exterior boundary is taken in Z^d, so the contour check still applies
+def test_event_A_hits_on_a_spine_touching_the_face():
+    # B_5 is the spine (0,0)..(5,0) and reaches the box face at t = 5, the
+    # last certified layer, so the face-stopped ball still certifies it
     box = BoxSpec(2, 5)
-    res = event_A(open_spine(box, 5), EventSpec(s=1.0, x=(1, 0), n=5), K=10)
+    res = event_A(origin_context(open_spine(box, 5)), EventSpec(s=1.0, x=(1, 0), n=5))
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 5 and res.witness.location == (5, 0)
-
-
-def cube_with_spine(box, p, seed, R):
-    """A p-sample with every edge that is not inside [-R, R]^d closed, plus
-    an open spine along axis 0 from the origin to the face."""
-    keep = []
-    for axis in range(box.dimension):
-        low = box.coords_of_flats(edge_base_flats(box, axis))
-        high = low.copy()
-        high[:, axis] += 1
-        keep.append((np.abs(low).max(axis=1) <= R) & (np.abs(high).max(axis=1) <= R))
-    sample = sample_configuration(box, p, seed)
-    cube = sample.with_edges(close_idx=np.flatnonzero(~np.concatenate(keep)))
-    zeros = (0,) * (box.dimension - 1)
-    return cube.with_edges(
-        open_idx=[box.edge_index((k,) + zeros, 0) for k in range(box.radius)]
-    )
-
-
-def test_event_A_boundary_cap_agrees_with_the_oracle_d3():
-    # face-stopped d = 3 balls: a random cluster in [-4, 4]^3 with a spine
-    # out to the face, whose vertices past the cube are the late singleton
-    # layers. With K given, the witness is the first of them whose B_t has
-    # an oracle exterior boundary of at most K n.
-    box = BoxSpec(3, 20)
-    n = 30
-    checked = 0
-    for seed in range(20):
-        sample = cube_with_spine(box, 0.45, seed, 4)
-        ball = grow_ball(sample, (0, 0, 0), stop_at_boundary=True)
-        assert ball.contaminated
-        past = int(ball.dist[box.flat_index((5, 0, 0))])
-        times = [t for t, _ in ball.singletons(past)]
-        if len(times) < 2:
-            continue
-        size = {
-            t: len(exterior_boundary_oracle(
-                box.coords_of_flats(np.concatenate(ball.layers[: t + 1]))
-            )[0])
-            for t in times
-        }
-        assert size[times[0]] > 100
-        spec = EventSpec((past - 0.5) / n, (0.0, 0.0, 0.0), n)
-        assert spec.window(3) >= box.radius
-        for cap in sorted(set(size.values()) | {min(size.values()) - 1}):
-            res = event_A(sample, spec, K=cap / n, ball=ball)
-            first = next((t for t in times if size[t] <= cap), None)
-            if first is None:
-                assert res.outcome is not EventOutcome.HIT
-            else:
-                assert res.outcome is EventOutcome.HIT and res.witness.time == first
-        checked += 1
-        if checked == 5:
-            break
-    assert checked == 5
 
 
 def test_event_A_window_constraint():
     # witness exists in time but lies outside a window centred away from it
     box = BoxSpec(2, 30)
     s = open_spine(box, 7)
-    res = event_A(s, EventSpec(0.5, (-2.0, 0.0), 8))
+    res = event_A(origin_context(s), EventSpec(0.5, (-2.0, 0.0), 8))
     assert res.outcome is EventOutcome.MISS
 
 
@@ -201,8 +145,8 @@ def test_event_nesting_in_s_exact():
     hits = np.zeros(4, dtype=int)
     for seed in range(300):
         s = sample_configuration(BoxSpec(2, 26), 0.7, seed)
-        ctx = BallEventContext(s, grow_ball(s, (0, 0), stop_at_boundary=True))
-        results = [event_A(s, spec, ball=ctx) for spec in box_specs]
+        ctx = origin_context(s)
+        results = [event_A(ctx, spec) for spec in box_specs]
         flags = [r.outcome is EventOutcome.HIT for r in results]
         for i in range(3):
             assert flags[i + 1] <= flags[i]
@@ -256,8 +200,8 @@ def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
     ), min_size=1, max_size=10))
     shared = BallEventContext(s, ball)
     for spec in data.draw(st.permutations(specs)):
-        fresh = event_A(s, spec, ball=ball)
-        assert event_A(s, spec, ball=shared).outcome is fresh.outcome
+        fresh = event_A(BallEventContext(s, ball), spec)
+        assert event_A(shared, spec).outcome is fresh.outcome
 
 
 def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
@@ -321,7 +265,7 @@ def test_event_A_free_spine_d3():
     s = open_spine(box, 5)
     spec = EventSpec(0.25, (0.0, 0.0, 0.0), 20)
     # threshold 5 - 3*window < 0 is degenerate; use the spine's own time
-    res = event_A_free(s, spec)
+    res = event_A_free(origin_context(s), spec)
     assert res.outcome is EventOutcome.HIT
     i, j = res.axes
     assert i != j
@@ -335,32 +279,40 @@ def test_event_A_free_nondegenerate_threshold():
     w = int(n ** alpha_default(3))
     spec = EventSpec(2.6, (0.0, 0.0, 0.0), n)
     assert spec.time_threshold_free(3) > 0
-    res = event_A_free(s, spec)
+    res = event_A_free(origin_context(s), spec)
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time >= spec.time_threshold_free(3)
 
 
 def test_event_A_free_all_open_miss():
     # box large enough that every window vertex distance is certified
-    res = event_A_free(all_open(BoxSpec(2, 45)), EventSpec(3.0, (0.0, 0.0), 6))
+    res = event_A_free(origin_context(all_open(BoxSpec(2, 45))), EventSpec(3.0, (0.0, 0.0), 6))
     assert res.outcome is EventOutcome.MISS
 
 
 def test_free_implies_relaxed_plain_event():
-    spec = EventSpec(0.25, (0.0, 0.0), 8)
-    w = spec.window(2)
+    # the free witness is a certified singleton layer (or the source at
+    # t = 0) at t >= s n - 3 w, within 4 w of n x: the plain event with the
+    # relaxed threshold and the 4 w window. At s = 2.5 the threshold is
+    # positive, so some witnesses are late singleton layers.
     box = BoxSpec(2, 30)
-    checked = 0
-    for seed in range(200):
-        s = sample_configuration(box, 0.7, seed)
-        ball = grow_ball(s, (0, 0), stop_at_boundary=True)
-        free = event_A_free(s, spec, ball=ball)
-        if free.outcome is EventOutcome.HIT:
-            relaxed = EventSpec(spec.s - 3 * w / spec.n, spec.x, spec.n)
-            plain = event_A(s, relaxed, ball=ball, window=4 * w)
-            assert plain.outcome is EventOutcome.HIT
-            checked += 1
-    assert checked > 0
+    for spec, late in ((EventSpec(0.25, (0.0, 0.0), 8), 0), (EventSpec(2.5, (0.5, 0.0), 8), 1)):
+        w = spec.window(2)
+        times = []
+        for seed in range(200):
+            ctx = origin_context(sample_configuration(box, 0.7, seed))
+            free = event_A_free(ctx, spec)
+            if free.outcome is not EventOutcome.HIT:
+                continue
+            t, location = free.witness.time, free.witness.location
+            layers = [(0, ctx.ball.source)] + [
+                (u, tuple(int(c) for c in coord)) for u, coord in ctx.singletons
+            ]
+            assert (t, location) in layers
+            assert t >= spec.s * spec.n - 3 * w
+            assert max(abs(c - spec.n * x) for c, x in zip(location, spec.x)) <= 4 * w
+            times.append(t)
+        assert times and min(times) >= late
 
 
 def test_apply_surgery_basics():
@@ -438,7 +390,7 @@ def test_force_cutpoint_preserves_event():
     for seed in range(400):
         s = sample_configuration(box, 0.7, seed)
         ball = grow_ball(s, (0, 0), stop_at_boundary=True)
-        res = event_A(s, spec, ball=ball)
+        res = event_A(BallEventContext(s, ball), spec)
         if res.outcome is not EventOutcome.HIT or res.witness.time == 0:
             continue
         t, w = res.witness.time, res.witness.location
@@ -446,7 +398,7 @@ def test_force_cutpoint_preserves_event():
             continue
         plan = force_cutpoint(s, ball, t, w, 64)
         after = apply_surgery(s, plan)
-        res2 = event_A(after, spec)
+        res2 = event_A(origin_context(after), spec)
         assert res2.outcome is EventOutcome.HIT
         checked += 1
     assert checked > 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from conftest import replicate_seed_oracle
 from percolab.errors import GridCoverageError, PreconditionError
 from percolab.estimators import (
     CODE_OUTCOMES,
@@ -53,16 +54,19 @@ def test_mu_interval_is_nan_below_two_connected_replicates():
 
 
 def test_replicate_seeds_of_distinct_seed_index_pairs_are_distinct():
-    seeds = np.concatenate([replicate_seed(s, np.arange(1024)) for s in range(1024)])
+    seeds = np.concatenate([replicate_seed_oracle(s, np.arange(1024)) for s in range(1024)])
     assert len(np.unique(seeds)) == 1 << 20
-    assert replicate_seed(7, 3) == int(replicate_seed(7, np.arange(4))[3])
+    # the package's replicate_seed is that stream, on a sample of the pairs
+    for pair in range(0, 1 << 20, 4099):
+        seed, index = divmod(pair, 1024)
+        assert replicate_seed(seed, index) == int(seeds[pair])
 
 
-def test_scalar_replicate_seed_equals_the_array_path():
+def test_replicate_seed_equals_the_oracle():
     indices = list(range(300)) + [2**31, 2**32 + 7, 2**53 + 1, 2**63, 2**64 - 1]
     array = np.array(indices, dtype=np.uint64)
     for seed in [0, 1, 7, 311, -1, -(2**63), 2**63, 2**64 - 1, 2**64 + 9, 2**70 + 3]:
-        expected = replicate_seed(seed, array)
+        expected = replicate_seed_oracle(seed, array)
         got = [replicate_seed(seed, i) for i in indices]
         assert all(type(g) is int for g in got)
         assert got == [int(e) for e in expected], seed

@@ -1,8 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses, no module defines a private module-level name that nothing in the
-package references, and every public name has a caller in the package or in
-the benchmark, unless an allowlist says why not. An import kept on purpose
-carries a ``# noqa: F401`` comment."""
+package references, every public name has a caller in the package or in
+the benchmark, and every defaulted parameter is set by some call there,
+unless an allowlist says why not. An import kept on purpose carries a
+``# noqa: F401`` comment."""
 
 import ast
 import pathlib
@@ -98,7 +99,6 @@ def test_no_unreferenced_private_module_level_names():
 
 # public names without a caller yet, each kept for the open item that wires it in
 PUBLIC_ALLOWLIST = {
-    "label_clusters": "the window certificate of box-free sampling will call it",
     "apply_surgery": "certified configuration surgery will call it",
     "force_cutpoint": "certified configuration surgery will call it",
 }
@@ -173,3 +173,113 @@ def test_every_public_name_has_a_caller_or_an_allowlisted_reason():
     # an allowlisted name that gains a caller leaves the allowlist
     uncalled = {name for _, name in unreferenced_public_names(package, callers)}
     assert uncalled == set(PUBLIC_ALLOWLIST)
+
+
+# keyword options that no call sets yet, each kept for the open item that sets it
+OPTION_ALLOWLIST = {
+    ("estimate_rate_surface", "alpha"): "ROADMAP item 1 exposes alpha in the CLI",
+}
+
+
+def defaulted_parameters(source: str):
+    """(callable, parameter, slot) of every parameter with a default of a
+    module-level function or a method; a method's slots skip ``self`` (or
+    ``cls``), ``__init__`` is called by its class name, and a keyword-only
+    parameter has slot None."""
+    found = []
+
+    def visit(fn, name, bound):
+        positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+        first = len(positional) - len(fn.args.defaults)
+        found.extend((name, arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+        found.extend(
+            (name, arg.arg, None)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        )
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            visit(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                    for dec in item.decorator_list
+                )
+                name = node.name if item.name == "__init__" else item.name
+                visit(item, name, 0 if static else 1)
+    return found
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def set_options(source: str) -> set:
+    """(callable, keyword) and (callable, slot) of every argument that a
+    call in ``source`` passes, directly or through ``partial(callable, ...)``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        found.update((name, i) for i in range(len(args)))
+        found.update((name, kw.arg) for kw in node.keywords)
+    return found
+
+
+def unset_options(package: dict, callers: dict, allowed=()):
+    """(module, callable, parameter) of every defaulted parameter in
+    ``package`` that no call in a module of ``package`` other than
+    ``__init__.py``, or in ``callers``, sets, unless ``allowed``."""
+    passed = set().union(
+        *(set_options(src) for m, src in package.items() if m != "__init__.py"),
+        *map(set_options, callers.values()),
+    )
+    return sorted(
+        (module, name, param)
+        for module, source in package.items()
+        for name, param, slot in defaulted_parameters(source)
+        if (name, param) not in passed and (name, slot) not in passed
+        and (name, param) not in allowed
+    )
+
+
+def test_keyword_option_detector_sees_keywords_slots_and_partial():
+    package = {
+        "__init__.py": "from .a import f\nf(1, dead=2)\n",
+        "a": "from functools import partial\n"
+             "def f(x, by_slot=1, dead=2, *, by_kw=3, unset=4):\n    pass\n"
+             "def g(x, through_partial=1, kept=2):\n    pass\n"
+             "class Box:\n"
+             "    def __init__(self, side=1):\n        pass\n"
+             "    def grow(self, by=1, only_self=2):\n        pass\n"
+             "    @staticmethod\n    def make(first=1):\n        pass\n"
+             "def h():\n    f(0, 1, by_kw=2)\n    partial(g, through_partial=3)\n"
+             "    Box(2).grow(3)\n",
+    }
+    callers = {"bench.py": "import a\na.Box.make(1)\n"}
+    assert unset_options(package, callers, {("g", "kept"): "reason"}) == [
+        ("a", "f", "dead"),
+        ("a", "f", "unset"),
+        ("a", "grow", "only_self"),
+    ]
+    assert ("g", 0) in set_options("partial(g, 1)\n")
+
+
+def test_every_keyword_option_has_a_package_caller():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = {p.name: p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
+    assert unset_options(package, callers, OPTION_ALLOWLIST) == []
+    # an allowlisted option that gains a caller leaves the allowlist
+    unset = {(name, param) for _, name, param in unset_options(package, callers)}
+    assert unset == set(OPTION_ALLOWLIST)

@@ -4,34 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    MASK64,
     all_closed,
     all_open,
     edge_base_flats,
-    face_mask,
     flood_fill_labels,
+    mix64_oracle,
     same_partition,
 )
-from percolab import BoxSpec, PercolationSample, label_clusters, sample_configuration
+from percolab import BoxSpec, PercolationSample, sample_configuration
 from percolab.errors import GeometryError, ResourceLimitError
-from percolab.lattice import _CHUNK, _hash_threshold, _open_edges
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64_oracle(x):
-    """SplitMix64 finalizer over a uint64 array, written out for the tests."""
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+from percolab.lattice import _CHUNK, _hash_threshold, _open_edges, window_components
 
 
 def _open_oracle(seed, n_edges, p):
     """Edge i is open iff its uniform ((mix64(i ^ mix64(seed)) >> 11) * 2**-53)
     is below p, formed as a float over the whole index range at once."""
-    key = _mix64_oracle(np.uint64(seed & _MASK64))
-    z = _mix64_oracle(np.arange(n_edges, dtype=np.uint64) ^ key)
+    key = mix64_oracle(np.uint64(seed & MASK64))
+    z = mix64_oracle(np.arange(n_edges, dtype=np.uint64) ^ key)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
 
 
@@ -162,45 +152,49 @@ def test_incident_edges_interior_and_corner():
     assert len(box.incident_edges((2, 2))) == 2
 
 
-def test_label_clusters_extremes():
-    box = BoxSpec(2, 4)
-    lab = label_clusters(all_open(box))
-    assert len(lab.sizes) == 1
-    assert lab.sizes[0] == box.n_vertices
+def restricted(sample, sub):
+    """The edges of ``sample`` that lie inside the sub-box ``sub``, as a
+    sample on ``sub``."""
+    idx = []
+    for axis in range(sub.dimension):
+        for base in sub.coords_of_flats(edge_base_flats(sub, axis)):
+            idx.append(sample.box.edge_index(tuple(base), axis))
+    return PercolationSample(sub, sample.p, sample.seed, sample.open_edges[idx])
 
-    lab2 = label_clusters(all_closed(box))
-    assert len(lab2.sizes) == box.n_vertices
-    assert (lab2.sizes == 1).all()
+
+# the whole box and an interior window of BoxSpec(d, 4)
+WINDOWS = [BoxSpec(2, 4), BoxSpec(2, 2, (1, -1)), BoxSpec(3, 4), BoxSpec(3, 1, (2, 0, -1))]
 
 
-def test_label_clusters_matches_flood_fill_oracle():
+def components(sample, sub):
+    return window_components(sample, sub.low_corner, np.add(sub.high_corner, 1))
+
+
+@pytest.mark.parametrize("sub", WINDOWS, ids=lambda b: f"d{b.dimension}-r{b.radius}")
+def test_window_components_extremes(sub):
+    box = BoxSpec(sub.dimension, 4)
+    labels, sizes, flats = components(all_open(box), sub)
+    assert labels.shape == flats.shape == sub.shape
+    assert len(sizes) == 1
+    assert sizes[0] == sub.n_vertices
+
+    labels, sizes, _ = components(all_closed(box), sub)
+    assert len(sizes) == sub.n_vertices
+    assert (sizes == 1).all()
+
+
+@pytest.mark.parametrize("sub", WINDOWS, ids=lambda b: f"d{b.dimension}-r{b.radius}")
+def test_window_components_matches_flood_fill_oracle(sub):
+    # a window's clusters use only the open edges inside it
+    box = BoxSpec(sub.dimension, 4)
     for seed in range(8):
-        s = sample_configuration(BoxSpec(2, 4), 0.5, seed)
-        lab = label_clusters(s)
-        oracle = flood_fill_labels(s)
-        assert same_partition(lab.labels, oracle)
-        assert lab.sizes.sum() == s.box.n_vertices
-
-
-def test_touches_boundary_matches_flood_oracle():
-    # a cluster touches the boundary iff one of its flood-fill vertices lies
-    # on a face; an open line through the centre touches two opposite faces
-    box = BoxSpec(2, 4)
-    line = all_closed(box).with_edges(
-        open_idx=[box.edge_index((x, 0), 0) for x in range(-4, 4)]
-    )
-    samples = [all_open(box), all_closed(box), line]
-    samples += [
-        sample_configuration(BoxSpec(d, 4), 0.4, seed) for d in (2, 3) for seed in range(4)
-    ]
-    for s in samples:
-        lab = label_clusters(s)
-        oracle = flood_fill_labels(s)
-        on_face = set(oracle[face_mask(s.box)].tolist())
-        expected = np.isin(oracle, list(on_face))
-        assert np.array_equal(lab.touches_boundary[lab.labels], expected)
-    lab = label_clusters(line)
-    assert lab.touches_boundary[lab.labels[box.flat_index((0, 0))]]
+        s = sample_configuration(box, 0.5, seed)
+        labels, sizes, flats = components(s, sub)
+        oracle = flood_fill_labels(restricted(s, sub))
+        assert same_partition(labels.reshape(-1), oracle)
+        assert sorted(sizes) == sorted(np.bincount(oracle))
+        coords = sub.coords_of_flats(np.arange(sub.n_vertices))
+        assert np.array_equal(flats.reshape(-1), box.flats_of_coords(coords))
 
 
 def test_serialization_roundtrip_bitexact(tmp_path):

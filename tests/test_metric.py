@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from percolab import (
 )
 from percolab import metric
 from percolab.errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
-from percolab.metric import distance_map_csv
+from percolab.harness import cli_dispatch
 
 
 def test_full_lattice_layers_are_l1_spheres():
@@ -266,11 +265,13 @@ def test_targets_as_list_or_array_grow_the_same_ball(d, radius, p, rng):
             assert (a.first_boundary_time, a.exhausted) == (b.first_boundary_time, b.exhausted)
 
 
-def test_distance_map_csv():
-    ball = grow_ball(all_closed(BoxSpec(2, 1)), (0, 0))
-    buf = io.StringIO()
-    distance_map_csv(ball, buf)
-    lines = buf.getvalue().splitlines()
+def test_distance_map_csv(tmp_path):
+    # the ball command's CSV: one row per vertex, 'inf' where unreached
+    path = tmp_path / "closed.bin"
+    all_closed(BoxSpec(2, 1)).save(path)
+    argv = ["ball", f"--set=sample={path}", "--set=source=0,0"]
+    assert cli_dispatch(argv + ["--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "dist.csv").read_text().splitlines()
     assert lines[0] == "# percolab-csv dist v1"
     assert lines[1] == "x1,x2,dist"
     assert "0,0,0" in lines

@@ -17,7 +17,9 @@ from percolab import (
     sample_configuration,
     slab_experiment,
 )
+from percolab import renorm
 from percolab.errors import GeometryError, PreconditionError, RoutingError
+from percolab.harness import cli_dispatch
 from percolab.renorm import _component_diameters, _condition3
 
 
@@ -77,20 +79,19 @@ def bad_fraction(cls):
     return verdicts.count("bad") / len(verdicts) if verdicts else math.nan
 
 
-def test_bad_fraction_trend_decreases_in_block_size():
+def test_bad_fraction_trend_decreases_in_block_size(monkeypatch):
     # long local detours dominate small blocks, so the bad fraction starts
     # at one and falls once the slack eps*N beats the worst pocket depth;
     # the norm estimate is a generous upper bound so the long-pair part of
     # the distance condition is not the binding constraint
     mu1 = 1.8
+    monkeypatch.setattr(renorm, "CONDITION3_SAMPLED_SOURCES", 96)
     fracs = {}
     for N, L, seeds in ((10, 35, 8), (20, 65, 8), (40, 125, 12)):
         per_seed = []
         for seed in range(seeds):
             s = sample_configuration(BoxSpec(2, L), 0.7, 1000 + seed)
-            cls = classify_boxes(
-                s, N=N, epsilon=0.5, mu_hat=mu1, condition3_sources=96
-            )
+            cls = classify_boxes(s, N=N, epsilon=0.5, mu_hat=mu1)
             per_seed.append(bad_fraction(cls))
         fracs[N] = np.asarray(per_seed)
     means = {N: v.mean() for N, v in fracs.items()}
@@ -247,13 +248,14 @@ def test_route_error_cases():
         route_through_good(bad, cls_bad, [(0, 0)], (0, 0), (0, 0))
 
 
-def test_route_monte_carlo_good_paths():
+def test_route_monte_carlo_good_paths(monkeypatch):
     # random star-paths of good sites are routable within the bound; the
     # norm estimate is deliberately generous so good blocks are plentiful
     # at this scale (strict all-pairs goodness is rare at p = 0.7, N = 20)
     mu1 = 10.0
     s = sample_configuration(BoxSpec(2, 140), 0.7, 42)
-    cls = classify_boxes(s, N=20, epsilon=0.5, mu_hat=mu1, condition3_sources=48)
+    monkeypatch.setattr(renorm, "CONDITION3_SAMPLED_SOURCES", 48)
+    cls = classify_boxes(s, N=20, epsilon=0.5, mu_hat=mu1)
     good = {site for site, r in cls.records.items() if r.verdict == "good"}
     assert len(good) >= 10
     rng = np.random.default_rng(0)
@@ -285,17 +287,16 @@ def test_route_monte_carlo_good_paths():
     assert routed_count == 100
 
 
-def test_good_verdict_monotone_in_p_with_uniqueness_exception():
+def test_good_verdict_monotone_in_p_with_uniqueness_exception(monkeypatch):
     # coupled samples: opening edges can only help conditions 2 and 3; a
     # good -> bad flip at higher p must come from a uniqueness failure
+    monkeypatch.setattr(renorm, "CONDITION3_SAMPLED_SOURCES", 48)
     violations = []
     for seed in range(6):
         lo = sample_configuration(BoxSpec(2, 65), 0.62, 500 + seed)
         hi = sample_configuration(BoxSpec(2, 65), 0.72, 500 + seed)
-        cls_lo = classify_boxes(lo, N=20, epsilon=0.5, mu_hat=8.0,
-                                condition3_sources=48)
-        cls_hi = classify_boxes(hi, N=20, epsilon=0.5, mu_hat=8.0,
-                                condition3_sources=48)
+        cls_lo = classify_boxes(lo, N=20, epsilon=0.5, mu_hat=8.0)
+        cls_hi = classify_boxes(hi, N=20, epsilon=0.5, mu_hat=8.0)
         for site, rec in cls_lo.records.items():
             if rec.verdict == "good" and cls_hi.verdict(site) == "bad":
                 violations.append(cls_hi.records[site].failed_condition)
@@ -341,15 +342,21 @@ def test_slab_disjoint_offsets():
     assert len(offsets) >= 3
 
 
-def test_slab_csv():
-    rec = slab_experiment(
-        all_open(BoxSpec(3, 12, (5, 0, 0))), 0.1, 0.3, 1, 10, 1.0, rho=2
-    )
-    buf = io.StringIO()
-    rec.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+def test_slab_csv(tmp_path):
+    # the slab command's CSV has one row per slab of the record
+    argv = ["slab", "--set=d=3", "--set=L=9", "--set=p=0.5", "--set=seed=5",
+            "--set=N=1", "--set=n=6", "--set=rho=1", "--set=xi=0.4"]
+    assert cli_dispatch(argv + ["--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "slab.csv").read_text().splitlines()
     assert lines[0] == "# percolab-csv slab v1"
     assert lines[1] == "n,slab_index,offset,distance,event"
+    s = sample_configuration(BoxSpec(3, 9), 0.5, 5)
+    rec = slab_experiment(s, 0.1, 0.4, 1, 6, 1.0, rho=1)
+    assert lines[2:] == [
+        f"6,{i},{';'.join(map(str, o.offset))},"
+        f"{'inf' if math.isinf(o.distance) else int(o.distance)},{int(o.event)}"
+        for i, o in enumerate(rec.outcomes)
+    ]
 
 
 def test_scaled_l1_norm():
