@@ -42,7 +42,6 @@ from .errors import PercolabError
 from .estimators import (
     EventFamily,
     JEstimate,
-    MuEstimate,
     RateEstimate,
     RateSurface,
     Tally,
@@ -67,7 +66,6 @@ from .metric import (
 from .renorm import (
     MacroClassification,
     MacroLattice,
-    ScaledL1Norm,
     classify_boxes,
     dependency_range,
     route_through_good,

@@ -320,7 +320,6 @@ class SeparatedMatching:
     s2: tuple
     sigma: tuple  # index into s2 for each index of s1
     guarantee: float  # promised pairwise equal-height separation
-    cost: float  # total assignment cost actually achieved
 
     @cached_property
     def certified_min_separation(self) -> float:
@@ -398,8 +397,7 @@ def separated_matching(S1: PointSet, S2: PointSet, K: int) -> SeparatedMatching:
     if spread > K:
         raise PreconditionError(f"pairwise sup-norm spread {spread} exceeds K={K}")
 
-    cost = _matching_cost_matrix(a1, a2, K)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(_matching_cost_matrix(a1, a2, K))
     sigma = [0] * len(S1)
     for r, c in zip(rows, cols):
         sigma[r] = int(c)
@@ -408,7 +406,6 @@ def separated_matching(S1: PointSet, S2: PointSet, K: int) -> SeparatedMatching:
         s2=S2.points,
         sigma=tuple(sigma),
         guarantee=1 / math.sqrt(2.0),
-        cost=float(sum(cost[i, sigma[i]] for i in range(len(sigma)))),
     )
 
 
@@ -731,10 +728,9 @@ def axis_avoiding_paths(x_list, y_list) -> PathBundle:
 
 @dataclass
 class ExteriorBoundary:
-    """Outer vertex boundary of a connected set, with its enclosed interior."""
+    """Outer vertex boundary of a connected set."""
 
     boundary: frozenset
-    interior: frozenset
     star_connected: bool
 
 
@@ -778,7 +774,7 @@ def exterior_boundary(gamma) -> ExteriorBoundary:
     avoids Gamma and is connected, so the complement component holding the
     shell is the one reaching infinity, and the result is exact in Z^d. The
     cost is linear in the volume of the bounding box. Also reports whether
-    the boundary is star-connected and returns the enclosed interior.
+    the boundary is star-connected.
     """
     cells = np.asarray(
         gamma if isinstance(gamma, np.ndarray) else list(gamma), dtype=np.int64
@@ -798,7 +794,6 @@ def exterior_boundary(gamma) -> ExteriorBoundary:
     boundary = np.argwhere(outside & near)
     return ExteriorBoundary(
         boundary=frozenset(map(tuple, (boundary + lo).tolist())),
-        interior=frozenset(map(tuple, (np.argwhere(~inside & ~outside) + lo).tolist())),
         star_connected=_label_cells(boundary, star=True)[1] == 1,
     )
 

@@ -106,7 +106,6 @@ class EventOutcome(enum.Enum):
 class EventResult:
     outcome: EventOutcome
     witness: CutPointRecord | None = None
-    axes: tuple[int, int] | None = None  # free-line / hyperplane axes
 
 
 def detect_cutpoints(ball: BallGrowth, t_min: int):
@@ -255,60 +254,48 @@ def _eval_windowed(ctx: BallEventContext, spec: EventSpec, free: bool) -> EventR
     for t, coord in candidates:
         if not _in_window(coord, center, radius):
             continue
-        axes = None
-        if free:
-            ok, axes = _free_conditions(ball, t, coord, spec.window(d), spec.volume_cap())
-            if not ok:
-                continue
+        if free and not _free_conditions(
+            ball, t, coord, spec.window(d), spec.volume_cap()
+        ):
+            continue
         return EventResult(
             outcome=EventOutcome.HIT,
             witness=CutPointRecord(t, tuple(int(c) for c in coord)),
-            axes=axes,
         )
     if ctx.window_resolved(center, radius):
         return EventResult(outcome=EventOutcome.MISS)
     return EventResult(outcome=EventOutcome.UNKNOWABLE)
 
 
-def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap):
+def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap) -> bool:
+    """|B_t| <= volume_cap, some axis line through coord meets B_t only at
+    coord, and for some other axis j every line count of coord's
+    j-hyperplane slice of B_t is at most line_cap."""
     box = ball.box
     d = box.dimension
     if int(ball.ball_sizes[t]) > volume_cap:
-        return False, None
+        return False
     wf = box.flat_index(coord)
     gi = box.grid_index(coord)
     tt = np.uint32(t)
 
-    line_ok = []
+    free_axes = []
     for axis in range(d):
         start = wf - gi[axis] * box.strides[axis]
         line = start + np.arange(box.side, dtype=np.int64) * box.strides[axis]
-        inside = ball.dist[line] <= tt
-        line_ok.append(int(inside.sum()) == 1)  # only w itself
-    if not any(line_ok):
-        return False, None
+        if int((ball.dist[line] <= tt).sum()) == 1:  # only w itself
+            free_axes.append(axis)
+    if not free_axes:
+        return False
 
-    ball_flats = np.concatenate(ball.layers[: t + 1])
-    coords = box.coords_of_flats(ball_flats)
-    hyper_ok = []
+    coords = box.coords_of_flats(np.concatenate(ball.layers[: t + 1]))
     for j in range(d):
-        sel = coords[:, j] == coord[j]
-        slab = coords[sel]
-        ok = True
-        for k in range(d):
-            if k == j:
-                continue
-            if line_count(slab, k) > line_cap:
-                ok = False
-                break
-        hyper_ok.append(ok)
-    for i in range(d):
-        if not line_ok[i]:
+        if free_axes == [j]:
             continue
-        for j in range(d):
-            if j != i and hyper_ok[j]:
-                return True, (i, j)
-    return False, None
+        slab = coords[coords[:, j] == coord[j]]
+        if all(line_count(slab, k) <= line_cap for k in range(d) if k != j):
+            return True
+    return False
 
 
 def line_count(points, axis: int) -> int:

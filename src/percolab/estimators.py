@@ -282,13 +282,6 @@ class MuPoint:
         return (self.mean - Z_95 * self.sigma, self.mean + Z_95 * self.sigma)
 
 
-@dataclass
-class MuEstimate:
-    direction: tuple
-    points: list
-    mu_hat: float  # conditional mean at the largest usable n
-
-
 def _mu_replicate(index: int, *, d, p, x, n, box_factor, seed):
     """Certified D(0, floor(n x)) of one replicate: int, inf or None."""
     box = _box(d, box_factor * n * max(abs(c) for c in x))
@@ -306,12 +299,13 @@ def estimate_mu(
     *,
     box_factor: float = 1.6,
     workers: int | None = None,
-) -> MuEstimate:
-    """Conditional means of D(0, floor(n x))/n over connected replicates.
+) -> list:
+    """One MuPoint per n of ``n_grid``: the conditional mean of
+    D(0, floor(n x))/n over the connected, uncontaminated replicates.
 
     Every per-replicate ratio is at least |x|_1 exactly (a path needs at
-    least the l1 distance many edges). ``mu_hat`` is the mean at the largest
-    n retaining at least one connected, uncontaminated replicate.
+    least the l1 distance many edges). Raises PreconditionError when no n
+    has a connected, uncontaminated replicate.
     """
     x = tuple(float(c) for c in direction)
     if all(c == 0 for c in x):
@@ -339,10 +333,9 @@ def estimate_mu(
                 mean=mean, sigma=sigma,
             )
         )
-    usable = [pt for pt in points if pt.connected > 0]
-    if not usable:
+    if not any(pt.connected for pt in points):
         raise PreconditionError("all replicates disconnected at every n")
-    return MuEstimate(direction=x, points=points, mu_hat=usable[-1].mean)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +399,6 @@ class JEstimate:
     slack: float  # feasibility margin at the argmin
     R: float  # search-box half-side J / rate(1, 0); nan without that rate
     covered: bool  # grid covers [0, R] x [-R, R]^d
-    excluded_undefined: int
 
 
 def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
@@ -417,7 +409,7 @@ def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     symmetries satisfies mu_hat |v|_inf <= mu(v) <= mu_hat |v|_1, so a point
     is admitted only when the lower bound for mu(y - x) clears the upper
     bound for mu(x). The value is the exact minimum over the admitted grid
-    (entries without hits are excluded but counted). R = J / rate(1, 0) is the
+    (entries without a defined rate are skipped). R = J / rate(1, 0) is the
     half-side of the box the search could be restricted to; it is nan when
     the surface has no defined rate at (1, 0), and then ``covered`` is false.
     """
@@ -428,15 +420,10 @@ def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     need = (1.0 + xi) * unit * np.abs(x).sum()
 
     feasible = []
-    excluded = 0
     for (s, y), est in surface.entries.items():
         margin = s + unit * np.abs(np.asarray(y) - x).max() - need
-        if margin < -1e-12:
-            continue
-        if est.rate is None:
-            excluded += 1
-            continue
-        feasible.append((est.rate, s, y, margin))
+        if margin >= -1e-12 and est.rate is not None:
+            feasible.append((est.rate, s, y, margin))
     if not feasible:
         raise GridCoverageError(
             "no feasible grid point with a defined rate; enlarge the grid "
@@ -454,8 +441,7 @@ def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     y_max = max(max(abs(c) for c in k[1]) for k in surface.entries)
     covered = s_max >= R - 1e-9 and y_max >= R - 1e-9
     return JEstimate(
-        value=value, argmin=(s_star, y_star), slack=slack, R=R,
-        covered=covered, excluded_undefined=excluded,
+        value=value, argmin=(s_star, y_star), slack=slack, R=R, covered=covered
     )
 
 

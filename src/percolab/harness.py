@@ -445,20 +445,20 @@ def _cmd_route(cfg, out_dir):
     box = sample.box
     x = box.vertex_coord(int(cls.cluster(sites[0])[0]))
     y = box.vertex_coord(int(cls.cluster(sites[-1])[0]))
-    routed = route_through_good(sample, cls, sites, x, y)
+    route = route_through_good(sample, cls, sites, x, y)
     path = os.path.join(out_dir, cfg["csv"])
     d = box.dimension
     write_csv(
         path, "route",
         ["step"] + [f"x{k + 1}" for k in range(d)],
-        [[i, *v] for i, v in enumerate(routed.vertices)],
+        [[i, *v] for i, v in enumerate(route)],
     )
     return [path]
 
 
 def _cmd_slab(cfg, out_dir):
     sample = _load_or_sample(cfg)
-    record = slab_experiment(
+    outcomes = slab_experiment(
         sample, cfg["epsilon"], cfg["xi"], cfg["N"], cfg["n"], cfg["mu1"],
         rho=cfg["rho"] or None,
     )
@@ -466,9 +466,9 @@ def _cmd_slab(cfg, out_dir):
     write_csv(
         path, "slab", ["n", "slab_index", "offset", "distance", "event"],
         [
-            [record.n, i, ";".join(map(str, o.offset)),
+            [cfg["n"], i, ";".join(map(str, o.offset)),
              "inf" if math.isinf(o.distance) else int(o.distance), int(o.event)]
-            for i, o in enumerate(record.outcomes)
+            for i, o in enumerate(outcomes)
         ],
     )
     return [path]
@@ -601,7 +601,7 @@ _LEMMA_RUNNERS = {
 
 
 def _cmd_estimate_mu(cfg, out_dir):
-    est = estimate_mu(
+    points = estimate_mu(
         cfg["p"], cfg["d"], cfg["x"], cfg["n_grid"], cfg["replicates"],
         cfg["seed"], box_factor=cfg["box_factor"],
         workers=cfg["workers"] or None,
@@ -614,7 +614,7 @@ def _cmd_estimate_mu(cfg, out_dir):
         [
             [pt.n, pt.replicates, pt.connected, pt.disconnected,
              pt.contaminated, pt.mean, pt.ci[0], pt.ci[1]]
-            for pt in est.points
+            for pt in points
         ],
     )
     return [path]

@@ -1,10 +1,11 @@
 """Macroscopic block analysis: good/bad boxes, routing, slab experiments.
 
 The macroscopic lattice of half-side N tiles Z^d with the half-open blocks
-[-N, N)^d + 2iN. A site is good (at tolerance epsilon, against a supplied
-norm estimate) when its 3x-enlarged block has a unique open cluster of
-diameter at least N/2, that cluster meets every sub-box of side floor(eps N),
-and distances inside the cluster stay within eps N of the norm estimate.
+[-N, N)^d + 2iN. A site is good (at tolerance epsilon) when its
+3x-enlarged block has a unique open cluster of diameter at least N/2, that
+cluster meets every sub-box of side floor(eps N), and distances inside the
+cluster stay within eps N of mu(x - y). The norm estimate is
+mu(v) = mu_hat |v|_1, where the float ``mu_hat`` stands for mu(e1).
 """
 
 from __future__ import annotations
@@ -30,31 +31,9 @@ CONDITION3_SAMPLED_SOURCES = 64
 _PAIR_CHUNK = 1 << 16  # (vertex, source) pairs per deadline scan chunk
 
 
-class ScaledL1Norm:
-    """Norm estimate proportional to the l1 norm: mu(v) = unit * |v|_1."""
-
-    def __init__(self, unit: float):
-        if unit <= 0:
-            raise PreconditionError("norm unit must be positive")
-        self.unit = float(unit)
-
-    def __call__(self, vec):
-        arr = np.asarray(vec, dtype=float)
-        return self.unit * np.abs(arr).sum(axis=-1)
-
-
-def as_norm(mu_hat) -> ScaledL1Norm:
-    if isinstance(mu_hat, (int, float)):
-        return ScaledL1Norm(float(mu_hat))
-    return mu_hat
-
-
-def dependency_range(mu_hat, d: int) -> int:
+def dependency_range(mu_hat: float, d: int) -> int:
     """floor(10 d mu(e1)): sites farther apart in sup norm are independent."""
-    mu = as_norm(mu_hat)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return int(10 * d * float(mu(e1)))
+    return int(10 * d * mu_hat)
 
 
 @dataclass(frozen=True)
@@ -73,7 +52,6 @@ class MacroLattice:
 
 @dataclass
 class SiteRecord:
-    site: tuple[int, ...]
     verdict: str  # 'good' | 'bad'
     failed_condition: int | None  # 1, 2 or 3 for bad sites
     cluster_size: int  # dominant cluster size (0 if none)
@@ -83,10 +61,7 @@ class SiteRecord:
 
 @dataclass
 class MacroClassification:
-    box: BoxSpec
     lattice: MacroLattice
-    epsilon: float
-    mu_unit: float
     records: dict  # site tuple -> SiteRecord
 
     def verdict(self, site) -> str:
@@ -175,7 +150,7 @@ def classify_boxes(
     sample: PercolationSample,
     N: int,
     epsilon: float,
-    mu_hat,
+    mu_hat: float,
 ) -> MacroClassification:
     """Classify every macroscopic site whose enlarged block fits in the box.
 
@@ -191,7 +166,8 @@ def classify_boxes(
     d = box.dimension
     if epsilon * N < 1:
         raise PreconditionError("need epsilon * N >= 1")
-    mu = as_norm(mu_hat)
+    if not mu_hat > 0:
+        raise PreconditionError("mu_hat must be positive")
     lattice = MacroLattice(N=N, dimension=d)
     sub_side = int(epsilon * N)
     records = {}
@@ -204,45 +180,38 @@ def classify_boxes(
         big = np.flatnonzero(2 * diam >= N)
         if big.size != 1:
             records[tuple(site)] = SiteRecord(
-                site=tuple(site), verdict="bad", failed_condition=1,
-                cluster_size=0, cluster_flats=None,
+                verdict="bad", failed_condition=1, cluster_size=0,
+                cluster_flats=None,
             )
             continue
         comp = int(big[0])
         mask = labels == comp
         if not _meets_every_subbox(mask, sub_side):
             records[tuple(site)] = SiteRecord(
-                site=tuple(site), verdict="bad", failed_condition=2,
+                verdict="bad", failed_condition=2,
                 cluster_size=int(sizes[comp]), cluster_flats=None,
             )
             continue
-        ok3, sampled = _condition3(
-            sample, mask, lo, mu, epsilon * N,
-            cutoff=CONDITION3_EXACT_CUTOFF, n_sources=CONDITION3_SAMPLED_SOURCES,
-        )
+        ok3, sampled = _condition3(sample, mask, lo, mu_hat, epsilon * N)
         if not ok3:
             records[tuple(site)] = SiteRecord(
-                site=tuple(site), verdict="bad", failed_condition=3,
+                verdict="bad", failed_condition=3,
                 cluster_size=int(sizes[comp]), cluster_flats=None,
                 condition3_sampled=sampled,
             )
             continue
         records[tuple(site)] = SiteRecord(
-            site=tuple(site), verdict="good", failed_condition=None,
+            verdict="good", failed_condition=None,
             cluster_size=int(sizes[comp]),
             cluster_flats=np.sort(global_flat[mask].reshape(-1)),
             condition3_sampled=sampled,
         )
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return MacroClassification(
-        box=box, lattice=lattice, epsilon=epsilon,
-        mu_unit=float(mu(e1)), records=records,
-    )
+    return MacroClassification(lattice=lattice, records=records)
 
 
-def _condition3(sample, mask, lo, mu, slack, *, cutoff, n_sources):
-    """Distances within the dominant cluster stay below mu(x-y) + slack.
+def _condition3(sample, mask, lo, mu_hat, slack):
+    """Distances within the dominant cluster stay below mu(x-y) + slack,
+    with mu(v) = mu_hat |v|_1.
 
     The pair set is the dominant cluster of the enlarged block, but
     distances are measured in the whole sample box (a geodesic may leave
@@ -268,9 +237,11 @@ def _condition3(sample, mask, lo, mu, slack, *, cutoff, n_sources):
     window_flats = box.flats_of_coords(coords)
 
     m = len(window_flats)
-    sampled = m > cutoff
+    sampled = m > CONDITION3_EXACT_CUTOFF
     if sampled:
-        picks = np.unique(np.linspace(0, m - 1, n_sources).astype(np.int64))
+        picks = np.unique(
+            np.linspace(0, m - 1, CONDITION3_SAMPLED_SOURCES).astype(np.int64)
+        )
     else:
         picks = np.arange(m)
     k = len(picks)
@@ -280,7 +251,7 @@ def _condition3(sample, mask, lo, mu, slack, *, cutoff, n_sources):
     # vertex j. A BFS distance is below n, so n stands for "no deadline".
     deadline = np.empty((m, k), dtype=np.int32)
     for col, i in enumerate(picks):
-        allowed = mu(coords - coords[i]) + slack
+        allowed = mu_hat * np.abs(coords - coords[i]).sum(axis=-1) + slack
         deadline[:, col] = np.minimum(np.floor(allowed + 1e-9), n)
     # a negative deadline fails even at distance 0, and the loop below only
     # inspects the deadlines of pairs that are still unreached
@@ -351,26 +322,20 @@ def _earliest_deadline(missing, deadline) -> int:
 # routing through good blocks
 
 
-@dataclass
-class RoutedPath:
-    vertices: list
-    length: int
-    length_bound: float
-
-
 def route_through_good(
     sample: PercolationSample,
     classification: MacroClassification,
     macro_path,
     x,
     y,
-) -> RoutedPath:
-    """Open microscopic path from x to y along a star-path of good sites.
+) -> list:
+    """Vertices of an open microscopic path from x to y along a star-path
+    of good sites.
 
     Consecutive dominant clusters of good star-neighbours always intersect
     (the shared enlarged-block window contains a diameter >= N/2 piece of
-    each). The route chains in-block geodesics between such shared vertices;
-    its length is checked against 2 d mu(e1) N |path|.
+    each). The route chains in-block geodesics between such shared vertices,
+    and every edge of it is checked to be open.
     """
     box = sample.box
     d = box.dimension
@@ -394,9 +359,8 @@ def route_through_good(
     if fy not in classification.cluster(sites[-1]):
         raise RoutingError("end vertex outside the last dominant cluster")
 
-    bound = 2 * d * classification.mu_unit * lattice.N * len(sites)
     if fx == fy:
-        return RoutedPath(vertices=[tuple(x)], length=0, length_bound=bound)
+        return [tuple(x)]
 
     waypoints = [fx]
     for a, b in zip(sites, sites[1:]):
@@ -424,9 +388,8 @@ def route_through_good(
         seg = geodesic(ball, box.vertex_coord(fb))
         vertices.extend(seg[1:])
 
-    length = len(vertices) - 1
     _assert_open_path(sample, vertices)
-    return RoutedPath(vertices=vertices, length=length, length_bound=bound)
+    return vertices
 
 
 def _assert_open_path(sample: PercolationSample, vertices) -> None:
@@ -450,28 +413,18 @@ class SlabOutcome:
     event: bool  # constrained distance exceeded (mu + xi) n
 
 
-@dataclass
-class SlabExperimentRecord:
-    n: int
-    N: int
-    rho: int
-    epsilon: float
-    xi: float
-    threshold: float
-    outcomes: list
-
-
 def slab_experiment(
     sample: PercolationSample,
     epsilon: float,
     xi: float,
     N: int,
     n: int,
-    mu_hat,
+    mu_hat: float,
     *,
     rho: int | None = None,
-) -> SlabExperimentRecord:
-    """Constrained box-to-box distances inside thickened coordinate slabs.
+) -> list:
+    """One SlabOutcome per slab: constrained box-to-box distances inside
+    thickened coordinate slabs.
 
     The central slab spans all of the first two axes and the blocks within
     sup-norm rho of zero in the remaining axes. The experiment reports, for
@@ -483,12 +436,10 @@ def slab_experiment(
     d = box.dimension
     if d < 3:
         raise PreconditionError("slab experiments need dimension >= 3")
-    mu = as_norm(mu_hat)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    mu1 = float(mu(e1))
+    if not mu_hat > 0:
+        raise PreconditionError("mu_hat must be positive")
     if rho is None:
-        rho = dependency_range(mu, d)
+        rho = dependency_range(mu_hat, d)
     if rho < 1:
         raise PreconditionError("dependency range must be >= 1")
     half_thick = (2 * rho + 1) * N  # slab half-thickness, exclusive upper
@@ -501,7 +452,7 @@ def slab_experiment(
             )
 
     eps_n = int(epsilon * n)
-    threshold = (mu1 + xi) * n
+    threshold = (mu_hat + xi) * n
 
     def endpoint_coords(shift, anchor):
         rng = [range(-eps_n + anchor[0], eps_n + 1 + anchor[0]),
@@ -542,10 +493,7 @@ def slab_experiment(
         outcomes.append(
             SlabOutcome(offset=off, distance=dist, event=dist > threshold)
         )
-    return SlabExperimentRecord(
-        n=n, N=N, rho=rho, epsilon=epsilon, xi=xi,
-        threshold=threshold, outcomes=outcomes,
-    )
+    return outcomes
 
 
 def _slab_region(box: BoxSpec, half_thick: int, offset) -> np.ndarray:

@@ -87,6 +87,18 @@ def test_distinct_subset_grid_diagonal():
     assert len(sub) <= k
 
 
+def test_distinct_subset_matching_beats_the_greedy():
+    # the greedy keeps (0, 0) and then blocks both other points, below the
+    # target 3 / 2; the maximum matching keeps (0, 1) and (1, 0)
+    S = comb.PointSet.of([(0, 0), (0, 1), (1, 0)])
+    assert comb.subset_size_target(2, len(S), S.diam) == 1.5
+    assert comb._pair_greedy(S.points, 0, 1) == [(0, 0)]
+    i, j, sub = comb.distinct_coordinate_subset(S)
+    comb.verify_distinct_subset(S, i, j, sub)
+    assert (i, j) == (0, 1)
+    assert set(sub.points) == {(0, 1), (1, 0)}
+
+
 def test_distinct_subset_random_exact(rng):
     for _ in range(200):
         d = int(rng.integers(2, 5))
@@ -142,7 +154,8 @@ def test_matching_bruteforce_equality(rng):
             sum(cost[i, p[i]] for i in range(m_size))
             for p in itertools.permutations(range(m_size))
         )
-        assert matching.cost == pytest.approx(brute, abs=1e-9)
+        achieved = sum(cost[i, matching.sigma[i]] for i in range(m_size))
+        assert achieved == pytest.approx(brute, abs=1e-9)
 
 
 def two_swap_local_assignment(cost: np.ndarray) -> list[int]:
@@ -178,7 +191,6 @@ def test_two_swap_local_minimum_also_separated(rng):
             s2=s2.points,
             sigma=tuple(sigma),
             guarantee=comb.separated_matching(s1, s2, K).guarantee,
-            cost=float(sum(cost[i, sigma[i]] for i in range(m_size))),
         )
         local.verify()
         assert local.guarantee >= ell / (math.sqrt(2) * K) - 1e-12
@@ -222,7 +234,7 @@ def test_matching_verify_rejects_crossing_segments():
     s1 = ((0, 0, 0), (0, 1, 0))
     s2 = ((2, 0, 0), (2, 1, 0))
     crossing = comb.SeparatedMatching(
-        s1=s1, s2=s2, sigma=(1, 0), guarantee=1 / math.sqrt(2), cost=0.0
+        s1=s1, s2=s2, sigma=(1, 0), guarantee=1 / math.sqrt(2)
     )
     assert crossing.certified_min_separation == 0.0
     with pytest.raises(MatchingInvariantError):
@@ -391,7 +403,6 @@ def test_axis_avoiding_hypothesis_violation():
 def test_exterior_boundary_single_vertex():
     out = comb.exterior_boundary([(0, 0)])
     assert out.boundary == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
-    assert out.interior == frozenset()
     assert out.star_connected
 
 
@@ -400,7 +411,6 @@ def test_exterior_boundary_square():
     out = comb.exterior_boundary(gamma)
     assert len(out.boundary) == 12  # the ring without the 4 corners
     assert out.star_connected
-    assert out.interior == frozenset()
 
 
 def test_exterior_boundary_ring_interior():
@@ -408,7 +418,8 @@ def test_exterior_boundary_ring_interior():
             if max(abs(a), abs(b)) == 2]
     out = comb.exterior_boundary(ring)
     inner = {(a, b) for a in range(-1, 2) for b in range(-1, 2)}
-    assert out.interior == frozenset(inner)
+    assert exterior_boundary_oracle(ring)[1] == inner
+    assert not out.boundary & inner
     assert (3, 0) in out.boundary
     assert (1, 0) not in out.boundary  # enclosed, not connected to infinity
 
@@ -462,7 +473,6 @@ def test_exterior_boundary_matches_flood_oracle(rng):
         for gamma in (cells, as_array):
             out = comb.exterior_boundary(gamma)
             assert out.boundary == boundary
-            assert out.interior == interior
             assert out.star_connected == star_connected
     assert holes >= 15
 
@@ -491,10 +501,7 @@ def test_exterior_boundary_translates_and_separates(cells, shift):
     out = comb.exterior_boundary(cells)
     out_moved = comb.exterior_boundary(moved(cells))
     assert out_moved.boundary == moved(out.boundary)
-    assert out_moved.interior == moved(out.interior)
     assert not cells & out.boundary
-    assert not cells & out.interior
-    assert not out.boundary & out.interior
     d = len(next(iter(cells)))
     for v in out.boundary:
         assert any(

@@ -19,6 +19,7 @@ from conftest import (
 )
 from percolab import (
     BoxSpec,
+    CutPointRecord,
     EventOutcome,
     EventSpec,
     SurgeryPlan,
@@ -267,8 +268,7 @@ def test_event_A_free_spine_d3():
     # threshold 5 - 3*window < 0 is degenerate; use the spine's own time
     res = event_A_free(origin_context(s), spec)
     assert res.outcome is EventOutcome.HIT
-    i, j = res.axes
-    assert i != j
+    assert res.witness == CutPointRecord(0, (0, 0, 0))
 
 
 def test_event_A_free_nondegenerate_threshold():
@@ -288,6 +288,59 @@ def test_event_A_free_all_open_miss():
     # box large enough that every window vertex distance is certified
     res = event_A_free(origin_context(all_open(BoxSpec(2, 45))), EventSpec(3.0, (0.0, 0.0), 6))
     assert res.outcome is EventOutcome.MISS
+
+
+def free_verdict_oracle(ball_set, w, line_cap, volume_cap):
+    """Which free-line condition a singleton w of the ball B_t fails first,
+    or "accept", from Python sets: the volume cap, then an axis line
+    through w meeting B_t only at w, then an axis j other than that line's
+    with every line count of w's j-hyperplane slice at most line_cap."""
+    if len(ball_set) > volume_cap:
+        return "volume"
+    d = len(w)
+
+    def drop(v, k):
+        return v[:k] + v[k + 1:]
+
+    free = [
+        i for i in range(d)
+        if not any(v != w and drop(v, i) == drop(w, i) for v in ball_set)
+    ]
+    if not free:
+        return "line"
+    for j in range(d):
+        slab = {v for v in ball_set if v[j] == w[j]}
+        counts_ok = all(
+            len({drop(v, k) for v in slab}) <= line_cap for k in range(d) if k != j
+        )
+        if counts_ok and any(i != j for i in free):
+            return "accept"
+    return "hyperplane"
+
+
+def test_free_conditions_match_the_set_oracle():
+    # every certified singleton of the face-stopped origin ball, under a
+    # grid of caps; each of the three conditions must reject somewhere (a
+    # d = 2 hyperplane slice is one line, so only d = 3 can fail the counts)
+    seen = set()
+    for (d, radius, p), seed in itertools.product(
+        [(2, 12, 0.55), (3, 7, 0.27)], range(25)
+    ):
+        s = sample_configuration(BoxSpec(d, radius), p, 700 + seed)
+        ctx = origin_context(s)
+        dist = dijkstra_distances(s, (0,) * d)
+        for t, coord in ctx.singletons:
+            w = tuple(int(c) for c in coord)
+            ball_set = {
+                tuple(int(c) for c in s.box.vertex_coord(f))
+                for f in np.flatnonzero(dist <= t)
+            }
+            for line_cap, volume_cap in itertools.product((1, 2, 3), (6, 20, 10**6)):
+                expected = free_verdict_oracle(ball_set, w, line_cap, volume_cap)
+                got = cutpoints._free_conditions(ctx.ball, t, coord, line_cap, volume_cap)
+                assert got == (expected == "accept"), (seed, t, w, line_cap, volume_cap)
+                seen.add(expected)
+    assert seen == {"volume", "line", "hyperplane", "accept"}
 
 
 def test_free_implies_relaxed_plain_event():

@@ -46,10 +46,10 @@ def test_rate_bounds_are_nan_without_resolved_replicates():
 
 
 def test_mu_interval_is_nan_below_two_connected_replicates():
-    (one,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 1, 3, workers=1).points
+    (one,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 1, 3, workers=1)
     assert one.connected == 1 and math.isfinite(one.mean)
     assert all(math.isnan(v) for v in one.ci)
-    (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, workers=1).points
+    (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, workers=1)
     assert two.connected == 2 and all(math.isfinite(v) for v in two.ci)
 
 
@@ -182,13 +182,12 @@ def test_estimate_J_minimises_over_the_feasible_points_only():
         (1.0, (1, 0), 9, 1),  # 1 + 0 < 1.5
         (0.5, (0, 0), 1, 3),  # margin exactly 0: feasible
         (1.0, (0, 0), 1, 1),  # margin 0.5
-        (1.0, (0, 1), 0, 4),  # feasible but no hits: excluded
+        (1.0, (0, 1), 0, 4),  # feasible but no hits: skipped
     )
     j = estimate_J((1.0, 0.0), 0.5, 1.0, surface)
     assert j.value == pytest.approx(-math.log(0.5))
     assert j.argmin == (1.0, (0.0, 0.0))
     assert j.slack == pytest.approx(0.5)
-    assert j.excluded_undefined == 1
     assert j.R == pytest.approx(1.0)  # J / rate(1, 0), the argmin itself
     assert j.covered  # s and |y| reach 1 >= R
 

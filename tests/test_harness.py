@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from percolab import estimators
 from percolab.harness import (
     SCHEMAS,
     _fmt_cell,
@@ -244,6 +246,37 @@ def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
     ]
     assert cli_dispatch(argv) == 3
     assert "error: site (9, 9) not classified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "command, replicate",
+    [
+        ("estimate-mu", "_mu_replicate"),
+        ("estimate-j", "_surface_replicate"),
+        ("upper-tail", "_paired_replicate"),
+    ],
+)
+def test_a_failed_replicate_exits_3_writing_nothing(
+    tmp_path, capsys, monkeypatch, command, replicate, workers
+):
+    original = getattr(estimators, replicate)
+
+    @functools.wraps(original)  # a forked worker unpickles it by this name
+    def failing(index, **kwargs):
+        if index == 1:
+            raise RuntimeError("injected failure")
+        return original(index, **kwargs)
+
+    monkeypatch.setattr(estimators, replicate, failing)
+    values = {**CANONICAL[command][0], "workers": workers}
+    argv = [command, "--out-dir", str(tmp_path)] + [
+        f"--set={k}={v}" for k, v in values.items()
+    ]
+    assert cli_dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: replicate 1: RuntimeError: injected failure" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_set_without_equals_exits_1(tmp_path):

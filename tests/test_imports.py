@@ -1,9 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses, no module defines a private module-level name that nothing in the
 package references, every public name has a caller in the package or in
-the benchmark, and every defaulted parameter is set by some call there,
-unless an allowlist says why not. An import kept on purpose carries a
-``# noqa: F401`` comment."""
+the benchmark, every defaulted parameter is set by some call there, and
+every dataclass field is read there, unless an allowlist says why not.
+An import kept on purpose carries a ``# noqa: F401`` comment."""
 
 import ast
 import pathlib
@@ -283,3 +283,82 @@ def test_every_keyword_option_has_a_package_caller():
     # an allowlisted option that gains a caller leaves the allowlist
     unset = {(name, param) for _, name, param in unset_options(package, callers)}
     assert unset == set(OPTION_ALLOWLIST)
+
+
+# record fields that no code reads yet, each kept for the open item that reads it
+FIELD_ALLOWLIST = {
+    "EventResult.witness": "ROADMAP items 5 and 9 read the witness",
+}
+
+
+def record_fields(source: str):
+    """``Class.field`` of every annotated field of a dataclass."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(
+            _callee(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+            for dec in node.decorator_list
+        ):
+            continue
+        found += [
+            f"{node.name}.{item.target.id}" for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    return found
+
+
+def attribute_reads(source: str) -> set:
+    """Every attribute name that ``source`` loads; a store, a delete and a
+    keyword argument do not read."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(package: dict, callers: dict, allowed=()):
+    """(module, Class.field) of every dataclass field of ``package`` that no
+    module of ``package`` other than ``__init__.py``, and no module of
+    ``callers``, reads as an attribute, unless ``allowed``."""
+    read = set().union(
+        *(attribute_reads(src) for m, src in package.items() if m != "__init__.py"),
+        *map(attribute_reads, callers.values()),
+    )
+    return sorted(
+        (module, field)
+        for module, source in package.items()
+        for field in record_fields(source)
+        if field.rpartition(".")[2] not in read and field not in allowed
+    )
+
+
+def test_record_field_detector_sees_reads_and_the_allowlist():
+    package = {
+        "__init__.py": "from .a import Rec\nRec(1, 2, 3, 4, 5).exported\n",
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass Rec:\n"
+             "    used: int\n    stored: int\n    exported: int\n"
+             "    kept: int\n    timed: int = 0\n"
+             "    def total(self):\n        return self.used\n"
+             "@dataclass\nclass Other:\n    counter: int\n"
+             "class Plain:\n    ignored: int\n"
+             "def f(o, r):\n    o.counter += 1\n    r.stored = 2\n"
+             "    return Rec(used=1, stored=2, exported=3, kept=4)\n",
+    }
+    callers = {"bench.py": "def g(r):\n    return r.timed\n"}
+    assert unread_fields(package, callers, {"Rec.kept": "reason"}) == [
+        ("a", "Other.counter"),
+        ("a", "Rec.exported"),
+        ("a", "Rec.stored"),
+    ]
+
+
+def test_every_record_field_has_a_reader():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = {p.name: p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
+    assert unread_fields(package, callers, FIELD_ALLOWLIST) == []
+    # an allowlisted field that gains a reader leaves the allowlist
+    unread = {field for _, field in unread_fields(package, callers)}
+    assert unread == set(FIELD_ALLOWLIST)

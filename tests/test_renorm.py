@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,16 @@ import pytest
 
 from scipy.sparse.csgraph import shortest_path
 
-from conftest import all_closed, all_open, flood_fill_labels, open_graph
+from conftest import (
+    all_closed,
+    all_open,
+    flood_fill_labels,
+    open_graph,
+    open_path_sample,
+)
 from percolab import (
     BoxSpec,
     MacroLattice,
-    ScaledL1Norm,
     classify_boxes,
     dependency_range,
     route_through_good,
@@ -20,7 +26,7 @@ from percolab import (
 from percolab import renorm
 from percolab.errors import GeometryError, PreconditionError, RoutingError
 from percolab.harness import cli_dispatch
-from percolab.renorm import _component_diameters, _condition3
+from percolab.renorm import _component_diameters, _condition3, _meets_every_subbox
 
 
 def test_macro_lattice_partition():
@@ -105,6 +111,43 @@ def test_bad_fraction_trend_decreases_in_block_size(monkeypatch):
     assert means[10] - means[40] > 3 * se
 
 
+def meets_every_subbox_oracle(mask, b):
+    """Every b-cube of the grid, corner by corner, holds a True (oracle)."""
+    corners = itertools.product(*(range(n - b + 1) for n in mask.shape))
+    return all(
+        mask[tuple(slice(c, c + b) for c in corner)].any() for corner in corners
+    )
+
+
+def test_meets_every_subbox_matches_the_cube_oracle(rng):
+    row = np.zeros((5, 5), dtype=bool)
+    row[2] = True  # every 3-cube meets row 2; the 2-cubes on rows 0-1 do not
+    assert not _meets_every_subbox(row, 2) and _meets_every_subbox(row, 3)
+    verdicts = set()
+    for d, side in ((2, 7), (3, 5)):
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(side - 2, side + 1, size=d))
+            mask = rng.random(shape) < rng.uniform(0.05, 0.6)
+            for b in range(1, min(shape) + 1):
+                expected = meets_every_subbox_oracle(mask, b)
+                assert _meets_every_subbox(mask, b) == expected
+                verdicts.add((d, expected))
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_classify_thin_path_fails_condition2():
+    # the only cluster of the one site's enlarged block [-15, 15)^2 is a
+    # straight path: unique and long (condition 1), and its distances are
+    # exactly l1 (condition 3), but the 2 x 2 sub-boxes off its row miss it
+    box = BoxSpec(2, 15)
+    s = open_path_sample(box, [(x, 0) for x in range(-15, 15)])
+    cls = classify_boxes(s, N=5, epsilon=0.5, mu_hat=1.0)
+    assert list(cls.records) == [(0, 0)]
+    rec = cls.records[(0, 0)]
+    assert (rec.verdict, rec.failed_condition, rec.cluster_size) == ("bad", 2, 30)
+    assert rec.cluster_flats is None
+
+
 def _pair_distances(sample, mask, lo):
     """Mask vertex coordinates and their chemical distances in the whole box,
     from scipy's shortest paths on the open-edge graph (no percolab BFS)."""
@@ -143,9 +186,13 @@ def _critical_mu(coords, dist, slack):
         (3, 4, 0.5, 5, 3, 40, 64),  # sampled path in d = 3
     ],
 )
-def test_condition3_matches_all_pairs_oracle(d, L, p, seed, window, cutoff, n_sources):
+def test_condition3_matches_all_pairs_oracle(
+    monkeypatch, d, L, p, seed, window, cutoff, n_sources
+):
     # the pair set is the largest box cluster inside a centred window, so
     # some geodesics leave the window
+    monkeypatch.setattr(renorm, "CONDITION3_EXACT_CUTOFF", cutoff)
+    monkeypatch.setattr(renorm, "CONDITION3_SAMPLED_SOURCES", n_sources)
     s = sample_configuration(BoxSpec(d, L), p, seed)
     labels = flood_fill_labels(s).reshape(s.box.shape)
     biggest = np.bincount(labels.reshape(-1)).argmax()
@@ -161,10 +208,7 @@ def test_condition3_matches_all_pairs_oracle(d, L, p, seed, window, cutoff, n_so
     for mu1 in (0.5 * mu_star, mu_star - 0.05, mu_star, mu_star + 0.05, 100.0):
         if mu1 <= 0:
             continue
-        got, sampled = _condition3(
-            s, mask, lo, ScaledL1Norm(mu1), slack,
-            cutoff=cutoff, n_sources=n_sources,
-        )
+        got, sampled = _condition3(s, mask, lo, mu1, slack)
         assert sampled == (m > cutoff)
         assert got == _condition3_oracle(coords, dist, mu1, slack, cutoff, n_sources)
         verdicts.append(got)
@@ -183,9 +227,7 @@ def test_condition3_disconnected_pair_fails():
     ):
         coords, dist = _pair_distances(s, mask, lo)
         assert _condition3_oracle(coords, dist, mu1, 2.0, 256, 64) == expected
-        ok, _ = _condition3(
-            s, mask, lo, ScaledL1Norm(mu1), 2.0, cutoff=256, n_sources=64
-        )
+        ok, _ = _condition3(s, mask, lo, mu1, 2.0)
         assert ok == expected
 
 
@@ -201,9 +243,7 @@ def test_condition3_tolerance_at_float_ties():
     assert 0.7 * 6 + 1.8 < 6
     for slack, expected in ((1.8, True), (1.79, False)):
         assert _condition3_oracle(coords, dist, 0.7, slack, 256, 64) == expected
-        ok, _ = _condition3(
-            s, mask, lo, ScaledL1Norm(0.7), slack, cutoff=256, n_sources=64
-        )
+        ok, _ = _condition3(s, mask, lo, 0.7, slack)
         assert ok == expected
 
 
@@ -219,9 +259,7 @@ def test_route_single_box_trivial():
     s = all_open(BoxSpec(2, 30))
     cls = classify_boxes(s, N=5, epsilon=0.5, mu_hat=1.0)
     x = s.box.vertex_coord(int(cls.cluster((0, 0))[0]))
-    routed = route_through_good(s, cls, [(0, 0)], x, x)
-    assert routed.vertices == [x]
-    assert routed.length == 0
+    assert route_through_good(s, cls, [(0, 0)], x, x) == [x]
 
 
 def test_route_two_adjacent_open_boxes():
@@ -229,10 +267,9 @@ def test_route_two_adjacent_open_boxes():
     cls = classify_boxes(s, N=5, epsilon=0.5, mu_hat=1.0)
     box = s.box
     x, y = (-5, 0), (6, 3)
-    routed = route_through_good(s, cls, [(0, 0), (1, 0)], x, y)
-    assert routed.vertices[0] == x and routed.vertices[-1] == y
-    assert routed.length <= 4 * 2 * 5  # 2 d mu N |path| with mu = 1
-    assert routed.length <= routed.length_bound
+    route = route_through_good(s, cls, [(0, 0), (1, 0)], x, y)
+    assert route[0] == x and route[-1] == y
+    assert len(route) - 1 <= 2 * 2 * 1.0 * 5 * 2  # 2 d mu N |path| with mu = 1
 
 
 def test_route_error_cases():
@@ -280,9 +317,9 @@ def test_route_monte_carlo_good_paths(monkeypatch):
         cl_last = cls.cluster(path[-1])
         x = s.box.vertex_coord(int(cl_first[int(rng.integers(0, len(cl_first)))]))
         y = s.box.vertex_coord(int(cl_last[int(rng.integers(0, len(cl_last)))]))
-        routed = route_through_good(s, cls, path, x, y)
-        assert routed.length <= routed.length_bound
-        assert routed.vertices[0] == x and routed.vertices[-1] == y
+        route = route_through_good(s, cls, path, x, y)
+        assert len(route) - 1 <= 2 * 2 * mu1 * 20 * len(path)  # 2 d mu N |path|
+        assert route[0] == x and route[-1] == y
         routed_count += 1
     assert routed_count == 100
 
@@ -310,15 +347,15 @@ def test_slab_experiment_extremes():
     n = 10
     box = BoxSpec(3, 12, (5, 0, 0))
     s_open = all_open(box)
-    rec = slab_experiment(s_open, 0.1, 0.3, N, n, mu1, rho=rho)
+    outcomes = slab_experiment(s_open, 0.1, 0.3, N, n, mu1, rho=rho)
     eps_n = int(0.1 * n)
-    assert rec.outcomes[0].distance == n - 2 * eps_n
-    assert rec.outcomes[0].event is False
+    assert outcomes[0].distance == n - 2 * eps_n
+    assert outcomes[0].event is False
 
     s_closed = all_closed(box)
-    rec2 = slab_experiment(s_closed, 0.1, 0.3, N, n, mu1, rho=rho)
-    assert rec2.outcomes[0].distance == math.inf
-    assert rec2.outcomes[0].event is True
+    outcomes = slab_experiment(s_closed, 0.1, 0.3, N, n, mu1, rho=rho)
+    assert outcomes[0].distance == math.inf
+    assert outcomes[0].event is True
 
 
 def test_slab_requires_geometry():
@@ -333,8 +370,8 @@ def test_slab_disjoint_offsets():
     # box wide enough in the thickness axis for three disjoint slabs
     rho, N = 1, 1
     box = BoxSpec(3, 20, (2, 0, 0))
-    rec = slab_experiment(all_open(box), 0.2, 0.1, N, 4, 1.0, rho=rho)
-    offsets = [o.offset for o in rec.outcomes]
+    outcomes = slab_experiment(all_open(box), 0.2, 0.1, N, 4, 1.0, rho=rho)
+    offsets = [o.offset for o in outcomes]
     assert (0,) in offsets
     spacing = (2 * rho + 1) * 2 * N
     assert all(off[0] % spacing == 0 for off in offsets)
@@ -343,7 +380,7 @@ def test_slab_disjoint_offsets():
 
 
 def test_slab_csv(tmp_path):
-    # the slab command's CSV has one row per slab of the record
+    # the slab command's CSV has one row per slab outcome
     argv = ["slab", "--set=d=3", "--set=L=9", "--set=p=0.5", "--set=seed=5",
             "--set=N=1", "--set=n=6", "--set=rho=1", "--set=xi=0.4"]
     assert cli_dispatch(argv + ["--out-dir", str(tmp_path)]) == 0
@@ -351,17 +388,19 @@ def test_slab_csv(tmp_path):
     assert lines[0] == "# percolab-csv slab v1"
     assert lines[1] == "n,slab_index,offset,distance,event"
     s = sample_configuration(BoxSpec(3, 9), 0.5, 5)
-    rec = slab_experiment(s, 0.1, 0.4, 1, 6, 1.0, rho=1)
+    outcomes = slab_experiment(s, 0.1, 0.4, 1, 6, 1.0, rho=1)
     assert lines[2:] == [
         f"6,{i},{';'.join(map(str, o.offset))},"
         f"{'inf' if math.isinf(o.distance) else int(o.distance)},{int(o.event)}"
-        for i, o in enumerate(rec.outcomes)
+        for i, o in enumerate(outcomes)
     ]
 
 
-def test_scaled_l1_norm():
-    mu = ScaledL1Norm(1.5)
-    assert mu(np.array([1.0, 0.0])) == 1.5
-    assert mu(np.array([[1.0, 2.0], [0.0, 0.0]])).tolist() == [4.5, 0.0]
+@pytest.mark.parametrize("mu_hat", [0.0, -1.5])
+def test_nonpositive_mu_hat_is_refused(mu_hat):
     with pytest.raises(PreconditionError):
-        ScaledL1Norm(0.0)
+        classify_boxes(all_open(BoxSpec(2, 20)), N=3, epsilon=0.5, mu_hat=mu_hat)
+    with pytest.raises(PreconditionError):
+        slab_experiment(
+            all_open(BoxSpec(3, 12, (5, 0, 0))), 0.1, 0.3, 1, 10, mu_hat, rho=2
+        )
