@@ -188,10 +188,22 @@ def subset_size_target(d: int, size: int, diam: int) -> float:
 def distinct_coordinate_subset(S: PointSet):
     """Axes i != j and a subset whose i- and j-coordinates are all distinct.
 
-    The subset has at least (|S| / (2^(d-1) Diam S))^(1/(d-1)) points. Built
-    by greedy line removal on the last two active axes with a pigeonhole
-    descent to one dimension fewer; a maximum-matching upgrade covers the
-    greedy's worst case, and an exhaustive pair sweep is the final fallback.
+    The subset has at least T = (|P| / (2^(k-1) D))^(1/(k-1)) points, for
+    the set P on k active axes of extent D (first P = S, k = d, D = Diam S).
+    The greedy on the last two active axes is upgraded to a maximum matching
+    when it falls short; when the matching still has m < T points, the
+    descent recurses on the heaviest coordinate slice P' of those two axes.
+    This always meets the target:
+
+    - By Konig's theorem m coordinate slices cover P, so the heaviest slice
+      P' holds more than |P| / T points.
+    - With D' <= D, the target of P' on k - 1 axes is then at least
+      (2 T^(k-2))^(1/(k-2)) = 2^(1/(k-2)) T > T: the targets only rise
+      along the descent.
+    - On two axes every line holds at most D + 1 points, so the matching
+      reaches |P| / (D + 1) >= |P| / (2D), the two-axis target.
+
+    The final check and :func:`verify_distinct_subset` certify the result.
     """
     d = S.dimension
     pts = list(S.points)
@@ -200,13 +212,6 @@ def distinct_coordinate_subset(S: PointSet):
 
     target = subset_size_target(d, len(pts), S.diam)
     i, j, chosen = _descend(pts, list(range(d)))
-    if len(chosen) < target:
-        best = (i, j, chosen)
-        for a, b in itertools.combinations(range(d), 2):
-            cand = _pair_matching(pts, a, b)
-            if len(cand) > len(best[2]):
-                best = (a, b, cand)
-        i, j, chosen = best
     if len(chosen) < target:
         raise PreconditionError(
             f"no doubly-distinct subset of size {target:.2f} found "

@@ -84,16 +84,6 @@ class Tally:
     disconnected: int = 0
     contaminated: int = 0
 
-    def add(self, outcome: EventOutcome) -> None:
-        if outcome is EventOutcome.HIT:
-            self.hits += 1
-        elif outcome is EventOutcome.MISS:
-            self.misses += 1
-        elif outcome is EventOutcome.DISCONNECTED:
-            self.disconnected += 1
-        else:
-            self.contaminated += 1
-
     @property
     def replicates(self) -> int:
         return self.hits + self.misses + self.disconnected + self.contaminated
@@ -155,21 +145,23 @@ CODE_OUTCOMES = {v: k for k, v in OUTCOME_CODES.items()}
 def rate_estimates(events, n: int, results):
     """One RateEstimate per (label, s, x) event, in event order, from the
     per-replicate tuples of outcome codes of those events."""
-    tallies = [Tally() for _ in events]
-    for codes in results:
-        for tally, code in zip(tallies, codes):
-            tally.add(CODE_OUTCOMES[code])
+    # code k counts into the k-th Tally field
+    codes = np.asarray(results, dtype=np.int64).reshape(len(results), len(events))
     return [
-        RateEstimate(label=label, s=s, x=x, n=int(n), tally=tally)
-        for (label, s, x), tally in zip(events, tallies)
+        RateEstimate(
+            label=label, s=s, x=x, n=int(n),
+            tally=Tally(*map(int, np.bincount(column, minlength=len(OUTCOME_CODES)))),
+        )
+        for (label, s, x), column in zip(events, codes.T)
     ]
 
 
 def _run_all(fn, replicates: int, workers):
-    """Results of every replicate; a failed replicate aborts the estimate."""
+    """Results of every replicate; a failed replicate aborts the estimate.
+    Every estimator command gets its replicates here."""
     run = run_parallel(fn, replicates, workers)
     if run.partial:
-        raise PreconditionError(f"replicate {run.first_failure}: {run.error}")
+        raise PreconditionError(f"replicate {len(run.results)}: {run.error}")
     return run.results
 
 
@@ -346,7 +338,6 @@ def estimate_mu(
 class RateSurface:
     """Rate estimates on an (s, x) grid at a fixed n."""
 
-    n: int
     entries: dict  # (s, x tuple) -> RateEstimate
 
     def rate(self, s: float, x) -> float | None:
@@ -384,7 +375,7 @@ def estimate_rate_surface(
     )
     events = [(f"cutpoint(s={sp.s},x={sp.x})", sp.s, sp.x) for sp in specs]
     estimates = rate_estimates(events, n, _run_all(fn, replicates, workers))
-    return RateSurface(n=n, entries={(e.s, e.x): e for e in estimates})
+    return RateSurface(entries={(e.s, e.x): e for e in estimates})
 
 
 def _surface_replicate(index: int, *, d, p, box, specs, seed):

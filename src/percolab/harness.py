@@ -9,9 +9,12 @@ of the configuration and of every output file.
 Every config key is defined once, in ``_KEYS``: its parser, range check and
 help. A command lists only its required keys and the defaults it gives the
 others. Every value from outside (config file, ``--set``, flag or replayed
-manifest) is parsed and checked before anything is written.
+manifest) is parsed and checked before anything is written. A replayed
+manifest may name a key of ``_RETIRED`` only at the value listed there.
 
-Exit codes: 0 ok, 1 usage, 2 configuration, 3 runtime failure.
+Exit codes: 0 ok, 1 usage, 2 configuration, 3 runtime failure. Every
+estimator command gets its replicates from ``estimators._run_all``, so a
+failed replicate exits 3 before any output is written.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .estimators import (
     CODE_OUTCOMES,
     EVENT_KINDS,
     EventFamily,
+    _run_all,
     _run_one_n,
     estimate_J,
     estimate_mu,
@@ -51,7 +55,7 @@ from .lattice import (
     sample_configuration,
 )
 from .metric import _INF32, grow_ball
-from .parallel import run_parallel
+from .parallel import run_parallel  # noqa: F401  (perfbench wraps harness.run_parallel)
 from .renorm import classify_boxes, route_through_good, slab_experiment
 
 CSV_PREFIX = "# percolab-csv"
@@ -182,7 +186,6 @@ _KEYS = {
     "box_factor": Field(_POSITIVE, help="box radius per unit of n"),
     "workers": Field(_NONNEGATIVE_INT, help="0 = auto"),
     "emit_replicates": Field(_parse_bool, help="also write replicates.csv"),
-    "fail_at": Field(int, help="fault injection (testing)"),
     "manifest": Field(str, help="manifest to reproduce and compare"),
 }
 
@@ -354,7 +357,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "estimate-rate": _schema(_ESTIMATED, {
         "event": "cutpoint", "s": (0.25,), "x": (), "xi": 0.0, "mu1": 1.0,
         "n_grid": (8,), "replicates": 1000, "box_factor": 2.0, "workers": 0,
-        "emit_replicates": False, "fail_at": -1, "csv": "rates.csv",
+        "emit_replicates": False, "csv": "rates.csv",
     }),
     "estimate-j": _schema(_ESTIMATED, {
         "n": 8, "x": (), "xi_grid": (0.0, 0.25, 0.5), "mu1": 1.0,
@@ -654,53 +657,29 @@ def _cmd_estimate_rate(cfg, out_dir):
     events = family.events()
     estimates = []
     replicate_rows = []
-    partial_note = None
     for n in cfg["n_grid"]:
         fn = partial(_run_one_n, family=family, seed=cfg["seed"], n=int(n))
-        if cfg["fail_at"] >= 0:
-            fn = partial(_failing_worker, inner=fn, fail_at=cfg["fail_at"])
-        run = run_parallel(fn, cfg["replicates"], workers)
-        estimates.extend(rate_estimates(events, n, run.results))
+        results = _run_all(fn, cfg["replicates"], workers)
+        estimates.extend(rate_estimates(events, n, results))
         if cfg["emit_replicates"]:
-            for idx, codes in enumerate(run.results):
+            for idx, codes in enumerate(results):
                 for (label, s, x), code in zip(events, codes):
                     replicate_rows.append([
                         label, "" if s is None else s, _fmt_point(x),
                         int(n), idx, CODE_OUTCOMES[code].value,
                     ])
-        if run.partial:
-            partial_note = (
-                f"# partial: replicate {run.first_failure} failed: {run.error}"
-            )
-            break
 
-    outputs = []
     path = os.path.join(out_dir, cfg["csv"])
     write_csv(path, "rates", _RATE_HEADER, _rate_rows(estimates))
-    if partial_note:
-        with open(path, "a") as fh:
-            fh.write(partial_note + "\n")
-    outputs.append(path)
-    if cfg["emit_replicates"]:
-        rpath = os.path.join(out_dir, "replicates.csv")
-        write_csv(
-            rpath, "event-tally",
-            ["event", "s", "x", "n", "replicate", "outcome"],
-            replicate_rows,
-        )
-        if partial_note:
-            with open(rpath, "a") as fh:
-                fh.write(partial_note + "\n")
-        outputs.append(rpath)
-    if partial_note:
-        raise PercolabError(partial_note[2:], outputs)
-    return outputs
-
-
-def _failing_worker(index: int, *, inner, fail_at: int):
-    if index == fail_at:
-        raise RuntimeError("injected fault")
-    return inner(index)
+    if not cfg["emit_replicates"]:
+        return [path]
+    rpath = os.path.join(out_dir, "replicates.csv")
+    write_csv(
+        rpath, "event-tally",
+        ["event", "s", "x", "n", "replicate", "outcome"],
+        replicate_rows,
+    )
+    return [path, rpath]
 
 
 def _cmd_estimate_j(cfg, out_dir):
@@ -747,19 +726,27 @@ def _cmd_upper_tail(cfg, out_dir):
     return [path]
 
 
+# keys that older manifests store, with the one value the current code
+# still reproduces: replay drops such a line and refuses any other value
+_RETIRED = {"fail_at": "-1"}
+
+
 def _cmd_replay(cfg, out_dir):
     with open(cfg["manifest"]) as fh:
         record = json.load(fh)
     command = record["command"]
     schema = SCHEMAS[command]
-    file_values = parse_config_text(
-        "\n".join(
-            line for line in record["config"].splitlines()
-            if not line.startswith("command =")
-        ),
-        schema,
-        source="<manifest>",
-    )
+    kept = []
+    for line in record["config"].splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in _RETIRED:
+            if value != _RETIRED[key]:
+                raise ConfigError(
+                    f"<manifest>: retired key {key!r} = {value} cannot be replayed"
+                )
+        elif key != "command":
+            kept.append(line)
+    file_values = parse_config_text("\n".join(kept), schema, source="<manifest>")
     merged = resolve_config(schema, file_values, {})
     with tempfile.TemporaryDirectory() as tmp:
         outputs = _HANDLERS[command](merged, tmp)

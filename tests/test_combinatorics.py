@@ -99,6 +99,20 @@ def test_distinct_subset_matching_beats_the_greedy():
     assert set(sub.points) == {(0, 1), (1, 0)}
 
 
+@pytest.mark.parametrize("D", [4, 6, 9])
+def test_distinct_subset_descends_into_the_heavy_slice_of_a_plane(D):
+    # the plane where coordinate 1 is 0: on the last two axes (1, 2) every
+    # point shares coordinate 1, so the matching keeps one point, below the
+    # target ((D + 1)^2 / (4 D))^(1/2) > 1; the descent keeps the heavy
+    # slice of axis 1, the whole plane, and matches a diagonal on (0, 2)
+    S = comb.PointSet.of([(a, 0, b) for a in range(D + 1) for b in range(D + 1)])
+    assert comb.subset_size_target(3, len(S), S.diam) > 1
+    i, j, sub = comb.distinct_coordinate_subset(S)
+    comb.verify_distinct_subset(S, i, j, sub)
+    assert (i, j) == (0, 2)
+    assert len(sub) == D + 1
+
+
 def test_distinct_subset_random_exact(rng):
     for _ in range(200):
         d = int(rng.integers(2, 5))

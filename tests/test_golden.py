@@ -175,25 +175,6 @@ def test_golden_serial_output_bytes(tmp_path, name):
     written = {p.name: _sha256(p) for p in out.iterdir() if p.name != "manifest.json"}
     assert written == expected
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_partial_run_keeps_replicates_below_the_fault(tmp_path, workers):
-    argv = ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=23",
-            "--set=n_grid=6", "--set=replicates=40", "--set=fail_at=17",
-            "--set=emit_replicates=true", f"--set=workers={workers}",
-            "--out-dir", str(tmp_path)]
-    assert cli_dispatch(argv) == 3
-    assert not (tmp_path / "manifest.json").exists()
-    rates = (tmp_path / "rates.csv").read_text().splitlines()
-    reps = (tmp_path / "replicates.csv").read_text().splitlines()
-    for lines in (rates, reps):
-        assert lines[-1].startswith("# partial: replicate 17 failed")
-    header = rates[1].split(",")
-    (row,) = rates[2:-1]
-    cells = dict(zip(header, row.split(",")))
-    assert int(cells["replicates"]) == 17
-    assert sum(int(cells[k]) for k in ("hits", "misses", "disconnected", "contaminated")) == 17
-    assert [r.split(",")[4] for r in reps[2:-1]] == [str(i) for i in range(17)]
-
 
 def test_estimate_j_without_unit_rate_reports_nan_radius(tmp_path):
     # no replicate hits the (s=1, y=0) cell, so the search radius R is unknown

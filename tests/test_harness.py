@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from percolab import estimators
+from percolab import estimators, harness
 from percolab.harness import (
     SCHEMAS,
     _fmt_cell,
@@ -58,7 +58,7 @@ CANONICAL = {
     ),
     "estimate-rate": (
         ESTIMATOR,
-        "93a4932da02a8cfe5d6a603cae18969e6b7659e0fce3e11a995bbb0f2519e89d",
+        "dded8d68db51d401a1ca476c01f95884865f57e6045ef087fce2aa298cae244e",
     ),
     "estimate-j": (
         ESTIMATOR,
@@ -253,6 +253,7 @@ def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
     "command, replicate",
     [
         ("estimate-mu", "_mu_replicate"),
+        ("estimate-rate", "_run_one_n"),
         ("estimate-j", "_surface_replicate"),
         ("upper-tail", "_paired_replicate"),
     ],
@@ -268,7 +269,10 @@ def test_a_failed_replicate_exits_3_writing_nothing(
             raise RuntimeError("injected failure")
         return original(index, **kwargs)
 
-    monkeypatch.setattr(estimators, replicate, failing)
+    # the estimate-rate handler reads _run_one_n from harness
+    for module in (estimators, harness):
+        if hasattr(module, replicate):
+            monkeypatch.setattr(module, replicate, failing)
     values = {**CANONICAL[command][0], "workers": workers}
     argv = [command, "--out-dir", str(tmp_path)] + [
         f"--set={k}={v}" for k, v in values.items()
@@ -316,6 +320,31 @@ def test_replay_reproduces_a_run_and_rejects_an_edited_hash(tmp_path, capsys):
     edited.write_text(json.dumps(record))
     assert cli_dispatch(["replay", f"--set=manifest={edited}"]) == 3
     assert "replay mismatch for outputs: ['replicates.csv']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [("-1", 0), ("17", 2)])
+def test_replay_drops_a_retired_key_only_at_its_reproducible_value(
+    tmp_path, capsys, value, code
+):
+    run_dir = tmp_path / "run"
+    argv = RATE + ["--set=n_grid=6", "--set=replicates=10", "--set=workers=1",
+                   "--out-dir", str(run_dir)]
+    assert cli_dispatch(argv) == 0
+    record = json.loads((run_dir / "manifest.json").read_text())
+    # manifests written before fail_at was retired store it among the keys
+    head, *lines = record["config"].splitlines()
+    record["config"] = "\n".join([head] + sorted(lines + [f"fail_at = {value}"])) + "\n"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(record))
+    replay_dir = tmp_path / "replay"
+    argv = ["replay", f"--set=manifest={old}", "--out-dir", str(replay_dir)]
+    assert cli_dispatch(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "replay ok: 1 outputs byte-identical" in out
+    else:
+        assert "config error: <manifest>: retired key 'fail_at' = 17" in err
+    assert list(replay_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(CANONICAL))

@@ -3,7 +3,8 @@ uses, no module defines a private module-level name that nothing in the
 package references, every public name has a caller in the package or in
 the benchmark, every defaulted parameter is set by some call there, and
 every dataclass field is read there, unless an allowlist says why not.
-An import kept on purpose carries a ``# noqa: F401`` comment."""
+An import kept on purpose carries a ``# noqa: F401`` comment, and is a name
+that the benchmark's ``perfbench/cli.py install()`` wraps on that module."""
 
 import ast
 import pathlib
@@ -15,22 +16,25 @@ PACKAGE = ROOT / "src" / "percolab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str):
-    tree = ast.parse(source)
+def module_imports(source: str):
+    """(line, bound name, kept) of every module-level import other than
+    ``__future__``; kept means the statement carries ``# noqa: F401``."""
     lines = source.splitlines()
-    imported = {}
-    for node in tree.body:
+    found = []
+    for node in ast.parse(source).body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-        if "noqa: F401" in text:
-            continue
+        kept = "noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno])
         for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            imported[bound] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            found.append((node.lineno, alias.asname or alias.name.split(".")[0], kept))
+    return found
+
+
+def unused_imports(source: str):
+    imported = {name: line for line, name, kept in module_imports(source) if not kept}
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -47,6 +51,71 @@ def test_detector_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def wrapped_names(source: str) -> set:
+    """(module, name) of every ``tracer.wrap(module, "name", ...)`` in the
+    ``install`` function of ``source``; a loop over a literal tuple wraps
+    each of its items."""
+    (install,) = (
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    loops = {
+        node.target.id: node.iter.elts for node in ast.walk(install)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Tuple)
+    }
+
+    def values(arg):
+        if isinstance(arg, ast.Name):
+            if arg.id in loops:
+                return [v for elt in loops[arg.id] for v in values(elt)]
+            return [arg.id]
+        if isinstance(arg, ast.Constant):
+            return [arg.value]
+        return []
+
+    return {
+        (owner, key)
+        for node in ast.walk(install)
+        if isinstance(node, ast.Call) and _callee(node.func) == "wrap"
+        for owner in values(node.args[0]) for key in values(node.args[1])
+    }
+
+
+def kept_imports_not_wrapped(module: str, source: str, wrapped: set):
+    """(line, name) of every ``# noqa: F401`` import of ``module`` that the
+    benchmark does not wrap there: such an import is kept for nothing."""
+    return [
+        (line, name) for line, name, kept in module_imports(source)
+        if kept and (module, name) not in wrapped
+    ]
+
+
+def test_kept_import_detector_reads_wraps_loops_and_noqa():
+    bench = (
+        "def install(tracer):\n"
+        "    tracer.wrap(a, 'f', 'span')\n"
+        "    for owner in (a, b):\n        tracer.wrap(owner, 'g', 'span')\n"
+        "    for name in ('h', 'k'):\n        tracer.wrap(b, name, 'span')\n"
+        "    tracer.wrap(a.Cls, 'm', 'span')\n"
+        "def other(tracer):\n    tracer.wrap(c, 'z', 'span')\n"
+    )
+    wrapped = wrapped_names(bench)
+    assert wrapped == {("a", "f"), ("a", "g"), ("b", "g"), ("b", "h"), ("b", "k")}
+    source = (
+        "import os\nfrom x import f  # noqa: F401\n"
+        "from y import (g,\n    z)  # noqa: F401\nfrom w import h  # noqa: F401\n"
+    )
+    assert kept_imports_not_wrapped("b", source, wrapped) == [(2, "f"), (3, "z")]
+    assert kept_imports_not_wrapped("c", source, wrapped) == [(2, "f"), (3, "g"), (3, "z"), (5, "h")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_kept_import_is_a_name_the_benchmark_wraps(path):
+    wrapped = wrapped_names((ROOT / "perfbench" / "cli.py").read_text())
+    assert kept_imports_not_wrapped(path.stem, path.read_text(), wrapped) == []
 
 
 def references(source: str) -> set:
