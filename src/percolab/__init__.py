@@ -8,6 +8,7 @@ estimators for the distance constant and event decay rates.
 
 from .cutpoints import (
     CutPointRecord,
+    EventGrid,
     EventOutcome,
     EventResult,
     EventSpec,

@@ -7,10 +7,15 @@ within sup-distance floor(n^alpha) of n*x; the free-line refinement
 additionally demands an axis line meeting the ball only at w, thin line
 counts through w's hyperplane, and a volume cap floor(n^(7/4)).
 
-Both events are scored by ``event_A(ctx, spec)`` and
-``event_A_free(ctx, spec)`` on a :class:`BallEventContext`: the ball grown
-from the origin until its first face contact, with its certified singleton
-layers and window verdicts shared by every spec evaluated on it.
+A grid of specs is scored on one ball in one pass. :class:`EventGrid` holds
+what depends only on the specs and the box (window centres, radii, time
+thresholds and the index of distinct windows), so it is built once and
+shared by every replicate on that box. ``event_A(ctx, grid)`` and
+``event_A_free(ctx, grid)`` then return one result per spec for the ball of
+a :class:`BallEventContext`: the ball grown from the origin until its first
+face contact, with its candidate witnesses. The witnesses come from one mask
+over (spec, candidate) pairs; the windows of the specs without one are
+certified together.
 
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
@@ -18,12 +23,14 @@ lattice; otherwise it is unknowable.
 
 A miss on a face-contaminated ball needs every window vertex resolved: within
 the certified horizon, or unreached with an open cluster that avoids every
-box face. The unreached ones are probed together by a second growth that
-stops at a face or at the ball's frontier ``layers[-1]``: an open edge from
-an unreached vertex into the ball lands in its last layer, so reaching the
-frontier proves the vertex joins the source cluster, which touches a face.
-Each vertex's verdict (in a finite cluster, or joined to a face) is exact,
-so :class:`BallEventContext` keeps it for every later window of that ball.
+box face. One gather of the ball's distances per window extent settles most
+windows. The unreached vertices of each remaining window are probed together
+by a second growth that stops at a face or at the ball's frontier
+``layers[-1]``: an open edge from an unreached vertex into the ball lands in
+its last layer, so reaching the frontier proves the vertex joins the source
+cluster, which touches a face. Each vertex's verdict (in a finite cluster,
+or joined to a face) is exact, so :class:`BallEventContext` keeps it for
+every later window of that ball.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     PreconditionError,
     SurgeryPlanError,
 )
-from .lattice import PercolationSample
+from .lattice import BoxSpec, PercolationSample
 from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
 
 
@@ -124,60 +131,206 @@ _JOINED = np.int8(2)  # open path to a box face or to the ball's frontier
 
 
 class BallEventContext:
-    """Caches shared work when many specs are evaluated on one ball: its
-    certified singleton layers, each window's certificate, and the verdict
-    of every vertex a window probe has settled."""
+    """The event candidates of one ball and the window verdicts settled on
+    it, shared by every grid scored on that ball.
+
+    ``times`` and ``coords`` list the candidate witnesses in increasing t:
+    the source at t = 0 (a witness only of a threshold <= 0), then every
+    certified singleton layer. The verdict of every unreached vertex that a
+    window probe has settled is kept for later windows of the same ball.
+    """
 
     def __init__(self, sample: PercolationSample, ball: BallGrowth):
         self.sample = sample
         self.ball = ball
-        self.singletons = [
-            (t, ball.box.coords_of_flats([flat])[0]) for t, flat in ball.singletons()
-        ]
-        self._resolved: dict = {}
+        singles = ball.singletons()
+        self.times = np.array([0] + [t for t, _ in singles], dtype=np.int64)
+        self.coords = ball.box.coords_of_flats(
+            [ball.box.flat_index(ball.source)] + [flat for _, flat in singles]
+        )
         self._verdict: np.ndarray | None = None  # int8 per vertex, from the first probe
 
-    def window_resolved(self, center: np.ndarray, radius: int) -> bool:
-        key = (center.tobytes(), radius)
-        hit = self._resolved.get(key)
-        if hit is None:
-            hit = _window_resolved(self, center, radius)
-            self._resolved[key] = hit
-        return hit
+
+class _Windows:
+    """The distinct integer windows [ceil(c - r), floor(c + r)] of a list
+    of centres c and radii r on one box.
+
+    ``of[i]`` is the window of centre i, among ``count`` windows. A window
+    k inside the box is listed in the group of its extent, whose flat
+    offsets added to ``base[k]`` give its flats: a half-integer centre
+    coordinate gives the window one vertex fewer along that axis, so the
+    windows of one grid can differ in extent. A window that leaves the box
+    is in no group.
+    """
+
+    def __init__(self, box: BoxSpec, centers: np.ndarray, radii: np.ndarray):
+        d = box.dimension
+        lo = np.ceil(centers - radii[:, None]).astype(np.int64)
+        hi = np.floor(centers + radii[:, None]).astype(np.int64)
+        bounds, of = np.unique(np.hstack([lo, hi]), axis=0, return_inverse=True)
+        self.of = of.reshape(-1)
+        self.count = len(bounds)
+        lo, hi = bounds[:, :d], bounds[:, d:]
+        low = np.asarray(box.low_corner, dtype=np.int64)
+        inside = (lo >= low).all(axis=1) & (hi <= np.asarray(box.high_corner)).all(axis=1)
+        self.base = (lo - low) @ np.asarray(box.strides, dtype=np.int64)
+        ids = np.flatnonzero(inside)
+        extents, group = np.unique((hi - lo + 1)[ids], axis=0, return_inverse=True)
+        self.groups = [
+            (ids[group.reshape(-1) == g], box.window_flats(low, low + extent).reshape(-1))
+            for g, extent in enumerate(extents)
+        ]
 
 
-def _window_resolved(ctx: BallEventContext, center: np.ndarray, radius: int) -> bool:
-    """Every possible witness location has a certified status.
+class EventGrid:
+    """A spec sequence with the geometry of its plain or free-line windows
+    on one box.
+
+    The geometry depends only on the specs and the box, so it is computed
+    once and shared by every ball scored on that box: per spec the window
+    centre n x, its radius and time threshold, the free-line caps, and the
+    index of distinct windows. A spec whose direction does not have the
+    box's dimension raises GeometryError.
+    """
+
+    def __init__(self, specs, box: BoxSpec, free: bool):
+        d = box.dimension
+        specs = list(specs)
+        self.free = free
+        self.centers = np.array([sp.center(d) for sp in specs]).reshape(len(specs), d)
+        if free:
+            radii = [sp.window_free(d) for sp in specs]
+            thresholds = [sp.time_threshold_free(d) for sp in specs]
+        else:
+            radii = [sp.window(d) for sp in specs]
+            thresholds = [sp.time_threshold() for sp in specs]
+        self.radii = np.array(radii, dtype=np.int64)
+        self.thresholds = np.array(thresholds, dtype=float)
+        self.line_caps = [sp.window(d) for sp in specs]
+        self.volume_caps = [sp.volume_cap() for sp in specs]
+        self.windows = _Windows(box, self.centers, self.radii)
+
+
+def event_A(ctx: BallEventContext, grid: EventGrid) -> list:
+    """Windowed cut-point event of every spec of a plain grid, in order.
+
+    A witness is a certified singleton layer (t, w) with t >= s n and w
+    within sup-distance floor(n^alpha) of n x. Each result holds the least
+    witness when the event holds; the scan stops at the ball's certified
+    horizon ``resolved_through``.
+    """
+    if grid.free:
+        raise PreconditionError("event_A scores a grid built with free=False")
+    return _score(ctx, grid)
+
+
+def event_A_free(ctx: BallEventContext, grid: EventGrid) -> list:
+    """Free-line refinement of the windowed cut-point event, for every
+    spec of a free grid, in order.
+
+    A witness (t, w) needs, besides a singleton layer with t >= s n - 3 w0
+    and w within 4 w0 of n x (w0 = floor(n^alpha)): an axis line through w
+    meeting B_t only at w; some axis j with all line counts through w's
+    j-hyperplane slice of B_t at most w0; and |B_t| <= floor(n^(7/4)).
+    """
+    if not grid.free:
+        raise PreconditionError("event_A_free scores a grid built with free=True")
+    return _score(ctx, grid)
+
+
+def _score(ctx: BallEventContext, grid: EventGrid) -> list:
+    """One EventResult per spec: the least witness, else MISS when the
+    spec's window is certified and UNKNOWABLE when it is not.
+
+    One mask of (spec, candidate) pairs gives the witnesses; a free-line
+    spec checks its passing pairs in increasing t. The windows of the
+    specs without a witness are certified together, probed in the order
+    of their first such spec.
+    """
+    ok = (ctx.times >= grid.thresholds[:, None]) & (
+        np.abs(ctx.coords - grid.centers[:, None, :]).max(axis=2) <= grid.radii[:, None]
+    )
+    first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    if grid.free:
+        for i in np.flatnonzero(first >= 0):
+            first[i] = next((
+                j for j in np.flatnonzero(ok[i])
+                if _free_conditions(
+                    ctx.ball, int(ctx.times[j]), ctx.coords[j],
+                    grid.line_caps[i], grid.volume_caps[i],
+                )
+            ), -1)
+    of = grid.windows.of
+    certified = np.zeros(grid.windows.count, dtype=bool)
+    missed = of[first < 0]
+    if missed.size:
+        _, at = np.unique(missed, return_index=True)
+        needed = missed[np.sort(at)]
+        certified[needed] = _windows_resolved(ctx, grid.windows, needed)
+    results = []
+    for j, window in zip(first.tolist(), of.tolist()):
+        if j >= 0:
+            witness = CutPointRecord(int(ctx.times[j]), tuple(map(int, ctx.coords[j])))
+            results.append(EventResult(EventOutcome.HIT, witness))
+        elif certified[window]:
+            results.append(EventResult(EventOutcome.MISS))
+        else:
+            results.append(EventResult(EventOutcome.UNKNOWABLE))
+    return results
+
+
+def _windows_resolved(ctx: BallEventContext, windows: _Windows, needed) -> np.ndarray:
+    """Whether every possible witness location of each window ``needed[k]``
+    has a certified status.
 
     With no contamination the grown cluster is the full Z^d cluster of the
     source, so every vertex is resolved (finite or truly infinite). With
     contamination a window vertex is resolved when its distance is within
     the certified horizon, or when it is unreached and its own open cluster
     avoids every box face (then it truly never joins the source cluster).
+    A window that leaves the box is not resolved.
 
-    The unreached vertices without a verdict are probed together, stopping
-    at a face or at the frontier ``ball.layers[-1]``. A clean probe marks
-    every vertex it reached finite; a failed one marks the predecessor path
-    from each face or frontier vertex it reached back to its source joined.
-    A later window with a joined unreached vertex fails without a probe.
+    One gather of the ball's distances per window extent settles every
+    window whose vertices are all within the horizon, or some reached past
+    it. The rest go to :func:`_probe_resolved` in the order of ``needed``.
     """
     ball = ctx.ball
     if not ball.contaminated:
-        return True
-    lo = np.ceil(center - radius).astype(np.int64)
-    hi = np.floor(center + radius).astype(np.int64)
-    try:
-        flats = ball.box.window_flats(lo, hi + 1).reshape(-1)
-    except GeometryError:
-        return False
-    dvals = ball.dist[flats]
-    near = dvals <= np.uint32(ball.resolved_through)
-    if near.all():
-        return True
-    unreached = dvals == _INF32
-    if not (near | unreached).all():
-        return False
-    pending = flats[unreached]
+        return np.ones(len(needed), dtype=bool)
+    wanted = np.zeros(windows.count, dtype=bool)
+    wanted[needed] = True
+    resolved = np.zeros(windows.count, dtype=bool)
+    unsettled = {}
+    horizon = np.uint32(ball.resolved_through)
+    for ids, offsets in windows.groups:
+        ids = ids[wanted[ids]]
+        if ids.size == 0:
+            continue
+        flats = windows.base[ids, None] + offsets
+        dvals = ball.dist[flats]
+        near = dvals <= horizon
+        unreached = dvals == _INF32
+        resolved[ids] = near.all(axis=1)
+        unsure = ~resolved[ids] & (near | unreached).all(axis=1)
+        for k in np.flatnonzero(unsure):
+            unsettled[int(ids[k])] = flats[k][unreached[k]]
+    for k in map(int, needed):
+        if k in unsettled:
+            resolved[k] = _probe_resolved(ctx, unsettled[k])
+    return resolved[needed]
+
+
+def _probe_resolved(ctx: BallEventContext, pending: np.ndarray) -> bool:
+    """Whether the open clusters of the unreached vertices ``pending`` all
+    avoid every box face.
+
+    The vertices without a verdict are probed together, stopping at a face
+    or at the frontier ``ball.layers[-1]``. A clean probe marks every
+    vertex it reached finite; a failed one marks the predecessor path from
+    each face or frontier vertex it reached back to its source joined. A
+    later window with a joined unreached vertex fails without a probe.
+    """
+    ball = ctx.ball
     if ctx._verdict is not None:
         status = ctx._verdict[pending]
         if (status == _JOINED).any():
@@ -209,62 +362,6 @@ def _window_resolved(ctx: BallEventContext, center: np.ndarray, radius: int) -> 
         ctx._verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
     ctx._verdict[marked] = _FINITE if clean else _JOINED
     return clean
-
-
-def _in_window(coord, center: np.ndarray, radius: int) -> bool:
-    return bool(np.max(np.abs(np.asarray(coord, dtype=float) - center)) <= radius)
-
-
-def event_A(ctx: BallEventContext, spec: EventSpec) -> EventResult:
-    """Windowed cut-point event on the context's ball.
-
-    A witness is a certified singleton layer (t, w) with t >= s n and w
-    within sup-distance floor(n^alpha) of n x. Returns the least witness
-    time when the event holds; the scan stops at the ball's certified
-    horizon ``resolved_through``.
-    """
-    return _eval_windowed(ctx, spec, free=False)
-
-
-def event_A_free(ctx: BallEventContext, spec: EventSpec) -> EventResult:
-    """Free-line refinement of the windowed cut-point event.
-
-    A witness (t, w) needs, besides a singleton layer with t >= s n - 3 w0
-    and w within 4 w0 of n x (w0 = floor(n^alpha)): an axis line through w
-    meeting B_t only at w; some axis j with all line counts through w's
-    j-hyperplane slice of B_t at most w0; and |B_t| <= floor(n^(7/4)).
-    """
-    return _eval_windowed(ctx, spec, free=True)
-
-
-def _eval_windowed(ctx: BallEventContext, spec: EventSpec, free: bool) -> EventResult:
-    """The least witness of the plain or free-line event, else MISS when
-    the window is certified and UNKNOWABLE when it is not."""
-    ball = ctx.ball
-    d = ball.box.dimension
-    center = spec.center(d)
-    if free:
-        radius, threshold = spec.window_free(d), spec.time_threshold_free(d)
-    else:
-        radius, threshold = spec.window(d), spec.time_threshold()
-    candidates = []
-    if threshold <= 0:
-        candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
-    candidates.extend((t, c) for t, c in ctx.singletons if t >= threshold)
-    for t, coord in candidates:
-        if not _in_window(coord, center, radius):
-            continue
-        if free and not _free_conditions(
-            ball, t, coord, spec.window(d), spec.volume_cap()
-        ):
-            continue
-        return EventResult(
-            outcome=EventOutcome.HIT,
-            witness=CutPointRecord(t, tuple(int(c) for c in coord)),
-        )
-    if ctx.window_resolved(center, radius):
-        return EventResult(outcome=EventOutcome.MISS)
-    return EventResult(outcome=EventOutcome.UNKNOWABLE)
 
 
 def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap) -> bool:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .cutpoints import (
     BallEventContext,
+    EventGrid,
     EventOutcome,
     EventSpec,
     alpha_default,
@@ -165,13 +166,12 @@ def _run_all(fn, replicates: int, workers):
     return run.results
 
 
-def _ball_codes(sample, d: int, specs, free: bool = False):
-    """Outcome codes of every spec, evaluated on one ball grown from the
-    origin (the events share the sample and the ball)."""
-    ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
-    ctx = BallEventContext(sample, ball)
-    fn = event_A_free if free else event_A
-    return tuple(OUTCOME_CODES[fn(ctx, spec).outcome] for spec in specs)
+def _ball_codes(sample, grid: EventGrid):
+    """Outcome codes of every spec of ``grid``, scored in one call on one
+    ball grown from the origin (the events share the sample and the ball)."""
+    ball = grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
+    fn = event_A_free if grid.free else event_A
+    return tuple(OUTCOME_CODES[r.outcome] for r in fn(BallEventContext(sample, ball), grid))
 
 
 def target_distance(sample, n: int, x):
@@ -232,8 +232,13 @@ class EventFamily:
             reach = self.box_factor * (n * max(abs(c) for c in self.x) + 2.0 * w)
         return _box(self.d, reach)
 
-    def specs(self, n: int):
-        return [EventSpec(s=s, x=self.x, n=n, alpha=self.alpha) for s in self.s_grid]
+    def grid(self, n: int):
+        """The event grid of the s_grid at n on ``box_for(n)``; None for
+        the upper tail."""
+        if self.kind == "upper_tail":
+            return None
+        specs = [EventSpec(s=s, x=self.x, n=n, alpha=self.alpha) for s in self.s_grid]
+        return EventGrid(specs, self.box_for(n), self.kind == "free")
 
     def events(self):
         """(label, s, x) of each event, in outcome-code order; s is None for
@@ -243,8 +248,9 @@ class EventFamily:
         return [(f"{self.kind}(s={s})", s, self.x) for s in self.s_grid]
 
 
-def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
-    """Outcome codes of every family event for one replicate (shared sample)."""
+def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int, grid):
+    """Outcome codes of every family event for one replicate (shared
+    sample); ``grid`` is ``family.grid(n)``."""
     sample = sample_configuration(
         family.box_for(n), family.p, replicate_seed(seed, index)
     )
@@ -252,7 +258,7 @@ def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int):
         _, dist = target_distance(sample, n, family.x)
         threshold = family.mu1 * (1.0 + family.xi) * n
         return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
-    return _ball_codes(sample, family.d, family.specs(n), free=family.kind == "free")
+    return _ball_codes(sample, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +377,16 @@ def estimate_rate_surface(
         EventSpec(s=s, x=x, n=n, alpha=alpha) for s in s_grid for x in x_grid
     ]
     fn = partial(
-        _surface_replicate, d=d, p=p, box=box, specs=specs, seed=seed
+        _surface_replicate, p=p, box=box, grid=EventGrid(specs, box, False), seed=seed
     )
     events = [(f"cutpoint(s={sp.s},x={sp.x})", sp.s, sp.x) for sp in specs]
     estimates = rate_estimates(events, n, _run_all(fn, replicates, workers))
     return RateSurface(entries={(e.s, e.x): e for e in estimates})
 
 
-def _surface_replicate(index: int, *, d, p, box, specs, seed):
+def _surface_replicate(index: int, *, p, box, grid, seed):
     sample = sample_configuration(box, p, replicate_seed(seed, index))
-    return _ball_codes(sample, d, specs)
+    return _ball_codes(sample, grid)
 
 
 @dataclass

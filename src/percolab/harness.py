@@ -658,7 +658,9 @@ def _cmd_estimate_rate(cfg, out_dir):
     estimates = []
     replicate_rows = []
     for n in cfg["n_grid"]:
-        fn = partial(_run_one_n, family=family, seed=cfg["seed"], n=int(n))
+        fn = partial(
+            _run_one_n, family=family, seed=cfg["seed"], n=int(n), grid=family.grid(int(n))
+        )
         results = _run_all(fn, cfg["replicates"], workers)
         estimates.extend(rate_estimates(events, n, results))
         if cfg["emit_replicates"]:

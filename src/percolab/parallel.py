@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from functools import partial
 
 
 @dataclass
@@ -28,24 +29,27 @@ def _wrap(fn, idx):
         return False, f"{type(exc).__name__}: {exc}"
 
 
-def run_parallel(fn, n_tasks: int, workers: int | None = None) -> ParallelRun:
-    """Evaluate fn(0..n_tasks-1) in index order, stopping at the first
-    failure; ``workers`` None means one worker per CPU."""
-    if workers is None:
-        workers = multiprocessing.cpu_count()
-    if workers <= 1 or n_tasks <= 1:
-        # lazy, so the loop below runs nothing past the first failure
-        outcomes = (_wrap(fn, i) for i in range(n_tasks))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, n_tasks // (workers * 8))
-        with ctx.Pool(workers) as pool:
-            args = [(fn, i) for i in range(n_tasks)]
-            outcomes = pool.starmap(_wrap, args, chunksize=chunk)
-
+def _collect(outcomes) -> ParallelRun:
+    """The results of ``outcomes`` in index order, up to the first failure,
+    consuming nothing past it."""
     results = []
     for ok, payload in outcomes:
         if not ok:
             return ParallelRun(results=results, partial=True, error=payload)
         results.append(payload)
     return ParallelRun(results=results, partial=False, error=None)
+
+
+def run_parallel(fn, n_tasks: int, workers: int | None = None) -> ParallelRun:
+    """Evaluate fn(0..n_tasks-1) in index order, stopping at the first
+    failure; ``workers`` None means one worker per CPU."""
+    if workers is None:
+        workers = multiprocessing.cpu_count()
+    if workers <= 1 or n_tasks <= 1:
+        return _collect(_wrap(fn, i) for i in range(n_tasks))
+    ctx = multiprocessing.get_context("fork")
+    chunk = max(1, n_tasks // (workers * 8))
+    with ctx.Pool(workers) as pool:
+        # consumed inside the block: leaving it at a failure terminates the
+        # workers, so chunks past the failure are not evaluated
+        return _collect(pool.imap(partial(_wrap, fn), range(n_tasks), chunksize=chunk))

@@ -9,8 +9,17 @@ from hypothesis import settings
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from percolab import BoxSpec, PercolationSample, grow_ball
-from percolab.cutpoints import BallEventContext
+from percolab import BoxSpec, PercolationSample, cutpoints, grow_ball
+from percolab.cutpoints import (
+    BallEventContext,
+    CutPointRecord,
+    EventGrid,
+    EventOutcome,
+    EventResult,
+    event_A,
+    event_A_free,
+)
+from percolab.errors import GeometryError
 
 INF32 = np.uint32(0xFFFFFFFF)
 MASK64 = (1 << 64) - 1
@@ -47,6 +56,111 @@ def origin_context(sample: PercolationSample) -> BallEventContext:
     contact, as the estimators build it."""
     ball = grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
     return BallEventContext(sample, ball)
+
+
+def score_one(ctx: BallEventContext, spec, free=False) -> EventResult:
+    """The plain or free-line event of one spec on the context's ball."""
+    grid = EventGrid([spec], ctx.ball.box, free)
+    return (event_A_free if free else event_A)(ctx, grid)[0]
+
+
+class ReferenceContext:
+    """Per-spec scan of one ball, the reference for the one-pass scoring:
+    its certified singleton layers, each window's certificate cached by
+    (centre, radius), and the verdict of every vertex a probe settled."""
+
+    def __init__(self, sample: PercolationSample, ball):
+        self.sample = sample
+        self.ball = ball
+        self.singletons = [
+            (t, ball.box.coords_of_flats([flat])[0]) for t, flat in ball.singletons()
+        ]
+        self.resolved = {}
+        self.verdict = None  # per vertex: 0 not probed, 1 finite, 2 joined
+
+    def window_resolved(self, center, radius) -> bool:
+        key = (center.tobytes(), radius)
+        if key not in self.resolved:
+            self.resolved[key] = reference_window_resolved(self, center, radius)
+        return self.resolved[key]
+
+
+def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
+    """Every vertex of one window is within the certified horizon, or
+    unreached with an open cluster that avoids every box face; the
+    unreached vertices without a verdict are probed together through
+    ``cutpoints.grow_ball_flats``, stopped at a face or at the frontier."""
+    ball = ctx.ball
+    if not ball.contaminated:
+        return True
+    lo = np.ceil(center - radius).astype(np.int64)
+    hi = np.floor(center + radius).astype(np.int64)
+    try:
+        flats = ball.box.window_flats(lo, hi + 1).reshape(-1)
+    except GeometryError:
+        return False
+    dvals = ball.dist[flats]
+    near = dvals <= np.uint32(ball.resolved_through)
+    if near.all():
+        return True
+    unreached = dvals == INF32
+    if not (near | unreached).all():
+        return False
+    pending = flats[unreached]
+    if ctx.verdict is not None:
+        status = ctx.verdict[pending]
+        if (status == 2).any():
+            return False
+        pending = pending[status == 0]
+        if pending.size == 0:
+            return True
+    probe = cutpoints.grow_ball_flats(
+        ctx.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
+    )
+    clean = probe.exhausted and not probe.contaminated
+    if clean:
+        marked = np.concatenate(probe.layers)
+    else:
+        last = probe.layers[-1]
+        ends = last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]
+        path = []
+        while ends.size:
+            path.append(ends)
+            ends = probe.pred[ends]
+            ends = ends[ends >= 0]
+        marked = np.concatenate(path)
+    if ctx.verdict is None:
+        ctx.verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
+    ctx.verdict[marked] = 1 if clean else 2
+    return clean
+
+
+def reference_event(ctx: ReferenceContext, spec, free: bool) -> EventResult:
+    """The least witness of one plain or free-line spec among the source
+    (threshold <= 0) and the singleton layers, else MISS when its window is
+    certified and UNKNOWABLE when it is not."""
+    ball = ctx.ball
+    d = ball.box.dimension
+    center = spec.center(d)
+    if free:
+        radius, threshold = spec.window_free(d), spec.time_threshold_free(d)
+    else:
+        radius, threshold = spec.window(d), spec.time_threshold()
+    candidates = []
+    if threshold <= 0:
+        candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
+    candidates.extend((t, c) for t, c in ctx.singletons if t >= threshold)
+    for t, coord in candidates:
+        if np.max(np.abs(np.asarray(coord, dtype=float) - center)) > radius:
+            continue
+        if free and not cutpoints._free_conditions(
+            ball, t, coord, spec.window(d), spec.volume_cap()
+        ):
+            continue
+        return EventResult(EventOutcome.HIT, CutPointRecord(t, tuple(int(c) for c in coord)))
+    if ctx.window_resolved(center, radius):
+        return EventResult(EventOutcome.MISS)
+    return EventResult(EventOutcome.UNKNOWABLE)
 
 
 def mix64_oracle(x):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -16,10 +17,14 @@ from conftest import (
     flood_fill_labels,
     open_path_sample,
     origin_context,
+    reference_event,
+    ReferenceContext,
+    score_one,
 )
 from percolab import (
     BoxSpec,
     CutPointRecord,
+    EventGrid,
     EventOutcome,
     EventSpec,
     SurgeryPlan,
@@ -35,7 +40,7 @@ from percolab import (
 )
 from percolab import cutpoints
 from percolab.cutpoints import BallEventContext, upper_tail_outcome
-from percolab.errors import PreconditionError, SurgeryPlanError
+from percolab.errors import GeometryError, PreconditionError, SurgeryPlanError
 from percolab.estimators import target_distance
 
 
@@ -103,13 +108,13 @@ def test_figure_construction_cutpoint_at_spine_end():
 
 def test_event_A_zero_spec_always_occurs():
     for sample in (all_open(BoxSpec(2, 10)), all_closed(BoxSpec(2, 10))):
-        res = event_A(origin_context(sample), EventSpec(0.0, (0.0, 0.0), 8))
+        res = score_one(origin_context(sample), EventSpec(0.0, (0.0, 0.0), 8))
         assert res.outcome is EventOutcome.HIT
         assert res.witness.time == 0 and res.witness.location == (0, 0)
 
 
 def test_event_A_all_open_miss():
-    res = event_A(origin_context(all_open(BoxSpec(2, 20))), EventSpec(0.25, (0.0, 0.0), 8))
+    res = score_one(origin_context(all_open(BoxSpec(2, 20))), EventSpec(0.25, (0.0, 0.0), 8))
     assert res.outcome is EventOutcome.MISS
 
 
@@ -118,7 +123,7 @@ def test_event_A_forced_path():
     # are singleton layers, so the event holds for s n within the length
     box = BoxSpec(2, 20)
     s = open_spine(box, 7)
-    res = event_A(origin_context(s), EventSpec(0.5, (0.0, 0.0), 8))
+    res = score_one(origin_context(s), EventSpec(0.5, (0.0, 0.0), 8))
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 4 and res.witness.location == (4, 0)
 
@@ -127,7 +132,7 @@ def test_event_A_hits_on_a_spine_touching_the_face():
     # B_5 is the spine (0,0)..(5,0) and reaches the box face at t = 5, the
     # last certified layer, so the face-stopped ball still certifies it
     box = BoxSpec(2, 5)
-    res = event_A(origin_context(open_spine(box, 5)), EventSpec(s=1.0, x=(1, 0), n=5))
+    res = score_one(origin_context(open_spine(box, 5)), EventSpec(s=1.0, x=(1, 0), n=5))
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 5 and res.witness.location == (5, 0)
 
@@ -136,18 +141,17 @@ def test_event_A_window_constraint():
     # witness exists in time but lies outside a window centred away from it
     box = BoxSpec(2, 30)
     s = open_spine(box, 7)
-    res = event_A(origin_context(s), EventSpec(0.5, (-2.0, 0.0), 8))
+    res = score_one(origin_context(s), EventSpec(0.5, (-2.0, 0.0), 8))
     assert res.outcome is EventOutcome.MISS
 
 
 def test_event_nesting_in_s_exact():
     # on one sample and one shared ball, a hit at s' >= s implies a hit at s
-    box_specs = [EventSpec(s, (0.0, 0.0), 8) for s in (0.1, 0.25, 0.4, 0.6)]
+    box = BoxSpec(2, 26)
+    grid = EventGrid([EventSpec(s, (0.0, 0.0), 8) for s in (0.1, 0.25, 0.4, 0.6)], box, False)
     hits = np.zeros(4, dtype=int)
     for seed in range(300):
-        s = sample_configuration(BoxSpec(2, 26), 0.7, seed)
-        ctx = origin_context(s)
-        results = [event_A(ctx, spec) for spec in box_specs]
+        results = event_A(origin_context(sample_configuration(box, 0.7, seed)), grid)
         flags = [r.outcome is EventOutcome.HIT for r in results]
         for i in range(3):
             assert flags[i + 1] <= flags[i]
@@ -174,6 +178,16 @@ def centred_windows(radius, d):
     ))
 
 
+def certify(ctx, centers, radii):
+    """The certificate of each window, given by its centre and radius, from
+    one call of the vector certificate on ``ctx``."""
+    windows = cutpoints._Windows(
+        ctx.ball.box, np.asarray(centers, dtype=float).reshape(len(radii), -1),
+        np.asarray(radii, dtype=np.int64),
+    )
+    return cutpoints._windows_resolved(ctx, windows, windows.of).tolist()
+
+
 @pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
 @given(data=st.data())
 def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
@@ -183,26 +197,22 @@ def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
     box = s.box
     resolved = resolved_vertices_oracle(s)
     ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
-    shared = BallEventContext(s, ball)
-    for r, twice in data.draw(st.lists(centred_windows(radius, d), min_size=1, max_size=8)):
-        center = np.asarray(twice, dtype=float) / 2
+    drawn = data.draw(st.lists(centred_windows(radius, d), min_size=1, max_size=8))
+    centers = [np.asarray(twice, dtype=float) / 2 for _, twice in drawn]
+    radii = [r for r, _ in drawn]
+    expected = []
+    for center, r in zip(centers, radii):
         lo = np.ceil(center - r).astype(int)
         hi = np.floor(center + r).astype(int)
         window = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        expected = all(resolved[box.flat_index(v)] for v in window)
-        assert shared.window_resolved(center, r) == expected
-        assert BallEventContext(s, ball).window_resolved(center, r) == expected
-    # the verdicts kept on a shared context do not depend on the call order
-    specs = data.draw(st.lists(st.builds(
-        EventSpec,
-        s=st.sampled_from((0.0, 0.25, 0.5, 1.0)),
-        x=st.tuples(*[st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))] * d),
-        n=st.integers(2, 4),
-    ), min_size=1, max_size=10))
+        expected.append(all(resolved[box.flat_index(v)] for v in window))
+    # every window in one call, one window per call on a context that keeps
+    # the verdicts of the calls before, and one window on a fresh context
+    assert certify(BallEventContext(s, ball), centers, radii) == expected
     shared = BallEventContext(s, ball)
-    for spec in data.draw(st.permutations(specs)):
-        fresh = event_A(BallEventContext(s, ball), spec)
-        assert event_A(shared, spec).outcome is fresh.outcome
+    for center, r, want in zip(centers, radii, expected):
+        assert certify(shared, [center], [r]) == [want]
+        assert certify(BallEventContext(s, ball), [center], [r]) == [want]
 
 
 def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
@@ -227,26 +237,92 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
 
     monkeypatch.setattr(cutpoints, "grow_ball_flats", counting)
     ctx = BallEventContext(s, ball)
-    assert not ctx.window_resolved(np.array([6.0, 9.0]), 1)
+    assert certify(ctx, [(6.0, 9.0)], [1]) == [False]
     # the failed probe stops on entering the frontier, short of any face
     probe, = probes
     assert probe.first_boundary_time is None and not probe.exhausted
     assert box.flat_index((6, 6)) in probe.layers[-1] and probe.last_time == 2
-    for center in ((7.0, 8.0), (6.0, 8.0), (5.5, 8.5)):
-        assert not ctx.window_resolved(np.array(center), 1)
+    assert certify(ctx, [(7.0, 8.0), (6.0, 8.0), (5.5, 8.5)], [1, 1, 1]) == [False] * 3
     assert len(probes) == 1
     # the frontier vertex's own verdict is never read: with the corridor
     # left out, its window holds only ball vertices and isolated ones
-    assert ctx.window_resolved(np.array([6.0, 5.0]), 1)
+    assert certify(ctx, [(6.0, 5.0)], [1]) == [True]
 
     # isolated vertices: a clean probe, then only the vertices without a
     # verdict are probed, and none when every vertex has one
-    assert ctx.window_resolved(np.array([-6.0, 8.0]), 1)
-    assert ctx.window_resolved(np.array([-5.0, 8.0]), 1)
+    assert certify(ctx, [(-6.0, 8.0)], [1]) == [True]
+    assert certify(ctx, [(-5.0, 8.0)], [1]) == [True]
     assert len(probes) == 4
     assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
-    assert ctx.window_resolved(np.array([-5.5, 8.0]), 1)
+    assert certify(ctx, [(-5.5, 8.0)], [1]) == [True]
     assert len(probes) == 4
+
+
+def event_specs(d):
+    """Specs with s = 0 among the time slacks and half- and quarter-integer
+    window centres n x; the free-line windows of the larger n leave every
+    drawn box."""
+    return st.builds(
+        EventSpec,
+        s=st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 4.0)),
+        x=st.tuples(*[st.sampled_from((-1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0))] * d),
+        n=st.integers(2, 5),
+    )
+
+
+@contextlib.contextmanager
+def recorded_probes():
+    """The sorted sources of every window probe made inside the block."""
+    grow, sources = cutpoints.grow_ball_flats, []
+
+    def recording(sample, source_flats, **kwargs):
+        sources.append(sorted(np.asarray(source_flats).tolist()))
+        return grow(sample, source_flats, **kwargs)
+
+    cutpoints.grow_ball_flats = recording
+    try:
+        yield sources
+    finally:
+        cutpoints.grow_ball_flats = grow
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["plain", "free"])
+@pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
+@given(data=st.data())
+def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
+    # p = 0.2 leaves most balls uncontaminated; every probe of the batch is
+    # one the reference makes, in the same order
+    radius = data.draw(st.integers(*radii))
+    p = data.draw(st.sampled_from((0.2, 0.3, 0.45, 0.55, 0.7)))
+    s = sample_configuration(BoxSpec(d, radius), p, data.draw(st.integers(0, 2**32 - 1)))
+    ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
+    specs = data.draw(st.lists(event_specs(d), min_size=1, max_size=12))
+    score = event_A_free if free else event_A
+    reference = ReferenceContext(s, ball)
+    with recorded_probes() as expected_probes:
+        expected = [reference_event(reference, spec, free) for spec in specs]
+    with recorded_probes() as probes:
+        got = score(BallEventContext(s, ball), EventGrid(specs, s.box, free))
+    assert got == expected
+    assert probes == expected_probes
+    order = data.draw(st.permutations(range(len(specs))))
+    permuted = score(BallEventContext(s, ball), EventGrid([specs[i] for i in order], s.box, free))
+    assert permuted == [expected[i] for i in order]
+
+
+def test_a_grid_refuses_a_direction_of_the_wrong_dimension():
+    box = BoxSpec(2, 6)
+    specs = [EventSpec(0.25, (0.0, 0.0), 4), EventSpec(0.25, (0.0, 0.0, 0.0), 4),
+             EventSpec(0.5, (1.0, 0.0), 4)]
+    for free in (False, True):
+        with pytest.raises(GeometryError):
+            EventGrid(specs, box, free)
+    # a grid is scored by the event it was built for
+    ctx = origin_context(all_open(box))
+    with pytest.raises(PreconditionError):
+        event_A(ctx, EventGrid(specs[:1], box, True))
+    with pytest.raises(PreconditionError):
+        event_A_free(ctx, EventGrid(specs[:1], box, False))
 
 
 def test_line_count():
@@ -266,7 +342,7 @@ def test_event_A_free_spine_d3():
     s = open_spine(box, 5)
     spec = EventSpec(0.25, (0.0, 0.0, 0.0), 20)
     # threshold 5 - 3*window < 0 is degenerate; use the spine's own time
-    res = event_A_free(origin_context(s), spec)
+    res = score_one(origin_context(s), spec, free=True)
     assert res.outcome is EventOutcome.HIT
     assert res.witness == CutPointRecord(0, (0, 0, 0))
 
@@ -279,14 +355,16 @@ def test_event_A_free_nondegenerate_threshold():
     w = int(n ** alpha_default(3))
     spec = EventSpec(2.6, (0.0, 0.0, 0.0), n)
     assert spec.time_threshold_free(3) > 0
-    res = event_A_free(origin_context(s), spec)
+    res = score_one(origin_context(s), spec, free=True)
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time >= spec.time_threshold_free(3)
 
 
 def test_event_A_free_all_open_miss():
     # box large enough that every window vertex distance is certified
-    res = event_A_free(origin_context(all_open(BoxSpec(2, 45))), EventSpec(3.0, (0.0, 0.0), 6))
+    res = score_one(
+        origin_context(all_open(BoxSpec(2, 45))), EventSpec(3.0, (0.0, 0.0), 6), free=True
+    )
     assert res.outcome is EventOutcome.MISS
 
 
@@ -329,7 +407,7 @@ def test_free_conditions_match_the_set_oracle():
         s = sample_configuration(BoxSpec(d, radius), p, 700 + seed)
         ctx = origin_context(s)
         dist = dijkstra_distances(s, (0,) * d)
-        for t, coord in ctx.singletons:
+        for t, coord in zip(ctx.times[1:].tolist(), ctx.coords[1:]):
             w = tuple(int(c) for c in coord)
             ball_set = {
                 tuple(int(c) for c in s.box.vertex_coord(f))
@@ -354,14 +432,11 @@ def test_free_implies_relaxed_plain_event():
         times = []
         for seed in range(200):
             ctx = origin_context(sample_configuration(box, 0.7, seed))
-            free = event_A_free(ctx, spec)
+            free = score_one(ctx, spec, free=True)
             if free.outcome is not EventOutcome.HIT:
                 continue
             t, location = free.witness.time, free.witness.location
-            layers = [(0, ctx.ball.source)] + [
-                (u, tuple(int(c) for c in coord)) for u, coord in ctx.singletons
-            ]
-            assert (t, location) in layers
+            assert (t, location) in zip(ctx.times.tolist(), map(tuple, ctx.coords.tolist()))
             assert t >= spec.s * spec.n - 3 * w
             assert max(abs(c - spec.n * x) for c, x in zip(location, spec.x)) <= 4 * w
             times.append(t)
@@ -443,7 +518,7 @@ def test_force_cutpoint_preserves_event():
     for seed in range(400):
         s = sample_configuration(box, 0.7, seed)
         ball = grow_ball(s, (0, 0), stop_at_boundary=True)
-        res = event_A(BallEventContext(s, ball), spec)
+        res = score_one(BallEventContext(s, ball), spec)
         if res.outcome is not EventOutcome.HIT or res.witness.time == 0:
             continue
         t, w = res.witness.time, res.witness.location
@@ -451,7 +526,7 @@ def test_force_cutpoint_preserves_event():
             continue
         plan = force_cutpoint(s, ball, t, w, 64)
         after = apply_surgery(s, plan)
-        res2 = event_A(origin_context(after), spec)
+        res2 = score_one(origin_context(after), spec)
         assert res2.outcome is EventOutcome.HIT
         checked += 1
     assert checked > 5

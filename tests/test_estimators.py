@@ -116,7 +116,8 @@ def rate_runs(tmp_path_factory):
 def replicate_codes():
     """Outcome codes of every replicate, recomputed outside the CLI."""
     return {
-        n: [_run_one_n(i, family=FAMILY, seed=SEED, n=n) for i in range(REPLICATES)]
+        n: [_run_one_n(i, family=FAMILY, seed=SEED, n=n, grid=FAMILY.grid(n))
+            for i in range(REPLICATES)]
         for n in N_GRID
     }
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from percolab.harness import (
     resolve_config,
     write_csv,
 )
+from percolab.parallel import run_parallel
 
 RATE = ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=1"]
 
@@ -281,6 +283,27 @@ def test_a_failed_replicate_exits_3_writing_nothing(
     err = capsys.readouterr().err
     assert "error: replicate 1: RuntimeError: injected failure" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _marked_replicate(index, *, directory):
+    """Leaves one marker file per evaluated index; index 1 fails."""
+    (directory / str(index)).touch()
+    if index == 1:
+        raise RuntimeError("injected failure")
+    time.sleep(0.02)
+    return index
+
+
+@pytest.mark.parametrize("workers, most", [(1, 2), (2, 100)])
+def test_a_failed_replicate_ends_the_run_early(tmp_path, workers, most):
+    # at 2 workers the chunks are 12 replicates long; evaluating all 200
+    # takes about 2 s, and the run ends once the first chunk comes back
+    fn = functools.partial(_marked_replicate, directory=tmp_path)
+    run = run_parallel(fn, 200, workers)
+    assert run.partial and run.results == [0]
+    assert run.error == "RuntimeError: injected failure"
+    assert {"0", "1"} <= {p.name for p in tmp_path.iterdir()}
+    assert len(list(tmp_path.iterdir())) <= most
 
 
 def test_set_without_equals_exits_1(tmp_path):
