@@ -41,7 +41,6 @@ from .combinatorics import (
 )
 from .errors import PercolabError
 from .estimators import (
-    EventFamily,
     JEstimate,
     RateEstimate,
     RateSurface,

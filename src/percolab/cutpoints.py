@@ -184,7 +184,7 @@ class _Windows:
 
 class EventGrid:
     """A spec sequence with the geometry of its plain or free-line windows
-    on one box.
+    on one box, ``box``.
 
     The geometry depends only on the specs and the box, so it is computed
     once and shared by every ball scored on that box: per spec the window
@@ -196,6 +196,7 @@ class EventGrid:
     def __init__(self, specs, box: BoxSpec, free: bool):
         d = box.dimension
         specs = list(specs)
+        self.box = box
         self.free = free
         self.centers = np.array([sp.center(d) for sp in specs]).reshape(len(specs), d)
         if free:

@@ -17,8 +17,20 @@ that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
 misses the target, None when the box cannot tell). The distance constant
 averages the finite values, the upper-tail event maps the value through
 ``upper_tail_outcome``, and the paired experiment also scans the same ball's
-certified singleton layers. Every box is ``BoxSpec(d, ceil(reach) + 2)``
-for a reach that each estimator states.
+certified singleton layers. The scanned cut-point events score a whole
+:class:`EventGrid` on the origin ball of each replicate instead.
+
+Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
+by the replicates at that n. The reach is:
+
+- for scanned events (:func:`_event_grid`), ``box_factor * (n * m + 2 w)``
+  with m the largest sup norm of the grid's directions and w = floor(n^alpha)
+  the window of ``EventSpec.window``: every window and the distances across
+  it fit;
+- for the upper tail (:func:`_upper_tail_box`), ``box_factor * max(1, mu1
+  (1 + xi)) * n * max(1, |x|_inf)``: the box grows with the distance
+  threshold ``mu1 (1 + xi) n``;
+- for the distance constant, ``box_factor * n * |x|_inf``.
 
 Empirical decay rates are reported as -log(p_hat)/n at each finite n, with
 Wilson intervals propagated; no extrapolation to the n -> infinity limit is
@@ -38,7 +50,6 @@ from .cutpoints import (
     EventGrid,
     EventOutcome,
     EventSpec,
-    alpha_default,
     event_A,
     event_A_free,
     upper_tail_outcome,
@@ -49,7 +60,6 @@ from .metric import grow_ball
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
-EVENT_KINDS = ("cutpoint", "free", "upper_tail")
 
 
 def replicate_seed(seed: int, index: int) -> int:
@@ -166,14 +176,6 @@ def _run_all(fn, replicates: int, workers):
     return run.results
 
 
-def _ball_codes(sample, grid: EventGrid):
-    """Outcome codes of every spec of ``grid``, scored in one call on one
-    ball grown from the origin (the events share the sample and the ball)."""
-    ball = grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
-    fn = event_A_free if grid.free else event_A
-    return tuple(OUTCOME_CODES[r.outcome] for r in fn(BallEventContext(sample, ball), grid))
-
-
 def target_distance(sample, n: int, x):
     """The origin ball grown toward floor(n x), stopped at the target, at
     cluster exhaustion or at its first face contact, and its certified
@@ -192,73 +194,58 @@ def _box(d: int, reach: float) -> BoxSpec:
 
 
 # ---------------------------------------------------------------------------
-# event families
+# scanned cut-point events
 
 
-@dataclass(frozen=True)
-class EventFamily:
-    """Descriptor of the event grid one replicate evaluates.
-
-    kind 'cutpoint' and 'free' scan the s_grid (shared ball per replicate);
-    kind 'upper_tail' uses xi and mu1 for the distance threshold.
-    """
-
-    kind: str
-    d: int
-    p: float
-    s_grid: tuple = (0.25,)
-    x: tuple = ()
-    xi: float = 0.0
-    mu1: float = 1.0
-    alpha: float | None = None
-    box_factor: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise PreconditionError(f"unknown event kind {self.kind!r}")
-        object.__setattr__(self, "s_grid", tuple(float(s) for s in self.s_grid))
-        x = self.x or (0.0,) * self.d
-        if self.kind == "upper_tail" and not self.x:
-            x = (1.0,) + (0.0,) * (self.d - 1)
-        object.__setattr__(self, "x", tuple(float(c) for c in x))
-
-    def box_for(self, n: int) -> BoxSpec:
-        if self.kind == "upper_tail":
-            span = max(1.0, max(abs(c) for c in self.x))
-            reach = self.box_factor * max(1.0, self.mu1 * (1.0 + self.xi)) * n * span
-        else:
-            # the witness scan only needs distances across the window around n x
-            w = int(n ** (self.alpha if self.alpha is not None else alpha_default(self.d)))
-            reach = self.box_factor * (n * max(abs(c) for c in self.x) + 2.0 * w)
-        return _box(self.d, reach)
-
-    def grid(self, n: int):
-        """The event grid of the s_grid at n on ``box_for(n)``; None for
-        the upper tail."""
-        if self.kind == "upper_tail":
-            return None
-        specs = [EventSpec(s=s, x=self.x, n=n, alpha=self.alpha) for s in self.s_grid]
-        return EventGrid(specs, self.box_for(n), self.kind == "free")
-
-    def events(self):
-        """(label, s, x) of each event, in outcome-code order; s is None for
-        the upper tail."""
-        if self.kind == "upper_tail":
-            return [(f"upper_tail(xi={self.xi})", None, self.x)]
-        return [(f"{self.kind}(s={s})", s, self.x) for s in self.s_grid]
+def _event_grid(
+    d: int, s_grid, x_grid, n: int, box_factor: float, *, alpha, free
+) -> EventGrid:
+    """The events (s, x) of ``s_grid`` x ``x_grid`` at n, s-major, on the
+    box their windows need."""
+    specs = [EventSpec(s=s, x=x, n=n, alpha=alpha) for s in s_grid for x in x_grid]
+    # every spec has the window of n and alpha
+    w = specs[0].window(d)
+    reach = box_factor * (n * max(max(abs(c) for c in x) for x in x_grid) + 2.0 * w)
+    return EventGrid(specs, _box(d, reach), free)
 
 
-def _run_one_n(index: int, *, family: EventFamily, seed: int, n: int, grid):
-    """Outcome codes of every family event for one replicate (shared
-    sample); ``grid`` is ``family.grid(n)``."""
-    sample = sample_configuration(
-        family.box_for(n), family.p, replicate_seed(seed, index)
-    )
-    if family.kind == "upper_tail":
-        _, dist = target_distance(sample, n, family.x)
-        threshold = family.mu1 * (1.0 + family.xi) * n
-        return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
-    return _ball_codes(sample, grid)
+def _scan(grid: EventGrid, p: float, replicates: int, seed: int, workers):
+    """The outcome codes of every spec of ``grid``, per replicate."""
+    fn = partial(_surface_replicate, p=p, grid=grid, seed=seed)
+    return _run_all(fn, replicates, workers)
+
+
+def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
+    """Outcome codes of every spec of ``grid``, scored in one call on one
+    ball grown from the origin (the events share the sample and the ball)."""
+    sample = sample_configuration(grid.box, p, replicate_seed(seed, index))
+    ball = grow_ball(sample, (0,) * grid.box.dimension, stop_at_boundary=True)
+    fn = event_A_free if grid.free else event_A
+    return tuple(OUTCOME_CODES[r.outcome] for r in fn(BallEventContext(sample, ball), grid))
+
+
+# ---------------------------------------------------------------------------
+# events of the target distance
+
+
+def _upper_tail_box(d: int, x, n: int, xi: float, mu1: float, box_factor: float):
+    """The upper tail's box at n and its distance threshold mu1 (1 + xi) n."""
+    span = max(1.0, max(abs(c) for c in x))
+    reach = box_factor * max(1.0, mu1 * (1.0 + xi)) * n * span
+    return _box(d, reach), mu1 * (1.0 + xi) * n
+
+
+def _target_replicate(index: int, *, p, box, n, x, seed):
+    """The ball and certified D(0, floor(n x)) of replicate ``index``."""
+    sample = sample_configuration(box, p, replicate_seed(seed, index))
+    return target_distance(sample, n, x)
+
+
+def _run_one_n(index: int, *, threshold, **target):
+    """The upper-tail outcome code of one replicate of ``estimate-rate``, as
+    a 1-tuple."""
+    _, dist = _target_replicate(index, **target)
+    return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +267,9 @@ class MuPoint:
         return (self.mean - Z_95 * self.sigma, self.mean + Z_95 * self.sigma)
 
 
-def _mu_replicate(index: int, *, d, p, x, n, box_factor, seed):
+def _mu_replicate(index: int, **target):
     """Certified D(0, floor(n x)) of one replicate: int, inf or None."""
-    box = _box(d, box_factor * n * max(abs(c) for c in x))
-    sample = sample_configuration(box, p, replicate_seed(seed, index))
-    return target_distance(sample, n, x)[1]
+    return _target_replicate(index, **target)[1]
 
 
 def estimate_mu(
@@ -309,11 +294,9 @@ def estimate_mu(
     if all(c == 0 for c in x):
         raise PreconditionError("direction must be nonzero")
     points = []
-    for n in n_grid:
-        fn = partial(
-            _mu_replicate, d=d, p=p, x=x, n=int(n),
-            box_factor=box_factor, seed=seed,
-        )
+    for n in map(int, n_grid):
+        box = _box(d, box_factor * n * max(abs(c) for c in x))
+        fn = partial(_mu_replicate, p=p, box=box, n=n, x=x, seed=seed)
         results = _run_all(fn, replicates, workers)
         values = [v for v in results if v not in (None, math.inf)]
         n_dis = results.count(math.inf)
@@ -326,7 +309,7 @@ def estimate_mu(
             mean, sigma = math.nan, math.nan
         points.append(
             MuPoint(
-                n=int(n), replicates=replicates, connected=len(values),
+                n=n, replicates=replicates, connected=len(values),
                 disconnected=n_dis, contaminated=n_cont,
                 mean=mean, sigma=sigma,
             )
@@ -365,28 +348,12 @@ def estimate_rate_surface(
     workers: int | None = None,
 ) -> RateSurface:
     """Empirical cut-point rate surface over an (s, x) grid (coupled)."""
-    x_grid = [tuple(float(c) for c in x) for x in x_grid]
     s_grid = [float(s) for s in s_grid]
-    family_box = EventFamily(
-        kind="cutpoint", d=d, p=p, s_grid=(max(s_grid),),
-        x=max(x_grid, key=lambda x: sum(map(abs, x))),
-        alpha=alpha, box_factor=box_factor,
-    )
-    box = family_box.box_for(n)
-    specs = [
-        EventSpec(s=s, x=x, n=n, alpha=alpha) for s in s_grid for x in x_grid
-    ]
-    fn = partial(
-        _surface_replicate, p=p, box=box, grid=EventGrid(specs, box, False), seed=seed
-    )
-    events = [(f"cutpoint(s={sp.s},x={sp.x})", sp.s, sp.x) for sp in specs]
-    estimates = rate_estimates(events, n, _run_all(fn, replicates, workers))
+    x_grid = [tuple(float(c) for c in x) for x in x_grid]
+    grid = _event_grid(d, s_grid, x_grid, n, box_factor, alpha=alpha, free=False)
+    events = [(f"cutpoint(s={s},x={x})", s, x) for s in s_grid for x in x_grid]
+    estimates = rate_estimates(events, n, _scan(grid, p, replicates, seed, workers))
     return RateSurface(entries={(e.s, e.x): e for e in estimates})
-
-
-def _surface_replicate(index: int, *, p, box, grid, seed):
-    sample = sample_configuration(box, p, replicate_seed(seed, index))
-    return _ball_codes(sample, grid)
 
 
 @dataclass
@@ -452,15 +419,11 @@ class PairedTally:
     counts: dict  # (upper outcome name, cut outcome name) -> count
 
 
-def _paired_replicate(index: int, *, d, p, n, xi, s, mu1, box_factor, seed):
-    family = EventFamily(
-        kind="upper_tail", d=d, p=p, xi=xi, mu1=mu1, box_factor=box_factor
-    )
-    sample = sample_configuration(family.box_for(n), p, replicate_seed(seed, index))
-    ball, dist = target_distance(sample, n, family.x)
-    upper = upper_tail_outcome(dist, mu1 * (1.0 + xi) * n)
+def _paired_replicate(index: int, *, threshold, t_min, **target):
+    ball, dist = _target_replicate(index, **target)
+    upper = upper_tail_outcome(dist, threshold)
     # late cut-point within the certified horizon, capped at the distance
-    if ball.singletons(max(1, math.ceil(s * n)), dist):
+    if ball.singletons(t_min, dist):
         return upper.value, "hit"
     return upper.value, "censored" if dist is None else "miss"
 
@@ -483,14 +446,16 @@ def upper_tail_vs_cutpoint_experiment(
     The cut-point side scans singleton layers at times in [ceil(s n), D]
     (or up to the certified horizon when the endpoints do not connect).
     """
+    x = (1.0,) + (0.0,) * (d - 1)
     out = []
-    for n in n_grid:
+    for n in map(int, n_grid):
+        box, threshold = _upper_tail_box(d, x, n, xi, mu1, box_factor)
         fn = partial(
-            _paired_replicate, d=d, p=p, n=int(n), xi=xi, s=s, mu1=mu1,
-            box_factor=box_factor, seed=seed,
+            _paired_replicate, p=p, box=box, n=n, x=x, seed=seed,
+            threshold=threshold, t_min=max(1, math.ceil(s * n)),
         )
         counts = {}
         for pair in _run_all(fn, replicates, workers):
             counts[pair] = counts.get(pair, 0) + 1
-        out.append(PairedTally(n=int(n), counts=counts))
+        out.append(PairedTally(n=n, counts=counts))
     return out

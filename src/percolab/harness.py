@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,10 +39,11 @@ from .cutpoints import detect_cutpoints
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
-    EVENT_KINDS,
-    EventFamily,
+    _event_grid,
     _run_all,
     _run_one_n,
+    _scan,
+    _upper_tail_box,
     estimate_J,
     estimate_mu,
     estimate_rate_surface,
@@ -119,8 +121,8 @@ _NONNEGATIVE = _checked(float, lambda v: v >= 0.0, ">= 0")
 _FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _SCALES = _checked(_parse_ints, lambda g: min(g, default=0) >= 1, "nonempty, each >= 1")
 _GRID = _checked(_parse_floats, bool, "nonempty")
+EVENT_KINDS = ("cutpoint", "free", "upper_tail")
 _EVENT = _checked(str, lambda e: e in EVENT_KINDS, f"one of {EVENT_KINDS}")
-_DIRECTION = _checked(_parse_floats, any, "a nonzero direction")
 
 LEMMA_ALIASES = {
     "projection": "projection",
@@ -237,11 +239,11 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     x = merged.get("x")
     if x and len(x) != merged["d"]:
         raise ConfigError(f"x = {_fmt(x)} has length {len(x)}, not d = {merged['d']}")
-    # the upper tail's target floor(n x) is the origin at x = 0, where D = 0
-    # never exceeds the threshold and J's constraint admits every grid point;
-    # cut-point and free events take x = 0
+    # x = 0 puts the target floor(n x) at the origin, where D = 0: mu's ratio
+    # is 0, the upper tail's threshold is never exceeded and J's constraint
+    # admits every grid point; cut-point and free events take x = 0
     if x and not any(x) and merged.get("event", "upper_tail") == "upper_tail":
-        raise ConfigError(f"x = {_fmt(x)} is zero; the upper tail needs a nonzero direction")
+        raise ConfigError(f"x = {_fmt(x)} is zero; a target needs a nonzero direction")
     # classify and route cut blocks of side epsilon * N; slab's epsilon scales n
     if "epsilon" in schema and "N" in schema and "n" not in schema:
         eps, N = merged["epsilon"], merged["N"]
@@ -349,11 +351,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         {"epsilon": 0.1, "xi": 0.3, "mu1": 1.0, "rho": 0, "csv": "slab.csv"},
     ),
     "lemma-check": _schema(("lemma",), {"instances": 100, "seed": 1, "csv": "lemma.csv"}),
-    # a nonzero direction here, where estimate-rate and estimate-j take zero
     "estimate-mu": _schema(_ESTIMATED, {
-        "n_grid": (20, 40), "replicates": 100, "box_factor": 1.6, "workers": 0,
-        "csv": "mu.csv",
-    }) | {"x": Field(_DIRECTION, default=(1.0, 0.0), help="nonzero direction")},
+        "x": (), "n_grid": (20, 40), "replicates": 100, "box_factor": 1.6,
+        "workers": 0, "csv": "mu.csv",
+    }),
     "estimate-rate": _schema(_ESTIMATED, {
         "event": "cutpoint", "s": (0.25,), "x": (), "xi": 0.0, "mu1": 1.0,
         "n_grid": (8,), "replicates": 1000, "box_factor": 2.0, "workers": 0,
@@ -603,9 +604,14 @@ _LEMMA_RUNNERS = {
 }
 
 
+def _e1(d: int):
+    """The default direction of a target: the first unit vector."""
+    return (1.0,) + (0.0,) * (d - 1)
+
+
 def _cmd_estimate_mu(cfg, out_dir):
     points = estimate_mu(
-        cfg["p"], cfg["d"], cfg["x"], cfg["n_grid"], cfg["replicates"],
+        cfg["p"], cfg["d"], cfg["x"] or _e1(cfg["d"]), cfg["n_grid"], cfg["replicates"],
         cfg["seed"], box_factor=cfg["box_factor"],
         workers=cfg["workers"] or None,
     )
@@ -649,23 +655,31 @@ _RATE_HEADER = [
 
 
 def _cmd_estimate_rate(cfg, out_dir):
-    family = EventFamily(
-        kind=cfg["event"], d=cfg["d"], p=cfg["p"], s_grid=cfg["s"],
-        x=cfg["x"], xi=cfg["xi"], mu1=cfg["mu1"], box_factor=cfg["box_factor"],
-    )
-    workers = cfg["workers"] or None
-    events = family.events()
+    d, p, seed, kind = cfg["d"], cfg["p"], cfg["seed"], cfg["event"]
+    replicates, workers = cfg["replicates"], cfg["workers"] or None
+    # (label, s, x) of each event, in outcome-code order
+    if kind == "upper_tail":
+        x = cfg["x"] or _e1(d)
+        events = [(f"upper_tail(xi={cfg['xi']})", None, x)]
+    else:
+        x = cfg["x"] or (0.0,) * d
+        events = [(f"{kind}(s={s})", s, x) for s in cfg["s"]]
     estimates = []
     replicate_rows = []
     for n in cfg["n_grid"]:
-        fn = partial(
-            _run_one_n, family=family, seed=cfg["seed"], n=int(n), grid=family.grid(int(n))
-        )
-        results = _run_all(fn, cfg["replicates"], workers)
+        if kind == "upper_tail":
+            box, threshold = _upper_tail_box(d, x, n, cfg["xi"], cfg["mu1"], cfg["box_factor"])
+            fn = partial(_run_one_n, p=p, box=box, n=n, x=x, threshold=threshold, seed=seed)
+            results = _run_all(fn, replicates, workers)
+        else:
+            grid = _event_grid(
+                d, cfg["s"], [x], n, cfg["box_factor"], alpha=None, free=kind == "free"
+            )
+            results = _scan(grid, p, replicates, seed, workers)
         estimates.extend(rate_estimates(events, n, results))
         if cfg["emit_replicates"]:
             for idx, codes in enumerate(results):
-                for (label, s, x), code in zip(events, codes):
+                for (label, s, _), code in zip(events, codes):
                     replicate_rows.append([
                         label, "" if s is None else s, _fmt_point(x),
                         int(n), idx, CODE_OUTCOMES[code].value,
@@ -684,17 +698,20 @@ def _cmd_estimate_rate(cfg, out_dir):
     return [path, rpath]
 
 
+def _y_grid(d: int, y_max: float, y_step: float):
+    """Every y of y_step Z^d with |y|_inf <= y_max, in row-major order; a
+    rounding error of 1e-9 steps is forgiven."""
+    steps = math.floor(y_max / y_step + 1e-9)
+    axis = [k * y_step for k in range(-steps, steps + 1)]
+    return list(itertools.product(axis, repeat=d))
+
+
 def _cmd_estimate_j(cfg, out_dir):
     d = cfg["d"]
-    x = cfg["x"] or ((1.0,) + (0.0,) * (d - 1))
-    steps = int(round(cfg["y_max"] / cfg["y_step"]))
-    axis_vals = [k * cfg["y_step"] for k in range(-steps, steps + 1)]
-    y_grid = [()]
-    for _ in range(d):
-        y_grid = [y + (v,) for y in y_grid for v in axis_vals]
+    x = cfg["x"] or _e1(d)
     surface = estimate_rate_surface(
-        d, cfg["p"], cfg["s_grid"], y_grid, cfg["n"], cfg["replicates"],
-        cfg["seed"], box_factor=cfg["box_factor"],
+        d, cfg["p"], cfg["s_grid"], _y_grid(d, cfg["y_max"], cfg["y_step"]),
+        cfg["n"], cfg["replicates"], cfg["seed"], box_factor=cfg["box_factor"],
         workers=cfg["workers"] or None,
     )
     rows = []

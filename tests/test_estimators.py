@@ -5,19 +5,22 @@ import pytest
 from scipy.stats import binomtest
 
 from conftest import replicate_seed_oracle
+from percolab import BoxSpec, estimators, sample_configuration
 from percolab.cutpoints import EventOutcome
 from percolab.errors import GridCoverageError, PreconditionError
 from percolab.estimators import (
     CODE_OUTCOMES,
-    EventFamily,
     RateEstimate,
     RateSurface,
     Tally,
-    _run_one_n,
+    _event_grid,
+    _surface_replicate,
     estimate_J,
     estimate_mu,
+    estimate_rate_surface,
     rate_estimates,
     replicate_seed,
+    target_distance,
     wilson_interval,
 )
 from percolab.harness import cli_dispatch
@@ -54,6 +57,34 @@ def test_mu_interval_is_nan_below_two_connected_replicates():
     assert two.connected == 2 and all(math.isfinite(v) for v in two.ci)
 
 
+@pytest.mark.parametrize(
+    "d, L, ps, n, x",
+    [
+        (2, 12, (0.45, 0.55, 0.7), 8, (1.0, 0.0)),
+        (2, 12, (0.45, 0.55, 0.7), 6, (0.5, 1.0)),
+        (3, 6, (0.22, 0.3, 0.45), 4, (1.0, 0.0, 0.0)),
+        (3, 7, (0.22, 0.3, 0.45), 3, (1.0, 1.0, 0.0)),
+    ],
+)
+def test_target_distance_never_rises_with_p_under_the_coupling(d, L, ps, n, x):
+    # one seed samples nested configurations as p rises, so the Z^d distance
+    # D(0, floor(n x)) can only fall and a connection is never lost; every
+    # certified value (int or inf) is that distance, and None says nothing
+    changes = set()
+    for seed in range(40):
+        known = []
+        for p in ps:
+            _, dist = target_distance(sample_configuration(BoxSpec(d, L), p, seed), n, x)
+            if dist is not None:
+                known.append(dist)
+        assert known == sorted(known, reverse=True), (seed, known)
+        changes.update(
+            "joined" if a == math.inf else "shorter"
+            for a, b in zip(known, known[1:]) if a > b
+        )
+    assert changes == {"joined", "shorter"}
+
+
 def test_replicate_seeds_of_distinct_seed_index_pairs_are_distinct():
     seeds = np.concatenate([replicate_seed_oracle(s, np.arange(1024)) for s in range(1024)])
     assert len(np.unique(seeds)) == 1 << 20
@@ -85,7 +116,8 @@ def test_nearby_seeds_write_different_rates(tmp_path):
     assert len(written) > 1
 
 
-FAMILY = EventFamily(kind="cutpoint", d=2, p=0.6, s_grid=(0.25, 0.5))
+S_GRID = (0.25, 0.5)
+EVENTS = [(f"cutpoint(s={s})", s, (0.0, 0.0)) for s in S_GRID]
 N_GRID = (6, 8)
 REPLICATES = 24
 SEED = 41
@@ -115,17 +147,19 @@ def rate_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def replicate_codes():
     """Outcome codes of every replicate, recomputed outside the CLI."""
-    return {
-        n: [_run_one_n(i, family=FAMILY, seed=SEED, n=n, grid=FAMILY.grid(n))
-            for i in range(REPLICATES)]
-        for n in N_GRID
-    }
+    codes = {}
+    for n in N_GRID:
+        grid = _event_grid(2, S_GRID, [(0.0, 0.0)], n, 2.0, alpha=None, free=False)
+        codes[n] = [
+            _surface_replicate(i, p=0.6, grid=grid, seed=SEED) for i in range(REPLICATES)
+        ]
+    return codes
 
 
 def test_event_rate_tallies_recount_the_replicates(rate_runs, replicate_codes):
     rates, reps = rate_runs[1]
     assert [(int(r["n"]), float(r["s"])) for r in rates] == [
-        (n, s) for n in N_GRID for s in FAMILY.s_grid
+        (n, s) for n in N_GRID for s in S_GRID
     ]
     for n, codes in replicate_codes.items():
         for k, row in enumerate(r for r in rates if int(r["n"]) == n):
@@ -149,7 +183,7 @@ def test_event_rate_is_independent_of_workers_and_matches_the_cli(
     rates, _ = rate_runs[1]
     estimates = [
         est for n, codes in replicate_codes.items()
-        for est in rate_estimates(FAMILY.events(), n, codes)
+        for est in rate_estimates(EVENTS, n, codes)
     ]
     assert len(rates) == len(estimates)
     for row, est in zip(rates, estimates):
@@ -159,6 +193,30 @@ def test_event_rate_is_independent_of_workers_and_matches_the_cli(
         t = est.tally
         assert counts == [t.hits, t.misses, t.disconnected, t.contaminated]
         assert float(row["p_lo"]) == est.ci[0] and float(row["p_hi"]) == est.ci[1]
+
+
+def test_a_rate_surface_samples_the_box_of_its_widest_direction(monkeypatch):
+    # at n = 16 the window is 12 wide, so the (0.9, 0) window reaches x1 = 26;
+    # a box sized from (0.5, 0.5), the direction of largest l1 norm, has
+    # radius ceil(0.7 * (8 + 24)) + 2 = 25
+    boxes = []
+    original = estimators.sample_configuration
+
+    def recording(box, p, seed):
+        boxes.append(box)
+        return original(box, p, seed)
+
+    monkeypatch.setattr(estimators, "sample_configuration", recording)
+
+    def sampled_box(x_grid):
+        boxes.clear()
+        estimate_rate_surface(2, 0.6, [0.5], x_grid, 16, 1, 3, box_factor=0.7, workers=1)
+        (box,) = boxes
+        return box
+
+    box = sampled_box([(0.5, 0.5), (0.9, 0.0)])
+    assert box == sampled_box([(0.9, 0.0)])
+    assert box.radius == 29
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ CANONICAL = {
     ),
     "estimate-mu": (
         ESTIMATOR,
-        "02599c0022cbee1caacf41d54d937cf59c7c6d9cbae5885bc05aa7c2d34a46e7",
+        "040c698ca690a3b1a0d7146388da70639b1cb0e82ca539a3de0f9b04aab36122",
     ),
     "estimate-rate": (
         ESTIMATOR,
@@ -121,7 +121,7 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         # a direction whose length is not d
         ("estimate-rate", "x", "1"),
         ("estimate-j", "x", "1,0,0"),
-        ("estimate-mu", "d", "3"),
+        ("estimate-mu", "x", "1,0,0"),
         # sizes, scales, grid steps and fractions out of range
         ("sample", "L", "-3"),
         ("cutpoint-scan", "t_min", "0"),
@@ -194,6 +194,30 @@ def test_zero_direction_of_the_upper_tail_exits_2_before_writing(
     assert not out.exists()
 
 
+def test_estimate_mu_without_a_direction_runs_along_e1_in_any_dimension(tmp_path):
+    argv = ["estimate-mu", "--set=d=3", "--set=p=0.4", "--set=seed=1", "--set=n_grid=3",
+            "--set=replicates=4", "--set=workers=1", "--out-dir", str(tmp_path)]
+    assert cli_dispatch(argv) == 0
+    assert "x = \n" in json.loads((tmp_path / "manifest.json").read_text())["config"]
+    rows = (tmp_path / "mu.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [["3", "4"]]
+
+
+@pytest.mark.parametrize(
+    "y_max, y_step, axis",
+    [
+        (1.0, 0.6, [-0.6, 0.0, 0.6]),  # rounding 1 / 0.6 up would reach 1.2
+        (1.0, 0.5, [-1.0, -0.5, 0.0, 0.5, 1.0]),
+        (0.3, 0.1, [k * 0.1 for k in range(-3, 4)]),  # 0.3 / 0.1 < 3 in floats
+        (0.4, 1.0, [0.0]),
+    ],
+)
+def test_the_y_grid_of_estimate_j_stays_within_y_max(y_max, y_step, axis):
+    grid = harness._y_grid(2, y_max, y_step)
+    assert grid == [(a, b) for a in axis for b in axis]
+    assert len(harness._y_grid(3, y_max, y_step)) == len(axis) ** 3
+
+
 @pytest.mark.parametrize("event", ["cutpoint", "free"])
 def test_zero_direction_stays_legal_for_scanned_events(event):
     values = {**ESTIMATOR, "event": event, "x": "0,0"}
@@ -255,6 +279,7 @@ def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
     "command, replicate",
     [
         ("estimate-mu", "_mu_replicate"),
+        ("estimate-rate", "_surface_replicate"),
         ("estimate-rate", "_run_one_n"),
         ("estimate-j", "_surface_replicate"),
         ("upper-tail", "_paired_replicate"),
@@ -276,6 +301,10 @@ def test_a_failed_replicate_exits_3_writing_nothing(
         if hasattr(module, replicate):
             monkeypatch.setattr(module, replicate, failing)
     values = {**CANONICAL[command][0], "workers": workers}
+    # estimate-rate scans its cut-point events through _surface_replicate and
+    # runs its upper tail through _run_one_n
+    if replicate == "_run_one_n":
+        values["event"] = "upper_tail"
     argv = [command, "--out-dir", str(tmp_path)] + [
         f"--set={k}={v}" for k, v in values.items()
     ]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from conftest import (
     MASK64,
@@ -14,6 +15,7 @@ from conftest import (
 )
 from percolab import BoxSpec, PercolationSample, sample_configuration
 from percolab.errors import GeometryError, ResourceLimitError
+from percolab.estimators import replicate_seed
 from percolab.lattice import _CHUNK, _hash_threshold, _open_edges, window_components
 
 
@@ -113,6 +115,98 @@ def test_monotone_coupling(d, radius, seed, p_pair):
     lo = sample_configuration(box, p_lo, seed)
     hi = sample_configuration(box, p_hi, seed)
     assert (~lo.open_edges | hi.open_edges).all()
+
+
+# ---------------------------------------------------------------------------
+# the law of the edge field
+#
+# These checks hold for any sampler of independent Bernoulli(p) edges,
+# whatever its hash, so they outlive a change of how edges are keyed, which
+# moves every byte pin. Every z-score below is standard normal under that
+# law; a check passes when each |z| of its family stays below the two-sided
+# Bonferroni bound at family-wise level LAW_ALPHA. The seeds are fixed, so
+# every check is deterministic.
+
+LAW_ALPHA = 1e-3
+LAW_BOXES = (BoxSpec(2, 40), BoxSpec(3, 12))
+LAW_P = (0.3, 0.6)
+LAW_SEEDS = (3, 2**63 + 11)
+
+
+def _law_samples():
+    for box in LAW_BOXES:
+        for p in LAW_P:
+            for seed in LAW_SEEDS:
+                yield sample_configuration(box, p, seed)
+
+
+def _z_count(states, p):
+    """z-score of the open count of ``states``."""
+    return (states.sum() - states.size * p) / np.sqrt(states.size * p * (1 - p))
+
+
+def _z_pairs(a, b, p):
+    """z-score of sum (a - p)(b - p) over paired states: for independent
+    states its terms are uncorrelated, each of variance (p (1 - p))^2, also
+    when the pairs overlap."""
+    terms = (a - p) * (b - p)
+    return terms.sum() / (np.sqrt(terms.size) * p * (1 - p))
+
+
+def assert_within_bonferroni(zs):
+    zs = np.abs(zs)
+    bound = norm.isf(LAW_ALPHA / (2 * len(zs)))
+    assert zs.max() < bound, (int(zs.argmax()), float(zs.max()), bound)
+
+
+def test_open_frequency_per_axis_and_parity_class():
+    # the class of an edge is the parity vector of its lower endpoint
+    zs = []
+    for s in _law_samples():
+        d = s.box.dimension
+        for axis in range(d):
+            states = s.axis_view(axis)
+            parity = np.indices(states.shape) % 2
+            classes = np.ravel_multi_index(tuple(parity), (2,) * d)
+            zs += [_z_count(states[classes == c], s.p) for c in range(2**d)]
+    assert len(zs) == 4 * (2 * 4 + 3 * 8)
+    assert_within_bonferroni(zs)
+
+
+def test_lag_one_correlation_along_each_axis():
+    # an edge and its translate by one step along each axis, and edges i
+    # and i + 1 of the canonical order
+    zs = []
+    for s in _law_samples():
+        d = s.box.dimension
+        for axis in range(d):
+            states = s.axis_view(axis).astype(float)
+            for lag in range(d):
+                size = states.shape[lag]
+                zs.append(_z_pairs(
+                    np.take(states, np.arange(size - 1), axis=lag),
+                    np.take(states, np.arange(1, size), axis=lag), s.p,
+                ))
+        edges = s.open_edges.astype(float)
+        zs.append(_z_pairs(edges[:-1], edges[1:], s.p))
+    assert_within_bonferroni(zs)
+
+
+def test_neighbouring_replicates_and_seeds_are_uncorrelated_edge_by_edge():
+    # replicates i and i + 1 of one run, and run seeds one apart or apart in
+    # the top bit, compared at every edge of one box
+    zs = []
+    for box in LAW_BOXES:
+        for p in LAW_P:
+            for seed in LAW_SEEDS:
+                states = [
+                    sample_configuration(box, p, s).open_edges.astype(float)
+                    for s in [replicate_seed(seed, i) for i in range(4)]
+                    + [seed, seed + 1, seed ^ (1 << 63)]
+                ]
+                zs += [_z_pairs(a, b, p) for a, b in zip(states[:3], states[1:4])]
+                zs += [_z_pairs(states[4], b, p) for b in states[5:]]
+    assert_within_bonferroni(zs)
 
 
 def test_resource_guards():

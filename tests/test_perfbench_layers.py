@@ -10,6 +10,8 @@ traced commands and check that the layers record their calls.
 import importlib
 import os
 
+import pytest
+
 from percolab.harness import cli_dispatch
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -59,3 +61,19 @@ def test_traced_estimate_rate_records_every_replicate_and_one_phase_per_n(
     # summed over the two n: replicates, partial runs, censored cells, cells
     replicates, partial, _, cells = phase.work
     assert (replicates, partial, cells) == (2 * REPLICATES, 0, 2 * 2 * REPLICATES)
+
+
+@pytest.mark.parametrize("command, values", [
+    ("estimate-rate", ["--set=event=upper_tail", "--set=n_grid=6"]),
+    ("upper-tail", ["--set=n_grid=6"]),
+    ("estimate-mu", ["--set=n_grid=6"]),
+])
+def test_traced_target_commands_record_one_replicate_span_per_replicate(
+    tmp_path, monkeypatch, command, values
+):
+    code, tracer = _traced(monkeypatch, [
+        command, "--set=d=2", "--set=p=0.6", "--set=seed=3", *values,
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert tracer.stats["estimators.replicate"].calls == REPLICATES
