@@ -11,9 +11,7 @@ from .cutpoints import (
     EventGrid,
     EventOutcome,
     EventResult,
-    EventSpec,
     SurgeryPlan,
-    alpha_default,
     apply_surgery,
     detect_cutpoints,
     event_A,

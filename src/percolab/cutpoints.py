@@ -7,15 +7,21 @@ within sup-distance floor(n^alpha) of n*x; the free-line refinement
 additionally demands an axis line meeting the ball only at w, thin line
 counts through w's hyperplane, and a volume cap floor(n^(7/4)).
 
-A grid of specs is scored on one ball in one pass. :class:`EventGrid` holds
-what depends only on the specs and the box (window centres, radii, time
-thresholds and the index of distinct windows), so it is built once and
-shared by every replicate on that box. ``event_A(ctx, grid)`` and
-``event_A_free(ctx, grid)`` then return one result per spec for the ball of
-a :class:`BallEventContext`: the ball grown from the origin until its first
-face contact, with its candidate witnesses. The witnesses come from one mask
-over (spec, candidate) pairs; the windows of the specs without one are
-certified together.
+A grid of events is the product s_grid x x_grid at one n and one window
+exponent alpha, so every event of it has the same window w = floor(n^alpha)
+(:func:`window_radius`). :class:`EventGrid` holds what depends only on the
+grid and the box: per event (s-major) its window centre n x and time
+threshold, once per grid the window radius and the free-line caps, and the
+index of distinct windows. It is built once and shared by every replicate
+on that box, which ``estimators._event_grid`` sizes by the plain window w:
+a free-line window, of radius 4 w, may leave it, and then a miss of that
+event cannot be certified on a face-contaminated ball.
+
+``event_A(sample, ball, grid)`` and ``event_A_free(sample, ball, grid)``
+return one result per event for the ball grown from the origin until its
+first face contact. The witnesses come from one mask over (event,
+candidate) pairs, the candidates being the ball's certified singleton
+layers; the windows of the events without one are certified together.
 
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
@@ -29,8 +35,8 @@ by a second growth that stops at a face or at the ball's frontier
 ``layers[-1]``: an open edge from an unreached vertex into the ball lands in
 its last layer, so reaching the frontier proves the vertex joins the source
 cluster, which touches a face. Each vertex's verdict (in a finite cluster,
-or joined to a face) is exact, so :class:`BallEventContext` keeps it for
-every later window of that ball.
+or joined to a face) is exact, so it is kept for every later window of the
+same call.
 """
 
 from __future__ import annotations
@@ -51,9 +57,12 @@ from .lattice import BoxSpec, PercolationSample
 from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
 
 
-def alpha_default(d: int) -> float:
-    """Default window exponent 1 - 1/(6d)."""
-    return 1.0 - 1.0 / (6 * d)
+def window_radius(d: int, n: int, alpha: float | None) -> int:
+    """The window floor(n^alpha) of the events at n; alpha None is the
+    dimension default 1 - 1/(6d)."""
+    if alpha is None:
+        alpha = 1.0 - 1.0 / (6 * d)
+    return int(n ** alpha)
 
 
 @dataclass(frozen=True)
@@ -66,40 +75,6 @@ class CutPointRecord:
 
     time: int
     location: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """Parameters (s, x, n) of a windowed cut-point event."""
-
-    s: float
-    x: tuple[float, ...]
-    n: int
-    alpha: float | None = None  # None: use the dimension default
-
-    def alpha_for(self, d: int) -> float:
-        return self.alpha if self.alpha is not None else alpha_default(d)
-
-    def window(self, d: int) -> int:
-        return int(self.n ** self.alpha_for(d))
-
-    def window_free(self, d: int) -> int:
-        return 4 * self.window(d)
-
-    def time_threshold(self) -> float:
-        return self.s * self.n
-
-    def time_threshold_free(self, d: int) -> float:
-        return self.s * self.n - 3 * self.window(d)
-
-    def volume_cap(self) -> int:
-        return int(self.n ** 1.75)
-
-    def center(self, d: int) -> np.ndarray:
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (d,):
-            raise GeometryError("event direction has wrong dimension")
-        return self.n * x
 
 
 class EventOutcome(enum.Enum):
@@ -125,35 +100,14 @@ def detect_cutpoints(ball: BallGrowth, t_min: int):
     ]
 
 
-# verdicts of unreached vertices on one ball; 0 means not probed yet
+# verdicts of unreached vertices in one scoring call; 0 means not probed yet
 _FINITE = np.int8(1)  # open cluster is finite and avoids every box face
 _JOINED = np.int8(2)  # open path to a box face or to the ball's frontier
 
 
-class BallEventContext:
-    """The event candidates of one ball and the window verdicts settled on
-    it, shared by every grid scored on that ball.
-
-    ``times`` and ``coords`` list the candidate witnesses in increasing t:
-    the source at t = 0 (a witness only of a threshold <= 0), then every
-    certified singleton layer. The verdict of every unreached vertex that a
-    window probe has settled is kept for later windows of the same ball.
-    """
-
-    def __init__(self, sample: PercolationSample, ball: BallGrowth):
-        self.sample = sample
-        self.ball = ball
-        singles = ball.singletons()
-        self.times = np.array([0] + [t for t, _ in singles], dtype=np.int64)
-        self.coords = ball.box.coords_of_flats(
-            [ball.box.flat_index(ball.source)] + [flat for _, flat in singles]
-        )
-        self._verdict: np.ndarray | None = None  # int8 per vertex, from the first probe
-
-
 class _Windows:
     """The distinct integer windows [ceil(c - r), floor(c + r)] of a list
-    of centres c and radii r on one box.
+    of centres c and one radius r on one box.
 
     ``of[i]`` is the window of centre i, among ``count`` windows. A window
     k inside the box is listed in the group of its extent, whose flat
@@ -163,10 +117,10 @@ class _Windows:
     is in no group.
     """
 
-    def __init__(self, box: BoxSpec, centers: np.ndarray, radii: np.ndarray):
+    def __init__(self, box: BoxSpec, centers: np.ndarray, radius: int):
         d = box.dimension
-        lo = np.ceil(centers - radii[:, None]).astype(np.int64)
-        hi = np.floor(centers + radii[:, None]).astype(np.int64)
+        lo = np.ceil(centers - radius).astype(np.int64)
+        hi = np.floor(centers + radius).astype(np.int64)
         bounds, of = np.unique(np.hstack([lo, hi]), axis=0, return_inverse=True)
         self.of = of.reshape(-1)
         self.count = len(bounds)
@@ -183,37 +137,40 @@ class _Windows:
 
 
 class EventGrid:
-    """A spec sequence with the geometry of its plain or free-line windows
-    on one box, ``box``.
+    """The events (s, x) of ``s_grid`` x ``x_grid`` at one n and one window
+    exponent, s-major, with the geometry of their plain or free-line
+    windows on one box, ``box``.
 
-    The geometry depends only on the specs and the box, so it is computed
-    once and shared by every ball scored on that box: per spec the window
-    centre n x, its radius and time threshold, the free-line caps, and the
-    index of distinct windows. A spec whose direction does not have the
-    box's dimension raises GeometryError.
+    Every event has the window w = floor(n^alpha) of :func:`window_radius`,
+    so the grid holds once ``window`` w (also the free-line line cap),
+    ``radius`` (w, or 4 w for a free-line event) and ``volume_cap``
+    floor(n^(7/4)); and per event its (s, x) in ``events``, its window
+    centre n x in ``centers`` and its time threshold s n (s n - 3 w for a
+    free-line event) in ``thresholds``. The geometry is computed once and
+    shared by every ball scored on that box. A direction that does not have
+    the box's dimension raises GeometryError.
     """
 
-    def __init__(self, specs, box: BoxSpec, free: bool):
+    def __init__(self, box: BoxSpec, s_grid, x_grid, n: int, *, alpha, free: bool):
         d = box.dimension
-        specs = list(specs)
+        if any(len(x) != d for x in x_grid):
+            raise GeometryError("event direction has wrong dimension")
         self.box = box
         self.free = free
-        self.centers = np.array([sp.center(d) for sp in specs]).reshape(len(specs), d)
-        if free:
-            radii = [sp.window_free(d) for sp in specs]
-            thresholds = [sp.time_threshold_free(d) for sp in specs]
-        else:
-            radii = [sp.window(d) for sp in specs]
-            thresholds = [sp.time_threshold() for sp in specs]
-        self.radii = np.array(radii, dtype=np.int64)
-        self.thresholds = np.array(thresholds, dtype=float)
-        self.line_caps = [sp.window(d) for sp in specs]
-        self.volume_caps = [sp.volume_cap() for sp in specs]
-        self.windows = _Windows(box, self.centers, self.radii)
+        self.events = [(s, x) for s in s_grid for x in x_grid]
+        self.window = window_radius(d, n, alpha)
+        self.radius = 4 * self.window if free else self.window
+        self.volume_cap = int(n ** 1.75)
+        self.centers = n * np.array([x for _, x in self.events], dtype=float).reshape(-1, d)
+        times = np.array([s for s, _ in self.events], dtype=float) * n
+        self.thresholds = times - 3 * self.window if free else times
+        self.windows = _Windows(box, self.centers, self.radius)
 
 
-def event_A(ctx: BallEventContext, grid: EventGrid) -> list:
-    """Windowed cut-point event of every spec of a plain grid, in order.
+def event_A(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
+    """Windowed cut-point event of every event of a plain grid, in order,
+    on ``ball``, the ball of ``sample`` grown from the origin until its
+    first face contact.
 
     A witness is a certified singleton layer (t, w) with t >= s n and w
     within sup-distance floor(n^alpha) of n x. Each result holds the least
@@ -222,12 +179,12 @@ def event_A(ctx: BallEventContext, grid: EventGrid) -> list:
     """
     if grid.free:
         raise PreconditionError("event_A scores a grid built with free=False")
-    return _score(ctx, grid)
+    return _score(sample, ball, grid)
 
 
-def event_A_free(ctx: BallEventContext, grid: EventGrid) -> list:
+def event_A_free(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
     """Free-line refinement of the windowed cut-point event, for every
-    spec of a free grid, in order.
+    event of a free grid, in order, on ``ball`` as in :func:`event_A`.
 
     A witness (t, w) needs, besides a singleton layer with t >= s n - 3 w0
     and w within 4 w0 of n x (w0 = floor(n^alpha)): an axis line through w
@@ -236,20 +193,26 @@ def event_A_free(ctx: BallEventContext, grid: EventGrid) -> list:
     """
     if not grid.free:
         raise PreconditionError("event_A_free scores a grid built with free=True")
-    return _score(ctx, grid)
+    return _score(sample, ball, grid)
 
 
-def _score(ctx: BallEventContext, grid: EventGrid) -> list:
-    """One EventResult per spec: the least witness, else MISS when the
-    spec's window is certified and UNKNOWABLE when it is not.
+def _score(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
+    """One EventResult per event: the least witness, else MISS when the
+    event's window is certified and UNKNOWABLE when it is not.
 
-    One mask of (spec, candidate) pairs gives the witnesses; a free-line
-    spec checks its passing pairs in increasing t. The windows of the
-    specs without a witness are certified together, probed in the order
-    of their first such spec.
+    The candidate witnesses, in increasing t, are the source at t = 0 (a
+    witness only of a threshold <= 0) and every certified singleton layer.
+    One mask of (event, candidate) pairs gives the witnesses; a free-line
+    event checks its passing pairs in increasing t. The windows of the
+    events without a witness are certified together, probed in the order
+    of their first such event.
     """
-    ok = (ctx.times >= grid.thresholds[:, None]) & (
-        np.abs(ctx.coords - grid.centers[:, None, :]).max(axis=2) <= grid.radii[:, None]
+    box = ball.box
+    singles = ball.singletons()
+    times = np.array([0] + [t for t, _ in singles], dtype=np.int64)
+    coords = box.coords_of_flats([box.flat_index(ball.source)] + [flat for _, flat in singles])
+    ok = (times >= grid.thresholds[:, None]) & (
+        np.abs(coords - grid.centers[:, None, :]).max(axis=2) <= grid.radius
     )
     first = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
     if grid.free:
@@ -257,8 +220,7 @@ def _score(ctx: BallEventContext, grid: EventGrid) -> list:
             first[i] = next((
                 j for j in np.flatnonzero(ok[i])
                 if _free_conditions(
-                    ctx.ball, int(ctx.times[j]), ctx.coords[j],
-                    grid.line_caps[i], grid.volume_caps[i],
+                    ball, int(times[j]), coords[j], grid.window, grid.volume_cap
                 )
             ), -1)
     of = grid.windows.of
@@ -267,11 +229,11 @@ def _score(ctx: BallEventContext, grid: EventGrid) -> list:
     if missed.size:
         _, at = np.unique(missed, return_index=True)
         needed = missed[np.sort(at)]
-        certified[needed] = _windows_resolved(ctx, grid.windows, needed)
+        certified[needed] = _windows_resolved(sample, ball, grid.windows, needed)
     results = []
     for j, window in zip(first.tolist(), of.tolist()):
         if j >= 0:
-            witness = CutPointRecord(int(ctx.times[j]), tuple(map(int, ctx.coords[j])))
+            witness = CutPointRecord(int(times[j]), tuple(map(int, coords[j])))
             results.append(EventResult(EventOutcome.HIT, witness))
         elif certified[window]:
             results.append(EventResult(EventOutcome.MISS))
@@ -280,7 +242,9 @@ def _score(ctx: BallEventContext, grid: EventGrid) -> list:
     return results
 
 
-def _windows_resolved(ctx: BallEventContext, windows: _Windows, needed) -> np.ndarray:
+def _windows_resolved(
+    sample: PercolationSample, ball: BallGrowth, windows: _Windows, needed
+) -> np.ndarray:
     """Whether every possible witness location of each window ``needed[k]``
     has a certified status.
 
@@ -293,9 +257,10 @@ def _windows_resolved(ctx: BallEventContext, windows: _Windows, needed) -> np.nd
 
     One gather of the ball's distances per window extent settles every
     window whose vertices are all within the horizon, or some reached past
-    it. The rest go to :func:`_probe_resolved` in the order of ``needed``.
+    it. The rest go to :func:`_probe_resolved` in the order of ``needed``,
+    sharing one verdict array: allocated at the first probe, it keeps the
+    verdict of every vertex a probe settled for the later windows.
     """
-    ball = ctx.ball
     if not ball.contaminated:
         return np.ones(len(needed), dtype=bool)
     wanted = np.zeros(windows.count, dtype=bool)
@@ -315,15 +280,19 @@ def _windows_resolved(ctx: BallEventContext, windows: _Windows, needed) -> np.nd
         unsure = ~resolved[ids] & (near | unreached).all(axis=1)
         for k in np.flatnonzero(unsure):
             unsettled[int(ids[k])] = flats[k][unreached[k]]
+    verdict = None
     for k in map(int, needed):
         if k in unsettled:
-            resolved[k] = _probe_resolved(ctx, unsettled[k])
+            resolved[k], verdict = _probe_resolved(sample, ball, unsettled[k], verdict)
     return resolved[needed]
 
 
-def _probe_resolved(ctx: BallEventContext, pending: np.ndarray) -> bool:
+def _probe_resolved(
+    sample: PercolationSample, ball: BallGrowth, pending: np.ndarray, verdict
+):
     """Whether the open clusters of the unreached vertices ``pending`` all
-    avoid every box face.
+    avoid every box face, and the verdict array (int8 per vertex, 0 where
+    not probed yet; None before the first probe) updated with this probe.
 
     The vertices without a verdict are probed together, stopping at a face
     or at the frontier ``ball.layers[-1]``. A clean probe marks every
@@ -331,16 +300,15 @@ def _probe_resolved(ctx: BallEventContext, pending: np.ndarray) -> bool:
     each face or frontier vertex it reached back to its source joined. A
     later window with a joined unreached vertex fails without a probe.
     """
-    ball = ctx.ball
-    if ctx._verdict is not None:
-        status = ctx._verdict[pending]
+    if verdict is not None:
+        status = verdict[pending]
         if (status == _JOINED).any():
-            return False
+            return False, verdict
         pending = pending[status == 0]
         if pending.size == 0:
-            return True
+            return True, verdict
     probe = grow_ball_flats(
-        ctx.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
+        sample, pending, targets=ball.layers[-1], stop_at_boundary=True
     )
     clean = probe.exhausted and not probe.contaminated
     if clean:
@@ -359,10 +327,10 @@ def _probe_resolved(ctx: BallEventContext, pending: np.ndarray) -> bool:
     # the verdicts are allocated once the probe's arrays are freed, so that
     # they do not raise the peak memory of a one-window ball
     del probe
-    if ctx._verdict is None:
-        ctx._verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
-    ctx._verdict[marked] = _FINITE if clean else _JOINED
-    return clean
+    if verdict is None:
+        verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
+    verdict[marked] = _FINITE if clean else _JOINED
+    return clean, verdict
 
 
 def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap) -> bool:

@@ -17,16 +17,18 @@ that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
 misses the target, None when the box cannot tell). The distance constant
 averages the finite values, the upper-tail event maps the value through
 ``upper_tail_outcome``, and the paired experiment also scans the same ball's
-certified singleton layers. The scanned cut-point events score a whole
-:class:`EventGrid` on the origin ball of each replicate instead.
+certified singleton layers. The scanned cut-point events instead score an
+:class:`EventGrid`, the product s_grid x x_grid at one n and one window
+exponent, in one ``event_A`` (or ``event_A_free``) call on the origin ball
+of each replicate; the window verdicts settled in that call are not kept.
 
 Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
 by the replicates at that n. The reach is:
 
 - for scanned events (:func:`_event_grid`), ``box_factor * (n * m + 2 w)``
   with m the largest sup norm of the grid's directions and w = floor(n^alpha)
-  the window of ``EventSpec.window``: every window and the distances across
-  it fit;
+  from ``cutpoints.window_radius``: every plain window and the distances
+  across it fit (a free-line window has radius 4 w and may not);
 - for the upper tail (:func:`_upper_tail_box`), ``box_factor * max(1, mu1
   (1 + xi)) * n * max(1, |x|_inf)``: the box grows with the distance
   threshold ``mu1 (1 + xi) n``;
@@ -46,13 +48,12 @@ from functools import partial
 import numpy as np
 
 from .cutpoints import (
-    BallEventContext,
     EventGrid,
     EventOutcome,
-    EventSpec,
     event_A,
     event_A_free,
     upper_tail_outcome,
+    window_radius,
 )
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _MASK64, _SPLIT, BoxSpec, _mix64, sample_configuration
@@ -200,28 +201,26 @@ def _box(d: int, reach: float) -> BoxSpec:
 def _event_grid(
     d: int, s_grid, x_grid, n: int, box_factor: float, *, alpha, free
 ) -> EventGrid:
-    """The events (s, x) of ``s_grid`` x ``x_grid`` at n, s-major, on the
-    box their windows need."""
-    specs = [EventSpec(s=s, x=x, n=n, alpha=alpha) for s in s_grid for x in x_grid]
-    # every spec has the window of n and alpha
-    w = specs[0].window(d)
+    """The events (s, x) of ``s_grid`` x ``x_grid`` at n on the box their
+    windows need."""
+    w = window_radius(d, n, alpha)
     reach = box_factor * (n * max(max(abs(c) for c in x) for x in x_grid) + 2.0 * w)
-    return EventGrid(specs, _box(d, reach), free)
+    return EventGrid(_box(d, reach), s_grid, x_grid, n, alpha=alpha, free=free)
 
 
 def _scan(grid: EventGrid, p: float, replicates: int, seed: int, workers):
-    """The outcome codes of every spec of ``grid``, per replicate."""
+    """The outcome codes of every event of ``grid``, per replicate."""
     fn = partial(_surface_replicate, p=p, grid=grid, seed=seed)
     return _run_all(fn, replicates, workers)
 
 
 def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
-    """Outcome codes of every spec of ``grid``, scored in one call on one
+    """Outcome codes of every event of ``grid``, scored in one call on one
     ball grown from the origin (the events share the sample and the ball)."""
     sample = sample_configuration(grid.box, p, replicate_seed(seed, index))
     ball = grow_ball(sample, (0,) * grid.box.dimension, stop_at_boundary=True)
     fn = event_A_free if grid.free else event_A
-    return tuple(OUTCOME_CODES[r.outcome] for r in fn(BallEventContext(sample, ball), grid))
+    return tuple(OUTCOME_CODES[r.outcome] for r in fn(sample, ball, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +350,7 @@ def estimate_rate_surface(
     s_grid = [float(s) for s in s_grid]
     x_grid = [tuple(float(c) for c in x) for x in x_grid]
     grid = _event_grid(d, s_grid, x_grid, n, box_factor, alpha=alpha, free=False)
-    events = [(f"cutpoint(s={s},x={x})", s, x) for s in s_grid for x in x_grid]
+    events = [(f"cutpoint(s={s},x={x})", s, x) for s, x in grid.events]
     estimates = rate_estimates(events, n, _scan(grid, p, replicates, seed, workers))
     return RateSurface(entries={(e.s, e.x): e for e in estimates})
 

@@ -58,7 +58,13 @@ from .lattice import (
 )
 from .metric import _INF32, grow_ball
 from .parallel import run_parallel  # noqa: F401  (perfbench wraps harness.run_parallel)
-from .renorm import classify_boxes, route_through_good, slab_experiment
+from .renorm import (
+    MacroLattice,
+    _interior_sites,
+    classify_boxes,
+    route_through_good,
+    slab_experiment,
+)
 
 CSV_PREFIX = "# percolab-csv"
 
@@ -93,8 +99,16 @@ def _parse_ints(text: str):
     return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
 
 
+def _parse_float(text: str) -> float:
+    """A finite float: nan and +-inf are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
 def _parse_floats(text: str):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in str(text).split(",") if tok.strip())
 
 
 def _checked(parse, ok, what: str):
@@ -113,12 +127,12 @@ def _checked(parse, ok, what: str):
 _DIMENSION = _checked(
     int, lambda d: d in SUPPORTED_DIMENSIONS, f"one of {SUPPORTED_DIMENSIONS}"
 )
-_PROBABILITY = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
+_PROBABILITY = _checked(_parse_float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
-_NONNEGATIVE = _checked(float, lambda v: v >= 0.0, ">= 0")
-_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_POSITIVE = _checked(_parse_float, lambda v: v > 0.0, "> 0")
+_NONNEGATIVE = _checked(_parse_float, lambda v: v >= 0.0, ">= 0")
+_FRACTION = _checked(_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _SCALES = _checked(_parse_ints, lambda g: min(g, default=0) >= 1, "nonempty, each >= 1")
 _GRID = _checked(_parse_floats, bool, "nonempty")
 EVENT_KINDS = ("cutpoint", "free", "upper_tail")
@@ -170,7 +184,7 @@ _KEYS = {
     "N": Field(_COUNT, help="macroscopic block half-side"),
     "n": Field(_COUNT, help="scale n (slab: endpoint separation)"),
     "epsilon": Field(_FRACTION, help="block fraction epsilon"),
-    "xi": Field(float, help="distance slack xi"),
+    "xi": Field(_parse_float, help="distance slack xi"),
     "mu1": Field(_POSITIVE, help="norm estimate for a unit step"),
     "rho": Field(_NONNEGATIVE_INT, help="slab dependency range (0 = derive from mu1)"),
     "sites": Field(_parse_sites, help="macro path, e.g. 0,0;1,0;1,1"),
@@ -369,7 +383,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "upper-tail": _schema(_ESTIMATED, {
         "xi": 0.3, "mu1": 1.0, "n_grid": (12,), "replicates": 1000,
         "box_factor": 1.3, "workers": 0, "csv": "paired.csv",
-    }) | {"s": Field(float, default=0.1, help="time slack")},
+    }) | {"s": Field(_parse_float, default=0.1, help="time slack")},
     "replay": _schema(("manifest",), {}),
 }
 
@@ -388,20 +402,27 @@ def _cmd_sample(cfg, out_dir):
     return [path]
 
 
-def _require_dimension(sample: PercolationSample, key: str, points) -> None:
+def _require_in_sample(
+    sample: PercolationSample, key: str, points, fits, what: str
+) -> None:
     """Points named by ``key`` must have the sample's dimension, which may
-    come from the sample file rather than from ``d``."""
+    come from the sample file rather than from ``d``, and pass ``fits``,
+    else they are reported as ``what`` the sample box."""
     d = sample.box.dimension
     for point in points:
         if len(point) != d:
             raise ConfigError(
                 f"{key}: {_fmt(point)} has length {len(point)}, not d = {d}"
             )
+        if not fits(point):
+            raise ConfigError(f"{key}: {_fmt(point)} {what} the sample box")
 
 
 def _cmd_ball(cfg, out_dir):
     sample = PercolationSample.load(cfg["sample"])
-    _require_dimension(sample, "source", [cfg["source"]])
+    _require_in_sample(
+        sample, "source", [cfg["source"]], sample.box.contains, "is outside"
+    )
     t_max = cfg["t_max"] or None
     ball = grow_ball(sample, tuple(cfg["source"]), t_max=t_max)
     box = sample.box
@@ -444,9 +465,13 @@ def _cmd_classify(cfg, out_dir):
 def _cmd_route(cfg, out_dir):
     sample = _load_or_sample(cfg)
     sites = _sites(cfg["sites"])
-    _require_dimension(sample, "sites", sites)
-    cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     box = sample.box
+    # the sites that classify_boxes classifies
+    interior = set(_interior_sites(box, MacroLattice(N=cfg["N"], dimension=box.dimension)))
+    _require_in_sample(
+        sample, "sites", sites, interior.__contains__, "has an enlarged block outside"
+    )
+    cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     x = box.vertex_coord(int(cls.cluster(sites[0])[0]))
     y = box.vertex_coord(int(cls.cluster(sites[-1])[0]))
     route = route_through_good(sample, cls, sites, x, y)
@@ -657,31 +682,28 @@ _RATE_HEADER = [
 def _cmd_estimate_rate(cfg, out_dir):
     d, p, seed, kind = cfg["d"], cfg["p"], cfg["seed"], cfg["event"]
     replicates, workers = cfg["replicates"], cfg["workers"] or None
-    # (label, s, x) of each event, in outcome-code order
-    if kind == "upper_tail":
-        x = cfg["x"] or _e1(d)
-        events = [(f"upper_tail(xi={cfg['xi']})", None, x)]
-    else:
-        x = cfg["x"] or (0.0,) * d
-        events = [(f"{kind}(s={s})", s, x) for s in cfg["s"]]
+    x = cfg["x"] or (_e1(d) if kind == "upper_tail" else (0.0,) * d)
     estimates = []
     replicate_rows = []
     for n in cfg["n_grid"]:
+        # (label, s, x) of each event, in outcome-code order
         if kind == "upper_tail":
             box, threshold = _upper_tail_box(d, x, n, cfg["xi"], cfg["mu1"], cfg["box_factor"])
             fn = partial(_run_one_n, p=p, box=box, n=n, x=x, threshold=threshold, seed=seed)
+            events = [(f"upper_tail(xi={cfg['xi']})", None, x)]
             results = _run_all(fn, replicates, workers)
         else:
             grid = _event_grid(
                 d, cfg["s"], [x], n, cfg["box_factor"], alpha=None, free=kind == "free"
             )
+            events = [(f"{kind}(s={s})", s, x) for s, x in grid.events]
             results = _scan(grid, p, replicates, seed, workers)
         estimates.extend(rate_estimates(events, n, results))
         if cfg["emit_replicates"]:
             for idx, codes in enumerate(results):
-                for (label, s, _), code in zip(events, codes):
+                for (label, s, point), code in zip(events, codes):
                     replicate_rows.append([
-                        label, "" if s is None else s, _fmt_point(x),
+                        label, "" if s is None else s, _fmt_point(point),
                         int(n), idx, CODE_OUTCOMES[code].value,
                     ])
 

@@ -11,7 +11,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from percolab import BoxSpec, PercolationSample, cutpoints, grow_ball
 from percolab.cutpoints import (
-    BallEventContext,
     CutPointRecord,
     EventGrid,
     EventOutcome,
@@ -51,21 +50,21 @@ def open_path_sample(box: BoxSpec, vertices) -> PercolationSample:
     return s.with_edges(open_idx=idx)
 
 
-def origin_context(sample: PercolationSample) -> BallEventContext:
-    """Event context of the ball grown from the origin until its first face
-    contact, as the estimators build it."""
-    ball = grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
-    return BallEventContext(sample, ball)
+def origin_ball(sample: PercolationSample):
+    """The ball grown from the origin until its first face contact, as the
+    estimators grow it."""
+    return grow_ball(sample, (0,) * sample.box.dimension, stop_at_boundary=True)
 
 
-def score_one(ctx: BallEventContext, spec, free=False) -> EventResult:
-    """The plain or free-line event of one spec on the context's ball."""
-    grid = EventGrid([spec], ctx.ball.box, free)
-    return (event_A_free if free else event_A)(ctx, grid)[0]
+def score_one(sample: PercolationSample, s, x, n, free=False) -> EventResult:
+    """The plain or free-line event (s, x) at n, with the default window
+    exponent, on the origin ball of ``sample``."""
+    grid = EventGrid(sample.box, [s], [x], n, alpha=None, free=free)
+    return (event_A_free if free else event_A)(sample, origin_ball(sample), grid)[0]
 
 
 class ReferenceContext:
-    """Per-spec scan of one ball, the reference for the one-pass scoring:
+    """Per-event scan of one ball, the reference for the one-pass scoring:
     its certified singleton layers, each window's certificate cached by
     (centre, radius), and the verdict of every vertex a probe settled."""
 
@@ -135,17 +134,23 @@ def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
     return clean
 
 
-def reference_event(ctx: ReferenceContext, spec, free: bool) -> EventResult:
-    """The least witness of one plain or free-line spec among the source
-    (threshold <= 0) and the singleton layers, else MISS when its window is
-    certified and UNKNOWABLE when it is not."""
+def reference_event(ctx: ReferenceContext, s, x, n, alpha, free: bool) -> EventResult:
+    """The least witness of the plain or free-line event (s, x) at n among
+    the source (threshold <= 0) and the singleton layers, else MISS when its
+    window is certified and UNKNOWABLE when it is not.
+
+    The window w = floor(n^alpha) (alpha None: 1 - 1/(6d)), the radius (w,
+    free: 4 w), the threshold (s n, free: s n - 3 w), the line cap w and
+    the volume cap floor(n^(7/4)) are worked out here, from the paper's
+    definitions, not by the package.
+    """
     ball = ctx.ball
     d = ball.box.dimension
-    center = spec.center(d)
-    if free:
-        radius, threshold = spec.window_free(d), spec.time_threshold_free(d)
-    else:
-        radius, threshold = spec.window(d), spec.time_threshold()
+    if alpha is None:
+        alpha = 1 - 1 / (6 * d)
+    w = math.floor(n**alpha)
+    radius, threshold = (4 * w, s * n - 3 * w) if free else (w, s * n)
+    center = n * np.asarray(x, dtype=float)
     candidates = []
     if threshold <= 0:
         candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
@@ -153,9 +158,7 @@ def reference_event(ctx: ReferenceContext, spec, free: bool) -> EventResult:
     for t, coord in candidates:
         if np.max(np.abs(np.asarray(coord, dtype=float) - center)) > radius:
             continue
-        if free and not cutpoints._free_conditions(
-            ball, t, coord, spec.window(d), spec.volume_cap()
-        ):
+        if free and not cutpoints._free_conditions(ball, t, coord, w, math.floor(n**1.75)):
             continue
         return EventResult(EventOutcome.HIT, CutPointRecord(t, tuple(int(c) for c in coord)))
     if ctx.window_resolved(center, radius):

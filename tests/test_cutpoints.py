@@ -16,7 +16,7 @@ from conftest import (
     face_mask,
     flood_fill_labels,
     open_path_sample,
-    origin_context,
+    origin_ball,
     reference_event,
     ReferenceContext,
     score_one,
@@ -26,9 +26,7 @@ from percolab import (
     CutPointRecord,
     EventGrid,
     EventOutcome,
-    EventSpec,
     SurgeryPlan,
-    alpha_default,
     apply_surgery,
     detect_cutpoints,
     event_A,
@@ -39,7 +37,7 @@ from percolab import (
     sample_configuration,
 )
 from percolab import cutpoints
-from percolab.cutpoints import BallEventContext, upper_tail_outcome
+from percolab.cutpoints import upper_tail_outcome, window_radius
 from percolab.errors import GeometryError, PreconditionError, SurgeryPlanError
 from percolab.estimators import target_distance
 
@@ -65,9 +63,15 @@ def figure_spine_sample(box, k):
     return s.with_edges(close_idx=sorted(close))
 
 
-def test_alpha_default():
-    assert alpha_default(2) == 1 - 1 / 12
-    assert alpha_default(3) == 1 - 1 / 18
+def test_window_radius_defaults_to_the_exponent_1_minus_1_over_6d():
+    # alpha None is the exponent 1 - 1/(6d); n = 10^6 tells the exponents
+    # of d = 2 and 3 and of alpha = 0.9 apart
+    for d in (2, 3):
+        for n in (8, 40, 10**6):
+            assert window_radius(d, n, None) == math.floor(n ** (1 - 1 / (6 * d)))
+    assert window_radius(2, 10**6, None) == 316227
+    assert window_radius(3, 10**6, None) == 464158
+    assert window_radius(3, 10**6, 0.9) == 251188
 
 
 def test_detect_on_path_graph():
@@ -108,13 +112,13 @@ def test_figure_construction_cutpoint_at_spine_end():
 
 def test_event_A_zero_spec_always_occurs():
     for sample in (all_open(BoxSpec(2, 10)), all_closed(BoxSpec(2, 10))):
-        res = score_one(origin_context(sample), EventSpec(0.0, (0.0, 0.0), 8))
+        res = score_one(sample, 0.0, (0.0, 0.0), 8)
         assert res.outcome is EventOutcome.HIT
         assert res.witness.time == 0 and res.witness.location == (0, 0)
 
 
 def test_event_A_all_open_miss():
-    res = score_one(origin_context(all_open(BoxSpec(2, 20))), EventSpec(0.25, (0.0, 0.0), 8))
+    res = score_one(all_open(BoxSpec(2, 20)), 0.25, (0.0, 0.0), 8)
     assert res.outcome is EventOutcome.MISS
 
 
@@ -123,7 +127,7 @@ def test_event_A_forced_path():
     # are singleton layers, so the event holds for s n within the length
     box = BoxSpec(2, 20)
     s = open_spine(box, 7)
-    res = score_one(origin_context(s), EventSpec(0.5, (0.0, 0.0), 8))
+    res = score_one(s, 0.5, (0.0, 0.0), 8)
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 4 and res.witness.location == (4, 0)
 
@@ -132,7 +136,7 @@ def test_event_A_hits_on_a_spine_touching_the_face():
     # B_5 is the spine (0,0)..(5,0) and reaches the box face at t = 5, the
     # last certified layer, so the face-stopped ball still certifies it
     box = BoxSpec(2, 5)
-    res = score_one(origin_context(open_spine(box, 5)), EventSpec(s=1.0, x=(1, 0), n=5))
+    res = score_one(open_spine(box, 5), 1.0, (1, 0), 5)
     assert res.outcome is EventOutcome.HIT
     assert res.witness.time == 5 and res.witness.location == (5, 0)
 
@@ -141,17 +145,18 @@ def test_event_A_window_constraint():
     # witness exists in time but lies outside a window centred away from it
     box = BoxSpec(2, 30)
     s = open_spine(box, 7)
-    res = score_one(origin_context(s), EventSpec(0.5, (-2.0, 0.0), 8))
+    res = score_one(s, 0.5, (-2.0, 0.0), 8)
     assert res.outcome is EventOutcome.MISS
 
 
 def test_event_nesting_in_s_exact():
     # on one sample and one shared ball, a hit at s' >= s implies a hit at s
     box = BoxSpec(2, 26)
-    grid = EventGrid([EventSpec(s, (0.0, 0.0), 8) for s in (0.1, 0.25, 0.4, 0.6)], box, False)
+    grid = EventGrid(box, (0.1, 0.25, 0.4, 0.6), [(0.0, 0.0)], 8, alpha=None, free=False)
     hits = np.zeros(4, dtype=int)
     for seed in range(300):
-        results = event_A(origin_context(sample_configuration(box, 0.7, seed)), grid)
+        sample = sample_configuration(box, 0.7, seed)
+        results = event_A(sample, origin_ball(sample), grid)
         flags = [r.outcome is EventOutcome.HIT for r in results]
         for i in range(3):
             assert flags[i + 1] <= flags[i]
@@ -169,23 +174,18 @@ def resolved_vertices_oracle(sample):
     return (dist <= dist[face].min()) | ~np.isin(labels, labels[face])
 
 
-def centred_windows(radius, d):
-    """(r, 2 * centre) of windows inside [-radius, radius]^d, touching its
-    faces at the ends of the ranges."""
-    return st.integers(0, radius).flatmap(lambda r: st.tuples(
-        st.just(r),
-        st.lists(st.integers(2 * (r - radius), 2 * (radius - r)), min_size=d, max_size=d),
-    ))
+def window_centres(r, radius, d):
+    """2 * centre of windows of radius r inside [-radius, radius]^d,
+    touching its faces at the ends of the ranges."""
+    return st.lists(st.integers(2 * (r - radius), 2 * (radius - r)), min_size=d, max_size=d)
 
 
-def certify(ctx, centers, radii):
-    """The certificate of each window, given by its centre and radius, from
-    one call of the vector certificate on ``ctx``."""
-    windows = cutpoints._Windows(
-        ctx.ball.box, np.asarray(centers, dtype=float).reshape(len(radii), -1),
-        np.asarray(radii, dtype=np.int64),
-    )
-    return cutpoints._windows_resolved(ctx, windows, windows.of).tolist()
+def certify(sample, ball, centers, radius):
+    """The certificate of each window of the given centres and radius, from
+    one call of the vector certificate on ``ball``."""
+    centers = np.asarray(centers, dtype=float)
+    windows = cutpoints._Windows(ball.box, centers.reshape(len(centers), -1), radius)
+    return cutpoints._windows_resolved(sample, ball, windows, windows.of).tolist()
 
 
 @pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
@@ -197,22 +197,19 @@ def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
     box = s.box
     resolved = resolved_vertices_oracle(s)
     ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
-    drawn = data.draw(st.lists(centred_windows(radius, d), min_size=1, max_size=8))
-    centers = [np.asarray(twice, dtype=float) / 2 for _, twice in drawn]
-    radii = [r for r, _ in drawn]
+    r = data.draw(st.integers(0, radius))
+    drawn = data.draw(st.lists(window_centres(r, radius, d), min_size=1, max_size=8))
+    centers = [np.asarray(twice, dtype=float) / 2 for twice in drawn]
     expected = []
-    for center, r in zip(centers, radii):
+    for center in centers:
         lo = np.ceil(center - r).astype(int)
         hi = np.floor(center + r).astype(int)
         window = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         expected.append(all(resolved[box.flat_index(v)] for v in window))
-    # every window in one call, one window per call on a context that keeps
-    # the verdicts of the calls before, and one window on a fresh context
-    assert certify(BallEventContext(s, ball), centers, radii) == expected
-    shared = BallEventContext(s, ball)
-    for center, r, want in zip(centers, radii, expected):
-        assert certify(shared, [center], [r]) == [want]
-        assert certify(BallEventContext(s, ball), [center], [r]) == [want]
+    # every window in one call, and one window per call
+    assert certify(s, ball, centers, r) == expected
+    for center, want in zip(centers, expected):
+        assert certify(s, ball, [center], r) == [want]
 
 
 def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
@@ -236,37 +233,36 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
         return probes[-1]
 
     monkeypatch.setattr(cutpoints, "grow_ball_flats", counting)
-    ctx = BallEventContext(s, ball)
-    assert certify(ctx, [(6.0, 9.0)], [1]) == [False]
+    # the three windows after the first overlap its joined corridor and fail
+    # without a probe; the frontier vertex's own verdict is never read: with
+    # the corridor left out, the last window holds only ball vertices and
+    # isolated ones, which one clean probe settles
+    windows = [(6.0, 9.0), (7.0, 8.0), (6.0, 8.0), (5.5, 8.5), (6.0, 5.0)]
+    assert certify(s, ball, windows, 1) == [False] * 4 + [True]
+    assert len(probes) == 2
     # the failed probe stops on entering the frontier, short of any face
-    probe, = probes
+    probe = probes[0]
     assert probe.first_boundary_time is None and not probe.exhausted
     assert box.flat_index((6, 6)) in probe.layers[-1] and probe.last_time == 2
-    assert certify(ctx, [(7.0, 8.0), (6.0, 8.0), (5.5, 8.5)], [1, 1, 1]) == [False] * 3
-    assert len(probes) == 1
-    # the frontier vertex's own verdict is never read: with the corridor
-    # left out, its window holds only ball vertices and isolated ones
-    assert certify(ctx, [(6.0, 5.0)], [1]) == [True]
 
     # isolated vertices: a clean probe, then only the vertices without a
     # verdict are probed, and none when every vertex has one
-    assert certify(ctx, [(-6.0, 8.0)], [1]) == [True]
-    assert certify(ctx, [(-5.0, 8.0)], [1]) == [True]
+    assert certify(s, ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
     assert len(probes) == 4
     assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
-    assert certify(ctx, [(-5.5, 8.0)], [1]) == [True]
-    assert len(probes) == 4
 
 
-def event_specs(d):
-    """Specs with s = 0 among the time slacks and half- and quarter-integer
-    window centres n x; the free-line windows of the larger n leave every
-    drawn box."""
-    return st.builds(
-        EventSpec,
-        s=st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 4.0)),
-        x=st.tuples(*[st.sampled_from((-1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0))] * d),
-        n=st.integers(2, 5),
+def s_grids():
+    """Time slacks, s = 0 among them."""
+    return st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 4.0)), min_size=1, max_size=4)
+
+
+def x_grids(d):
+    """Directions giving half- and quarter-integer window centres n x; the
+    free-line windows of the larger n leave every drawn box."""
+    return st.lists(
+        st.tuples(*[st.sampled_from((-1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0))] * d),
+        min_size=1, max_size=4,
     )
 
 
@@ -296,33 +292,42 @@ def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
     p = data.draw(st.sampled_from((0.2, 0.3, 0.45, 0.55, 0.7)))
     s = sample_configuration(BoxSpec(d, radius), p, data.draw(st.integers(0, 2**32 - 1)))
     ball = grow_ball(s, (0,) * d, stop_at_boundary=True)
-    specs = data.draw(st.lists(event_specs(d), min_size=1, max_size=12))
+    n = data.draw(st.integers(2, 5))
+    alpha = data.draw(st.sampled_from((None, 0.5)))
+    s_grid, x_grid = data.draw(s_grids()), data.draw(x_grids(d))
     score = event_A_free if free else event_A
     reference = ReferenceContext(s, ball)
     with recorded_probes() as expected_probes:
-        expected = [reference_event(reference, spec, free) for spec in specs]
+        expected = {
+            (i, j): reference_event(reference, s_grid[i], x_grid[j], n, alpha, free)
+            for i in range(len(s_grid)) for j in range(len(x_grid))
+        }
     with recorded_probes() as probes:
-        got = score(BallEventContext(s, ball), EventGrid(specs, s.box, free))
-    assert got == expected
+        got = score(s, ball, EventGrid(s.box, s_grid, x_grid, n, alpha=alpha, free=free))
+    assert got == list(expected.values())
     assert probes == expected_probes
-    order = data.draw(st.permutations(range(len(specs))))
-    permuted = score(BallEventContext(s, ball), EventGrid([specs[i] for i in order], s.box, free))
-    assert permuted == [expected[i] for i in order]
+    s_order = data.draw(st.permutations(range(len(s_grid))))
+    x_order = data.draw(st.permutations(range(len(x_grid))))
+    grid = EventGrid(
+        s.box, [s_grid[i] for i in s_order], [x_grid[j] for j in x_order], n,
+        alpha=alpha, free=free,
+    )
+    assert score(s, ball, grid) == [expected[i, j] for i in s_order for j in x_order]
 
 
 def test_a_grid_refuses_a_direction_of_the_wrong_dimension():
     box = BoxSpec(2, 6)
-    specs = [EventSpec(0.25, (0.0, 0.0), 4), EventSpec(0.25, (0.0, 0.0, 0.0), 4),
-             EventSpec(0.5, (1.0, 0.0), 4)]
+    x_grid = [(0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0)]
     for free in (False, True):
         with pytest.raises(GeometryError):
-            EventGrid(specs, box, free)
+            EventGrid(box, [0.25, 0.5], x_grid, 4, alpha=None, free=free)
     # a grid is scored by the event it was built for
-    ctx = origin_context(all_open(box))
+    sample = all_open(box)
+    ball = origin_ball(sample)
     with pytest.raises(PreconditionError):
-        event_A(ctx, EventGrid(specs[:1], box, True))
+        event_A(sample, ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=True))
     with pytest.raises(PreconditionError):
-        event_A_free(ctx, EventGrid(specs[:1], box, False))
+        event_A_free(sample, ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=False))
 
 
 def test_line_count():
@@ -340,9 +345,8 @@ def test_line_count():
 def test_event_A_free_spine_d3():
     box = BoxSpec(3, 12)
     s = open_spine(box, 5)
-    spec = EventSpec(0.25, (0.0, 0.0, 0.0), 20)
     # threshold 5 - 3*window < 0 is degenerate; use the spine's own time
-    res = score_one(origin_context(s), spec, free=True)
+    res = score_one(s, 0.25, (0.0, 0.0, 0.0), 20, free=True)
     assert res.outcome is EventOutcome.HIT
     assert res.witness == CutPointRecord(0, (0, 0, 0))
 
@@ -352,19 +356,16 @@ def test_event_A_free_nondegenerate_threshold():
     box = BoxSpec(3, 14)
     s = open_spine(box, 10)
     n = 4
-    w = int(n ** alpha_default(3))
-    spec = EventSpec(2.6, (0.0, 0.0, 0.0), n)
-    assert spec.time_threshold_free(3) > 0
-    res = score_one(origin_context(s), spec, free=True)
+    threshold = 2.6 * n - 3 * math.floor(n ** (1 - 1 / 18))
+    assert threshold > 0
+    res = score_one(s, 2.6, (0.0, 0.0, 0.0), n, free=True)
     assert res.outcome is EventOutcome.HIT
-    assert res.witness.time >= spec.time_threshold_free(3)
+    assert res.witness.time >= threshold
 
 
 def test_event_A_free_all_open_miss():
     # box large enough that every window vertex distance is certified
-    res = score_one(
-        origin_context(all_open(BoxSpec(2, 45))), EventSpec(3.0, (0.0, 0.0), 6), free=True
-    )
+    res = score_one(all_open(BoxSpec(2, 45)), 3.0, (0.0, 0.0), 6, free=True)
     assert res.outcome is EventOutcome.MISS
 
 
@@ -405,9 +406,11 @@ def test_free_conditions_match_the_set_oracle():
         [(2, 12, 0.55), (3, 7, 0.27)], range(25)
     ):
         s = sample_configuration(BoxSpec(d, radius), p, 700 + seed)
-        ctx = origin_context(s)
+        ball = origin_ball(s)
         dist = dijkstra_distances(s, (0,) * d)
-        for t, coord in zip(ctx.times[1:].tolist(), ctx.coords[1:]):
+        singles = ball.singletons()
+        coords = s.box.coords_of_flats([flat for _, flat in singles])
+        for (t, _), coord in zip(singles, coords):
             w = tuple(int(c) for c in coord)
             ball_set = {
                 tuple(int(c) for c in s.box.vertex_coord(f))
@@ -415,7 +418,7 @@ def test_free_conditions_match_the_set_oracle():
             }
             for line_cap, volume_cap in itertools.product((1, 2, 3), (6, 20, 10**6)):
                 expected = free_verdict_oracle(ball_set, w, line_cap, volume_cap)
-                got = cutpoints._free_conditions(ctx.ball, t, coord, line_cap, volume_cap)
+                got = cutpoints._free_conditions(ball, t, coord, line_cap, volume_cap)
                 assert got == (expected == "accept"), (seed, t, w, line_cap, volume_cap)
                 seen.add(expected)
     assert seen == {"volume", "line", "hyperplane", "accept"}
@@ -426,19 +429,22 @@ def test_free_implies_relaxed_plain_event():
     # t = 0) at t >= s n - 3 w, within 4 w of n x: the plain event with the
     # relaxed threshold and the 4 w window. At s = 2.5 the threshold is
     # positive, so some witnesses are late singleton layers.
-    box = BoxSpec(2, 30)
-    for spec, late in ((EventSpec(0.25, (0.0, 0.0), 8), 0), (EventSpec(2.5, (0.5, 0.0), 8), 1)):
-        w = spec.window(2)
+    box, n = BoxSpec(2, 30), 8
+    w = math.floor(n ** (1 - 1 / 12))
+    for s, x, late in ((0.25, (0.0, 0.0), 0), (2.5, (0.5, 0.0), 1)):
+        grid = EventGrid(box, [s], [x], n, alpha=None, free=True)
         times = []
         for seed in range(200):
-            ctx = origin_context(sample_configuration(box, 0.7, seed))
-            free = score_one(ctx, spec, free=True)
+            sample = sample_configuration(box, 0.7, seed)
+            ball = origin_ball(sample)
+            free, = event_A_free(sample, ball, grid)
             if free.outcome is not EventOutcome.HIT:
                 continue
             t, location = free.witness.time, free.witness.location
-            assert (t, location) in zip(ctx.times.tolist(), map(tuple, ctx.coords.tolist()))
-            assert t >= spec.s * spec.n - 3 * w
-            assert max(abs(c - spec.n * x) for c, x in zip(location, spec.x)) <= 4 * w
+            singles = [(t, box.vertex_coord(flat)) for t, flat in ball.singletons()]
+            assert (t, location) in [(0, ball.source)] + singles
+            assert t >= s * n - 3 * w
+            assert max(abs(c - n * a) for c, a in zip(location, x)) <= 4 * w
             times.append(t)
         assert times and min(times) >= late
 
@@ -512,13 +518,13 @@ def test_force_cutpoint_monte_carlo():
 
 def test_force_cutpoint_preserves_event():
     # closing the plan's (non-witness) edges keeps the event occurring
-    spec = EventSpec(0.25, (0.0, 0.0), 8)
     box = BoxSpec(2, 26)
+    grid = EventGrid(box, [0.25], [(0.0, 0.0)], 8, alpha=None, free=False)
     checked = 0
     for seed in range(400):
         s = sample_configuration(box, 0.7, seed)
-        ball = grow_ball(s, (0, 0), stop_at_boundary=True)
-        res = score_one(BallEventContext(s, ball), spec)
+        ball = origin_ball(s)
+        res, = event_A(s, ball, grid)
         if res.outcome is not EventOutcome.HIT or res.witness.time == 0:
             continue
         t, w = res.witness.time, res.witness.location
@@ -526,7 +532,7 @@ def test_force_cutpoint_preserves_event():
             continue
         plan = force_cutpoint(s, ball, t, w, 64)
         after = apply_surgery(s, plan)
-        res2 = score_one(origin_context(after), spec)
+        res2 = score_one(after, 0.25, (0.0, 0.0), 8)
         assert res2.outcome is EventOutcome.HIT
         checked += 1
     assert checked > 5
@@ -606,7 +612,12 @@ def test_certified_singleton_layers_match_the_dijkstra_oracle(d, L, p):
 
 
 def test_event_spec_window_floor_convention():
-    spec = EventSpec(0.25, (0.0, 0.0), 8)
-    assert spec.window(2) == int(8 ** (11 / 12))
-    assert spec.window_free(2) == 4 * spec.window(2)
-    assert spec.volume_cap() == int(8**1.75)
+    box = BoxSpec(2, 40)
+    w = math.floor(8 ** (11 / 12))
+    plain = EventGrid(box, [0.25, 0.5], [(0.0, 0.0)], 8, alpha=None, free=False)
+    free = EventGrid(box, [0.25, 0.5], [(0.0, 0.0)], 8, alpha=None, free=True)
+    assert plain.window == free.window == w
+    assert (plain.radius, free.radius) == (w, 4 * w)
+    assert plain.thresholds.tolist() == [2.0, 4.0]
+    assert free.thresholds.tolist() == [2.0 - 3 * w, 4.0 - 3 * w]
+    assert free.volume_cap == math.floor(8**1.75)

@@ -150,6 +150,16 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("classify", "N", "1"),
         ("route", "N", "1"),
         ("classify", "epsilon", "0.2"),
+        # floats that are not finite
+        ("estimate-rate", "s", "nan"),
+        ("estimate-rate", "s", "0.25,inf"),
+        ("estimate-rate", "x", "0,-inf"),
+        ("estimate-rate", "box_factor", "inf"),
+        ("upper-tail", "xi", "nan"),
+        ("upper-tail", "s", "nan"),
+        ("estimate-j", "mu1", "inf"),
+        ("estimate-j", "y_max", "inf"),
+        ("slab", "xi", "nan"),
     ],
 )
 def test_out_of_range_estimator_value_exits_2_before_writing(
@@ -171,6 +181,29 @@ def test_out_of_range_estimator_value_exits_2_before_writing(
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_float_field_refuses_values_that_are_not_finite():
+    # a field that parses "0.5" to a float or a tuple of floats takes floats
+    fields = [(key, fld) for key, fld in harness._KEYS.items()] + [
+        (key, fld) for schema in SCHEMAS.values() for key, fld in schema.items()
+    ]
+    floats = set()
+    for key, fld in fields:
+        try:
+            value = fld.parse("0.5")
+        except (ValueError, TypeError):
+            continue
+        if value not in (0.5, (0.5,)):
+            continue
+        floats.add(key)
+        for text in ("nan", "inf", "-inf", "0.5,nan"):
+            with pytest.raises(ValueError):
+                fld.parse(text)
+    assert floats == {
+        "p", "epsilon", "xi", "mu1", "s", "x", "xi_grid", "s_grid", "y_max",
+        "y_step", "box_factor",
+    }
 
 
 @pytest.mark.parametrize(
@@ -234,6 +267,13 @@ def test_zero_direction_stays_legal_for_scanned_events(event):
         ("ball", {"sample": "sample.bin", "source": "0,0,0"}),
         ("route", {**SITES, "sites": "0,0,0;1,0,0"}),
         ("route", {**SITES, "sample": "sample.bin", "sites": "0,0,0;1,0,0"}),
+        # a point outside the sample box, and a site whose enlarged block
+        # leaves it: at L = 20 and N = 4 the sites run over {-1, 0, 1}^2, at
+        # L = 8 there are none
+        ("ball", {"sample": "sample.bin", "source": "9,0"}),
+        ("route", {**SITES, "sites": "1,1;2,1"}),
+        ("route", {**SITES, "sites": "9,9;9,10"}),
+        ("route", {**SITES, "sample": "sample.bin", "sites": "0,0"}),
     ],
 )
 def test_point_of_another_dimension_than_the_sample_exits_2_writing_nothing(
@@ -267,11 +307,13 @@ def test_negative_layer_cap_on_an_existing_sample_exits_2_before_writing(
 def test_route_through_an_unclassified_site_exits_3_with_a_routing_error(
     tmp_path, capsys
 ):
+    # every site inside the box is classified, so the routing error comes
+    # from a bad one: (0, 1) fails condition 1 on this sample
     argv = ["route", "--out-dir", str(tmp_path)] + [
-        f"--set={k}={v}" for k, v in {**SITES, "sites": "9,9;9,10"}.items()
+        f"--set={k}={v}" for k, v in {**SITES, "sites": "0,0;0,1"}.items()
     ]
     assert cli_dispatch(argv) == 3
-    assert "error: site (9, 9) not classified" in capsys.readouterr().err
+    assert "error: site (0, 1) has no dominant cluster" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
