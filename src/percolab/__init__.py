@@ -6,6 +6,8 @@ good/bad block analysis, exact combinatorial constructions, and Monte Carlo
 estimators for the distance constant and event decay rates.
 """
 
+__version__ = "0.1.0"  # before the imports: harness records it in manifests
+
 from .cutpoints import (
     CutPointRecord,
     EventGrid,
@@ -69,5 +71,3 @@ from .renorm import (
     route_through_good,
     slab_experiment,
 )
-
-__version__ = "0.1.0"

@@ -296,9 +296,10 @@ def _probe_resolved(
 
     The vertices without a verdict are probed together, stopping at a face
     or at the frontier ``ball.layers[-1]``. A clean probe marks every
-    vertex it reached finite; a failed one marks the predecessor path from
-    each face or frontier vertex it reached back to its source joined. A
-    later window with a joined unreached vertex fails without a probe.
+    vertex it reached finite; a failed one marks joined the predecessor
+    path (:meth:`BallGrowth.pred_of` of the probe) from each face or
+    frontier vertex it reached back to its source. A later window with a
+    joined unreached vertex fails without a probe.
     """
     if verdict is not None:
         status = verdict[pending]
@@ -315,15 +316,17 @@ def _probe_resolved(
         marked = np.concatenate(probe.layers)
     else:
         # the probe stopped right after its first layer with a face or
-        # frontier vertex, so every such vertex it reached is in that layer
+        # frontier vertex, so every such vertex it reached is in that layer;
+        # the paths back from them are marked one layer down at a time
         last = probe.layers[-1]
-        ends = last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]
-        path = []
-        while ends.size:  # merging paths repeat vertices, never grow in number
-            path.append(ends)
-            ends = probe.pred[ends]
-            ends = ends[ends >= 0]
-        marked = np.concatenate(path)
+        on = np.zeros(ball.box.n_vertices, dtype=bool)
+        on[last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]] = True
+        marked = np.concatenate(probe.layers)
+        pred, stop = probe.pred_of(marked), marked.size
+        for layer in reversed(probe.layers[1:]):
+            on[pred[stop - layer.size : stop][on[layer]]] = True
+            stop -= layer.size
+        marked = marked[on[marked]]
     # the verdicts are allocated once the probe's arrays are freed, so that
     # they do not raise the peak memory of a one-window ball
     del probe

@@ -4,7 +4,8 @@ Configuration files are flat ``key = value`` text; unknown keys are
 rejected. Command line flags override file values. Every experiment writes
 result CSVs (schema-versioned, byte-reproducible for a fixed config and
 seed, independent of worker count) plus a JSON manifest with a content hash
-of the configuration and of every output file.
+of the configuration and of every output file. It also records, unhashed
+and unread by replay, the worker processes used and the package versions.
 
 Every config key is defined once, in ``_KEYS``: its parser, range check and
 help. A command lists only its required keys and the defaults it gives the
@@ -33,7 +34,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import combinatorics as comb
 from .cutpoints import detect_cutpoints
 from .errors import ConfigError, PercolabError, UsageError
@@ -58,6 +61,7 @@ from .lattice import (
 )
 from .metric import _INF32, grow_ball
 from .parallel import run_parallel  # noqa: F401  (perfbench wraps harness.run_parallel)
+from .parallel import workers_used
 from .renorm import (
     MacroLattice,
     _interior_sites,
@@ -327,6 +331,9 @@ def write_manifest(out_dir, command: str, cfg: dict, outputs, started: float) ->
         "outputs": [
             {"path": os.path.basename(p), "sha256": _sha256(p)} for p in outputs
         ],
+        "workers": workers_used(cfg.get("workers", 1), cfg.get("replicates", 1)),
+        "versions": {"percolab": __version__, "python": "%d.%d.%d" % sys.version_info[:3],
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:

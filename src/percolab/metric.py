@@ -1,12 +1,13 @@
 """Chemical distance: layered ball growth, geodesics, constrained distances.
 
 The ball around a source is grown one graph-distance layer at a time over
-open edges. Every vertex keeps its distance and a deterministic predecessor:
-among all neighbours that could precede it on a geodesic, the one whose
-coordinate tuple is lexicographically least. Growth also records the first
-time a layer touched the box face ("boundary contamination"): layers up to
-and including that time equal the infinite-lattice layers, later ones may
-not.
+open edges, and every reached vertex keeps only its distance. Its
+deterministic predecessor, among all neighbours that could precede it on a
+geodesic the one whose coordinate tuple is lexicographically least, follows
+from the distances and the open edges, so it is derived on demand
+(:meth:`BallGrowth.pred_of`). Growth also records the first time a layer
+touched the box face ("boundary contamination"): layers up to and including
+that time equal the infinite-lattice layers, later ones may not.
 
 What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
 ``certified_distance`` gives D(source, y) when the box certifies it (an int,
@@ -33,22 +34,27 @@ _INF32 = np.uint32(0xFFFFFFFF)
 
 
 def _move_priority(d: int):
-    """Moves ordered so the first producer is the lexicographically least
-    predecessor: +e_1 .. +e_d then -e_d .. -e_1."""
+    """Moves +e_1 .. +e_d then -e_d .. -e_1 into v, ordered by their
+    predecessors v - e_1 < .. < v - e_d < v + e_d < .. < v + e_1, which
+    is lexicographic order."""
     return [(axis, +1) for axis in range(d)] + [(axis, -1) for axis in reversed(range(d))]
 
 
 @dataclass
 class BallGrowth:
-    """Layered BFS record of one ball."""
+    """Layered BFS record of one ball of ``sample``: its distances and
+    layers; predecessors come from :meth:`pred_of`."""
 
-    box: BoxSpec
+    sample: PercolationSample
     source: tuple[int, ...]
     layers: list  # layer t = sorted flat indices at distance exactly t
     dist: np.ndarray  # flat uint32, 0xFFFFFFFF = unreached
-    pred: np.ndarray  # flat int64 predecessor, -1 = none
     first_boundary_time: int | None
     exhausted: bool  # frontier emptied (cluster fully explored in box)
+
+    @property
+    def box(self) -> BoxSpec:
+        return self.sample.box
 
     @property
     def contaminated(self) -> bool:
@@ -69,6 +75,25 @@ class BallGrowth:
     def ball_sizes(self) -> np.ndarray:
         """|B_t| for t = 0 .. last_time (cumulative layer sizes)."""
         return np.cumsum([len(l) for l in self.layers])
+
+    def pred_of(self, flats) -> np.ndarray:
+        """The predecessor of each reached vertex v of ``flats`` (-1 for a
+        source): the neighbour u of the first move of ``_move_priority``
+        with an open edge to v and dist[u] = dist[v] - 1, which is the
+        lexicographically least such neighbour."""
+        v = np.asarray(flats, dtype=np.int64)
+        want = self.dist[v].astype(np.int64) - 1
+        pred = np.full_like(v, -1)
+        strides, open_flats = self.box.strides, self.sample.axis_open_flats()
+        # tried last to first, so that the first move that fits writes last
+        for axis, sign in reversed(_move_priority(self.box.dimension)):
+            u = v - sign * strides[axis]
+            # the edge's lower end, wrapped as in _grow; u leaves the box
+            # only where that edge is closed
+            ok = open_flats[axis].take(u if sign > 0 else v, mode="wrap")
+            ok &= self.dist.take(u, mode="wrap") == want
+            np.copyto(pred, u, where=ok)
+        return pred
 
     def dist_of(self, coord) -> float:
         v = self.dist[self.box.flat_index(coord)]
@@ -110,72 +135,55 @@ def _grow(
     region=None,
     stop_at_boundary=False,
 ):
+    """(dist, first boundary time, layers, exhausted) of the ball of
+    :func:`grow_ball_flats`, one sweep of the 2 d neighbours per layer."""
     box = sample.box
-    n = box.n_vertices
-    dist = np.full(n, _INF32, dtype=np.uint32)
-    pred = np.full(n, -1, dtype=np.int64)
+    dist = np.full(box.n_vertices, _INF32, dtype=np.uint32)
     face = box.face_flat
-    open_flats = sample.axis_open_flats()
-    strides = box.strides
-    moves = _move_priority(box.dimension)
+    steps = list(zip(box.strides, sample.axis_open_flats()))
 
     src = np.sort(np.asarray(source_flats, dtype=np.int64))
-    if region is not None:
-        if not region[src].all():
-            raise GeometryError("source vertices must lie inside the region")
+    if region is not None and not region[src].all():
+        raise GeometryError("source vertices must lie inside the region")
     dist[src] = 0
     layers = [src]
     frontier = src
-    first_boundary = 0 if face[src].any() else None
-
-    target_set = None
-    if targets is not None:
-        target_set = np.asarray(targets, dtype=np.int64)
+    first_boundary = 0 if np.count_nonzero(face[src]) else None
+    target_set = None if targets is None else np.asarray(targets, dtype=np.int64)
 
     exhausted = False
     t = 0
     while not (
-        (target_set is not None and (dist[target_set] != _INF32).any())
+        (target_set is not None and np.count_nonzero(dist[target_set] != _INF32))
         or (stop_at_boundary and first_boundary is not None)
         or (t_max is not None and t >= t_max)
     ):
         t += 1
         parts = []
-        for axis, sign in moves:
-            st = strides[axis]
-            op = open_flats[axis]
-            if sign > 0:
-                ok = op[frontier]
-                base = frontier[ok]
-                nb = base + st
-            else:
-                # wrapped lookup is safe: slots with grid index side-1 along
-                # the axis are always False in the padded mask
-                ok = op.take(frontier - st, mode="wrap")
-                base = frontier[ok]
-                nb = base - st
-            if nb.size == 0:
-                continue
-            # a vertex is claimed by the first move that reaches it, and its
-            # distance is written at once so that later moves skip it
-            fresh = dist[nb] == _INF32
-            if region is not None:
-                fresh &= region[nb]
-            if fresh.any():
-                nb = nb[fresh]
-                dist[nb] = t
-                pred[nb] = base[fresh]
-                parts.append(nb)
-        if not parts:
+        for st, op in steps:
+            parts.append(frontier[op[frontier]] + st)
+            # wrapped lookup is safe: slots with grid index side-1 along
+            # the axis are always False in the padded mask
+            low = frontier - st
+            parts.append(low[op.take(low, mode="wrap")])
+        nb = np.concatenate(parts)
+        fresh = dist[nb] == _INF32
+        if region is not None:
+            fresh &= region[nb]
+        nb = nb[fresh]
+        if nb.size == 0:
             exhausted = True
             break
-        newly = np.sort(np.concatenate(parts))
-        layers.append(newly)
-        frontier = newly
-        if first_boundary is None and face[newly].any():
+        nb.sort()
+        keep = np.ones(nb.size, dtype=bool)
+        np.not_equal(nb[1:], nb[:-1], out=keep[1:])
+        frontier = nb[keep]
+        dist[frontier] = t
+        layers.append(frontier)
+        if first_boundary is None and np.count_nonzero(face[frontier]):
             first_boundary = t
 
-    return dist, pred, layers, first_boundary, exhausted
+    return dist, first_boundary, layers, exhausted
 
 
 def grow_ball(
@@ -211,16 +219,15 @@ def grow_ball_flats(
     The first source names the ball.
     """
     src = np.asarray(source_flats, dtype=np.int64)
-    dist, pred, layers, fb, exhausted = _grow(
+    dist, fb, layers, exhausted = _grow(
         sample, src, t_max=t_max, targets=targets, region=region,
         stop_at_boundary=stop_at_boundary,
     )
     return BallGrowth(
-        box=sample.box,
+        sample=sample,
         source=sample.box.vertex_coord(int(src[0])),
         layers=layers,
         dist=dist,
-        pred=pred,
         first_boundary_time=fb,
         exhausted=exhausted,
     )
@@ -270,17 +277,19 @@ def _region_mask(box: BoxSpec, region) -> np.ndarray:
 def geodesic(ball: BallGrowth, target) -> list[tuple[int, ...]]:
     """Deterministic geodesic from the ball source to ``target``.
 
-    Follows stored predecessors (lexicographically least at every step), so
-    the path is unique given the sample; it is self-avoiding and its length
-    equals the chemical distance.
+    Follows :meth:`BallGrowth.pred_of` (lexicographically least at every
+    step), so the path is unique given the sample; it is self-avoiding and
+    its length equals the chemical distance.
     """
     box = ball.box
     ft = box.flat_index(target)
     if ball.dist[ft] == _INF32:
         raise UnreachableVertexError(f"vertex {tuple(target)} not reached")
-    path = [ft]
-    while ball.pred[path[-1]] != -1:
-        path.append(int(ball.pred[path[-1]]))
+    layers = ball.layers[: int(ball.dist[ft]) + 1]
+    pred = ball.pred_of(np.concatenate(layers))
+    path, stop = [ft], pred.size
+    for layer in reversed(layers[1:]):
+        stop -= layer.size
+        path.append(int(pred[stop + np.searchsorted(layer, path[-1])]))
     path.reverse()
-    assert len(path) - 1 == int(ball.dist[ft])
     return [box.vertex_coord(f) for f in path]

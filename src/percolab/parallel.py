@@ -40,12 +40,18 @@ def _collect(outcomes) -> ParallelRun:
     return ParallelRun(results=results, partial=False, error=None)
 
 
+def workers_used(workers: int | None, n_tasks: int) -> int:
+    """The processes that evaluate ``n_tasks`` tasks when ``workers`` are
+    asked for (None or 0: one per CPU); 1 is the calling process alone."""
+    workers = workers or multiprocessing.cpu_count()
+    return workers if n_tasks > 1 else 1
+
+
 def run_parallel(fn, n_tasks: int, workers: int | None = None) -> ParallelRun:
     """Evaluate fn(0..n_tasks-1) in index order, stopping at the first
-    failure; ``workers`` None means one worker per CPU."""
-    if workers is None:
-        workers = multiprocessing.cpu_count()
-    if workers <= 1 or n_tasks <= 1:
+    failure, in :func:`workers_used` processes."""
+    workers = workers_used(workers, n_tasks)
+    if workers <= 1:
         return _collect(_wrap(fn, i) for i in range(n_tasks))
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, n_tasks // (workers * 8))

@@ -125,13 +125,82 @@ def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
         path = []
         while ends.size:
             path.append(ends)
-            ends = probe.pred[ends]
+            ends = probe.pred_of(ends)
             ends = ends[ends >= 0]
         marked = np.concatenate(path)
     if ctx.verdict is None:
         ctx.verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
     ctx.verdict[marked] = 1 if clean else 2
     return clean
+
+
+def reference_grow(
+    sample: PercolationSample,
+    source_flats,
+    t_max=None,
+    targets=None,
+    region=None,
+    stop_at_boundary=False,
+):
+    """(dist, pred, layers, first boundary time, exhausted) of a layered
+    BFS that claims each vertex for the first of the 2 d moves, in the order
+    +e_1 .. +e_d, -e_d .. -e_1, whose frontier vertex reaches it across an
+    open edge, and stores that vertex as its predecessor at once (-1 for a
+    source): the per-move kernel that ``metric._grow`` and
+    ``BallGrowth.pred_of`` replace, kept as their reference."""
+    box = sample.box
+    dist = np.full(box.n_vertices, INF32, dtype=np.uint32)
+    pred = np.full(box.n_vertices, -1, dtype=np.int64)
+    face = box.face_flat
+    open_flats = sample.axis_open_flats()
+    d = box.dimension
+    moves = [(axis, +1) for axis in range(d)] + [(axis, -1) for axis in reversed(range(d))]
+
+    src = np.sort(np.asarray(source_flats, dtype=np.int64))
+    if region is not None and not region[src].all():
+        raise GeometryError("source vertices must lie inside the region")
+    dist[src] = 0
+    layers = [src]
+    frontier = src
+    first_boundary = 0 if face[src].any() else None
+    target_set = None if targets is None else np.asarray(targets, dtype=np.int64)
+
+    exhausted = False
+    t = 0
+    while not (
+        (target_set is not None and (dist[target_set] != INF32).any())
+        or (stop_at_boundary and first_boundary is not None)
+        or (t_max is not None and t >= t_max)
+    ):
+        t += 1
+        parts = []
+        for axis, sign in moves:
+            st = box.strides[axis]
+            op = open_flats[axis]
+            if sign > 0:
+                ok = op[frontier]
+                base = frontier[ok]
+                nb = base + st
+            else:
+                ok = op.take(frontier - st, mode="wrap")
+                base = frontier[ok]
+                nb = base - st
+            fresh = dist[nb] == INF32
+            if region is not None:
+                fresh &= region[nb]
+            nb = nb[fresh]
+            dist[nb] = t
+            pred[nb] = base[fresh]
+            parts.append(nb)
+        newly = np.sort(np.concatenate(parts))
+        if newly.size == 0:
+            exhausted = True
+            break
+        layers.append(newly)
+        frontier = newly
+        if first_boundary is None and face[newly].any():
+            first_boundary = t
+    return dist, pred, layers, first_boundary, exhausted
 
 
 def reference_event(ctx: ReferenceContext, s, x, n, alpha, free: bool) -> EventResult:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    INF32,
     all_closed,
     all_open,
     ball_dist_array,
@@ -18,6 +19,7 @@ from conftest import (
     open_path_sample,
     origin_ball,
     reference_event,
+    reference_grow,
     ReferenceContext,
     score_one,
 )
@@ -250,6 +252,40 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
     assert certify(s, ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
     assert len(probes) == 4
     assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
+
+
+@pytest.mark.parametrize("d, radius, p", [(2, 10, 0.55), (3, 5, 0.35)])
+def test_failed_probe_marks_the_predecessor_paths_of_the_reference_kernel(d, radius, p):
+    # a failed probe marks joined exactly the vertices on the paths that the
+    # per-move kernel's stored predecessors lead along, from every face or
+    # frontier vertex of the probe's last layer back to its sources, which
+    # lie off the faces so that most paths take more than one step
+    box = BoxSpec(d, radius)
+    rng = np.random.default_rng(d)
+    failed = 0
+    for seed in range(30):
+        s = sample_configuration(box, p, seed)
+        ball = origin_ball(s)
+        if not ball.contaminated:
+            continue
+        unreached = np.flatnonzero((ball.dist == INF32) & ~face_mask(box))
+        pending = np.sort(rng.choice(unreached, size=4, replace=False))
+        clean, verdict = cutpoints._probe_resolved(s, ball, pending, None)
+        if clean:
+            continue
+        failed += 1
+        _, pred, layers, _, _ = reference_grow(
+            s, pending, targets=ball.layers[-1], stop_at_boundary=True
+        )
+        marked = set()
+        for v in layers[-1]:
+            if face_mask(box)[v] or ball.dist[v] == ball.last_time:
+                while v != -1:
+                    marked.add(int(v))
+                    v = pred[v]
+        assert set(np.flatnonzero(verdict == cutpoints._JOINED).tolist()) == marked
+        assert not (verdict == cutpoints._FINITE).any()
+    assert failed >= 5
 
 
 def s_grids():

@@ -1,12 +1,16 @@
 import functools
 import hashlib
 import json
+import os
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy
 
-from percolab import estimators, harness
+import percolab
+from percolab import estimators, harness, parallel
 from percolab.harness import (
     SCHEMAS,
     _fmt_cell,
@@ -414,6 +418,60 @@ def test_replay_reproduces_a_run_and_rejects_an_edited_hash(tmp_path, capsys):
     edited.write_text(json.dumps(record))
     assert cli_dispatch(["replay", f"--set=manifest={edited}"]) == 3
     assert "replay mismatch for outputs: ['replicates.csv']" in capsys.readouterr().err
+
+
+def _pid(index):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("workers, n_tasks", [(0, 8), (1, 8), (0, 1)])
+def test_run_parallel_evaluates_in_the_workers_it_resolves(monkeypatch, workers, n_tasks):
+    # 0 asks for one worker per CPU, two here; one task runs in this process
+    monkeypatch.setattr(parallel.multiprocessing, "cpu_count", lambda: 2)
+    used = parallel.workers_used(workers, n_tasks)
+    assert used == (1 if workers == 1 or n_tasks == 1 else 2)
+    pids = set(run_parallel(_pid, n_tasks, workers).results)
+    assert (pids == {os.getpid()}) == (used == 1)
+    assert len(pids) <= used
+
+
+@pytest.mark.parametrize("workers, replicates, used", [(0, 10, 2), (1, 10, 1), (0, 1, 1)])
+def test_manifest_records_the_workers_used_and_the_versions(
+    tmp_path, monkeypatch, workers, replicates, used
+):
+    monkeypatch.setattr(parallel.multiprocessing, "cpu_count", lambda: 2)
+    argv = RATE + ["--set=n_grid=6", f"--set=replicates={replicates}",
+                   f"--set=workers={workers}", "--out-dir", str(tmp_path)]
+    assert cli_dispatch(argv) == 0
+    record = json.loads((tmp_path / "manifest.json").read_text())
+    assert record["workers"] == used
+    assert record["versions"] == {
+        "percolab": percolab.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    # the configured value stays in the hashed config, the resolved one out
+    assert f"workers = {workers}\n" in record["config"]
+    assert "versions" not in record["config"]
+
+
+@pytest.mark.parametrize("edit", ["drop", "change"])
+def test_replay_ignores_the_workers_and_versions_of_a_manifest(tmp_path, capsys, edit):
+    run_dir = tmp_path / "run"
+    argv = RATE + ["--set=n_grid=6", "--set=replicates=10", "--set=workers=1",
+                   "--out-dir", str(run_dir)]
+    assert cli_dispatch(argv) == 0
+    record = json.loads((run_dir / "manifest.json").read_text())
+    if edit == "drop":  # as written before the manifest recorded them
+        del record["workers"], record["versions"]
+    else:
+        record["workers"] = 64
+        record["versions"] = {"percolab": "0.0.0", "numpy": "1.0"}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(record))
+    assert cli_dispatch(["replay", f"--set=manifest={old}"]) == 0
+    assert "replay ok: 1 outputs byte-identical" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value, code", [("-1", 0), ("17", 2)])

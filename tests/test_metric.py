@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     INF32,
@@ -11,6 +13,7 @@ from conftest import (
     dijkstra_distances,
     edge_base_flats,
     open_path_sample,
+    reference_grow,
 )
 from percolab import (
     BoxSpec,
@@ -155,12 +158,14 @@ def test_geodesic_length_equals_distance_and_self_avoiding():
         geodesic(grow_ball(all_closed(BoxSpec(2, 3)), (0, 0)), (1, 1))
 
 
-def _assert_least_predecessors(sample, dist, pred):
+def _assert_least_predecessors(sample, ball):
     """Brute force over open neighbours: every reached vertex v at distance
-    t > 0 has as predecessor the lexicographically least open neighbour u
+    t > 0 has as ``pred_of`` the lexicographically least open neighbour u
     with dist[u] = t - 1; a source has none."""
     box = sample.box
-    for v in np.flatnonzero(dist != INF32):
+    dist = ball.dist
+    reached = np.flatnonzero(dist != INF32)
+    for v, pred in zip(reached, ball.pred_of(reached)):
         t = int(dist[v])
         coord = box.vertex_coord(v)
         earlier = [
@@ -168,9 +173,9 @@ def _assert_least_predecessors(sample, dist, pred):
             if sample.is_edge_open(e) and dist[box.flat_index(nb)] == t - 1
         ]
         if t == 0:
-            assert pred[v] == -1
+            assert pred == -1
         else:
-            assert pred[v] == box.flat_index(min(earlier)), (coord, earlier)
+            assert pred == box.flat_index(min(earlier)), (coord, earlier)
 
 
 @pytest.mark.parametrize("d, radius, p", [(2, 6, 0.6), (2, 5, 0.8), (3, 3, 0.5)])
@@ -185,13 +190,53 @@ def test_predecessor_is_the_least_open_neighbour_one_layer_closer(d, radius, p):
         far = box.flat_index((radius - 1,) + (0,) * (d - 1))
         for kw in ({}, {"region": region}, {"targets": [far]},
                    {"region": region, "targets": [far]}, {"t_max": 3}):
-            dist, pred, layers, _, _ = metric._grow(s, origin, **kw)
+            ball = metric.grow_ball_flats(s, origin, **kw)
+            dist, layers = ball.dist, ball.layers
             assert np.array_equal(
                 np.sort(np.flatnonzero(dist != INF32)), np.sort(np.concatenate(layers))
             )
             for t, layer in enumerate(layers):
                 assert (dist[layer] == t).all() and (np.diff(layer) > 0).all()
-            _assert_least_predecessors(s, dist, pred)
+            _assert_least_predecessors(s, ball)
+
+
+@pytest.mark.parametrize(
+    "rule", ["t_max", "int_targets", "array_targets", "region", "stop_at_boundary", "exhaustion"]
+)
+@given(data=st.data())
+def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
+    # one stop rule per case, optionally inside a random region; with no
+    # stop rule the growth ends only by exhausting the source clusters
+    d = data.draw(st.integers(2, 4), label="d")
+    box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
+    n = box.n_vertices
+    s = sample_configuration(
+        box, data.draw(st.floats(0.15, 0.9), label="p"), data.draw(st.integers(0, 999), label="seed")
+    )
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    kw = {}
+    if rule == "t_max":
+        kw["t_max"] = data.draw(st.integers(0, 8), label="t_max")
+    elif rule.endswith("targets"):
+        targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+        kw["targets"] = targets if rule == "int_targets" else np.array(targets, dtype=np.int64)
+    elif rule == "stop_at_boundary":
+        kw["stop_at_boundary"] = True
+    if rule == "region" or (rule != "exhaustion" and data.draw(st.booleans(), label="in region")):
+        rng = np.random.default_rng(data.draw(st.integers(0, 999), label="region seed"))
+        region = rng.random(n) < data.draw(st.floats(0.4, 1.0), label="region density")
+        region[sources] = True
+        kw["region"] = region
+
+    dist, pred, layers, first_boundary, exhausted = reference_grow(s, sources, **kw)
+    ball = metric.grow_ball_flats(s, sources, **kw)
+    assert np.array_equal(ball.dist, dist)
+    assert len(ball.layers) == len(layers)
+    assert all(np.array_equal(a, b) for a, b in zip(ball.layers, layers))
+    assert (ball.first_boundary_time, ball.exhausted) == (first_boundary, exhausted)
+    assert exhausted or rule != "exhaustion"
+    reached = np.flatnonzero(dist != INF32)
+    assert np.array_equal(ball.pred_of(reached), pred[reached])
 
 
 def test_layers_disjoint_prefix_union():
@@ -259,7 +304,8 @@ def test_targets_as_list_or_array_grow_the_same_ball(d, radius, p, rng):
         ]
         for a, b in (grown[:2], grown[2:]):
             assert np.array_equal(a.dist, b.dist)
-            assert np.array_equal(a.pred, b.pred)
+            reached = np.flatnonzero(a.dist != INF32)
+            assert np.array_equal(a.pred_of(reached), b.pred_of(reached))
             assert len(a.layers) == len(b.layers)
             assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
             assert (a.first_boundary_time, a.exhausted) == (b.first_boundary_time, b.exhausted)
