@@ -2,8 +2,12 @@
 
 Core objects: seeded bond configurations on finite boxes, chemical-distance
 balls, space-time cut-point events with configuration surgery, macroscopic
-good/bad block analysis, exact combinatorial constructions, and Monte Carlo
-estimators for the distance constant and event decay rates.
+good/bad block analysis, and Monte Carlo estimators for the distance
+constant and event decay rates.
+
+The library of exact combinatorial constructions behind the paper's lemmas
+is not re-exported here: import it as ``percolab.combinatorics``. Only the
+``lemma-check`` command loads it.
 """
 
 __version__ = "0.1.0"  # before the imports: harness records it in manifests
@@ -20,24 +24,6 @@ from .cutpoints import (
     event_A_free,
     force_cutpoint,
     line_count,
-)
-from .combinatorics import (
-    ExteriorBoundary,
-    ParallelGeometry,
-    PathBundle,
-    PerpendicularGeometry,
-    PointSet,
-    SeparatedMatching,
-    axis_avoiding_paths,
-    count_lattice_animals,
-    disjoint_path_bundle,
-    distinct_coordinate_subset,
-    exterior_boundary,
-    isoperimetry_holds,
-    projection_best,
-    segment_distance,
-    separated_matching,
-    staircase_path,
 )
 from .errors import PercolabError
 from .estimators import (

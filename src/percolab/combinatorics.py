@@ -3,8 +3,9 @@
 Each constructive routine returns an object carrying a ``verify`` method
 that asserts exactly the guarantee the construction promises (projection
 size, coordinate distinctness, segment separation, path length and
-multiplicity caps, exterior-boundary star-connectivity). Tests call these
-on randomized instances.
+multiplicity caps, exterior-boundary star-connectivity). The tests and the
+``lemma-check`` command call these on randomized instances; ``LEMMAS``
+holds the command's instance generator and check for each lemma.
 
 Segment separation is measured at equal heights: two matched segments
 between the hyperplanes x_0 = c and x_0 = c + l are compared at the same
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -91,6 +93,12 @@ def projection_size(points: np.ndarray, axis: int) -> int:
     return len(np.unique(proj, axis=0))
 
 
+def projection_bound(n: int) -> float:
+    """n^(2/3)/2: for d >= 3, some axis projection of n points keeps at
+    least this many."""
+    return n ** (2.0 / 3.0) / 2.0
+
+
 def projection_best(S: PointSet):
     """Axis whose hyperplane projection keeps at least |S|^(2/3)/2 points.
 
@@ -101,7 +109,7 @@ def projection_best(S: PointSet):
     """
     pts = S.array
     n = len(S)
-    bound = n ** (2.0 / 3.0) / 2.0 - SEPARATION_TOLERANCE
+    bound = projection_bound(n) - SEPARATION_TOLERANCE
 
     candidate = None
     if projection_size(pts, 0) >= bound:
@@ -126,7 +134,7 @@ def projection_best(S: PointSet):
         axis = int(np.argmax(sizes))
         if sizes[axis] < bound:
             raise ProjectionBoundError(
-                f"no axis reaches |S|^(2/3)/2 = {bound + SEPARATION_TOLERANCE:.3f} "
+                f"no axis reaches |S|^(2/3)/2 = {projection_bound(n):.3f} "
                 f"(best {sizes[axis]}); possible only for d=2"
             )
     projected = pts.copy()
@@ -757,10 +765,6 @@ def _label_cells(cells, star: bool = False, pad: int = 0):
     them. Adjacency is nearest-neighbour, or sup-norm 1 when ``star``. The
     cost is linear in the volume of the grid.
     """
-    # imported here, not at module level: no benchmark workload labels
-    # vertex sets, and every process importing the package would pay for it
-    from scipy import ndimage
-
     lo = cells.min(axis=0) - pad
     grid = np.zeros(tuple(cells.max(axis=0) + pad + 1 - lo), dtype=bool)
     grid[tuple((cells - lo).T)] = True
@@ -811,6 +815,11 @@ def isoperimetry_holds(gamma_size: int, boundary_size: int, d: int) -> bool:
     return gamma_size <= boundary_size ** (d / (d - 1)) + SEPARATION_TOLERANCE
 
 
+def animal_bound(d: int, k: int) -> int:
+    """7^(dk), a cap on the star-connected k-sets that contain a site."""
+    return 7 ** (d * k)
+
+
 def count_lattice_animals(d: int, k: int) -> int:
     """Exact number of star-connected k-sets containing the origin; by
     translation invariance, the number containing any fixed site.
@@ -851,5 +860,114 @@ def count_lattice_animals(d: int, k: int) -> int:
         return cnt
 
     count = rec(1, initial)
-    assert count <= 7 ** (d * k)
+    assert count <= animal_bound(d, k)
     return count
+
+
+# ---------------------------------------------------------------------------
+# lemma-check: one random instance of a lemma per call, drawn from rng
+
+
+def _random_point_set(rng, d, extent, size):
+    pts = rng.integers(-extent, extent + 1, size=(size, d))
+    return PointSet.of(map(tuple, np.unique(pts, axis=0)))
+
+
+def _lemma_projection(rng):
+    d = int(rng.integers(3, 5))
+    S = _random_point_set(rng, d, 15, int(rng.integers(2, 1500)))
+    _, proj = projection_best(S)
+    bound = projection_bound(len(S))
+    return bound, len(proj), len(proj) >= bound - SEPARATION_TOLERANCE
+
+
+def _lemma_subset(rng):
+    d = int(rng.integers(2, 5))
+    S = _random_point_set(rng, d, 12, int(rng.integers(1, 400)))
+    i, j, sub = distinct_coordinate_subset(S)
+    verify_distinct_subset(S, i, j, sub)
+    return subset_size_target(d, len(S), S.diam), len(sub), True
+
+
+def _plane_pair(rng, k_min, m_min):
+    """(K, ell, S1, S2): m distinct points each on the planes x_0 = 0 and
+    x_0 = ell of Z^3, with transverse coordinates in [-K/2, K/2]."""
+    K = int(rng.integers(k_min, 21))
+    ell = int(rng.integers(1, K + 1))
+    m = int(rng.integers(m_min, 12))
+    half = K // 2
+    sets = []
+    for plane in (0, ell):
+        pts = set()
+        while len(pts) < m:
+            rest = tuple(int(c) for c in rng.integers(-half, half + 1, size=2))
+            pts.add((plane,) + rest)
+        sets.append(PointSet.of(pts))
+    return K, ell, *sets
+
+
+def _lemma_matching(rng):
+    K, _, s1, s2 = _plane_pair(rng, 4, 1)
+    matching = separated_matching(s1, s2, K)
+    matching.verify()
+    sep = matching.certified_min_separation if len(s1) > 1 else math.inf
+    return matching.guarantee, sep, True
+
+
+def _lemma_disjoint_paths(rng):
+    K, ell, s1, s2 = _plane_pair(rng, 6, 2)
+    bundle = disjoint_path_bundle(s1, s2, ParallelGeometry(axis=0, ell=ell, spread=K))
+    bundle.verify()
+    return bundle.multiplicity_bound, bundle.max_multiplicity, True
+
+
+def _lemma_axis_avoiding(rng):
+    n = int(rng.integers(1, 12))
+    rest = set()
+    while len(rest) < n:
+        rest.add(tuple(int(c) for c in rng.integers(-n, n + 1, size=2)))
+    bundle = axis_avoiding_paths([(-2 * n,) + r for r in rest], [(2 * n,) + r for r in rest])
+    bundle.verify()
+    return bundle.length_bound, bundle.max_length, True
+
+
+def _random_connected_set(rng, d, size):
+    cells = {(0,) * d}
+    frontier = [(0,) * d]
+    while len(cells) < size and frontier:
+        v = frontier[int(rng.integers(0, len(frontier)))]
+        axis = int(rng.integers(0, d))
+        sign = 1 if rng.integers(0, 2) else -1
+        w = tuple(c + (sign if k == axis else 0) for k, c in enumerate(v))
+        if w not in cells:
+            cells.add(w)
+            frontier.append(w)
+    return cells
+
+
+def _lemma_boundary(rng):
+    d = int(rng.integers(2, 4))
+    cells = _random_connected_set(rng, d, int(rng.integers(1, 120)))
+    bnd = exterior_boundary(cells)
+    ok = bnd.star_connected and isoperimetry_holds(len(cells), len(bnd.boundary), d)
+    return len(cells), len(bnd.boundary), ok
+
+
+def _lemma_animals(rng):
+    d = 2
+    k = int(rng.integers(1, 6))
+    count = count_lattice_animals(d, k)
+    bound = animal_bound(d, k)
+    return bound, count, count <= bound
+
+
+# runner(rng) -> (bound, achieved, ok) of one random instance
+LEMMAS = {
+    "projection": _lemma_projection,
+    "distinct-subset": _lemma_subset,
+    "separated-matching": _lemma_matching,
+    "disjoint-paths": _lemma_disjoint_paths,
+    "axis-avoiding": _lemma_axis_avoiding,
+    "exterior-boundary": _lemma_boundary,
+    "animals": _lemma_animals,
+}

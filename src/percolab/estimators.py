@@ -430,6 +430,7 @@ def _paired_replicate(index: int, *, threshold, t_min, **target):
 def upper_tail_vs_cutpoint_experiment(
     p: float,
     d: int,
+    x,
     xi: float,
     n_grid,
     replicates: int,
@@ -440,12 +441,12 @@ def upper_tail_vs_cutpoint_experiment(
     box_factor: float = 1.3,
     workers: int | None = None,
 ):
-    """Joint tallies of the upper-tail event and a late cut-point existing.
+    """Joint tallies of the upper-tail event and a late cut-point existing,
+    for the target floor(n x) in direction ``x``.
 
     The cut-point side scans singleton layers at times in [ceil(s n), D]
     (or up to the certified horizon when the endpoints do not connect).
     """
-    x = (1.0,) + (0.0,) * (d - 1)
     out = []
     for n in map(int, n_grid):
         box, threshold = _upper_tail_box(d, x, n, xi, mu1, box_factor)

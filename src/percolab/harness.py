@@ -37,7 +37,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import combinatorics as comb
 from .cutpoints import detect_cutpoints
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
@@ -511,129 +510,18 @@ def _cmd_slab(cfg, out_dir):
 
 
 def _cmd_lemma_check(cfg, out_dir):
+    # imported here: no other command needs the lemma library or scipy.optimize
+    from .combinatorics import LEMMAS
+
     name = LEMMA_ALIASES[cfg["lemma"]]
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     for inst in range(cfg["instances"]):
-        bound, achieved, ok = _LEMMA_RUNNERS[name](rng)
+        bound, achieved, ok = LEMMAS[name](rng)
         rows.append([inst, name, bound, achieved, int(ok)])
     path = os.path.join(out_dir, cfg["csv"])
     write_csv(path, "lemma", ["instance", "lemma", "bound", "achieved", "pass"], rows)
     return [path]
-
-
-def _random_point_set(rng, d, extent, size):
-    pts = rng.integers(-extent, extent + 1, size=(size, d))
-    return comb.PointSet.of(map(tuple, np.unique(pts, axis=0)))
-
-
-def _lemma_projection(rng):
-    d = int(rng.integers(3, 5))
-    S = _random_point_set(rng, d, 15, int(rng.integers(2, 1500)))
-    axis, proj = comb.projection_best(S)
-    bound = len(S) ** (2 / 3) / 2
-    return bound, len(proj), len(proj) >= bound - 1e-9
-
-
-def _lemma_subset(rng):
-    d = int(rng.integers(2, 5))
-    S = _random_point_set(rng, d, 12, int(rng.integers(1, 400)))
-    i, j, sub = comb.distinct_coordinate_subset(S)
-    comb.verify_distinct_subset(S, i, j, sub)
-    return comb.subset_size_target(d, len(S), S.diam), len(sub), True
-
-
-def _lemma_matching(rng):
-    d = 3
-    K = int(rng.integers(4, 21))
-    ell = int(rng.integers(1, K + 1))
-    m = int(rng.integers(1, 12))
-    half = K // 2
-    s1 = _unique_plane_points(rng, d, 0, half, m)
-    s2 = _unique_plane_points(rng, d, ell, half, m)
-    matching = comb.separated_matching(s1, s2, K)
-    matching.verify()
-    sep = matching.certified_min_separation if m > 1 else math.inf
-    return matching.guarantee, sep, True
-
-
-def _unique_plane_points(rng, d, plane, half, m):
-    pts = set()
-    while len(pts) < m:
-        rest = tuple(int(c) for c in rng.integers(-half, half + 1, size=d - 1))
-        pts.add((plane,) + rest)
-    return comb.PointSet.of(pts)
-
-
-def _lemma_disjoint_paths(rng):
-    d = 3
-    K = int(rng.integers(6, 21))
-    ell = int(rng.integers(1, K + 1))
-    m = int(rng.integers(2, 12))
-    half = K // 2
-    s1 = _unique_plane_points(rng, d, 0, half, m)
-    s2 = _unique_plane_points(rng, d, ell, half, m)
-    bundle = comb.disjoint_path_bundle(
-        s1, s2, comb.ParallelGeometry(axis=0, ell=ell, spread=K)
-    )
-    bundle.verify()
-    return bundle.multiplicity_bound, bundle.max_multiplicity, True
-
-
-def _lemma_axis_avoiding(rng):
-    d = 3
-    n = int(rng.integers(1, 12))
-    rest = set()
-    while len(rest) < n:
-        rest.add(tuple(int(c) for c in rng.integers(-n, n + 1, size=d - 1)))
-    xs = [(-2 * n,) + r for r in rest]
-    ys = [(2 * n,) + r for r in rest]
-    bundle = comb.axis_avoiding_paths(xs, ys)
-    bundle.verify()
-    return 8 * n, bundle.max_length, True
-
-
-def _lemma_boundary(rng):
-    d = int(rng.integers(2, 4))
-    size = int(rng.integers(1, 120))
-    cells = _random_connected_set(rng, d, size)
-    bnd = comb.exterior_boundary(cells)
-    ok = bnd.star_connected and comb.isoperimetry_holds(
-        len(cells), len(bnd.boundary), d
-    )
-    return len(cells), len(bnd.boundary), ok
-
-
-def _random_connected_set(rng, d, size):
-    cells = {(0,) * d}
-    frontier = [(0,) * d]
-    while len(cells) < size and frontier:
-        v = frontier[int(rng.integers(0, len(frontier)))]
-        axis = int(rng.integers(0, d))
-        sign = 1 if rng.integers(0, 2) else -1
-        w = tuple(c + (sign if k == axis else 0) for k, c in enumerate(v))
-        if w not in cells:
-            cells.add(w)
-            frontier.append(w)
-    return cells
-
-
-def _lemma_animals(rng):
-    d = 2
-    k = int(rng.integers(1, 6))
-    count = comb.count_lattice_animals(d, k)
-    return 7 ** (d * k), count, count <= 7 ** (d * k)
-
-
-_LEMMA_RUNNERS = {
-    "projection": _lemma_projection,
-    "distinct-subset": _lemma_subset,
-    "separated-matching": _lemma_matching,
-    "disjoint-paths": _lemma_disjoint_paths,
-    "axis-avoiding": _lemma_axis_avoiding,
-    "exterior-boundary": _lemma_boundary,
-    "animals": _lemma_animals,
-}
 
 
 def _e1(d: int):
@@ -645,7 +533,7 @@ def _cmd_estimate_mu(cfg, out_dir):
     points = estimate_mu(
         cfg["p"], cfg["d"], cfg["x"] or _e1(cfg["d"]), cfg["n_grid"], cfg["replicates"],
         cfg["seed"], box_factor=cfg["box_factor"],
-        workers=cfg["workers"] or None,
+        workers=cfg["workers"],
     )
     path = os.path.join(out_dir, cfg["csv"])
     write_csv(
@@ -688,7 +576,7 @@ _RATE_HEADER = [
 
 def _cmd_estimate_rate(cfg, out_dir):
     d, p, seed, kind = cfg["d"], cfg["p"], cfg["seed"], cfg["event"]
-    replicates, workers = cfg["replicates"], cfg["workers"] or None
+    replicates, workers = cfg["replicates"], cfg["workers"]
     x = cfg["x"] or (_e1(d) if kind == "upper_tail" else (0.0,) * d)
     estimates = []
     replicate_rows = []
@@ -741,7 +629,7 @@ def _cmd_estimate_j(cfg, out_dir):
     surface = estimate_rate_surface(
         d, cfg["p"], cfg["s_grid"], _y_grid(d, cfg["y_max"], cfg["y_step"]),
         cfg["n"], cfg["replicates"], cfg["seed"], box_factor=cfg["box_factor"],
-        workers=cfg["workers"] or None,
+        workers=cfg["workers"],
     )
     rows = []
     for xi in cfg["xi_grid"]:
@@ -761,9 +649,9 @@ def _cmd_estimate_j(cfg, out_dir):
 
 def _cmd_upper_tail(cfg, out_dir):
     tallies = upper_tail_vs_cutpoint_experiment(
-        cfg["p"], cfg["d"], cfg["xi"], cfg["n_grid"], cfg["replicates"],
+        cfg["p"], cfg["d"], _e1(cfg["d"]), cfg["xi"], cfg["n_grid"], cfg["replicates"],
         cfg["seed"], s=cfg["s"], mu1=cfg["mu1"], box_factor=cfg["box_factor"],
-        workers=cfg["workers"] or None,
+        workers=cfg["workers"],
     )
     rows = []
     for tally in tallies:

@@ -364,8 +364,9 @@ def route_through_good(
 
     waypoints = [fx]
     for a, b in zip(sites, sites[1:]):
+        # each cluster holds distinct flats (sorted at classification)
         shared = np.intersect1d(
-            classification.cluster(a), classification.cluster(b)
+            classification.cluster(a), classification.cluster(b), assume_unique=True
         )
         if shared.size == 0:
             raise RoutingError(f"dominant clusters of {a} and {b} do not meet")

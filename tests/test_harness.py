@@ -10,8 +10,9 @@ import pytest
 import scipy
 
 import percolab
-from percolab import estimators, harness, parallel
+from percolab import combinatorics, estimators, harness, parallel
 from percolab.harness import (
+    LEMMA_ALIASES,
     SCHEMAS,
     _fmt_cell,
     canonical_config,
@@ -379,6 +380,10 @@ def test_a_failed_replicate_ends_the_run_early(tmp_path, workers, most):
     assert run.error == "RuntimeError: injected failure"
     assert {"0", "1"} <= {p.name for p in tmp_path.iterdir()}
     assert len(list(tmp_path.iterdir())) <= most
+
+
+def test_every_lemma_alias_names_a_lemma_and_every_lemma_has_one():
+    assert set(LEMMA_ALIASES.values()) == set(combinatorics.LEMMAS)
 
 
 def test_set_without_equals_exits_1(tmp_path):

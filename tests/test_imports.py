@@ -3,11 +3,15 @@ uses, no module defines a private module-level name that nothing in the
 package references, every public name has a caller in the package or in
 the benchmark, every defaulted parameter is set by some call there, and
 every dataclass field is read there, unless an allowlist says why not.
+Importing the CLI loads neither the lemma library nor scipy.optimize.
 An import kept on purpose carries a ``# noqa: F401`` comment, and is a name
 that the benchmark's ``perfbench/cli.py install()`` wraps on that module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +55,20 @@ def test_detector_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_neither_the_lemma_library_nor_scipy_optimize():
+    # only lemma-check needs them; every other command would pay for them
+    probe = (
+        "import sys, percolab.harness; "
+        "print([m for m in ('percolab.combinatorics', 'scipy.optimize') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def wrapped_names(source: str) -> set:
