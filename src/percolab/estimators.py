@@ -227,6 +227,11 @@ def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
 # events of the target distance
 
 
+def _e1(d: int):
+    """The default direction of a target: the first unit vector."""
+    return (1.0,) + (0.0,) * (d - 1)
+
+
 def _upper_tail_box(d: int, x, n: int, xi: float, mu1: float, box_factor: float):
     """The upper tail's box at n and its distance threshold mu1 (1 + xi) n."""
     span = max(1.0, max(abs(c) for c in x))
@@ -430,7 +435,6 @@ def _paired_replicate(index: int, *, threshold, t_min, **target):
 def upper_tail_vs_cutpoint_experiment(
     p: float,
     d: int,
-    x,
     xi: float,
     n_grid,
     replicates: int,
@@ -441,12 +445,12 @@ def upper_tail_vs_cutpoint_experiment(
     box_factor: float = 1.3,
     workers: int | None = None,
 ):
-    """Joint tallies of the upper-tail event and a late cut-point existing,
-    for the target floor(n x) in direction ``x``.
+    """Joint tallies of the upper-tail event and a late cut-point existing.
 
     The cut-point side scans singleton layers at times in [ceil(s n), D]
     (or up to the certified horizon when the endpoints do not connect).
     """
+    x = _e1(d)
     out = []
     for n in map(int, n_grid):
         box, threshold = _upper_tail_box(d, x, n, xi, mu1, box_factor)

@@ -41,6 +41,7 @@ from .cutpoints import detect_cutpoints
 from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
+    _e1,
     _event_grid,
     _run_all,
     _run_one_n,
@@ -524,11 +525,6 @@ def _cmd_lemma_check(cfg, out_dir):
     return [path]
 
 
-def _e1(d: int):
-    """The default direction of a target: the first unit vector."""
-    return (1.0,) + (0.0,) * (d - 1)
-
-
 def _cmd_estimate_mu(cfg, out_dir):
     points = estimate_mu(
         cfg["p"], cfg["d"], cfg["x"] or _e1(cfg["d"]), cfg["n_grid"], cfg["replicates"],
@@ -649,7 +645,7 @@ def _cmd_estimate_j(cfg, out_dir):
 
 def _cmd_upper_tail(cfg, out_dir):
     tallies = upper_tail_vs_cutpoint_experiment(
-        cfg["p"], cfg["d"], _e1(cfg["d"]), cfg["xi"], cfg["n_grid"], cfg["replicates"],
+        cfg["p"], cfg["d"], cfg["xi"], cfg["n_grid"], cfg["replicates"],
         cfg["seed"], s=cfg["s"], mu1=cfg["mu1"], box_factor=cfg["box_factor"],
         workers=cfg["workers"],
     )
