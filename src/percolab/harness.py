@@ -461,6 +461,11 @@ def _cmd_cutpoint_scan(cfg, out_dir):
 
 
 def _cmd_classify(cfg, out_dir):
+    # imported here, before the sample is drawn: renorm.window_components
+    # imports it in its body, so the timed classify_boxes phase would pay for
+    # it, and no other command needs scipy.sparse
+    import scipy.sparse.csgraph  # noqa: F401
+
     sample = _load_or_sample(cfg)
     cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     path = os.path.join(out_dir, cfg["csv"])
@@ -470,6 +475,8 @@ def _cmd_classify(cfg, out_dir):
 
 
 def _cmd_route(cfg, out_dir):
+    import scipy.sparse.csgraph  # noqa: F401  (as in _cmd_classify)
+
     sample = _load_or_sample(cfg)
     sites = _sites(cfg["sites"])
     box = sample.box
@@ -589,7 +596,15 @@ def _cmd_estimate_rate(cfg, out_dir):
             )
             events = [(f"{kind}(s={s})", s, x) for s, x in grid.events]
             results = _scan(grid, p, replicates, seed, workers)
-        estimates.extend(rate_estimates(events, n, results))
+        at_n = rate_estimates(events, n, results)
+        for est in at_n:
+            # no resolved replicate: p_hat would be nan, so refuse the run
+            if not est.resolved:
+                raise ConfigError(
+                    f"{est.label} at n = {n}: all {replicates} replicates are "
+                    f"contaminated; try a box_factor above {_fmt(cfg['box_factor'])}"
+                )
+        estimates.extend(at_n)
         if cfg["emit_replicates"]:
             for idx, codes in enumerate(results):
                 for (label, s, point), code in zip(events, codes):

@@ -16,6 +16,13 @@ formed as a float: since ``k < 2**53`` and scaling by ``2**53`` is exact,
 ``p < 1``. The hash is counter-based, so it is computed in cache-sized
 chunks of edge indices.
 
+Scratch memory is per process: the chunk buffers of the hash are allocated
+once, at import, and every sample reuses them. A buffer allocated per call
+would cross glibc's default mmap threshold (128 KiB), so each sample would
+map fresh pages and fault on them, unless some unrelated import had raised
+that threshold. The buffers make sampling non-reentrant: one thread samples
+at a time; forked workers each get their own copy.
+
 Canonical edge indexing (also the serialized order) is axis-major: all edges
 parallel to axis 0 first, then axis 1, and so on. Within one axis family the
 edges are ordered by the C-order (row-major) position of their lower
@@ -30,8 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, ResourceLimitError
 
@@ -45,6 +50,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLIT = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _SPLIT_INC, _SPLIT_M1, _SPLIT_M2 = (np.uint64(c) for c in _SPLIT)
 _CHUNK = 1 << 15  # edges hashed per pass: three uint64 buffers fit in L2
+
+# per-process scratch of _open_edges (see the module docstring): the chunk's
+# edge offsets, read-only, and the hash and shift buffers
+_BASE = np.arange(_CHUNK, dtype=np.uint64)
+_BASE.flags.writeable = False
+_Z = np.empty(_CHUNK, dtype=np.uint64)
+_TMP = np.empty(_CHUNK, dtype=np.uint64)
 
 
 def _mix64(x: int) -> int:
@@ -64,18 +76,15 @@ def _hash_threshold(p: float) -> int:
 
 def _open_edges(seed: int, n_edges: int, p: float) -> np.ndarray:
     """Edge i is open iff mix64(i ^ mix64(seed)) < _hash_threshold(p),
-    computed _CHUNK edges at a time in place."""
+    computed _CHUNK edges at a time in the module's scratch buffers."""
     out = np.empty(n_edges, dtype=bool)
     key = np.uint64(_mix64(seed & _MASK64))
     below = np.uint64(_hash_threshold(p))
-    idx = np.arange(_CHUNK, dtype=np.uint64)
-    z = np.empty(_CHUNK, dtype=np.uint64)
-    tmp = np.empty(_CHUNK, dtype=np.uint64)
-    step = np.uint64(_CHUNK)
     for start in range(0, n_edges, _CHUNK):
         m = min(_CHUNK, n_edges - start)
-        zc, tc = z[:m], tmp[:m]
-        np.bitwise_xor(idx[:m], key, out=zc)
+        zc, tc = _Z[:m], _TMP[:m]
+        np.add(_BASE[:m], np.uint64(start), out=zc)
+        np.bitwise_xor(zc, key, out=zc)
         np.add(zc, _SPLIT_INC, out=zc)
         for shift, mult in ((30, _SPLIT_M1), (27, _SPLIT_M2)):
             np.right_shift(zc, np.uint64(shift), out=tc)
@@ -84,7 +93,6 @@ def _open_edges(seed: int, n_edges: int, p: float) -> np.ndarray:
         np.right_shift(zc, np.uint64(31), out=tc)
         np.bitwise_xor(zc, tc, out=zc)
         np.less(zc, below, out=out[start : start + m])
-        np.add(idx, step, out=idx)
     return out
 
 
@@ -350,26 +358,3 @@ def sample_configuration(box: BoxSpec, p: float, seed: int) -> PercolationSample
         raise ResourceLimitError("p must lie strictly inside (0, 1)")
     open_edges = _open_edges(int(seed), box.n_edges, float(p))
     return PercolationSample(box, float(p), int(seed), open_edges)
-
-
-def window_components(sample: PercolationSample, lo, hi):
-    """Open clusters of the subgraph induced on the coordinate window
-    [lo, hi) (exclusive upper): (component id per window vertex, shaped like
-    the window; size per component id; flat index per window vertex)."""
-    flats = sample.box.window_flats(lo, hi)
-    shape = flats.shape
-    local = np.arange(flats.size, dtype=np.int64).reshape(shape)
-    rows, cols = [], []
-    for axis, open_flat in enumerate(sample.axis_open_flats()):
-        inner = [slice(None)] * len(shape)
-        inner[axis] = slice(0, shape[axis] - 1)
-        base = local[tuple(inner)][open_flat[flats[tuple(inner)]]]
-        rows.append(base)
-        cols.append(base + int(np.prod(shape[axis + 1 :])))
-    rows = np.concatenate(rows)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(cols))),
-        shape=(flats.size, flats.size),
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    return labels.reshape(shape), np.bincount(labels, minlength=n_comp), flats

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, PreconditionError, RoutingError
-from .lattice import BoxSpec, PercolationSample, window_components
+from .lattice import BoxSpec, PercolationSample
 from .metric import geodesic, grow_ball
 from .metric import _grow  # noqa: F401  (perfbench wraps renorm._grow)
-
-# classify_boxes labels each enlarged block through this module-level name,
-# so that perfbench can time it as the "renorm.label" layer
-_induced_components = window_components
 
 DEFAULT_EPSILON = 0.5
 CONDITION3_EXACT_CUTOFF = 256
@@ -111,6 +107,40 @@ def _interior_sites(box: BoxSpec, lattice: MacroLattice):
     for r in ranges:
         out = [s + (i,) for s in out for i in r]
     return out
+
+
+def window_components(sample: PercolationSample, lo, hi):
+    """Open clusters of the subgraph induced on the coordinate window
+    [lo, hi) (exclusive upper): (component id per window vertex, shaped like
+    the window; size per component id; flat index per window vertex).
+
+    scipy.sparse is imported here, not at module level, so that only the
+    commands that classify blocks load it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    flats = sample.box.window_flats(lo, hi)
+    shape = flats.shape
+    local = np.arange(flats.size, dtype=np.int64).reshape(shape)
+    rows, cols = [], []
+    for axis, open_flat in enumerate(sample.axis_open_flats()):
+        inner = [slice(None)] * len(shape)
+        inner[axis] = slice(0, shape[axis] - 1)
+        base = local[tuple(inner)][open_flat[flats[tuple(inner)]]]
+        rows.append(base)
+        cols.append(base + int(np.prod(shape[axis + 1 :])))
+    rows = np.concatenate(rows)
+    graph = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(cols))),
+        shape=(flats.size, flats.size),
+    )
+    n_comp, labels = connected_components(graph, directed=False)
+    return labels.reshape(shape), np.bincount(labels, minlength=n_comp), flats
+
+
+# classify_boxes labels each enlarged block through this module-level name,
+# so that perfbench can time it as the "renorm.label" layer
+_induced_components = window_components
 
 
 def _component_diameters(labels: np.ndarray, n_comp: int) -> np.ndarray:

@@ -361,6 +361,24 @@ def test_a_failed_replicate_exits_3_writing_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_event_without_a_resolved_replicate_exits_2_writing_nothing(
+    tmp_path, capsys
+):
+    # the free-line window (radius 4 w = 24 at n = 8) nearly fills the
+    # default box (radius 26), so every replicate of both events is
+    # contaminated and p_hat would be nan
+    values = {"d": "2", "p": "0.6", "seed": "12", "event": "free",
+              "s": "2.5,3.5", "n_grid": "8", "replicates": "60", "workers": "1"}
+    argv = ["estimate-rate", "--out-dir", str(tmp_path)] + [
+        f"--set={k}={v}" for k, v in values.items()
+    ]
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: free(s=2.5) at n = 8: all 60 replicates are contaminated" in err
+    assert "box_factor above 2.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _marked_replicate(index, *, directory):
     """Leaves one marker file per evaluated index; index 1 fails."""
     (directory / str(index)).touch()

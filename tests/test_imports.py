@@ -3,7 +3,8 @@ uses, no module defines a private module-level name that nothing in the
 package references, every public name has a caller in the package or in
 the benchmark, every defaulted parameter is set by some call there, and
 every dataclass field is read there, unless an allowlist says why not.
-Importing the CLI loads neither the lemma library nor scipy.optimize.
+Importing the CLI loads neither the lemma library nor scipy.optimize nor
+scipy.sparse, and serial replicates take no fresh page faults without them.
 An import kept on purpose carries a ``# noqa: F401`` comment, and is a name
 that the benchmark's ``perfbench/cli.py install()`` wraps on that module."""
 
@@ -57,18 +58,42 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_importing_the_cli_loads_neither_the_lemma_library_nor_scipy_optimize():
-    # only lemma-check needs them; every other command would pay for them
-    probe = (
-        "import sys, percolab.harness; "
-        "print([m for m in ('percolab.combinatorics', 'scipy.optimize') if m in sys.modules])"
-    )
+def fresh_interpreter(probe: str) -> str:
+    """Standard output of ``probe`` run by a new interpreter on ``src``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_lemma_library_scipy_optimize_or_scipy_sparse():
+    # only lemma-check needs the first two, and only classify and route
+    # need scipy.sparse; every other command would pay for them
+    modules = ("percolab.combinatorics", "scipy.optimize", "scipy.sparse")
+    probe = f"import sys, percolab.harness; print([m for m in {modules} if m in sys.modules])"
+    assert fresh_interpreter(probe) == "[]"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's mmap threshold")
+def test_serial_upper_tail_replicates_take_no_fresh_page_faults():
+    # the tail-d2 benchmark settings: sampling reuses its per-process scratch,
+    # so replicates stay off fresh mmaps without scipy's import raising
+    # glibc's mmap threshold
+    probe = (
+        "import resource, sys\n"
+        "from percolab.estimators import upper_tail_vs_cutpoint_experiment as run\n"
+        "def faults(replicates, seed):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    run(0.6, 2, 1.0, (12,), replicates, seed, s=0.1, mu1=1.55, workers=1)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "faults(50, 1)\n"
+        "print(faults(200, 2) / 200, 'scipy.sparse' in sys.modules)\n"
+    )
+    per_replicate, sparse = fresh_interpreter(probe).split()
+    assert sparse == "False"
+    assert float(per_replicate) < 1
 
 
 def wrapped_names(source: str) -> set:

@@ -16,7 +16,8 @@ from conftest import (
 from percolab import BoxSpec, PercolationSample, sample_configuration
 from percolab.errors import GeometryError, ResourceLimitError
 from percolab.estimators import replicate_seed
-from percolab.lattice import _CHUNK, _hash_threshold, _open_edges, window_components
+from percolab.lattice import _CHUNK, _hash_threshold, _open_edges
+from percolab.renorm import window_components
 
 
 def _open_oracle(seed, n_edges, p):
