@@ -461,11 +461,6 @@ def _cmd_cutpoint_scan(cfg, out_dir):
 
 
 def _cmd_classify(cfg, out_dir):
-    # imported here, before the sample is drawn: renorm.window_components
-    # imports it in its body, so the timed classify_boxes phase would pay for
-    # it, and no other command needs scipy.sparse
-    import scipy.sparse.csgraph  # noqa: F401
-
     sample = _load_or_sample(cfg)
     cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
     path = os.path.join(out_dir, cfg["csv"])
@@ -475,8 +470,6 @@ def _cmd_classify(cfg, out_dir):
 
 
 def _cmd_route(cfg, out_dir):
-    import scipy.sparse.csgraph  # noqa: F401  (as in _cmd_classify)
-
     sample = _load_or_sample(cfg)
     sites = _sites(cfg["sites"])
     box = sample.box

@@ -24,7 +24,7 @@ from .metric import _grow  # noqa: F401  (perfbench wraps renorm._grow)
 DEFAULT_EPSILON = 0.5
 CONDITION3_EXACT_CUTOFF = 256
 CONDITION3_SAMPLED_SOURCES = 64
-_PAIR_CHUNK = 1 << 16  # (vertex, source) pairs per deadline scan chunk
+_PAIR_CHUNK = 1 << 16  # (vertex, source) pairs per unreached-pair scan chunk
 
 
 def dependency_range(mu_hat: float, d: int) -> int:
@@ -114,28 +114,38 @@ def window_components(sample: PercolationSample, lo, hi):
     [lo, hi) (exclusive upper): (component id per window vertex, shaped like
     the window; size per component id; flat index per window vertex).
 
-    scipy.sparse is imported here, not at module level, so that only the
-    commands that classify blocks load it."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
+    Components are found with numpy alone, by min-root hooking and pointer
+    jumping (Shiloach and Vishkin 1982): every round hooks the larger root
+    of each edge whose ends still have different roots onto the smaller
+    one, then flattens the forest, so every root is its component's least
+    window vertex (C order). A component's id is the rank of that vertex
+    among the roots, the numbering of scipy's ``connected_components``."""
     flats = sample.box.window_flats(lo, hi)
     shape = flats.shape
-    local = np.arange(flats.size, dtype=np.int64).reshape(shape)
-    rows, cols = [], []
+    vertex = np.arange(flats.size)
+    local = vertex.reshape(shape)
+    lows, highs = [], []
     for axis, open_flat in enumerate(sample.axis_open_flats()):
         inner = [slice(None)] * len(shape)
         inner[axis] = slice(0, shape[axis] - 1)
         base = local[tuple(inner)][open_flat[flats[tuple(inner)]]]
-        rows.append(base)
-        cols.append(base + int(np.prod(shape[axis + 1 :])))
-    rows = np.concatenate(rows)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, np.concatenate(cols))),
-        shape=(flats.size, flats.size),
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    return labels.reshape(shape), np.bincount(labels, minlength=n_comp), flats
+        lows.append(base)
+        highs.append(base + int(np.prod(shape[axis + 1 :])))
+    lows, highs = np.concatenate(lows), np.concatenate(highs)
+    root = vertex.copy()
+    while lows.size:
+        np.minimum.at(root, highs, lows)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        lows, highs = root[lows], root[highs]
+        apart = lows != highs
+        lows, highs = lows[apart], highs[apart]
+        lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
+    labels = (np.cumsum(root == vertex) - 1)[root]
+    return labels.reshape(shape), np.bincount(labels), flats
 
 
 # classify_boxes labels each enlarged block through this module-level name,
@@ -254,17 +264,21 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     masked shift of the whole box per axis and direction. The BFS stops as
     soon as the verdict is certain: it passes once every (source, cluster
     vertex) pair is reached, and fails once an unreached pair is past its
-    deadline floor(mu(x - y) + slack + 1e-9) or the frontier dies out.
-    Deadlines are only inspected when the layer count reaches the smallest
-    deadline among the pairs still unreached.
+    deadline or the frontier dies out.
+
+    A pair at l1 distance r has the deadline
+    due(r) = min(floor(mu_hat r + slack + 1e-9), n), where n, the number of
+    box vertices, exceeds every BFS distance and so stands for "no
+    deadline". As mu_hat > 0, due never decreases in r, so the earliest
+    deadline among the unreached pairs is due of their least l1 distance,
+    and the earliest of all is due(0), the pair of a source with itself.
+    Only an (m, k) table of l1 distances is kept, and it is scanned only
+    when the layer count reaches the earliest pending deadline.
     """
     box = sample.box
     local_flats = np.flatnonzero(mask.reshape(-1))
-    coords_local = np.stack(
-        np.unravel_index(local_flats, mask.shape), axis=-1
-    ).astype(np.int64)
-    coords = coords_local + np.asarray(lo, dtype=np.int64)
-    window_flats = box.flats_of_coords(coords)
+    coords = np.stack(np.unravel_index(local_flats, mask.shape), axis=-1)
+    window_flats = box.flats_of_coords(coords + np.asarray(lo, dtype=np.int64))
 
     m = len(window_flats)
     sampled = m > CONDITION3_EXACT_CUTOFF
@@ -277,16 +291,25 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     k = len(picks)
     n = box.n_vertices
 
-    # deadline[j, i]: largest distance allowed from source i to window
-    # vertex j. A BFS distance is below n, so n stands for "no deadline".
-    deadline = np.empty((m, k), dtype=np.int32)
-    for col, i in enumerate(picks):
-        allowed = mu_hat * np.abs(coords - coords[i]).sum(axis=-1) + slack
-        deadline[:, col] = np.minimum(np.floor(allowed + 1e-9), n)
+    def due(r):
+        return math.floor(min(mu_hat * r + slack + 1e-9, n))
+
     # a negative deadline fails even at distance 0, and the loop below only
     # inspects the deadlines of pairs that are still unreached
-    if deadline.min() < 0:
+    if due(0) < 0:
         return False, sampled
+
+    # l1[j, i]: l1 distance from source i to window vertex j, built one
+    # axis at a time in int32 (window coordinates are small)
+    coords = coords.astype(np.int32)
+    l1 = np.zeros((m, k), dtype=np.int32)
+    diff = np.empty_like(l1)
+    for axis in range(coords.shape[1]):
+        c = coords[:, axis]
+        np.subtract(c[:, None], c[picks][None, :], out=diff)
+        np.abs(diff, out=diff)
+        l1 += diff
+    del diff
 
     n_words = -(-k // 64)
     word, bit = np.divmod(np.arange(k), 64)
@@ -298,10 +321,13 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     unseen = ~front
     nxt = np.empty_like(front)
     tmp = np.empty_like(front)
-    # all-ones word where the edge (v, v + e_axis) is open, zero elsewhere
-    opens = [
-        (-op.astype(np.int64)).view(np.uint64) for op in sample.axis_open_flats()
-    ]
+    # (stride, all-ones word where the edge (v, v + e_axis) is open), last
+    # axis first: its unit stride lets the first shift of a layer write nxt
+    # directly and leave only one column to clear
+    shifts = [
+        (st, (-op.astype(np.int64)).view(np.uint64))
+        for st, op in zip(box.strides, sample.axis_open_flats())
+    ][::-1]
 
     t = 0
     next_check = 0
@@ -310,13 +336,16 @@ def _condition3(sample, mask, lo, mu_hat, slack):
         if not missing.any():
             return True, sampled
         if t >= next_check:
-            next_check = _earliest_deadline(missing, deadline)
+            next_check = due(_nearest_unreached(missing, l1))
             if next_check <= t:
                 return False, sampled
-        nxt.fill(0)
-        for st, op in zip(box.strides, opens):
-            np.bitwise_and(front[:, :-st], op[:-st], out=tmp[:, st:])
-            nxt[:, st:] |= tmp[:, st:]
+        for a, (st, op) in enumerate(shifts):
+            if a == 0:
+                np.bitwise_and(front[:, :-st], op[:-st], out=nxt[:, st:])
+                nxt[:, :st] = 0
+            else:
+                np.bitwise_and(front[:, :-st], op[:-st], out=tmp[:, st:])
+                nxt[:, st:] |= tmp[:, st:]
             np.bitwise_and(front[:, st:], op[:-st], out=tmp[:, :-st])
             nxt[:, :-st] |= tmp[:, :-st]
         nxt &= unseen
@@ -327,25 +356,25 @@ def _condition3(sample, mask, lo, mu_hat, slack):
         t += 1
 
 
-def _earliest_deadline(missing, deadline) -> int:
-    """Smallest deadline among the (window vertex, source) pairs not reached.
+def _nearest_unreached(missing, l1) -> int:
+    """Least l1 distance among the (window vertex, source) pairs not reached.
 
     Bit i % 64 of ``missing[i // 64, j]`` is set when source i has not yet
     reached window vertex j. Rows are scanned in chunks so that the unpacked
     bits stay small.
     """
-    m, k = deadline.shape
+    m, k = l1.shape
     words = np.ascontiguousarray(missing.T, dtype="<u8")
     step = max(1, _PAIR_CHUNK // k)
-    due = np.iinfo(np.int32).max
+    nearest = np.iinfo(np.int32).max
     for r0 in range(0, m, step):
         bits = np.unpackbits(
             words[r0 : r0 + step].view(np.uint8), axis=1, bitorder="little"
         )
-        pending = deadline[r0 : r0 + step][bits[:, :k].view(bool)]
+        pending = l1[r0 : r0 + step][bits[:, :k].view(bool)]
         if pending.size:
-            due = min(due, int(pending.min()))
-    return due
+            nearest = min(nearest, int(pending.min()))
+    return nearest
 
 
 # ---------------------------------------------------------------------------

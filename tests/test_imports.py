@@ -4,7 +4,8 @@ package references, every public name has a caller in the package or in
 the benchmark, every defaulted parameter is set by some call there, and
 every dataclass field is read there, unless an allowlist says why not.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
-scipy.sparse, and serial replicates take no fresh page faults without them.
+scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, and
+serial replicates take no fresh page faults without them.
 An import kept on purpose carries a ``# noqa: F401`` comment, and is a name
 that the benchmark's ``perfbench/cli.py install()`` wraps on that module."""
 
@@ -69,11 +70,26 @@ def fresh_interpreter(probe: str) -> str:
 
 
 def test_importing_the_cli_loads_no_lemma_library_scipy_optimize_or_scipy_sparse():
-    # only lemma-check needs the first two, and only classify and route
-    # need scipy.sparse; every other command would pay for them
+    # only lemma-check needs them, through the lemma library; every other
+    # command would pay for them
     modules = ("percolab.combinatorics", "scipy.optimize", "scipy.sparse")
     probe = f"import sys, percolab.harness; print([m for m in {modules} if m in sys.modules])"
     assert fresh_interpreter(probe) == "[]"
+
+
+def test_classify_and_route_run_without_scipy_sparse(tmp_path):
+    # block labelling is numpy alone, so the commands that classify blocks
+    # start no scipy.sparse (nor the OpenBLAS helper thread of its import)
+    sites = ["--set=d=2", "--set=L=20", "--set=p=0.75", "--set=seed=4",
+             "--set=N=4", "--set=mu1=10", f"--out-dir={tmp_path}"]
+    runs = [["classify"] + sites, ["route"] + sites + ["--set=sites=-1,-1;-1,0;0,0"]]
+    probe = (
+        "import sys\nfrom percolab.harness import cli_dispatch\n"
+        f"codes = [cli_dispatch(argv) for argv in {runs!r}]\n"
+        "print(codes, 'scipy.sparse' in sys.modules)\n"
+    )
+    assert fresh_interpreter(probe) == "[0, 0] False"
+    assert (tmp_path / "classify.csv").exists() and (tmp_path / "route.csv").exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc's mmap threshold")

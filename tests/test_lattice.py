@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     edge_base_flats,
     flood_fill_labels,
     mix64_oracle,
+    open_graph,
     same_partition,
 )
 from percolab import BoxSpec, PercolationSample, sample_configuration
@@ -257,8 +259,12 @@ def restricted(sample, sub):
     return PercolationSample(sub, sample.p, sample.seed, sample.open_edges[idx])
 
 
-# the whole box and an interior window of BoxSpec(d, 4)
-WINDOWS = [BoxSpec(2, 4), BoxSpec(2, 2, (1, -1)), BoxSpec(3, 4), BoxSpec(3, 1, (2, 0, -1))]
+# the whole box and an interior window of BoxSpec(d, 4), and in d = 4 an
+# interior window alone
+WINDOWS = [
+    BoxSpec(2, 4), BoxSpec(2, 2, (1, -1)), BoxSpec(3, 4), BoxSpec(3, 1, (2, 0, -1)),
+    BoxSpec(4, 2, (1, 0, -1, 1)),
+]
 
 
 def components(sample, sub):
@@ -280,13 +286,17 @@ def test_window_components_extremes(sub):
 
 @pytest.mark.parametrize("sub", WINDOWS, ids=lambda b: f"d{b.dimension}-r{b.radius}")
 def test_window_components_matches_flood_fill_oracle(sub):
-    # a window's clusters use only the open edges inside it
+    # a window's clusters use only the open edges inside it, and they are
+    # numbered as scipy numbers them, by their least window vertex
     box = BoxSpec(sub.dimension, 4)
     for seed in range(8):
         s = sample_configuration(box, 0.5, seed)
         labels, sizes, flats = components(s, sub)
-        oracle = flood_fill_labels(restricted(s, sub))
+        inside = restricted(s, sub)
+        oracle = flood_fill_labels(inside)
         assert same_partition(labels.reshape(-1), oracle)
+        _, scipy_labels = connected_components(open_graph(inside), directed=False)
+        assert np.array_equal(labels.reshape(-1), scipy_labels)
         assert sorted(sizes) == sorted(np.bincount(oracle))
         coords = sub.coords_of_flats(np.arange(sub.n_vertices))
         assert np.array_equal(flats.reshape(-1), box.flats_of_coords(coords))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scipy.sparse.csgraph import shortest_path
 
@@ -213,6 +215,53 @@ def test_condition3_matches_all_pairs_oracle(
         assert got == _condition3_oracle(coords, dist, mu1, slack, cutoff, n_sources)
         verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+@st.composite
+def condition3_cases(draw):
+    """A sample, a window of it, a fractional slack, and an exact source
+    set or a sampled one (the cutoff as a share of the pair set's size)."""
+    d = draw(st.sampled_from([2, 3]))
+    L = draw(st.integers(3, 7 if d == 2 else 4))
+    p = draw(st.floats(0.4, 0.9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    side = draw(st.integers(2, 2 * L + 1))
+    lo = tuple(draw(st.integers(-L, L + 1 - side)) for _ in range(d))
+    slack = draw(st.floats(0.0, 2.0).filter(lambda x: x != int(x)))
+    cutoff_share = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    n_sources = draw(st.integers(2, 70))
+    return d, L, p, seed, side, lo, slack, cutoff_share, n_sources
+
+
+@given(condition3_cases(), st.floats(0.01, 0.5), st.floats(0.0, 1.0))
+def test_condition3_matches_the_oracle_at_drawn_norms(case, delta, high):
+    # the pair set is the largest box cluster inside the window, tried at
+    # norms at half the critical mu*, just below, at and just above it,
+    # between mu* and 100, and at 100
+    d, L, p, seed, side, lo, slack, cutoff_share, n_sources = case
+    s = sample_configuration(BoxSpec(d, L), p, seed)
+    labels = flood_fill_labels(s).reshape(s.box.shape)
+    inner = tuple(slice(c + L, c + L + side) for c in lo)
+    window = labels[inner]
+    mask = window == np.bincount(window.reshape(-1)).argmax()
+    coords, dist = _pair_distances(s, mask, lo)
+    m = len(coords)
+    cutoff = 10**6 if cutoff_share is None else int(cutoff_share * (m - 1))
+    # the mask lies in one box cluster, so mu* is finite
+    mu_star = _critical_mu(coords, dist, slack) if m > 1 else 1.0
+    norms = [
+        mu_star / 2, mu_star - delta, mu_star, mu_star + delta,
+        mu_star + high * (100 - mu_star), 100.0,
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renorm, "CONDITION3_EXACT_CUTOFF", cutoff)
+        mp.setattr(renorm, "CONDITION3_SAMPLED_SOURCES", n_sources)
+        for mu1 in norms:
+            if mu1 <= 0:
+                continue
+            got, sampled = _condition3(s, mask, lo, mu1, slack)
+            assert sampled == (m > cutoff)
+            assert got == _condition3_oracle(coords, dist, mu1, slack, cutoff, n_sources)
 
 
 def test_condition3_disconnected_pair_fails():
