@@ -11,7 +11,7 @@ seeds, but its box differs and an edge's uniform hashes its box-relative
 index, so samples at two values of n are not one configuration seen twice.
 
 Every estimator reads the chemical distance D(0, floor(n x)) through one
-helper, :func:`target_distance`: the origin ball grown toward the target
+helper, :func:`target_distances`: the origin ball grown toward the target
 until it reaches it, exhausts its cluster or first touches a box face, and
 that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
 misses the target, None when the box cannot tell). The distance constant
@@ -21,6 +21,21 @@ certified singleton layers. The scanned cut-point events instead score an
 :class:`EventGrid`, the product s_grid x x_grid at one n and one window
 exponent, in one ``event_A`` (or ``event_A_free``) call on the origin ball
 of each replicate; the window verdicts settled in that call are not kept.
+
+The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
+event of ``estimate-rate``) run their replicates in blocks of B consecutive
+indices through one runner, :func:`_run_targets`. A block samples each
+index's configuration as above, grows the B origin balls in lock-step
+(``metric.grow_balls``: one BFS sweep per layer serves every ball), and
+hands each index its own ball and certified distance, in index order, to
+the path's per-index finisher (``_mu_replicate``, ``_paired_replicate`` or
+``_run_one_n``). B = max(1, ``_BLOCK_VERTICES`` // the box's vertices), so
+B follows from the box alone: small d = 2 boxes share a sweep, and large
+d = 3 boxes run one ball per block. A lock-step ball equals the ball grown
+alone on its sample, and the sample depends on the index alone, so no
+output depends on B or on the worker count. A failure while a block
+samples or grows is reported at the block's first index, and one in a
+finisher at that finisher's index.
 
 Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
 by the replicates at that n. The reach is:
@@ -57,10 +72,17 @@ from .cutpoints import (
 )
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _MASK64, _SPLIT, BoxSpec, _mix64, sample_configuration
-from .metric import grow_ball
+from .metric import grow_ball, grow_balls
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
+
+# vertices of the boxes that one block grows in lock-step. A block holds
+# about 10 bytes per vertex (samples, masks, distances, layers): 0.85 MB for
+# the 8 boxes of 10,609 vertices of upper-tail at d = 2, n = 12, where a
+# worker's peak resident set rose about 4% over one ball per replicate (12
+# boxes: about 6.5%)
+_BLOCK_VERTICES = 90_000
 
 
 def replicate_seed(seed: int, index: int) -> int:
@@ -168,25 +190,46 @@ def rate_estimates(events, n: int, results):
     ]
 
 
-def _run_all(fn, replicates: int, workers):
+def _run_all(fn, replicates: int, workers, block=None):
     """Results of every replicate; a failed replicate aborts the estimate.
-    Every estimator command gets its replicates here."""
-    run = run_parallel(fn, replicates, workers)
+    Every estimator command gets its replicates here (``block`` as in
+    ``run_parallel``)."""
+    run = run_parallel(fn, replicates, workers, block)
     if run.partial:
         raise PreconditionError(f"replicate {len(run.results)}: {run.error}")
     return run.results
 
 
-def target_distance(sample, n: int, x):
-    """The origin ball grown toward floor(n x), stopped at the target, at
+def target_distances(samples, n: int, x):
+    """(ball, certified distance) per sample of ``samples``, which share a
+    box: the origin ball grown toward floor(n x), stopped at the target, at
     cluster exhaustion or at its first face contact, and its certified
-    distance to the target: an int, ``math.inf`` or None (unknowable)."""
+    distance to the target: an int, ``math.inf`` or None (unknowable). The
+    balls grow in lock-step; each equals the one grown alone."""
+    box = samples[0].box
     target = tuple(int(math.floor(n * c)) for c in x)
-    ball = grow_ball(
-        sample, (0,) * len(target),
-        targets=[sample.box.flat_index(target)], stop_at_boundary=True,
+    origin, aim = [box.flat_index((0,) * len(target))], [box.flat_index(target)]
+    balls = grow_balls(
+        samples, [origin] * len(samples), targets=[aim] * len(samples),
+        stop_at_boundary=True,
     )
-    return ball, ball.certified_distance(target)
+    return [(ball, ball.certified_distance(target)) for ball in balls]
+
+
+def _target_block(indices, *, finish, p, box, n, x, seed):
+    """finish(index, ball=, dist=) of each index of ``indices``, their balls
+    grown in lock-step."""
+    samples = [sample_configuration(box, p, replicate_seed(seed, i)) for i in indices]
+    for index, (ball, dist) in zip(indices, target_distances(samples, n, x)):
+        yield finish(index, ball=ball, dist=dist)
+
+
+def _run_targets(finish, replicates: int, workers, *, p, box, n, x, seed):
+    """finish(index, ball=, dist=) of every replicate, in blocks of
+    max(1, _BLOCK_VERTICES // box.n_vertices) indices: the one runner of
+    the target paths."""
+    fn = partial(_target_block, finish=finish, p=p, box=box, n=n, x=x, seed=seed)
+    return _run_all(fn, replicates, workers, max(1, _BLOCK_VERTICES // box.n_vertices))
 
 
 def _box(d: int, reach: float) -> BoxSpec:
@@ -239,16 +282,9 @@ def _upper_tail_box(d: int, x, n: int, xi: float, mu1: float, box_factor: float)
     return _box(d, reach), mu1 * (1.0 + xi) * n
 
 
-def _target_replicate(index: int, *, p, box, n, x, seed):
-    """The ball and certified D(0, floor(n x)) of replicate ``index``."""
-    sample = sample_configuration(box, p, replicate_seed(seed, index))
-    return target_distance(sample, n, x)
-
-
-def _run_one_n(index: int, *, threshold, **target):
+def _run_one_n(index: int, *, ball, dist, threshold):
     """The upper-tail outcome code of one replicate of ``estimate-rate``, as
     a 1-tuple."""
-    _, dist = _target_replicate(index, **target)
     return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
 
 
@@ -271,9 +307,9 @@ class MuPoint:
         return (self.mean - Z_95 * self.sigma, self.mean + Z_95 * self.sigma)
 
 
-def _mu_replicate(index: int, **target):
+def _mu_replicate(index: int, *, ball, dist):
     """Certified D(0, floor(n x)) of one replicate: int, inf or None."""
-    return _target_replicate(index, **target)[1]
+    return dist
 
 
 def estimate_mu(
@@ -300,8 +336,9 @@ def estimate_mu(
     points = []
     for n in map(int, n_grid):
         box = _box(d, box_factor * n * max(abs(c) for c in x))
-        fn = partial(_mu_replicate, p=p, box=box, n=n, x=x, seed=seed)
-        results = _run_all(fn, replicates, workers)
+        results = _run_targets(
+            _mu_replicate, replicates, workers, p=p, box=box, n=n, x=x, seed=seed
+        )
         values = [v for v in results if v not in (None, math.inf)]
         n_dis = results.count(math.inf)
         n_cont = results.count(None)
@@ -423,8 +460,7 @@ class PairedTally:
     counts: dict  # (upper outcome name, cut outcome name) -> count
 
 
-def _paired_replicate(index: int, *, threshold, t_min, **target):
-    ball, dist = _target_replicate(index, **target)
+def _paired_replicate(index: int, *, ball, dist, threshold, t_min):
     upper = upper_tail_outcome(dist, threshold)
     # late cut-point within the certified horizon, capped at the distance
     if ball.singletons(t_min, dist):
@@ -454,12 +490,13 @@ def upper_tail_vs_cutpoint_experiment(
     out = []
     for n in map(int, n_grid):
         box, threshold = _upper_tail_box(d, x, n, xi, mu1, box_factor)
-        fn = partial(
-            _paired_replicate, p=p, box=box, n=n, x=x, seed=seed,
-            threshold=threshold, t_min=max(1, math.ceil(s * n)),
+        finish = partial(
+            _paired_replicate, threshold=threshold, t_min=max(1, math.ceil(s * n))
         )
         counts = {}
-        for pair in _run_all(fn, replicates, workers):
+        for pair in _run_targets(
+            finish, replicates, workers, p=p, box=box, n=n, x=x, seed=seed
+        ):
             counts[pair] = counts.get(pair, 0) + 1
         out.append(PairedTally(n=n, counts=counts))
     return out

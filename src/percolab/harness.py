@@ -5,7 +5,9 @@ rejected. Command line flags override file values. Every experiment writes
 result CSVs (schema-versioned, byte-reproducible for a fixed config and
 seed, independent of worker count) plus a JSON manifest with a content hash
 of the configuration and of every output file. It also records, unhashed
-and unread by replay, the worker processes used and the package versions.
+and unread by replay, the package versions and the worker processes used:
+the most that any replicate run of the command resolved, counted by
+``parallel.processes_tally`` (1 for a command without replicates).
 
 Every config key is defined once, in ``_KEYS``: its parser, range check and
 help. A command lists only its required keys and the defaults it gives the
@@ -43,8 +45,8 @@ from .estimators import (
     CODE_OUTCOMES,
     _e1,
     _event_grid,
-    _run_all,
     _run_one_n,
+    _run_targets,
     _scan,
     _upper_tail_box,
     estimate_J,
@@ -61,7 +63,7 @@ from .lattice import (
 )
 from .metric import _INF32, grow_ball
 from .parallel import run_parallel  # noqa: F401  (perfbench wraps harness.run_parallel)
-from .parallel import workers_used
+from .parallel import processes_tally
 from .renorm import (
     MacroLattice,
     _interior_sites,
@@ -319,7 +321,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command: str, cfg: dict, outputs, started: float) -> str:
+def write_manifest(
+    out_dir, command: str, cfg: dict, outputs, started: float, workers: int
+) -> str:
     config_text = canonical_config(command, cfg)
     record = {
         "experiment_id": hashlib.sha256(config_text.encode()).hexdigest()[:12],
@@ -331,7 +335,7 @@ def write_manifest(out_dir, command: str, cfg: dict, outputs, started: float) ->
         "outputs": [
             {"path": os.path.basename(p), "sha256": _sha256(p)} for p in outputs
         ],
-        "workers": workers_used(cfg.get("workers", 1), cfg.get("replicates", 1)),
+        "workers": workers,
         "versions": {"percolab": __version__, "python": "%d.%d.%d" % sys.version_info[:3],
                      "numpy": np.__version__, "scipy": scipy.__version__},
     }
@@ -580,9 +584,11 @@ def _cmd_estimate_rate(cfg, out_dir):
         # (label, s, x) of each event, in outcome-code order
         if kind == "upper_tail":
             box, threshold = _upper_tail_box(d, x, n, cfg["xi"], cfg["mu1"], cfg["box_factor"])
-            fn = partial(_run_one_n, p=p, box=box, n=n, x=x, threshold=threshold, seed=seed)
             events = [(f"upper_tail(xi={cfg['xi']})", None, x)]
-            results = _run_all(fn, replicates, workers)
+            results = _run_targets(
+                partial(_run_one_n, threshold=threshold), replicates, workers,
+                p=p, box=box, n=n, x=x, seed=seed,
+            )
         else:
             grid = _event_grid(
                 d, cfg["s"], [x], n, cfg["box_factor"], alpha=None, free=kind == "free"
@@ -773,9 +779,12 @@ def cli_dispatch(argv) -> int:
             raise ConfigError(f"sample file {cfg['sample']!r} does not exist")
         os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
-        outputs = _HANDLERS[args.command](cfg, args.out_dir)
+        with processes_tally() as used:
+            outputs = _HANDLERS[args.command](cfg, args.out_dir)
         if outputs:
-            write_manifest(args.out_dir, args.command, cfg, outputs, started)
+            write_manifest(
+                args.out_dir, args.command, cfg, outputs, started, max(used, default=1)
+            )
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

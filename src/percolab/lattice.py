@@ -294,16 +294,7 @@ class PercolationSample:
         by flat vertex id without bound checks.
         """
         if self._axis_open is None:
-            d = self.box.dimension
-            side = self.box.side
-            masks = []
-            for axis in range(d):
-                full = np.zeros(self.box.shape, dtype=bool)
-                sl = [slice(None)] * d
-                sl[axis] = slice(0, side - 1)
-                full[tuple(sl)] = self.axis_view(axis)
-                masks.append(full.reshape(-1))
-            self._axis_open = masks
+            self._axis_open = stacked_open_flats([self])
         return self._axis_open
 
     def is_edge_open(self, edge_index: int) -> bool:
@@ -350,6 +341,26 @@ class PercolationSample:
     def load(cls, path) -> "PercolationSample":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def stacked_open_flats(samples) -> list[np.ndarray]:
+    """Per axis, the padded masks of :meth:`PercolationSample.axis_open_flats`
+    of ``samples``, which share a box of n vertices, one after another:
+    entry b n + v says edge (v, v + e_k) of ``samples[b]`` is open.
+
+    The far-face slots of every box are False, so the masks describe the
+    disjoint union of the samples' graphs, with no edge between two boxes.
+    """
+    box = samples[0].box
+    masks = []
+    for axis in range(box.dimension):
+        full = np.zeros((len(samples),) + box.shape, dtype=bool)
+        inner = [slice(None)] * box.dimension
+        inner[axis] = slice(0, box.side - 1)
+        for grid, sample in zip(full, samples):
+            grid[tuple(inner)] = sample.axis_view(axis)
+        masks.append(full.reshape(-1))
+    return masks
 
 
 def sample_configuration(box: BoxSpec, p: float, seed: int) -> PercolationSample:

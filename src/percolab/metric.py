@@ -16,6 +16,21 @@ tell), and ``singletons`` lists the certified single-vertex layers. The
 estimators read the distance constant and the upper-tail event from the
 first and the cut-point scans from the second; no other mapping of a ball
 onto outcomes exists.
+
+There is one BFS loop, :func:`_grow_lockstep`, and it grows B balls at
+once, one in each of B samples of one box of n vertices (B = 1 for every
+single ball, through :func:`_grow`). Ball b lives at flats b n .. b n + n - 1
+of the samples' disjoint union, whose open masks are the samples' padded
+masks one after another (``lattice.stacked_open_flats``). Each layer is one
+sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
+a single ball's layer. Each ball keeps its own stop rules: a target
+reached, the first face contact (with ``stop_at_boundary``), ``t_max`` and
+exhaustion. A ball that stops leaves the frontier, and an exhausted one has
+no vertex in it. The union's layers are cut into the balls' layers after
+the sweep, and an empty cut marks exhaustion. No edge joins two boxes, so
+every ball's distances, layers, first face contact and exhaustion equal
+those of its sample grown alone, whatever B and its companions are. The
+estimators choose B (``estimators._BLOCK_VERTICES``).
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
-from .lattice import BoxSpec, PercolationSample
+from .lattice import BoxSpec, PercolationSample, stacked_open_flats
 
 _INF32 = np.uint32(0xFFFFFFFF)
 
@@ -136,28 +151,75 @@ def _grow(
     stop_at_boundary=False,
 ):
     """(dist, first boundary time, layers, exhausted) of the ball of
-    :func:`grow_ball_flats`, one sweep of the 2 d neighbours per layer."""
-    box = sample.box
-    dist = np.full(box.n_vertices, _INF32, dtype=np.uint32)
+    :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
+    return _grow_lockstep(
+        [sample], [source_flats], t_max=t_max,
+        targets=None if targets is None else [targets], region=region,
+        stop_at_boundary=stop_at_boundary,
+    )[0]
+
+
+def _grow_lockstep(
+    samples, sources, t_max=None, targets=None, region=None, stop_at_boundary=False
+):
+    """Per ball b, (dist, first boundary time, layers, exhausted) of the
+    ball of the flats ``sources[b]`` in ``samples[b]``, grown as
+    :func:`grow_ball_flats` grows it with the targets ``targets[b]`` (None:
+    no ball has targets) and the shared ``t_max``, ``region`` and
+    ``stop_at_boundary``. One sweep of the 2 d neighbours per layer serves
+    every ball (see the module docstring)."""
+    box = samples[0].box
+    n, balls = box.n_vertices, len(samples)
     face = box.face_flat
-    steps = list(zip(box.strides, sample.axis_open_flats()))
+    if balls == 1:
+        opens = samples[0].axis_open_flats()
+    else:
+        opens = stacked_open_flats(samples)
+        face = np.tile(face, balls)
+        region = None if region is None else np.tile(region, balls)
+    steps = list(zip(box.strides, opens))
+    dist = np.full(balls * n, _INF32, dtype=np.uint32)
 
-    src = np.sort(np.asarray(source_flats, dtype=np.int64))
-    if region is not None and not region[src].all():
+    srcs = [np.sort(np.asarray(s, dtype=np.int64)) for s in sources]
+    if region is not None and not all(region[src].all() for src in srcs):
         raise GeometryError("source vertices must lie inside the region")
-    dist[src] = 0
-    layers = [src]
-    frontier = src
-    first_boundary = 0 if np.count_nonzero(face[src]) else None
-    target_set = None if targets is None else np.asarray(targets, dtype=np.int64)
+    first = [0 if np.count_nonzero(face[src]) else None for src in srcs]
+    frontier = srcs[0] if balls == 1 else np.concatenate(
+        [src + b * n for b, src in enumerate(srcs)]
+    )
+    dist[frontier] = 0
+    layers = [frontier]  # the union's layers
+    end = [None] * balls  # the last layer of each ball
+    exhausted = [False] * balls
+    growing = set(range(balls))
+    stopping = {b for b in growing if stop_at_boundary and first[b] is not None}
+    pending = first.count(None)  # growing balls yet to touch a face
+    if targets is not None:  # union flats: target a is ball a // n's
+        aim = np.asarray(targets[0], dtype=np.int64) if balls == 1 else np.concatenate(
+            [np.asarray(a, dtype=np.int64).reshape(-1) + b * n for b, a in enumerate(targets)]
+        )
 
-    exhausted = False
     t = 0
-    while not (
-        (target_set is not None and np.count_nonzero(dist[target_set] != _INF32))
-        or (stop_at_boundary and first_boundary is not None)
-        or (t_max is not None and t >= t_max)
-    ):
+    while True:
+        if targets is not None:
+            hit = dist[aim] != _INF32
+            if np.count_nonzero(hit):
+                stopping.update((aim[hit] // n).tolist())
+        if t_max is not None and t >= t_max:
+            stopping = set(growing)
+        if stopping:
+            for b in stopping:
+                end[b] = t
+            growing -= stopping
+            if not growing:
+                break
+            # the stopped balls leave the frontier and the targets
+            gone = np.fromiter(stopping, dtype=np.int64)
+            frontier = frontier[~np.isin(frontier // n, gone)]
+            if targets is not None:
+                aim = aim[~np.isin(aim // n, gone)]
+            pending = sum(first[b] is None for b in growing)
+            stopping = set()
         t += 1
         parts = []
         for st, op in steps:
@@ -172,7 +234,8 @@ def _grow(
             fresh &= region[nb]
         nb = nb[fresh]
         if nb.size == 0:
-            exhausted = True
+            for b in growing:
+                end[b], exhausted[b] = t - 1, True
             break
         nb.sort()
         keep = np.ones(nb.size, dtype=bool)
@@ -180,10 +243,49 @@ def _grow(
         frontier = nb[keep]
         dist[frontier] = t
         layers.append(frontier)
-        if first_boundary is None and np.count_nonzero(face[frontier]):
-            first_boundary = t
+        if pending:
+            touched = face[frontier]
+            if np.count_nonzero(touched):
+                # a set: plain np.unique imports numpy.ma (1.6 MB of
+                # resident memory in every worker, numpy 2.4)
+                for b in set((frontier[touched] // n).tolist()):
+                    if first[b] is None:
+                        first[b] = t
+                        pending -= 1
+                        if stop_at_boundary:
+                            stopping.add(b)
 
-    return dist, first_boundary, layers, exhausted
+    if balls == 1:
+        return [(dist, first[0], layers, exhausted[0])]
+    # ball b's layer t is the union's layer t cut at b n and (b + 1) n; an
+    # empty one means its cluster was exhausted
+    bounds = np.arange(balls + 1) * n
+    cuts = []
+    for layer in layers[1:]:
+        cuts.append(np.searchsorted(layer, bounds).tolist())
+        np.remainder(layer, n, out=layer)
+    out = []
+    for b in range(balls):
+        own = [srcs[b]]
+        for cut, flats in zip(cuts[: end[b]], layers[1:]):
+            if cut[b] == cut[b + 1]:
+                exhausted[b] = True
+                break
+            own.append(flats[cut[b] : cut[b + 1]])
+        out.append((dist[b * n : (b + 1) * n], first[b], own, exhausted[b]))
+    return out
+
+
+def _ball(sample, src, grown) -> BallGrowth:
+    dist, fb, layers, exhausted = grown
+    return BallGrowth(
+        sample=sample,
+        source=sample.box.vertex_coord(int(np.asarray(src).reshape(-1)[0])),
+        layers=layers,
+        dist=dist,
+        first_boundary_time=fb,
+        exhausted=exhausted,
+    )
 
 
 def grow_ball(
@@ -219,18 +321,26 @@ def grow_ball_flats(
     The first source names the ball.
     """
     src = np.asarray(source_flats, dtype=np.int64)
-    dist, fb, layers, exhausted = _grow(
+    grown = _grow(
         sample, src, t_max=t_max, targets=targets, region=region,
         stop_at_boundary=stop_at_boundary,
     )
-    return BallGrowth(
-        sample=sample,
-        source=sample.box.vertex_coord(int(src[0])),
-        layers=layers,
-        dist=dist,
-        first_boundary_time=fb,
-        exhausted=exhausted,
+    return _ball(sample, src, grown)
+
+
+def grow_balls(
+    samples, source_flats, *, targets=None, stop_at_boundary: bool = False
+) -> list[BallGrowth]:
+    """One ball per sample of ``samples``, which share one box, grown in
+    lock-step: ball b from the flats ``source_flats[b]``, stopped at
+    ``targets[b]`` (None: no targets for any ball), at exhaustion and, with
+    ``stop_at_boundary``, as :func:`grow_ball_flats` stops. Ball b equals
+    ``grow_ball_flats(samples[b], source_flats[b], targets=targets[b], ...)``.
+    """
+    grown = _grow_lockstep(
+        samples, source_flats, targets=targets, stop_at_boundary=stop_at_boundary
     )
+    return [_ball(*args) for args in zip(samples, source_flats, grown)]
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:

@@ -6,11 +6,22 @@ those of a serial loop for any worker count. A failed replicate ends the
 run: ``results`` keeps the replicates below the first failure, and the
 caller raises on a partial run (``estimators._run_all``), so a failed
 replicate never leaves an output file.
+
+Indices may be evaluated in blocks of B consecutive ones, one task per
+block, so that one call can share work among them (the estimators grow the
+balls of a block in lock-step). A block function yields its indices'
+results in order; an exception raised while it produces the result of
+index i is the failure of index i, so a block keeps the first-failure
+contract, and results still come back one per index. Since each result is
+still a function of its index alone, the results do not depend on B either.
+The processes used are resolved once per run, from the number of blocks:
+a run of at most B indices is one task and runs in the calling process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,21 +33,42 @@ class ParallelRun:
     error: str | None  # the first failure, as "ExceptionType: message"
 
 
-def _wrap(fn, idx):
+_tallies: list = []  # the open tallies of processes_tally
+
+
+@contextmanager
+def processes_tally():
+    """A list that receives the processes of every :func:`run_parallel`
+    call made inside the ``with`` block."""
+    tally = []
+    _tallies.append(tally)
     try:
-        return True, fn(idx)
+        yield tally
+    finally:
+        _tallies.remove(tally)
+
+
+def _run_block(fn, block: int, n_tasks: int, start: int):
+    """(results, failure) of the indices start .. start + block - 1 below
+    n_tasks: the results before the first failure, and that failure as
+    "ExceptionType: message" (None when there is none)."""
+    results = []
+    try:
+        for result in fn(range(start, min(start + block, n_tasks))):
+            results.append(result)
     except Exception as exc:  # noqa: BLE001 - repackaged for the caller
-        return False, f"{type(exc).__name__}: {exc}"
+        return results, f"{type(exc).__name__}: {exc}"
+    return results, None
 
 
 def _collect(outcomes) -> ParallelRun:
-    """The results of ``outcomes`` in index order, up to the first failure,
-    consuming nothing past it."""
+    """The results of ``outcomes``, blocks in index order, up to the first
+    failure, consuming nothing past it."""
     results = []
-    for ok, payload in outcomes:
-        if not ok:
-            return ParallelRun(results=results, partial=True, error=payload)
-        results.append(payload)
+    for done, error in outcomes:
+        results.extend(done)
+        if error is not None:
+            return ParallelRun(results=results, partial=True, error=error)
     return ParallelRun(results=results, partial=False, error=None)
 
 
@@ -47,15 +79,29 @@ def workers_used(workers: int | None, n_tasks: int) -> int:
     return workers if n_tasks > 1 else 1
 
 
-def run_parallel(fn, n_tasks: int, workers: int | None = None) -> ParallelRun:
-    """Evaluate fn(0..n_tasks-1) in index order, stopping at the first
-    failure, in :func:`workers_used` processes."""
-    workers = workers_used(workers, n_tasks)
+def run_parallel(
+    fn, n_tasks: int, workers: int | None = None, block: int | None = None
+) -> ParallelRun:
+    """Evaluate indices 0..n_tasks-1 in index order, stopping at the first
+    failure, in :func:`workers_used` processes of the number of blocks.
+
+    With ``block`` None, ``fn(index)`` is one index's result. Otherwise
+    ``fn(indices)`` yields the results of a range of at most ``block``
+    consecutive indices, in order.
+    """
+    if block is None:
+        fn, block = partial(map, fn), 1
+    n_blocks = -(-n_tasks // block)
+    workers = workers_used(workers, n_blocks)
+    for tally in _tallies:
+        tally.append(workers)
+    starts = range(0, n_tasks, block)
+    task = partial(_run_block, fn, block, n_tasks)
     if workers <= 1:
-        return _collect(_wrap(fn, i) for i in range(n_tasks))
+        return _collect(map(task, starts))
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, n_tasks // (workers * 8))
+    chunk = max(1, n_blocks // (workers * 8))
     with ctx.Pool(workers) as pool:
         # consumed inside the block: leaving it at a failure terminates the
         # workers, so chunks past the failure are not evaluated
-        return _collect(pool.imap(partial(_wrap, fn), range(n_tasks), chunksize=chunk))
+        return _collect(pool.imap(task, starts, chunksize=chunk))

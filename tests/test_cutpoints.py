@@ -41,7 +41,7 @@ from percolab import (
 from percolab import cutpoints
 from percolab.cutpoints import upper_tail_outcome, window_radius
 from percolab.errors import GeometryError, PreconditionError, SurgeryPlanError
-from percolab.estimators import target_distance
+from percolab.estimators import target_distances
 
 
 def open_spine(box, length, closed_sides=True):
@@ -587,7 +587,7 @@ def test_force_cutpoint_preconditions():
 def upper_tail(sample, n, xi, mu):
     """Upper-tail outcome of D(0, n e1), read as the estimators read it."""
     e1 = (1.0,) + (0.0,) * (sample.box.dimension - 1)
-    _, dist = target_distance(sample, n, e1)
+    _, dist = target_distances([sample], n, e1)[0]
     return upper_tail_outcome(dist, mu * (1.0 + xi) * n)
 
 
@@ -608,10 +608,11 @@ def test_distances_and_upper_tail_match_the_dijkstra_oracle(d, L, p, n, rng):
     xi, mu = 0.2, 1.1
     origin, target = (0,) * d, (n,) + (0,) * (d - 1)
     seen = set()
-    for seed in range(60):
-        s = sample_configuration(BoxSpec(d, L), p, seed)
+    samples = [sample_configuration(BoxSpec(d, L), p, seed) for seed in range(60)]
+    # all 60 target balls grow in one lock-step call
+    grown = target_distances(samples, n, (1.0,) + (0.0,) * (d - 1))
+    for s, (ball, dist) in zip(samples, grown):
         status, value = certified_distance_oracle(s, origin, target)
-        ball, dist = target_distance(s, n, (1.0,) + (0.0,) * (d - 1))
         assert dist == value and ball.source == origin
         if status == "exact":
             expected = EventOutcome.HIT if value > mu * (1 + xi) * n else EventOutcome.MISS

@@ -20,7 +20,7 @@ from percolab.estimators import (
     estimate_rate_surface,
     rate_estimates,
     replicate_seed,
-    target_distance,
+    target_distances,
     wilson_interval,
 )
 from percolab.harness import cli_dispatch
@@ -69,14 +69,12 @@ def test_mu_interval_is_nan_below_two_connected_replicates():
 def test_target_distance_never_rises_with_p_under_the_coupling(d, L, ps, n, x):
     # one seed samples nested configurations as p rises, so the Z^d distance
     # D(0, floor(n x)) can only fall and a connection is never lost; every
-    # certified value (int or inf) is that distance, and None says nothing
+    # certified value (int or inf) is that distance, and None says nothing;
+    # the balls of the nested samples grow in one lock-step call
     changes = set()
     for seed in range(40):
-        known = []
-        for p in ps:
-            _, dist = target_distance(sample_configuration(BoxSpec(d, L), p, seed), n, x)
-            if dist is not None:
-                known.append(dist)
+        samples = [sample_configuration(BoxSpec(d, L), p, seed) for p in ps]
+        known = [dist for _, dist in target_distances(samples, n, x) if dist is not None]
         assert known == sorted(known, reverse=True), (seed, known)
         changes.update(
             "joined" if a == math.inf else "shorter"

@@ -388,16 +388,54 @@ def _marked_replicate(index, *, directory):
     return index
 
 
+@pytest.mark.parametrize("block", [None, 3, 8])
 @pytest.mark.parametrize("workers, most", [(1, 2), (2, 100)])
-def test_a_failed_replicate_ends_the_run_early(tmp_path, workers, most):
-    # at 2 workers the chunks are 12 replicates long; evaluating all 200
-    # takes about 2 s, and the run ends once the first chunk comes back
+def test_a_failed_replicate_ends_the_run_early(tmp_path, workers, most, block):
+    # at 2 workers the chunks are 12 replicates long (8 in blocks of 8);
+    # evaluating all 200 takes about 2 s, and the run ends once the first
+    # chunk comes back; in a block, index 1 fails after index 0 is done
     fn = functools.partial(_marked_replicate, directory=tmp_path)
-    run = run_parallel(fn, 200, workers)
+    if block is not None:
+        fn = functools.partial(map, fn)
+    run = run_parallel(fn, 200, workers, block)
     assert run.partial and run.results == [0]
     assert run.error == "RuntimeError: injected failure"
     assert {"0", "1"} <= {p.name for p in tmp_path.iterdir()}
     assert len(list(tmp_path.iterdir())) <= most
+
+
+def _cubes(indices):
+    """The cubes of a block of indices, computed in one array operation."""
+    yield from (np.arange(indices.start, indices.stop) ** 3).tolist()
+
+
+def _cube(index):
+    return index**3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_blocks_return_one_result_per_index_whatever_their_size(workers, block):
+    # 29 is no multiple of 3 or 8, so the last block is short
+    run = run_parallel(_cubes, 29, workers, block)
+    assert not run.partial and run.error is None
+    assert run.results == run_parallel(_cube, 29, workers).results == [i**3 for i in range(29)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_target_estimates_do_not_depend_on_the_block_size(monkeypatch, workers):
+    # the budgets set B = 1; B = 9 at n = 6 and 3 at n = 12; and the
+    # default, which puts all 31 replicates of either n in one block
+    box, _ = estimators._upper_tail_box(2, (1.0, 0.0), 12, 0.3, 1.0, 1.3)
+    results = []
+    for budget in (1, 3 * box.n_vertices, estimators._BLOCK_VERTICES):
+        monkeypatch.setattr(estimators, "_BLOCK_VERTICES", budget)
+        paired = estimators.upper_tail_vs_cutpoint_experiment(
+            0.6, 2, 0.3, (6, 12), 31, 5, workers=workers
+        )
+        mu = estimators.estimate_mu(0.6, 2, (1.0, 0.0), (6, 12), 31, 5, workers=workers)
+        results.append(([t.counts for t in paired], mu))
+    assert results[0] == results[1] == results[2]
 
 
 def test_every_lemma_alias_names_a_lemma_and_every_lemma_has_one():
@@ -477,6 +515,16 @@ def test_manifest_records_the_workers_used_and_the_versions(
     # the configured value stays in the hashed config, the resolved one out
     assert f"workers = {workers}\n" in record["config"]
     assert "versions" not in record["config"]
+
+
+@pytest.mark.parametrize("command, used", [("upper-tail", 1), ("estimate-j", 2)])
+def test_manifest_records_the_processes_that_the_blocks_used(tmp_path, command, used):
+    # upper-tail's 4 replicates fit in one block (B = 40 on its default
+    # box), which runs in this process; estimate-j's run one per task
+    values = {**ESTIMATOR, "replicates": "4", "workers": "2"}
+    argv = [command, "--out-dir", str(tmp_path)] + [f"--set={k}={v}" for k, v in values.items()]
+    assert cli_dispatch(argv) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == used
 
 
 @pytest.mark.parametrize("edit", ["drop", "change"])

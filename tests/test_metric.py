@@ -239,6 +239,87 @@ def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
     assert np.array_equal(ball.pred_of(reached), pred[reached])
 
 
+def _assert_matches_reference(grown, sample, sources, **kw):
+    """``grown`` is (dist, first boundary time, layers, exhausted)."""
+    dist, _, layers, first_boundary, exhausted = reference_grow(sample, sources, **kw)
+    assert np.array_equal(grown[0], dist)
+    assert len(grown[2]) == len(layers)
+    assert all(np.array_equal(a, b) for a, b in zip(grown[2], layers))
+    assert (grown[1], grown[3]) == (first_boundary, exhausted)
+
+
+@given(data=st.data())
+def test_lockstep_balls_match_the_reference_grown_alone(data):
+    # B samples of one box grown in one kernel call, each ball with its own
+    # stop: a target at some layer, a source on the face, a source that is
+    # its own target, or an exhausted cluster (low p, no target); the layer
+    # cap, the face rule and the region are shared
+    d = data.draw(st.integers(2, 4), label="d")
+    box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
+    n = box.n_vertices
+    on_face = np.flatnonzero(box.face_flat)
+    kw = {
+        "stop_at_boundary": data.draw(st.booleans(), label="stop_at_boundary"),
+        "t_max": data.draw(st.none() | st.integers(0, 8), label="t_max"),
+    }
+    region = None
+    if data.draw(st.booleans(), label="in region"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 999), label="region seed"))
+        region = rng.random(n) < data.draw(st.floats(0.5, 1.0), label="region density")
+    samples, sources, targets = [], [], []
+    for b in range(data.draw(st.integers(1, 9), label="B")):
+        kind = data.draw(
+            st.sampled_from(["target", "face", "own target", "exhaustion"]), label=f"kind {b}"
+        )
+        p = data.draw(st.floats(0.1, 0.3) if kind == "exhaustion" else st.floats(0.3, 0.9))
+        samples.append(sample_configuration(box, p, data.draw(st.integers(0, 999))))
+        src = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        if kind == "face":
+            src[0] = int(on_face[data.draw(st.integers(0, on_face.size - 1))])
+        aims = [] if kind == "exhaustion" else data.draw(
+            st.lists(st.integers(0, n - 1), max_size=3)
+        )
+        if kind == "own target":
+            aims.append(src[-1])
+        if region is not None:
+            region[src] = True
+        sources.append(src)
+        targets.append(aims)
+
+    grown = metric._grow_lockstep(samples, sources, targets=targets, region=region, **kw)
+    assert len(grown) == len(samples)
+    for one, sample, src, aims in zip(grown, samples, sources, targets):
+        _assert_matches_reference(one, sample, src, targets=aims, region=region, **kw)
+
+
+def test_lockstep_balls_stop_at_their_own_layer_and_for_their_own_reason():
+    box = BoxSpec(2, 6)
+    line = open_path_sample(box, [(k, 0) for k in range(-6, 7)])
+    closed = all_closed(box)
+    origin, far = box.flat_index((0, 0)), box.flat_index((5, 0))
+    corner = box.flat_index((-6, -6))
+    # (sample, sources, targets): reached at layer 2, at layer 5, a source
+    # on the face, a source that is its own target, an isolated vertex
+    # (exhausted), and a line run into the face
+    cases = [
+        (line, [origin], [box.flat_index((2, 0))]),
+        (line, [origin], [far]),
+        (line, [corner], [far]),
+        (line, [far], [far, origin]),
+        (closed, [origin], [far]),
+        (line, [origin], []),
+    ]
+    samples, sources, targets = (list(c) for c in zip(*cases))
+    balls = metric.grow_balls(samples, sources, targets=targets, stop_at_boundary=True)
+    for ball, (sample, src, aims) in zip(balls, cases):
+        grown = (ball.dist, ball.first_boundary_time, ball.layers, ball.exhausted)
+        _assert_matches_reference(grown, sample, src, targets=aims, stop_at_boundary=True)
+    assert [b.last_time for b in balls] == [2, 5, 0, 0, 0, 6]
+    assert [b.first_boundary_time for b in balls] == [None, None, 0, None, None, 6]
+    assert [b.exhausted for b in balls] == [False, False, False, False, True, False]
+    assert [b.certified_distance((5, 0)) for b in balls[:2]] == [None, 5]
+
+
 def test_layers_disjoint_prefix_union():
     for seed in range(4):
         s = sample_configuration(BoxSpec(2, 6), 0.55, seed)
