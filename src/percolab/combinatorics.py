@@ -13,6 +13,10 @@ axis-0 coordinate, and their transverse gap there must be >= 1/sqrt2 (see
 ``separated_matching`` for the proof). The Euclidean distance between the
 segments is only bounded by the corollary l / sqrt(2 (l^2 + (d-1) K^2)); no
 bijection need reach l / (sqrt2 K) in Euclidean distance.
+``disjoint_path_bundle`` turns such a matching between the hyperplanes
+x_0 = 0 and x_0 = l into lattice paths. It covers two parallel hyperplanes
+orthogonal to axis 0 only; the perpendicular case of the paper is not
+built.
 
 Finite vertex sets are labelled by one helper, ``_label_cells``: it puts
 the set on a boolean grid over its bounding box and calls
@@ -274,45 +278,15 @@ def verify_distinct_subset(S: PointSet, i: int, j: int, subset: PointSet) -> Non
 # separated segment matchings
 
 
-def segment_distance(p1, q1, p2, q2) -> float:
-    """Euclidean distance between segments [p1,q1] and [p2,q2].
-
-    Clamped closest-point parameterization; robust for parallel and
-    degenerate (zero-length) segments.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    tiny = 1e-12
-
-    if a <= tiny and e <= tiny:
-        return float(np.linalg.norm(r))
-    if a <= tiny:
-        t = min(1.0, max(0.0, f / e))
-        return float(np.linalg.norm(p1 - (p2 + t * d2)))
-    c = float(d1 @ r)
-    if e <= tiny:
-        s = min(1.0, max(0.0, -c / a))
-        return float(np.linalg.norm(p1 + s * d1 - p2))
-
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > tiny else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(0.0, (b - c) / a))
-    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
+def _gap(u, v) -> float:
+    """Euclidean distance from the origin to the segment [u, v]."""
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(v, dtype=float) - u
+    e = float(w @ w)
+    if e <= 1e-12:
+        return float(np.linalg.norm(u))
+    t = min(1.0, max(0.0, float(w @ -u) / e))
+    return float(np.linalg.norm(u + t * w))
 
 
 @dataclass
@@ -324,9 +298,9 @@ class SeparatedMatching:
     straight segment. The separation of two segments is their smallest
     transverse gap at equal axis-0 height: with u = s1[a] - s1[b] and
     v = s2[sigma[a]] - s2[sigma[b]] restricted to axes 1..d-1, it is
-    min over t in [0, 1] of |(1 - t) u + t v|, the distance from the origin
-    to the segment [u, v]. ``verify`` checks that every pair reaches
-    ``guarantee``.
+    min over t in [0, 1] of |(1 - t) u + t v|, the distance ``_gap(u, v)``
+    from the origin to the segment [u, v]. ``verify`` checks that every
+    pair reaches ``guarantee``.
     """
 
     s1: tuple
@@ -339,10 +313,9 @@ class SeparatedMatching:
         """Smallest equal-height transverse gap over all pairs of segments."""
         x = np.asarray(self.s1)[:, 1:]
         y = np.asarray(self.s2)[list(self.sigma), 1:]
-        origin = np.zeros(x.shape[1])
         return min(
             (
-                segment_distance(origin, origin, x[a] - x[b], y[a] - y[b])
+                _gap(x[a] - x[b], y[a] - y[b])
                 for a, b in itertools.combinations(range(len(x)), 2)
             ),
             default=math.inf,
@@ -524,150 +497,36 @@ class PathBundle:
             )
 
 
-def default_multiplicity_constant(d: int) -> int:
-    return (2 * d) ** (2 * d)
+def disjoint_path_bundle(S1: PointSet, S2: PointSet, ell: int, spread: int) -> PathBundle:
+    """Almost-disjoint short paths between two axis-0 hyperplane point sets.
 
-
-@dataclass(frozen=True)
-class ParallelGeometry:
-    """Sets on hyperplanes x_axis = 0 and x_axis = ell, spread at most K."""
-
-    axis: int
-    ell: int
-    spread: int
-
-
-@dataclass(frozen=True)
-class PerpendicularGeometry:
-    """Sets on x_axis_i = 0 and x_axis_j = 0 inside [-K, K]^d."""
-
-    axis_i: int
-    axis_j: int
-    spread: int
-
-
-def _permute(points: np.ndarray, perm) -> np.ndarray:
-    return points[:, perm]
-
-
-def disjoint_path_bundle(S1: PointSet, S2: PointSet, geometry) -> PathBundle:
-    """Almost-disjoint short path families between hyperplane point sets.
-
-    Parallel case: min(|S1|, |S2|) paths of length <= 2dK, each vertex shared
-    by at most chi_d (K/ell)^(d-1) paths, chi_d = (2d)^(2d). Perpendicular
-    case: ceil(min/2) paths of length <= 2dK with the composition cap
-    chi_d 2^(d-1) + 4^d. Requires d >= 3.
+    S1 lies on x_0 = 0 and S2 on x_0 = ell, with pairwise sup-norm spread at
+    most K = ``spread``. The min(|S1|, |S2|) paths follow the segments of a
+    separated matching, have length <= 2dK, and share each vertex among at
+    most chi_d (K/ell)^(d-1) of them, chi_d = (2d)^(2d). Requires d >= 3.
     """
     d = S1.dimension
     if d < 3:
         raise PreconditionError("path bundles require dimension >= 3")
     if S2.dimension != d:
         raise GeometryError("dimension mismatch")
-    if isinstance(geometry, ParallelGeometry):
-        return _parallel_bundle(S1, S2, geometry)
-    if isinstance(geometry, PerpendicularGeometry):
-        return _perpendicular_bundle(S1, S2, geometry)
-    raise PreconditionError(f"unknown geometry {geometry!r}")
-
-
-def _axis_to_front(d: int, *axes):
-    rest = [k for k in range(d) if k not in axes]
-    perm = list(axes) + rest
-    inv = [0] * d
-    for pos, ax in enumerate(perm):
-        inv[ax] = pos
-    return perm, inv
-
-
-def _parallel_bundle(S1: PointSet, S2: PointSet, g: ParallelGeometry) -> PathBundle:
-    d = S1.dimension
-    perm, inv = _axis_to_front(d, g.axis)
-    a1 = _permute(S1.array, perm)
-    a2 = _permute(S2.array, perm)
-    if (a1[:, 0] != 0).any() or (a2[:, 0] != g.ell).any():
+    a1, a2 = S1.array, S2.array
+    if (a1[:, 0] != 0).any() or (a2[:, 0] != ell).any():
         raise PreconditionError("sets must lie on the two declared hyperplanes")
     m0 = min(len(a1), len(a2))
     p1 = PointSet.of(a1[np.lexsort(a1.T[::-1])][:m0])
     p2 = PointSet.of(a2[np.lexsort(a2.T[::-1])][:m0])
-    matching = separated_matching(p1, p2, g.spread)
+    matching = separated_matching(p1, p2, spread)
     matching.verify()
-    paths = []
-    for idx, x in enumerate(matching.s1):
-        y = matching.s2[matching.sigma[idx]]
-        raw = staircase_path(x, y)
-        paths.append([tuple(np.asarray(v)[inv]) for v in raw])
-    chi = default_multiplicity_constant(d)
     return PathBundle(
-        paths=paths,
+        paths=[
+            staircase_path(x, matching.s2[matching.sigma[idx]])
+            for idx, x in enumerate(matching.s1)
+        ],
         source_set=frozenset(S1.points),
         target_set=frozenset(S2.points),
-        length_bound=2 * d * g.spread,
-        multiplicity_bound=chi * (g.spread / g.ell) ** (d - 1),
-    )
-
-
-def _perpendicular_bundle(
-    S1: PointSet, S2: PointSet, g: PerpendicularGeometry
-) -> PathBundle:
-    d = S1.dimension
-    K = g.spread
-    if g.axis_i == g.axis_j:
-        raise PreconditionError("perpendicular geometry needs two distinct axes")
-    perm, inv = _axis_to_front(d, g.axis_i, g.axis_j)
-    a1 = _permute(S1.array, perm)  # axis i -> 0, axis j -> 1
-    a2 = _permute(S2.array, perm)
-    if (a1[:, 0] != 0).any() or (a2[:, 1] != 0).any():
-        raise PreconditionError("sets must lie on the two declared hyperplanes")
-    if max(np.abs(a1).max(), np.abs(a2).max()) > K:
-        raise PreconditionError("sets must be contained in [-K, K]^d")
-
-    # reflections making the relevant halves majorities
-    flip_j = 1 if 2 * int((a1[:, 1] >= 0).sum()) >= len(a1) else -1
-    flip_i = 1 if 2 * int((a2[:, 0] >= 0).sum()) >= len(a2) else -1
-    r1 = a1.copy()
-    r2 = a2.copy()
-    r1[:, 1] *= flip_j
-    r2[:, 1] *= flip_j
-    r1[:, 0] *= flip_i
-    r2[:, 0] *= flip_i
-
-    m0 = min(len(r1), len(r2))
-    m_half = (m0 + 1) // 2
-    h1 = r1[r1[:, 1] >= 0]
-    h2 = r2[r2[:, 0] >= 0]
-    if len(h1) < m_half or len(h2) < m_half:
-        raise PreconditionError("reflection halves too small (inconsistent input)")
-    h1 = h1[np.lexsort(h1.T[::-1])][:m_half]
-    h2 = h2[np.lexsort(h2.T[::-1])][:m_half]
-
-    # diagonal lift of the second set onto the hyperplane x_i = K
-    lifted = h2.copy()
-    t = K - h2[:, 0]
-    lifted[:, 0] += t
-    lifted[:, 1] += t
-    diag_paths = [staircase_path(z, y) for z, y in zip(h2, lifted)]
-
-    matching = separated_matching(
-        PointSet.of(h1), PointSet.of(lifted), 2 * K
-    )
-    matching.verify()
-    chi = default_multiplicity_constant(d)
-    paths = []
-    for idx in range(m_half):
-        x = matching.s1[idx]
-        y = matching.s2[matching.sigma[idx]]
-        lift_pos = [tuple(q) for q in lifted].index(y)
-        joined = concat_paths(staircase_path(x, y), diag_paths[lift_pos][::-1])
-        arr = np.asarray(joined, dtype=np.int64)
-        arr[:, 0] *= flip_i
-        arr[:, 1] *= flip_j
-        paths.append([tuple(v[inv]) for v in arr])
-    return PathBundle(
-        paths=paths,
-        source_set=frozenset(S1.points),
-        target_set=frozenset(S2.points),
-        length_bound=2 * d * K,
-        multiplicity_bound=chi * 2 ** (d - 1) + 4**d,
+        length_bound=2 * d * spread,
+        multiplicity_bound=(2 * d) ** (2 * d) * (spread / ell) ** (d - 1),
     )
 
 
@@ -916,7 +775,7 @@ def _lemma_matching(rng):
 
 def _lemma_disjoint_paths(rng):
     K, ell, s1, s2 = _plane_pair(rng, 6, 2)
-    bundle = disjoint_path_bundle(s1, s2, ParallelGeometry(axis=0, ell=ell, spread=K))
+    bundle = disjoint_path_bundle(s1, s2, ell, K)
     bundle.verify()
     return bundle.multiplicity_bound, bundle.max_multiplicity, True
 

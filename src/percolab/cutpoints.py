@@ -367,12 +367,10 @@ def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap)
     return False
 
 
-def line_count(points, axis: int) -> int:
-    """Number of distinct axis lines meeting the point set."""
-    arr = np.asarray(list(points) if not isinstance(points, np.ndarray) else points)
-    if arr.size == 0:
-        return 0
-    arr = arr.reshape(len(arr), -1).copy()
+def line_count(points: np.ndarray, axis: int) -> int:
+    """Number of distinct axis lines meeting the non-empty (m, d) point
+    array."""
+    arr = points.copy()
     arr[:, axis] = 0
     return len(np.unique(arr, axis=0))
 

@@ -171,6 +171,11 @@ def _grow_lockstep(
     box = samples[0].box
     n, balls = box.n_vertices, len(samples)
     face = box.face_flat
+    # The five one-ball branches (masks, tiling, frontier, targets, result)
+    # spare a lone ball the copies and the layer cuts of the union. Without
+    # them, the masks still cached, 150 surface-d2 replicates took 0.705 ->
+    # 0.862 s of process time (medians, slower in 9 of 10 alternating pairs,
+    # 2-vCPU host) and 20 rate-d3 replicates 0.294 -> 0.312 s (7 of 10).
     if balls == 1:
         opens = samples[0].axis_open_flats()
     else:
@@ -345,7 +350,8 @@ def grow_balls(
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
     """Shortest open path from set ``frm`` to set ``to`` with all vertices in
-    ``region``. Endpoint sets must be subsets of the region.
+    ``region``, a bool mask over the box's flats. Endpoint sets must be
+    subsets of the region.
 
     Empty ``frm`` or ``to`` yields ``math.inf`` and an
     :class:`EmptyEndpointWarning`.
@@ -360,28 +366,18 @@ def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
             stacklevel=2,
         )
         return math.inf
-    region_mask = _region_mask(box, region)
+    if region.dtype != bool or region.shape != (box.n_vertices,):
+        raise GeometryError("region must be a bool mask over the box's flats")
     f_flats = box.flats_of_coords(np.asarray(frm, dtype=np.int64))
     t_flats = box.flats_of_coords(np.asarray(to, dtype=np.int64))
-    if not region_mask[f_flats].all() or not region_mask[t_flats].all():
+    if not region[f_flats].all() or not region[t_flats].all():
         raise GeometryError("endpoint sets must be subsets of the region")
     if np.intersect1d(f_flats, t_flats).size:
         return 0
-    ball = grow_ball_flats(sample, f_flats, targets=t_flats, region=region_mask)
+    ball = grow_ball_flats(sample, f_flats, targets=t_flats, region=region)
     vals = ball.dist[t_flats]
     hit = vals[vals != _INF32]
     return math.inf if hit.size == 0 else int(hit.min())
-
-
-def _region_mask(box: BoxSpec, region) -> np.ndarray:
-    if isinstance(region, np.ndarray) and region.dtype == bool:
-        if region.shape == (box.n_vertices,):
-            return region
-        raise GeometryError("region mask has wrong length")
-    mask = np.zeros(box.n_vertices, dtype=bool)
-    coords = np.asarray(list(region), dtype=np.int64)
-    mask[box.flats_of_coords(coords)] = True
-    return mask
 
 
 def geodesic(ball: BallGrowth, target) -> list[tuple[int, ...]]:

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import GeometryError, PreconditionError, RoutingError
 from .lattice import BoxSpec, PercolationSample
-from .metric import geodesic, grow_ball
+from .metric import constrained_distance, geodesic, grow_ball
 from .metric import _grow  # noqa: F401  (perfbench wraps renorm._grow)
 
-DEFAULT_EPSILON = 0.5
 CONDITION3_EXACT_CUTOFF = 256
 CONDITION3_SAMPLED_SOURCES = 64
 _PAIR_CHUNK = 1 << 16  # (vertex, source) pairs per unreached-pair scan chunk
@@ -541,8 +540,6 @@ def slab_experiment(
         span.sort(key=abs)
         offsets = [o + (s,) for o in offsets for s in span]
     offsets.sort(key=lambda o: (max(map(abs, o)) if o else 0, o))
-
-    from .metric import constrained_distance
 
     outcomes = []
     for off in offsets:

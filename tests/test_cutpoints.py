@@ -367,12 +367,12 @@ def test_a_grid_refuses_a_direction_of_the_wrong_dimension():
 
 
 def test_line_count():
-    assert line_count([(3, 4)], 0) == 1
-    seg = [(0, k) for k in range(5)]
+    assert line_count(np.array([(3, 4)]), 0) == 1
+    seg = np.array([(0, k) for k in range(5)])
     assert line_count(seg, 1) == 1
     assert line_count(seg, 0) == 5
     rng = np.random.default_rng(3)
-    pts = {tuple(v) for v in rng.integers(-10, 11, size=(50, 3))}
+    pts = rng.integers(-10, 11, size=(50, 3))
     for axis in range(3):
         oracle = len({tuple(0 if k == axis else p[k] for k in range(3)) for p in pts})
         assert line_count(pts, axis) == oracle

@@ -1,8 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses, no module defines a private module-level name that nothing in the
-package references, every public name has a caller in the package or in
-the benchmark, every defaulted parameter is set by some call there, and
-every dataclass field is read there, unless an allowlist says why not.
+package references, every public name (UPPER_CASE constants included) has
+a caller in the package or in the benchmark, every defaulted parameter is
+set by some call there, and every dataclass field is read there, unless an
+allowlist says why not.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
 scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, and
 serial replicates take no fresh page faults without them.
@@ -234,8 +235,8 @@ PUBLIC_ALLOWLIST = {
 
 def public_names(module: str, source: str):
     """The exports of ``__init__.py``; elsewhere every public module-level
-    function and class and, as ``Class.name``, every public method and
-    property."""
+    function, class and UPPER_CASE constant and, as ``Class.name``, every
+    public method and property."""
     tree = ast.parse(source)
     if module == "__init__.py":
         return [
@@ -247,6 +248,12 @@ def public_names(module: str, source: str):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             names.append(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                t.id for t in targets
+                if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+            ]
         if isinstance(node, ast.ClassDef):
             names += [
                 f"{node.name}.{item.name}" for item in node.body
@@ -274,7 +281,8 @@ def unreferenced_public_names(package: dict, callers: dict, allowed=()):
 def test_public_name_detector_sees_callers_and_the_allowlist():
     package = {
         "__init__.py": "from .a import used, dead, only_exported, kept\n",
-        "a": "def used():\n    return Box().size()\n"
+        "a": "LIMIT = 3\nDEAD_CONSTANT: int = 4\n_PRIVATE = 5\nlower = 6\n"
+             "def used():\n    return Box().size(), LIMIT\n"
              "def dead():\n    pass\n"
              "def only_exported():\n    pass\n"
              "def kept():\n    pass\n"
@@ -289,6 +297,7 @@ def test_public_name_detector_sees_callers_and_the_allowlist():
         ("__init__.py", "dead"),
         ("__init__.py", "only_exported"),
         ("a", "Box.dead_method"),
+        ("a", "DEAD_CONSTANT"),
         ("a", "dead"),
         ("a", "only_exported"),
     ]

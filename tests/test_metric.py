@@ -77,10 +77,15 @@ def test_chemical_distance_symmetric_and_l1_bound():
     assert chemical_distance(all_open(BoxSpec(2, 6)), (-2, 1), (3, -2)) == 8
 
 
+def region_mask(box, coords):
+    mask = np.zeros(box.n_vertices, dtype=bool)
+    mask[[box.flat_index(c) for c in coords]] = True
+    return mask
+
+
 def test_constrained_distance_whole_box_matches_unconstrained():
     s = sample_configuration(BoxSpec(2, 5), 0.6, 11)
-    box = s.box
-    region = [box.vertex_coord(f) for f in range(box.n_vertices)]
+    region = np.ones(s.box.n_vertices, dtype=bool)
     d1 = constrained_distance(s, region, [(0, 0)], [(3, 2)])
     assert d1 == chemical_distance(s, (0, 0), (3, 2))
 
@@ -88,7 +93,7 @@ def test_constrained_distance_whole_box_matches_unconstrained():
 def test_constrained_distance_on_line():
     box = BoxSpec(2, 6)
     s = open_path_sample(box, [(k, 0) for k in range(-2, 5)])
-    line = [(k, 0) for k in range(-6, 7)]
+    line = region_mask(box, [(k, 0) for k in range(-6, 7)])
     assert constrained_distance(s, line, [(-2, 0)], [(4, 0)]) == 6
     s2 = all_closed(box)
     assert constrained_distance(s2, line, [(-2, 0)], [(4, 0)]) == math.inf
@@ -99,7 +104,7 @@ def test_constrained_distance_slab_matches_induced_oracle():
     box = s.box
     slab = [box.vertex_coord(f) for f in range(box.n_vertices)
             if box.vertex_coord(f)[2] == 0]
-    got = constrained_distance(s, slab, [(-3, -3, 0)], [(3, 3, 0)])
+    got = constrained_distance(s, region_mask(box, slab), [(-3, -3, 0)], [(3, 3, 0)])
     # oracle: dijkstra on the induced subgraph (only edges inside the slab)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -124,10 +129,20 @@ def test_constrained_distance_slab_matches_induced_oracle():
 
 def test_constrained_distance_preconditions():
     s = all_open(BoxSpec(2, 4))
+    origin = region_mask(s.box, [(0, 0)])
     with pytest.warns(EmptyEndpointWarning):
-        assert constrained_distance(s, [(0, 0)], [], [(0, 0)]) == math.inf
+        assert constrained_distance(s, origin, [], [(0, 0)]) == math.inf
     with pytest.raises(GeometryError):
-        constrained_distance(s, [(0, 0)], [(1, 1)], [(0, 0)])
+        constrained_distance(s, origin, [(1, 1)], [(0, 0)])
+
+
+def test_constrained_distance_refuses_a_mask_of_the_wrong_length_or_dtype():
+    s = all_open(BoxSpec(2, 4))
+    n = s.box.n_vertices
+    for region in (np.ones(n - 1, dtype=bool), np.ones((1, n), dtype=bool),
+                   np.ones(n, dtype=np.int8), np.ones(n, dtype=np.int64)):
+        with pytest.raises(GeometryError):
+            constrained_distance(s, region, [(0, 0)], [(1, 0)])
 
 
 def test_geodesic_unique_on_path_graph():
