@@ -33,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage
@@ -300,13 +301,14 @@ class SeparatedMatching:
     v = s2[sigma[a]] - s2[sigma[b]] restricted to axes 1..d-1, it is
     min over t in [0, 1] of |(1 - t) u + t v|, the distance ``_gap(u, v)``
     from the origin to the segment [u, v]. ``verify`` checks that every
-    pair reaches ``guarantee``.
+    pair reaches ``guarantee``, the 1/sqrt2 that :func:`separated_matching`
+    proves.
     """
 
     s1: tuple
     s2: tuple
     sigma: tuple  # index into s2 for each index of s1
-    guarantee: float  # promised pairwise equal-height separation
+    guarantee: ClassVar[float] = 1 / math.sqrt(2.0)  # promised separation
 
     @cached_property
     def certified_min_separation(self) -> float:
@@ -391,7 +393,6 @@ def separated_matching(S1: PointSet, S2: PointSet, K: int) -> SeparatedMatching:
         s1=S1.points,
         s2=S2.points,
         sigma=tuple(sigma),
-        guarantee=1 / math.sqrt(2.0),
     )
 
 

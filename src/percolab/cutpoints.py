@@ -17,9 +17,10 @@ on that box, which ``estimators._event_grid`` sizes by the plain window w:
 a free-line window, of radius 4 w, may leave it, and then a miss of that
 event cannot be certified on a face-contaminated ball.
 
-``event_A(sample, ball, grid)`` and ``event_A_free(sample, ball, grid)``
-return one result per event for the ball grown from the origin until its
-first face contact. The witnesses come from one mask over (event,
+``event_A(ball, grid)`` and ``event_A_free(ball, grid)`` return one result
+per event for the ball grown from the origin until its first face contact.
+The ball is the one handle on its sample (``BallGrowth.sample``), and it
+must be on the grid's box. The witnesses come from one mask over (event,
 candidate) pairs, the candidates being the ball's certified singleton
 layers; the windows of the events without one are certified together.
 
@@ -167,10 +168,9 @@ class EventGrid:
         self.windows = _Windows(box, self.centers, self.radius)
 
 
-def event_A(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
+def event_A(ball: BallGrowth, grid: EventGrid) -> list:
     """Windowed cut-point event of every event of a plain grid, in order,
-    on ``ball``, the ball of ``sample`` grown from the origin until its
-    first face contact.
+    on ``ball``, grown from the origin until its first face contact.
 
     A witness is a certified singleton layer (t, w) with t >= s n and w
     within sup-distance floor(n^alpha) of n x. Each result holds the least
@@ -179,10 +179,10 @@ def event_A(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> lis
     """
     if grid.free:
         raise PreconditionError("event_A scores a grid built with free=False")
-    return _score(sample, ball, grid)
+    return _score(ball, grid)
 
 
-def event_A_free(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
+def event_A_free(ball: BallGrowth, grid: EventGrid) -> list:
     """Free-line refinement of the windowed cut-point event, for every
     event of a free grid, in order, on ``ball`` as in :func:`event_A`.
 
@@ -193,24 +193,27 @@ def event_A_free(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -
     """
     if not grid.free:
         raise PreconditionError("event_A_free scores a grid built with free=True")
-    return _score(sample, ball, grid)
+    return _score(ball, grid)
 
 
-def _score(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list:
+def _score(ball: BallGrowth, grid: EventGrid) -> list:
     """One EventResult per event: the least witness, else MISS when the
-    event's window is certified and UNKNOWABLE when it is not.
+    event's window is certified and UNKNOWABLE when it is not. A ball on
+    another box than the grid's raises PreconditionError.
 
-    The candidate witnesses, in increasing t, are the source at t = 0 (a
-    witness only of a threshold <= 0) and every certified singleton layer.
-    One mask of (event, candidate) pairs gives the witnesses; a free-line
-    event checks its passing pairs in increasing t. The windows of the
-    events without a witness are certified together, probed in the order
-    of their first such event.
+    The candidate witnesses, in increasing t, are the source ``layers[0]``
+    at t = 0 (a witness only of a threshold <= 0) and every certified
+    singleton layer. One mask of (event, candidate) pairs gives the
+    witnesses; a free-line event checks its passing pairs in increasing t.
+    The windows of the events without a witness are certified together,
+    probed in the order of their first such event.
     """
     box = ball.box
+    if box != grid.box:
+        raise PreconditionError(f"a ball on {box} scored on a grid on {grid.box}")
     singles = ball.singletons()
     times = np.array([0] + [t for t, _ in singles], dtype=np.int64)
-    coords = box.coords_of_flats([box.flat_index(ball.source)] + [flat for _, flat in singles])
+    coords = box.coords_of_flats([int(ball.layers[0][0])] + [flat for _, flat in singles])
     ok = (times >= grid.thresholds[:, None]) & (
         np.abs(coords - grid.centers[:, None, :]).max(axis=2) <= grid.radius
     )
@@ -229,7 +232,7 @@ def _score(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list
     if missed.size:
         _, at = np.unique(missed, return_index=True)
         needed = missed[np.sort(at)]
-        certified[needed] = _windows_resolved(sample, ball, grid.windows, needed)
+        certified[needed] = _windows_resolved(ball, grid.windows, needed)
     results = []
     for j, window in zip(first.tolist(), of.tolist()):
         if j >= 0:
@@ -242,9 +245,7 @@ def _score(sample: PercolationSample, ball: BallGrowth, grid: EventGrid) -> list
     return results
 
 
-def _windows_resolved(
-    sample: PercolationSample, ball: BallGrowth, windows: _Windows, needed
-) -> np.ndarray:
+def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray:
     """Whether every possible witness location of each window ``needed[k]``
     has a certified status.
 
@@ -283,23 +284,21 @@ def _windows_resolved(
     verdict = None
     for k in map(int, needed):
         if k in unsettled:
-            resolved[k], verdict = _probe_resolved(sample, ball, unsettled[k], verdict)
+            resolved[k], verdict = _probe_resolved(ball, unsettled[k], verdict)
     return resolved[needed]
 
 
-def _probe_resolved(
-    sample: PercolationSample, ball: BallGrowth, pending: np.ndarray, verdict
-):
+def _probe_resolved(ball: BallGrowth, pending: np.ndarray, verdict):
     """Whether the open clusters of the unreached vertices ``pending`` all
     avoid every box face, and the verdict array (int8 per vertex, 0 where
     not probed yet; None before the first probe) updated with this probe.
 
-    The vertices without a verdict are probed together, stopping at a face
-    or at the frontier ``ball.layers[-1]``. A clean probe marks every
-    vertex it reached finite; a failed one marks joined the predecessor
-    path (:meth:`BallGrowth.pred_of` of the probe) from each face or
-    frontier vertex it reached back to its source. A later window with a
-    joined unreached vertex fails without a probe.
+    The vertices without a verdict are probed together in ``ball.sample``,
+    stopping at a face or at the frontier ``ball.layers[-1]``. A clean
+    probe marks every vertex it reached finite; a failed one marks joined
+    the predecessor path (:meth:`BallGrowth.pred_of` of the probe) from
+    each face or frontier vertex it reached back to its source. A later
+    window with a joined unreached vertex fails without a probe.
     """
     if verdict is not None:
         status = verdict[pending]
@@ -309,7 +308,7 @@ def _probe_resolved(
         if pending.size == 0:
             return True, verdict
     probe = grow_ball_flats(
-        sample, pending, targets=ball.layers[-1], stop_at_boundary=True
+        ball.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
     )
     clean = probe.exhausted and not probe.contaminated
     if clean:
@@ -408,14 +407,9 @@ def apply_surgery(sample: PercolationSample, plan: SurgeryPlan) -> PercolationSa
     return sample.with_edges(plan.close_edges, plan.open_edges)
 
 
-def force_cutpoint(
-    sample: PercolationSample,
-    ball: BallGrowth,
-    t: int,
-    w,
-    k: int,
-) -> SurgeryPlan:
-    """Closing plan that turns (t, w) into a cut-point of the regrown ball.
+def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> SurgeryPlan:
+    """Closing plan that turns (t, w) into a cut-point of ``ball`` regrown
+    in its sample with the plan applied.
 
     Requires w in layer t and |B_t| <= k. Picks the largest r in
     (t - floor(sqrt k) - 1, t] whose layer has at most floor(sqrt k)
@@ -425,7 +419,7 @@ def force_cutpoint(
     non-geodesic edge from layer r back to B_(r-1). The plan closes at most
     4 d sqrt(k) edges and never opens any, so no distance can decrease.
     """
-    box = sample.box
+    box = ball.box
     wt = tuple(int(c) for c in w)
     ft = box.flat_index(wt)
     if t < 0 or t > ball.last_time:

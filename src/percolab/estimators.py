@@ -263,7 +263,7 @@ def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
     sample = sample_configuration(grid.box, p, replicate_seed(seed, index))
     ball = grow_ball(sample, (0,) * grid.box.dimension, stop_at_boundary=True)
     fn = event_A_free if grid.free else event_A
-    return tuple(OUTCOME_CODES[r.outcome] for r in fn(sample, ball, grid))
+    return tuple(OUTCOME_CODES[r.outcome] for r in fn(ball, grid))
 
 
 # ---------------------------------------------------------------------------

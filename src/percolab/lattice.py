@@ -263,7 +263,7 @@ class PercolationSample:
     p: float
     seed: int
     open_edges: np.ndarray
-    _axis_open: list = field(default=None, repr=False, compare=False)
+    _axis_open: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.open_edges = np.asarray(self.open_edges, dtype=bool)

@@ -25,12 +25,13 @@ masks one after another (``lattice.stacked_open_flats``). Each layer is one
 sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
 a single ball's layer. Each ball keeps its own stop rules: a target
 reached, the first face contact (with ``stop_at_boundary``), ``t_max`` and
-exhaustion. A ball that stops leaves the frontier, and an exhausted one has
-no vertex in it. The union's layers are cut into the balls' layers after
-the sweep, and an empty cut marks exhaustion. No edge joins two boxes, so
-every ball's distances, layers, first face contact and exhaustion equal
-those of its sample grown alone, whatever B and its companions are. The
-estimators choose B (``estimators._BLOCK_VERTICES``).
+exhaustion. Each union layer is cut at the balls' bounds as it is swept; a
+ball whose part is empty was exhausted one layer earlier. A ball's end is
+decided there or at its stop, once, and then it leaves the frontier and the
+targets. After the loop the layers are only sliced. No edge joins two
+boxes, so every ball's distances, layers, first face contact and exhaustion
+equal those of its sample grown alone, whatever B and its companions are.
+The estimators choose B (``estimators._BLOCK_VERTICES``).
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ class BallGrowth:
     layers; predecessors come from :meth:`pred_of`."""
 
     sample: PercolationSample
-    source: tuple[int, ...]
-    layers: list  # layer t = sorted flat indices at distance exactly t
+    layers: list  # layer t = sorted flat indices at distance t; 0: the sources
     dist: np.ndarray  # flat uint32, 0xFFFFFFFF = unreached
     first_boundary_time: int | None
     exhausted: bool  # frontier emptied (cluster fully explored in box)
@@ -144,7 +144,7 @@ class BallGrowth:
 
 def _grow(
     sample: PercolationSample,
-    source_flats: np.ndarray,
+    source_flats,
     t_max=None,
     targets=None,
     region=None,
@@ -171,11 +171,12 @@ def _grow_lockstep(
     box = samples[0].box
     n, balls = box.n_vertices, len(samples)
     face = box.face_flat
-    # The five one-ball branches (masks, tiling, frontier, targets, result)
-    # spare a lone ball the copies and the layer cuts of the union. Without
-    # them, the masks still cached, 150 surface-d2 replicates took 0.705 ->
-    # 0.862 s of process time (medians, slower in 9 of 10 alternating pairs,
-    # 2-vCPU host) and 20 rate-d3 replicates 0.294 -> 0.312 s (7 of 10).
+    # The one-ball branches (masks, tiling, frontier, targets, cuts and
+    # result) spare a lone ball the copies and the layer cuts of the union.
+    # Without them, the masks still cached, 150 surface-d2 replicates took
+    # 0.705 -> 0.862 s of process time (medians, slower in 9 of 10
+    # alternating pairs, 2-vCPU host) and 20 rate-d3 replicates 0.294 ->
+    # 0.312 s (7 of 10).
     if balls == 1:
         opens = samples[0].axis_open_flats()
     else:
@@ -194,10 +195,12 @@ def _grow_lockstep(
     )
     dist[frontier] = 0
     layers = [frontier]  # the union's layers
+    bounds = np.arange(balls + 1) * n
+    cuts = []  # per union layer t >= 1, where each ball's part of it starts
     end = [None] * balls  # the last layer of each ball
     exhausted = [False] * balls
     growing = set(range(balls))
-    stopping = {b for b in growing if stop_at_boundary and first[b] is not None}
+    leaving = {b for b in growing if stop_at_boundary and first[b] is not None}
     pending = first.count(None)  # growing balls yet to touch a face
     if targets is not None:  # union flats: target a is ball a // n's
         aim = np.asarray(targets[0], dtype=np.int64) if balls == 1 else np.concatenate(
@@ -209,22 +212,24 @@ def _grow_lockstep(
         if targets is not None:
             hit = dist[aim] != _INF32
             if np.count_nonzero(hit):
-                stopping.update((aim[hit] // n).tolist())
+                leaving.update((aim[hit] // n).tolist())
         if t_max is not None and t >= t_max:
-            stopping = set(growing)
-        if stopping:
-            for b in stopping:
-                end[b] = t
-            growing -= stopping
+            leaving.update(growing)
+        if leaving:
+            # a ball stops at t unless it was exhausted at t - 1; either
+            # way it leaves the frontier and the targets
+            for b in leaving:
+                if end[b] is None:
+                    end[b] = t
+            growing -= leaving
             if not growing:
                 break
-            # the stopped balls leave the frontier and the targets
-            gone = np.fromiter(stopping, dtype=np.int64)
+            gone = np.fromiter(leaving, dtype=np.int64)
             frontier = frontier[~np.isin(frontier // n, gone)]
             if targets is not None:
                 aim = aim[~np.isin(aim // n, gone)]
             pending = sum(first[b] is None for b in growing)
-            stopping = set()
+            leaving = set()
         t += 1
         parts = []
         for st, op in steps:
@@ -238,7 +243,7 @@ def _grow_lockstep(
         if region is not None:
             fresh &= region[nb]
         nb = nb[fresh]
-        if nb.size == 0:
+        if nb.size == 0:  # every growing ball's part of layer t is empty
             for b in growing:
                 end[b], exhausted[b] = t - 1, True
             break
@@ -248,6 +253,15 @@ def _grow_lockstep(
         frontier = nb[keep]
         dist[frontier] = t
         layers.append(frontier)
+        if balls > 1:
+            # ball b's part of layer t is frontier[cut[b] : cut[b + 1]]; an
+            # empty part means its cluster was exhausted at t - 1
+            cut = np.searchsorted(frontier, bounds).tolist()
+            cuts.append(cut)
+            for b in growing:
+                if cut[b] == cut[b + 1]:
+                    end[b], exhausted[b] = t - 1, True
+                    leaving.add(b)
         if pending:
             touched = face[frontier]
             if np.count_nonzero(touched):
@@ -258,34 +272,23 @@ def _grow_lockstep(
                         first[b] = t
                         pending -= 1
                         if stop_at_boundary:
-                            stopping.add(b)
+                            leaving.add(b)
 
     if balls == 1:
         return [(dist, first[0], layers, exhausted[0])]
-    # ball b's layer t is the union's layer t cut at b n and (b + 1) n; an
-    # empty one means its cluster was exhausted
-    bounds = np.arange(balls + 1) * n
-    cuts = []
     for layer in layers[1:]:
-        cuts.append(np.searchsorted(layer, bounds).tolist())
         np.remainder(layer, n, out=layer)
     out = []
     for b in range(balls):
-        own = [srcs[b]]
-        for cut, flats in zip(cuts[: end[b]], layers[1:]):
-            if cut[b] == cut[b + 1]:
-                exhausted[b] = True
-                break
-            own.append(flats[cut[b] : cut[b + 1]])
-        out.append((dist[b * n : (b + 1) * n], first[b], own, exhausted[b]))
+        own = [flats[c[b] : c[b + 1]] for c, flats in zip(cuts[: end[b]], layers[1:])]
+        out.append((dist[b * n : (b + 1) * n], first[b], [srcs[b]] + own, exhausted[b]))
     return out
 
 
-def _ball(sample, src, grown) -> BallGrowth:
+def _ball(sample, grown) -> BallGrowth:
     dist, fb, layers, exhausted = grown
     return BallGrowth(
         sample=sample,
-        source=sample.box.vertex_coord(int(np.asarray(src).reshape(-1)[0])),
         layers=layers,
         dist=dist,
         first_boundary_time=fb,
@@ -323,14 +326,12 @@ def grow_ball_flats(
     Stops at exhaustion, at ``t_max`` layers, when any of ``targets`` (flat
     indices) has been reached, or, with ``stop_at_boundary``, right after the
     first layer that touches a box face (that layer itself is still exact).
-    The first source names the ball.
     """
-    src = np.asarray(source_flats, dtype=np.int64)
     grown = _grow(
-        sample, src, t_max=t_max, targets=targets, region=region,
+        sample, source_flats, t_max=t_max, targets=targets, region=region,
         stop_at_boundary=stop_at_boundary,
     )
-    return _ball(sample, src, grown)
+    return _ball(sample, grown)
 
 
 def grow_balls(
@@ -345,7 +346,7 @@ def grow_balls(
     grown = _grow_lockstep(
         samples, source_flats, targets=targets, stop_at_boundary=stop_at_boundary
     )
-    return [_ball(*args) for args in zip(samples, source_flats, grown)]
+    return [_ball(*args) for args in zip(samples, grown)]
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:

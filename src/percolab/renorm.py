@@ -47,11 +47,14 @@ class MacroLattice:
 
 @dataclass
 class SiteRecord:
-    verdict: str  # 'good' | 'bad'
-    failed_condition: int | None  # 1, 2 or 3 for bad sites
+    failed_condition: int | None  # 1, 2 or 3 for bad sites, None for good
     cluster_size: int  # dominant cluster size (0 if none)
     cluster_flats: np.ndarray | None  # global flat indices, good sites only
     condition3_sampled: bool = False
+
+    @property
+    def verdict(self) -> str:
+        return "good" if self.failed_condition is None else "bad"
 
 
 @dataclass
@@ -217,34 +220,19 @@ def classify_boxes(
         labels, sizes, global_flat = _induced_components(sample, lo, hi)
         diam = _component_diameters(labels, len(sizes))
         big = np.flatnonzero(2 * diam >= N)
-        if big.size != 1:
-            records[tuple(site)] = SiteRecord(
-                verdict="bad", failed_condition=1, cluster_size=0,
-                cluster_flats=None,
-            )
-            continue
-        comp = int(big[0])
-        mask = labels == comp
-        if not _meets_every_subbox(mask, sub_side):
-            records[tuple(site)] = SiteRecord(
-                verdict="bad", failed_condition=2,
-                cluster_size=int(sizes[comp]), cluster_flats=None,
-            )
-            continue
-        ok3, sampled = _condition3(sample, mask, lo, mu_hat, epsilon * N)
-        if not ok3:
-            records[tuple(site)] = SiteRecord(
-                verdict="bad", failed_condition=3,
-                cluster_size=int(sizes[comp]), cluster_flats=None,
-                condition3_sampled=sampled,
-            )
-            continue
-        records[tuple(site)] = SiteRecord(
-            verdict="good", failed_condition=None,
-            cluster_size=int(sizes[comp]),
-            cluster_flats=np.sort(global_flat[mask].reshape(-1)),
-            condition3_sampled=sampled,
-        )
+        failed, size, flats, sampled = 1, 0, None, False
+        if big.size == 1:
+            mask = labels == big[0]
+            size = int(sizes[big[0]])
+            if not _meets_every_subbox(mask, sub_side):
+                failed = 2
+            else:
+                ok3, sampled = _condition3(sample, mask, lo, mu_hat, epsilon * N)
+                if ok3:
+                    failed, flats = None, np.sort(global_flat[mask].reshape(-1))
+                else:
+                    failed = 3
+        records[tuple(site)] = SiteRecord(failed, size, flats, sampled)
     return MacroClassification(lattice=lattice, records=records)
 
 
@@ -521,24 +509,15 @@ def slab_experiment(
         grid = np.meshgrid(*[np.asarray(list(r)) for r in rng], indexing="ij")
         return np.stack([g.reshape(-1) for g in grid], axis=-1)
 
-    # enumerate disjoint parallel slabs fitting in the box
+    # every disjoint parallel slab fitting in the box: per axis, every
+    # multiple c of the spacing, of either sign, whose thickness range
+    # [c - half_thick, c + half_thick) lies inside [lo, hi]
+    step = (2 * rho + 1) * 2 * N
     offsets = [()]
     for k in range(2, d):
-        span = []
-        j = 0
-        while True:
-            centre = j * (2 * rho + 1) * 2 * N
-            if lo[k] <= centre - half_thick and centre + half_thick - 1 <= hi[k]:
-                span.append(centre)
-                if j > 0:
-                    neg = -centre
-                    if lo[k] <= neg - half_thick and neg + half_thick - 1 <= hi[k]:
-                        span.append(neg)
-                j += 1
-            else:
-                break
-        span.sort(key=abs)
-        offsets = [o + (s,) for o in offsets for s in span]
+        first = -(-(lo[k] + half_thick) // step)  # ceiling division
+        last = (hi[k] + 1 - half_thick) // step
+        offsets = [o + (j * step,) for o in offsets for j in range(first, last + 1)]
     offsets.sort(key=lambda o: (max(map(abs, o)) if o else 0, o))
 
     outcomes = []

@@ -60,7 +60,7 @@ def score_one(sample: PercolationSample, s, x, n, free=False) -> EventResult:
     """The plain or free-line event (s, x) at n, with the default window
     exponent, on the origin ball of ``sample``."""
     grid = EventGrid(sample.box, [s], [x], n, alpha=None, free=free)
-    return (event_A_free if free else event_A)(sample, origin_ball(sample), grid)[0]
+    return (event_A_free if free else event_A)(origin_ball(sample), grid)[0]
 
 
 class ReferenceContext:
@@ -222,7 +222,7 @@ def reference_event(ctx: ReferenceContext, s, x, n, alpha, free: bool) -> EventR
     center = n * np.asarray(x, dtype=float)
     candidates = []
     if threshold <= 0:
-        candidates.append((0, np.asarray(ball.source, dtype=np.int64)))
+        candidates.append((0, ball.box.coords_of_flats(ball.layers[0][:1])[0]))
     candidates.extend((t, c) for t, c in ctx.singletons if t >= threshold)
     for t, coord in candidates:
         if np.max(np.abs(np.asarray(coord, dtype=float) - center)) > radius:

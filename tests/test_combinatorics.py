@@ -224,12 +224,7 @@ def test_two_swap_local_minimum_also_separated(rng):
         s2 = plane_points(rng, 3, 0, ell, K // 2, m_size)
         cost = comb._matching_cost_matrix(s1.array, s2.array, K)
         sigma = two_swap_local_assignment(cost)
-        local = comb.SeparatedMatching(
-            s1=s1.points,
-            s2=s2.points,
-            sigma=tuple(sigma),
-            guarantee=comb.separated_matching(s1, s2, K).guarantee,
-        )
+        local = comb.SeparatedMatching(s1=s1.points, s2=s2.points, sigma=tuple(sigma))
         local.verify()
         assert local.guarantee >= ell / (math.sqrt(2) * K) - 1e-12
 
@@ -271,9 +266,7 @@ def test_bundle_on_euclidean_counterexample():
 def test_matching_verify_rejects_crossing_segments():
     s1 = ((0, 0, 0), (0, 1, 0))
     s2 = ((2, 0, 0), (2, 1, 0))
-    crossing = comb.SeparatedMatching(
-        s1=s1, s2=s2, sigma=(1, 0), guarantee=1 / math.sqrt(2)
-    )
+    crossing = comb.SeparatedMatching(s1=s1, s2=s2, sigma=(1, 0))
     assert crossing.certified_min_separation == 0.0
     with pytest.raises(MatchingInvariantError):
         crossing.verify()

@@ -158,7 +158,7 @@ def test_event_nesting_in_s_exact():
     hits = np.zeros(4, dtype=int)
     for seed in range(300):
         sample = sample_configuration(box, 0.7, seed)
-        results = event_A(sample, origin_ball(sample), grid)
+        results = event_A(origin_ball(sample), grid)
         flags = [r.outcome is EventOutcome.HIT for r in results]
         for i in range(3):
             assert flags[i + 1] <= flags[i]
@@ -182,12 +182,12 @@ def window_centres(r, radius, d):
     return st.lists(st.integers(2 * (r - radius), 2 * (radius - r)), min_size=d, max_size=d)
 
 
-def certify(sample, ball, centers, radius):
+def certify(ball, centers, radius):
     """The certificate of each window of the given centres and radius, from
     one call of the vector certificate on ``ball``."""
     centers = np.asarray(centers, dtype=float)
     windows = cutpoints._Windows(ball.box, centers.reshape(len(centers), -1), radius)
-    return cutpoints._windows_resolved(sample, ball, windows, windows.of).tolist()
+    return cutpoints._windows_resolved(ball, windows, windows.of).tolist()
 
 
 @pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
@@ -209,9 +209,9 @@ def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
         window = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         expected.append(all(resolved[box.flat_index(v)] for v in window))
     # every window in one call, and one window per call
-    assert certify(s, ball, centers, r) == expected
+    assert certify(ball, centers, r) == expected
     for center, want in zip(centers, expected):
-        assert certify(s, ball, [center], r) == [want]
+        assert certify(ball, [center], r) == [want]
 
 
 def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
@@ -240,7 +240,7 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
     # the corridor left out, the last window holds only ball vertices and
     # isolated ones, which one clean probe settles
     windows = [(6.0, 9.0), (7.0, 8.0), (6.0, 8.0), (5.5, 8.5), (6.0, 5.0)]
-    assert certify(s, ball, windows, 1) == [False] * 4 + [True]
+    assert certify(ball, windows, 1) == [False] * 4 + [True]
     assert len(probes) == 2
     # the failed probe stops on entering the frontier, short of any face
     probe = probes[0]
@@ -249,7 +249,7 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
 
     # isolated vertices: a clean probe, then only the vertices without a
     # verdict are probed, and none when every vertex has one
-    assert certify(s, ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
+    assert certify(ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
     assert len(probes) == 4
     assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
 
@@ -270,7 +270,7 @@ def test_failed_probe_marks_the_predecessor_paths_of_the_reference_kernel(d, rad
             continue
         unreached = np.flatnonzero((ball.dist == INF32) & ~face_mask(box))
         pending = np.sort(rng.choice(unreached, size=4, replace=False))
-        clean, verdict = cutpoints._probe_resolved(s, ball, pending, None)
+        clean, verdict = cutpoints._probe_resolved(ball, pending, None)
         if clean:
             continue
         failed += 1
@@ -339,7 +339,7 @@ def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
             for i in range(len(s_grid)) for j in range(len(x_grid))
         }
     with recorded_probes() as probes:
-        got = score(s, ball, EventGrid(s.box, s_grid, x_grid, n, alpha=alpha, free=free))
+        got = score(ball, EventGrid(s.box, s_grid, x_grid, n, alpha=alpha, free=free))
     assert got == list(expected.values())
     assert probes == expected_probes
     s_order = data.draw(st.permutations(range(len(s_grid))))
@@ -348,7 +348,7 @@ def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
         s.box, [s_grid[i] for i in s_order], [x_grid[j] for j in x_order], n,
         alpha=alpha, free=free,
     )
-    assert score(s, ball, grid) == [expected[i, j] for i in s_order for j in x_order]
+    assert score(ball, grid) == [expected[i, j] for i in s_order for j in x_order]
 
 
 def test_a_grid_refuses_a_direction_of_the_wrong_dimension():
@@ -361,9 +361,20 @@ def test_a_grid_refuses_a_direction_of_the_wrong_dimension():
     sample = all_open(box)
     ball = origin_ball(sample)
     with pytest.raises(PreconditionError):
-        event_A(sample, ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=True))
+        event_A(ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=True))
     with pytest.raises(PreconditionError):
-        event_A_free(sample, ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=False))
+        event_A_free(ball, EventGrid(box, [0.25], x_grid[:1], 4, alpha=None, free=False))
+
+
+@pytest.mark.parametrize("radius", [12, 30])
+def test_a_ball_on_another_box_than_the_grid_is_refused(radius):
+    # the ball carries its sample, and the grid's windows index its box
+    grid_box = BoxSpec(2, 20)
+    ball = origin_ball(sample_configuration(BoxSpec(2, radius), 0.6, 3))
+    for free in (False, True):
+        grid = EventGrid(grid_box, [0.25], [(0.5, 0.0)], 8, alpha=None, free=free)
+        with pytest.raises(PreconditionError):
+            (event_A_free if free else event_A)(ball, grid)
 
 
 def test_line_count():
@@ -473,12 +484,12 @@ def test_free_implies_relaxed_plain_event():
         for seed in range(200):
             sample = sample_configuration(box, 0.7, seed)
             ball = origin_ball(sample)
-            free, = event_A_free(sample, ball, grid)
+            free, = event_A_free(ball, grid)
             if free.outcome is not EventOutcome.HIT:
                 continue
             t, location = free.witness.time, free.witness.location
             singles = [(t, box.vertex_coord(flat)) for t, flat in ball.singletons()]
-            assert (t, location) in [(0, ball.source)] + singles
+            assert (t, location) in [(0, box.vertex_coord(ball.layers[0][0]))] + singles
             assert t >= s * n - 3 * w
             assert max(abs(c - n * a) for c, a in zip(location, x)) <= 4 * w
             times.append(t)
@@ -504,7 +515,7 @@ def test_force_cutpoint_all_open_example():
     box = BoxSpec(2, 20)
     s = all_open(box)
     ball = grow_ball(s, (0, 0))
-    plan = force_cutpoint(s, ball, 3, (3, 0), 49)
+    plan = force_cutpoint(ball, 3, (3, 0), 49)
     assert plan.size <= 4 * 2 * math.sqrt(49)
     assert not plan.open_edges
     after = apply_surgery(s, plan)
@@ -518,7 +529,7 @@ def test_force_cutpoint_idempotent_on_existing_record():
     box = BoxSpec(2, 15)
     s = open_spine(box, 5)
     ball = grow_ball(s, (0, 0))
-    plan = force_cutpoint(s, ball, 3, (3, 0), 36)
+    plan = force_cutpoint(ball, 3, (3, 0), 36)
     after = apply_surgery(s, plan)
     recs = detect_cutpoints(grow_ball(after, (0, 0)), 1)
     assert (3, (3, 0)) in [(r.time, r.location) for r in recs]
@@ -541,7 +552,7 @@ def test_force_cutpoint_monte_carlo():
         if t_pick is None:
             continue
         w = box.vertex_coord(ball.layers[t_pick][0])
-        plan = force_cutpoint(s, ball, t_pick, w, k)
+        plan = force_cutpoint(ball, t_pick, w, k)
         assert plan.size <= 4 * 2 * math.sqrt(k)
         after = apply_surgery(s, plan)
         ball2 = grow_ball(after, (0, 0), stop_at_boundary=True)
@@ -560,13 +571,13 @@ def test_force_cutpoint_preserves_event():
     for seed in range(400):
         s = sample_configuration(box, 0.7, seed)
         ball = origin_ball(s)
-        res, = event_A(s, ball, grid)
+        res, = event_A(ball, grid)
         if res.outcome is not EventOutcome.HIT or res.witness.time == 0:
             continue
         t, w = res.witness.time, res.witness.location
         if ball.ball_sizes[t] > 64:
             continue
-        plan = force_cutpoint(s, ball, t, w, 64)
+        plan = force_cutpoint(ball, t, w, 64)
         after = apply_surgery(s, plan)
         res2 = score_one(after, 0.25, (0.0, 0.0), 8)
         assert res2.outcome is EventOutcome.HIT
@@ -579,9 +590,9 @@ def test_force_cutpoint_preconditions():
     s = all_open(box)
     ball = grow_ball(s, (0, 0))
     with pytest.raises(PreconditionError):
-        force_cutpoint(s, ball, 3, (2, 0), 49)  # wrong layer
+        force_cutpoint(ball, 3, (2, 0), 49)  # wrong layer
     with pytest.raises(PreconditionError):
-        force_cutpoint(s, ball, 5, (5, 0), 10)  # |B_5| > 10
+        force_cutpoint(ball, 5, (5, 0), 10)  # |B_5| > 10
 
 
 def upper_tail(sample, n, xi, mu):
@@ -613,7 +624,7 @@ def test_distances_and_upper_tail_match_the_dijkstra_oracle(d, L, p, n, rng):
     grown = target_distances(samples, n, (1.0,) + (0.0,) * (d - 1))
     for s, (ball, dist) in zip(samples, grown):
         status, value = certified_distance_oracle(s, origin, target)
-        assert dist == value and ball.source == origin
+        assert dist == value and ball.layers[0].tolist() == [s.box.flat_index(origin)]
         if status == "exact":
             expected = EventOutcome.HIT if value > mu * (1 + xi) * n else EventOutcome.MISS
         else:

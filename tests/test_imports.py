@@ -3,7 +3,8 @@ uses, no module defines a private module-level name that nothing in the
 package references, every public name (UPPER_CASE constants included) has
 a caller in the package or in the benchmark, every defaulted parameter is
 set by some call there, and every dataclass field is read there, unless an
-allowlist says why not.
+allowlist says why not. No function takes a sample beside a ball, which
+carries its own.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
 scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, and
 serial replicates take no fresh page faults without them.
@@ -499,3 +500,32 @@ def test_every_record_field_has_a_reader():
     # an allowlisted field that gains a reader leaves the allowlist
     unread = {field for _, field in unread_fields(package, callers)}
     assert unread == set(FIELD_ALLOWLIST)
+
+
+def sample_beside_ball(source: str):
+    """Name of every function or method of ``source`` that takes both a
+    ``sample`` and a ``ball`` parameter, of any kind."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and {"sample", "ball"} <= {
+            arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        }
+    )
+
+
+def test_sample_beside_ball_detector_sees_every_kind_of_parameter():
+    source = (
+        "def f(sample, ball, grid):\n    pass\n"
+        "def g(ball, *, sample=None):\n    pass\n"
+        "def h(sample, grid):\n    pass\n"
+        "class C:\n    def m(self, ball, sample, /):\n        pass\n"
+        "def outer(ball):\n    def inner(sample):\n        pass\n"
+    )
+    assert sample_beside_ball(source) == ["f", "g", "m"]
+
+
+def test_no_function_takes_a_sample_beside_its_ball():
+    # a grown ball carries its sample (BallGrowth.sample), so a second one
+    # could only disagree with it
+    assert [(p.name, f) for p in MODULES for f in sample_beside_ball(p.read_text())] == []

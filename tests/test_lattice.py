@@ -319,3 +319,12 @@ def test_with_edges_does_not_mutate():
     before = s.open_edges.copy()
     s.with_edges(close_idx=[0, 1], open_idx=[2])
     assert np.array_equal(s.open_edges, before)
+
+
+def test_the_open_masks_come_only_from_the_edge_states():
+    # the per-axis masks are a cache of open_edges, so no caller can pass them
+    s = sample_configuration(BoxSpec(2, 3), 0.5, 4)
+    with pytest.raises(TypeError):
+        PercolationSample(s.box, s.p, s.seed, s.open_edges, _axis_open=[])
+    closed = s.with_edges(close_idx=range(s.box.n_edges))
+    assert not any(mask.any() for mask in closed.axis_open_flats())

@@ -428,6 +428,14 @@ def test_slab_disjoint_offsets():
     assert len(offsets) >= 3
 
 
+def test_slab_offsets_of_an_off_centre_box_include_every_fitting_slab():
+    # the thickness axis spans [-22, 2]: the slabs centred at 0, -6, -12 and
+    # -18 fit, the one at +6 does not, and the first misfit stops no search
+    box = BoxSpec(3, 12, (0, 0, -10))
+    outcomes = slab_experiment(all_open(box), 0.2, 0.1, 1, 6, 1.2, rho=1)
+    assert [o.offset for o in outcomes] == [(0,), (-6,), (-12,), (-18,)]
+
+
 def test_slab_csv(tmp_path):
     # the slab command's CSV has one row per slab outcome
     argv = ["slab", "--set=d=3", "--set=L=9", "--set=p=0.5", "--set=seed=5",
