@@ -68,6 +68,7 @@ from .renorm import (
     MacroLattice,
     _interior_sites,
     classify_boxes,
+    dependency_range,
     route_through_good,
     slab_experiment,
 )
@@ -269,7 +270,28 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
         eps, N = merged["epsilon"], merged["N"]
         if eps * N < 1:
             raise ConfigError(f"need epsilon * N >= 1, got {_fmt(eps)} * {N}")
+        # a sampled box is centred, and an enlarged block reaches 3N from 0
+        if not merged["sample"] and merged["L"] < 3 * N:
+            _refuse_siteless(merged["L"], 3 * N)
+    # slab's endpoint box around n e1 and its thickness (2 rho + 1) N must
+    # fit in the centred box of radius L
+    if "n" in schema and "N" in schema:
+        L, n, N = merged["L"], merged["n"], merged["N"]
+        rho = merged["rho"] or dependency_range(merged["mu1"], merged["d"])
+        need = max(n + int(merged["epsilon"] * n), (2 * rho + 1) * N)
+        if L < need:
+            raise ConfigError(
+                f"L = {L} is too small for n = {n} and N = {N}: the endpoint "
+                f"box and the slab thickness need L >= {need}"
+            )
     return merged
+
+
+def _refuse_siteless(radius: int, need: int):
+    raise ConfigError(
+        f"box radius {radius} holds no site's enlarged block; "
+        f"the smallest radius that holds one is {need}"
+    )
 
 
 def canonical_config(command: str, cfg: dict) -> str:
@@ -466,7 +488,15 @@ def _cmd_cutpoint_scan(cfg, out_dir):
 
 def _cmd_classify(cfg, out_dir):
     sample = _load_or_sample(cfg)
-    cls = classify_boxes(sample, cfg["N"], cfg["epsilon"], cfg["mu1"])
+    box, N = sample.box, cfg["N"]
+    if not _interior_sites(box, MacroLattice(N=N, dimension=box.dimension)):
+        # a sample file's box may be off-centre; on every axis a block spans
+        # [2iN - 3N, 2iN + 3N) and the box [o - radius, o + radius]
+        _refuse_siteless(
+            box.radius,
+            3 * N + max(min(o % (2 * N), (-o - 1) % (2 * N)) for o in box.origin_offset),
+        )
+    cls = classify_boxes(sample, N, cfg["epsilon"], cfg["mu1"])
     path = os.path.join(out_dir, cfg["csv"])
     with open(path, "w", newline="") as fh:
         cls.to_csv(fh)

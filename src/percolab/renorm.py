@@ -256,11 +256,16 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     A pair at l1 distance r has the deadline
     due(r) = min(floor(mu_hat r + slack + 1e-9), n), where n, the number of
     box vertices, exceeds every BFS distance and so stands for "no
-    deadline". As mu_hat > 0, due never decreases in r, so the earliest
-    deadline among the unreached pairs is due of their least l1 distance,
-    and the earliest of all is due(0), the pair of a source with itself.
-    Only an (m, k) table of l1 distances is kept, and it is scanned only
-    when the layer count reaches the earliest pending deadline.
+    deadline"; as mu_hat > 0, due never decreases in r. The l1 distances
+    sit in an (m, k) int16 table: an entry is at most d (side - 1), which
+    side^d <= MAX_VERTICES keeps at or below 19,998 < 2^15. Three rules
+    skip the checks that cannot change the verdict:
+    - the pass test starts at t = ``farthest``, the largest l1 entry, as
+      no box path is shorter than its l1 distance;
+    - the first deadline check is at t = due(1), without a scan, as at
+      t = 0 only the pairs of a source with itself (l1 = 0) are reached;
+    - each later check is at due of the least l1 distance among the
+      unreached pairs, the earliest deadline they can miss.
     """
     box = sample.box
     local_flats = np.flatnonzero(mask.reshape(-1))
@@ -287,9 +292,9 @@ def _condition3(sample, mask, lo, mu_hat, slack):
         return False, sampled
 
     # l1[j, i]: l1 distance from source i to window vertex j, built one
-    # axis at a time in int32 (window coordinates are small)
-    coords = coords.astype(np.int32)
-    l1 = np.zeros((m, k), dtype=np.int32)
+    # axis at a time in int16 (the bound is in the docstring)
+    coords = coords.astype(np.int16)
+    l1 = np.zeros((m, k), dtype=np.int16)
     diff = np.empty_like(l1)
     for axis in range(coords.shape[1]):
         c = coords[:, axis]
@@ -317,15 +322,17 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     ][::-1]
 
     t = 0
-    next_check = 0
+    farthest = int(l1.max())
+    next_check = due(1)
     while True:
-        missing = np.take(unseen, window_flats, axis=1) & full
-        if not missing.any():
-            return True, sampled
-        if t >= next_check:
-            next_check = due(_nearest_unreached(missing, l1))
-            if next_check <= t:
-                return False, sampled
+        if t >= farthest or t >= next_check:
+            missing = np.take(unseen, window_flats, axis=1) & full
+            if not missing.any():
+                return True, sampled
+            if t >= next_check:
+                next_check = due(_nearest_unreached(missing, l1))
+                if next_check <= t:
+                    return False, sampled
         for a, (st, op) in enumerate(shifts):
             if a == 0:
                 np.bitwise_and(front[:, :-st], op[:-st], out=nxt[:, st:])

@@ -21,7 +21,9 @@ from percolab.harness import (
     resolve_config,
     write_csv,
 )
+from percolab.lattice import BoxSpec, sample_configuration
 from percolab.parallel import run_parallel
+from percolab.renorm import MacroLattice
 
 RATE = ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=1"]
 
@@ -155,6 +157,13 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("classify", "N", "1"),
         ("route", "N", "1"),
         ("classify", "epsilon", "0.2"),
+        # no site's enlarged block fits the box (L = 20 < 3N = 21)
+        ("classify", "N", "7"),
+        # the endpoint box around n e1 (L = 3 or n = 12), or the slab
+        # thickness (2 rho + 1) N = 12 (N = 4), reaches outside L = 9
+        ("slab", "L", "3"),
+        ("slab", "n", "12"),
+        ("slab", "N", "4"),
         # floats that are not finite
         ("estimate-rate", "s", "nan"),
         ("estimate-rate", "s", "0.25,inf"),
@@ -186,6 +195,50 @@ def test_out_of_range_estimator_value_exits_2_before_writing(
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("classify", {"L": "10", "N": "12"},
+         "box radius 10 holds no site's enlarged block; "
+         "the smallest radius that holds one is 36"),
+        ("slab", {"L": "3"}, "L = 3 is too small for n = 6 and N = 1: the endpoint "
+         "box and the slab thickness need L >= 6"),
+        ("slab", {"N": "4"}, "L = 9 is too small for n = 6 and N = 4: the endpoint "
+         "box and the slab thickness need L >= 12"),
+    ],
+)
+def test_a_box_too_small_for_the_blocks_is_named(tmp_path, capsys, command, values, message):
+    argv = [command, "--out-dir", str(tmp_path / "out")] + [
+        f"--set={k}={v}" for k, v in {**CANONICAL[command][0], **values}.items()
+    ]
+    assert cli_dispatch(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("N, offset", [(2, (0, 0)), (3, (3, 0)), (2, (1, -2))])
+def test_classify_on_a_sample_file_without_a_site_names_the_least_radius(
+    tmp_path, capsys, N, offset
+):
+    # the least radius whose box, at this offset, holds a site's enlarged block
+    least = next(
+        r for r in range(1, 40)
+        if harness._interior_sites(BoxSpec(2, r, offset), MacroLattice(N, 2))
+    )
+    for radius, code in ((least - 1, 2), (least, 0)):
+        path = tmp_path / f"{radius}.bin"
+        sample_configuration(BoxSpec(2, radius, offset), 0.7, 1).save(path)
+        argv = ["classify", "--out-dir", str(tmp_path / f"out{radius}"),
+                f"--set=sample={path}"] + [
+            f"--set={k}={v}" for k, v in {**SITES, "N": N, "epsilon": 1}.items()
+        ]
+        assert cli_dispatch(argv) == code
+    assert (
+        f"box radius {least - 1} holds no site's enlarged block; "
+        f"the smallest radius that holds one is {least}"
+    ) in capsys.readouterr().err
 
 
 def test_every_float_field_refuses_values_that_are_not_finite():

@@ -28,6 +28,7 @@ from percolab import (
 from percolab import renorm
 from percolab.errors import GeometryError, PreconditionError, RoutingError
 from percolab.harness import cli_dispatch
+from percolab.lattice import MAX_VERTICES, SUPPORTED_DIMENSIONS
 from percolab.renorm import _component_diameters, _condition3, _meets_every_subbox
 
 
@@ -294,6 +295,29 @@ def test_condition3_tolerance_at_float_ties():
         assert _condition3_oracle(coords, dist, 0.7, slack, 256, 64) == expected
         ok, _ = _condition3(s, mask, lo, 0.7, slack)
         assert ok == expected
+
+
+def test_condition3_passes_when_the_frontier_dies_at_the_farthest_pair():
+    # the only open cluster is a 7-vertex segment: every pair is reached at
+    # t = 6, the largest l1 distance, and the next layer is empty, so the
+    # pass test must run at t = 6 and not one layer later
+    s = all_closed(BoxSpec(2, 5))
+    s = s.with_edges(open_idx=[s.box.edge_index((x, 0), 0) for x in range(-3, 3)])
+    mask = np.ones((7, 1), dtype=bool)
+    lo = (-3, 0)
+    coords, dist = _pair_distances(s, mask, lo)
+    assert _condition3_oracle(coords, dist, 100.0, 1.0, 256, 64)
+    assert _condition3(s, mask, lo, 100.0, 1.0) == (True, False)
+
+
+def test_l1_table_fits_int16_on_every_admitted_box():
+    # condition 3's l1 entries are at most d (side - 1) on any box BoxSpec
+    # admits, with side^d <= MAX_VERTICES
+    for d in SUPPORTED_DIMENSIONS:
+        side = round(MAX_VERTICES ** (1 / d))
+        side -= side**d > MAX_VERTICES
+        assert side**d <= MAX_VERTICES < (side + 1) ** d
+        assert d * (side - 1) < 2**15
 
 
 def test_component_diameters_oracle(rng):
