@@ -29,11 +29,10 @@ from .errors import PercolabError
 from .estimators import (
     JEstimate,
     RateEstimate,
-    RateSurface,
     Tally,
     estimate_J,
     estimate_mu,
-    estimate_rate_surface,
+    scan_rates,
     upper_tail_vs_cutpoint_experiment,
     wilson_interval,
 )

@@ -17,10 +17,12 @@ that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
 misses the target, None when the box cannot tell). The distance constant
 averages the finite values, the upper-tail event maps the value through
 ``upper_tail_outcome``, and the paired experiment also scans the same ball's
-certified singleton layers. The scanned cut-point events instead score an
-:class:`EventGrid`, the product s_grid x x_grid at one n and one window
-exponent, in one ``event_A`` (or ``event_A_free``) call on the origin ball
-of each replicate; the window verdicts settled in that call are not kept.
+certified singleton layers. The scanned cut-point events instead go
+through one pipeline, :func:`scan_rates`, for ``estimate-rate`` and for
+``estimate-j``'s surface: it scores an :class:`EventGrid`, the product
+s_grid x x_grid at one n and one window exponent, in one ``event_A`` (or
+``event_A_free``) call on the origin ball of each replicate; the window
+verdicts settled in that call are not kept.
 
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
 event of ``estimate-rate``) run their replicates in blocks of B consecutive
@@ -45,8 +47,8 @@ by the replicates at that n. The reach is:
   from ``cutpoints.window_radius``: every plain window and the distances
   across it fit (a free-line window has radius 4 w and may not);
 - for the upper tail (:func:`_upper_tail_box`), ``box_factor * max(1, mu1
-  (1 + xi)) * n * max(1, |x|_inf)``: the box grows with the distance
-  threshold ``mu1 (1 + xi) n``;
+  (1 + xi)) * n * max(1, |x|_1)``: the box grows with the distance
+  threshold ``mu1 (1 + xi) n |x|_1``, with mu1 = mu(e1);
 - for the distance constant, ``box_factor * n * |x|_inf``.
 
 Empirical decay rates are reported as -log(p_hat)/n at each finite n, with
@@ -251,10 +253,20 @@ def _event_grid(
     return EventGrid(_box(d, reach), s_grid, x_grid, n, alpha=alpha, free=free)
 
 
-def _scan(grid: EventGrid, p: float, replicates: int, seed: int, workers):
-    """The outcome codes of every event of ``grid``, per replicate."""
+def scan_rates(
+    d: int, p: float, s_grid, x_grid, n: int, replicates: int, seed: int,
+    *, kind: str, box_factor: float, alpha, workers,
+):
+    """The one pipeline of every scanned grid: the events (s, x) of
+    ``s_grid`` x ``x_grid`` at n, of ``kind`` "cutpoint" or "free", scored
+    on each replicate's origin ball. Returns the RateEstimate of every event,
+    s-major and labelled ``kind(s=...)``, and the tuple of outcome codes of
+    every replicate."""
+    grid = _event_grid(d, s_grid, x_grid, n, box_factor, alpha=alpha, free=kind == "free")
     fn = partial(_surface_replicate, p=p, grid=grid, seed=seed)
-    return _run_all(fn, replicates, workers)
+    codes = _run_all(fn, replicates, workers)
+    events = [(f"{kind}(s={s})", s, x) for s, x in grid.events]
+    return rate_estimates(events, n, codes), codes
 
 
 def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
@@ -275,11 +287,16 @@ def _e1(d: int):
     return (1.0,) + (0.0,) * (d - 1)
 
 
+def _upper_tail_threshold(x, n: int, xi: float, mu1: float) -> float:
+    """The upper tail's distance threshold mu1 (1 + xi) n |x|_1."""
+    return mu1 * (1.0 + xi) * n * sum(abs(c) for c in x)
+
+
 def _upper_tail_box(d: int, x, n: int, xi: float, mu1: float, box_factor: float):
-    """The upper tail's box at n and its distance threshold mu1 (1 + xi) n."""
-    span = max(1.0, max(abs(c) for c in x))
+    """The upper tail's box at n, grown with its threshold, and the threshold."""
+    span = max(1.0, sum(abs(c) for c in x))
     reach = box_factor * max(1.0, mu1 * (1.0 + xi)) * n * span
-    return _box(d, reach), mu1 * (1.0 + xi) * n
+    return _box(d, reach), _upper_tail_threshold(x, n, xi, mu1)
 
 
 def _run_one_n(index: int, *, ball, dist, threshold):
@@ -361,40 +378,7 @@ def estimate_mu(
 
 
 # ---------------------------------------------------------------------------
-# rate surfaces and the upper-tail infimum
-
-
-@dataclass
-class RateSurface:
-    """Rate estimates on an (s, x) grid at a fixed n."""
-
-    entries: dict  # (s, x tuple) -> RateEstimate
-
-    def rate(self, s: float, x) -> float | None:
-        est = self.entries.get((float(s), tuple(float(c) for c in x)))
-        return None if est is None else est.rate
-
-
-def estimate_rate_surface(
-    d: int,
-    p: float,
-    s_grid,
-    x_grid,
-    n: int,
-    replicates: int,
-    seed: int,
-    *,
-    box_factor: float = 2.0,
-    alpha: float | None = None,
-    workers: int | None = None,
-) -> RateSurface:
-    """Empirical cut-point rate surface over an (s, x) grid (coupled)."""
-    s_grid = [float(s) for s in s_grid]
-    x_grid = [tuple(float(c) for c in x) for x in x_grid]
-    grid = _event_grid(d, s_grid, x_grid, n, box_factor, alpha=alpha, free=False)
-    events = [(f"cutpoint(s={s},x={x})", s, x) for s, x in grid.events]
-    estimates = rate_estimates(events, n, _scan(grid, p, replicates, seed, workers))
-    return RateSurface(entries={(e.s, e.x): e for e in estimates})
+# the upper-tail infimum of a rate surface
 
 
 @dataclass
@@ -406,8 +390,9 @@ class JEstimate:
     covered: bool  # grid covers [0, R] x [-R, R]^d
 
 
-def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
-    """Grid infimum of the rate surface over the detour-cost constraint.
+def estimate_J(direction, xi: float, mu_hat, estimates) -> JEstimate:
+    """Grid infimum over the detour-cost constraint of the rate surface
+    ``estimates``, the RateEstimates at (s, y) that :func:`scan_rates` returns.
 
     Feasible points satisfy s + mu(y - x) >= (1 + xi) mu(x). Only
     ``mu_hat`` = mu(e1) is known, and a norm with the lattice's reflection
@@ -425,10 +410,10 @@ def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     need = (1.0 + xi) * unit * np.abs(x).sum()
 
     feasible = []
-    for (s, y), est in surface.entries.items():
-        margin = s + unit * np.abs(np.asarray(y) - x).max() - need
+    for est in estimates:
+        margin = est.s + unit * np.abs(np.asarray(est.x) - x).max() - need
         if margin >= -1e-12 and est.rate is not None:
-            feasible.append((est.rate, s, y, margin))
+            feasible.append((est.rate, est.s, est.x, margin))
     if not feasible:
         raise GridCoverageError(
             "no feasible grid point with a defined rate; enlarge the grid "
@@ -437,13 +422,14 @@ def estimate_J(direction, xi: float, mu_hat, surface: RateSurface) -> JEstimate:
     feasible.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
     value, s_star, y_star, slack = feasible[0]
 
-    unit_rate = surface.rate(1.0, (0.0,) * len(x))
+    unit_point = (1.0, (0.0,) * len(x))
+    unit_rate = next((e.rate for e in estimates if (e.s, e.x) == unit_point), None)
     if unit_rate is None:
         R = math.nan
     else:
         R = value / unit_rate if unit_rate > 0 else math.inf
-    s_max = max(k[0] for k in surface.entries)
-    y_max = max(max(abs(c) for c in k[1]) for k in surface.entries)
+    s_max = max(e.s for e in estimates)
+    y_max = max(max(abs(c) for c in e.x) for e in estimates)
     covered = s_max >= R - 1e-9 and y_max >= R - 1e-9
     return JEstimate(
         value=value, argmin=(s_star, y_star), slack=slack, R=R, covered=covered

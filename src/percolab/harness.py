@@ -44,15 +44,14 @@ from .errors import ConfigError, PercolabError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
     _e1,
-    _event_grid,
     _run_one_n,
     _run_targets,
-    _scan,
     _upper_tail_box,
+    _upper_tail_threshold,
     estimate_J,
     estimate_mu,
-    estimate_rate_surface,
     rate_estimates,
+    scan_rates,
     upper_tail_vs_cutpoint_experiment,
 )
 from .lattice import (
@@ -192,7 +191,7 @@ _KEYS = {
     "n": Field(_COUNT, help="scale n (slab: endpoint separation)"),
     "epsilon": Field(_FRACTION, help="block fraction epsilon"),
     "xi": Field(_parse_float, help="distance slack xi"),
-    "mu1": Field(_POSITIVE, help="norm estimate for a unit step"),
+    "mu1": Field(_POSITIVE, help="norm estimate mu(e1) for a unit step"),
     "rho": Field(_NONNEGATIVE_INT, help="slab dependency range (0 = derive from mu1)"),
     "sites": Field(_parse_sites, help="macro path, e.g. 0,0;1,0;1,1"),
     "lemma": Field(_LEMMA, help="which construction to verify"),
@@ -265,6 +264,18 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
     # admits every grid point; cut-point and free events take x = 0
     if x and not any(x) and merged.get("event", "upper_tail") == "upper_tail":
         raise ConfigError(f"x = {_fmt(x)} is zero; a target needs a nonzero direction")
+    # a connected replicate has D >= |floor(n x)|_1, so a threshold below it
+    # makes the upper tail true for every connected replicate
+    if "xi" in schema and "n_grid" in schema and merged.get("event", "upper_tail") == "upper_tail":
+        x = x or _e1(merged["d"])
+        for n in merged["n_grid"]:
+            threshold = _upper_tail_threshold(x, n, merged["xi"], merged["mu1"])
+            least = sum(abs(math.floor(n * c)) for c in x)
+            if threshold < least:
+                raise ConfigError(
+                    f"the upper-tail threshold mu1 (1 + xi) n |x|_1 = {_fmt(threshold)} at "
+                    f"n = {n} is below |floor(n x)|_1 = {least}: every connected replicate hits"
+                )
     # classify and route cut blocks of side epsilon * N; slab's epsilon scales n
     if "epsilon" in schema and "N" in schema and "n" not in schema:
         eps, N = merged["epsilon"], merged["N"]
@@ -273,11 +284,16 @@ def resolve_config(schema: dict, file_values: dict, overrides: dict) -> dict:
         # a sampled box is centred, and an enlarged block reaches 3N from 0
         if not merged["sample"] and merged["L"] < 3 * N:
             _refuse_siteless(merged["L"], 3 * N)
-    # slab's endpoint box around n e1 and its thickness (2 rho + 1) N must
-    # fit in the centred box of radius L
+    # slab needs d >= 3 and a dependency range rho >= 1, and its endpoint
+    # box around n e1 and its thickness (2 rho + 1) N must fit in the
+    # centred box of radius L
     if "n" in schema and "N" in schema:
         L, n, N = merged["L"], merged["n"], merged["N"]
+        if merged["d"] < 3:
+            raise ConfigError(f"slab needs d >= 3, got d = {merged['d']}")
         rho = merged["rho"] or dependency_range(merged["mu1"], merged["d"])
+        if rho < 1:
+            raise ConfigError(f"mu1 = {_fmt(merged['mu1'])} gives rho = floor(10 d mu1) = 0")
         need = max(n + int(merged["epsilon"] * n), (2 * rho + 1) * N)
         if L < need:
             raise ConfigError(
@@ -611,21 +627,19 @@ def _cmd_estimate_rate(cfg, out_dir):
     estimates = []
     replicate_rows = []
     for n in cfg["n_grid"]:
-        # (label, s, x) of each event, in outcome-code order
+        # the estimate of each event, in outcome-code order
         if kind == "upper_tail":
             box, threshold = _upper_tail_box(d, x, n, cfg["xi"], cfg["mu1"], cfg["box_factor"])
-            events = [(f"upper_tail(xi={cfg['xi']})", None, x)]
             results = _run_targets(
                 partial(_run_one_n, threshold=threshold), replicates, workers,
                 p=p, box=box, n=n, x=x, seed=seed,
             )
+            at_n = rate_estimates([(f"upper_tail(xi={cfg['xi']})", None, x)], n, results)
         else:
-            grid = _event_grid(
-                d, cfg["s"], [x], n, cfg["box_factor"], alpha=None, free=kind == "free"
+            at_n, results = scan_rates(
+                d, p, cfg["s"], [x], n, replicates, seed, kind=kind,
+                box_factor=cfg["box_factor"], alpha=None, workers=workers,
             )
-            events = [(f"{kind}(s={s})", s, x) for s, x in grid.events]
-            results = _scan(grid, p, replicates, seed, workers)
-        at_n = rate_estimates(events, n, results)
         for est in at_n:
             # no resolved replicate: p_hat would be nan, so refuse the run
             if not est.resolved:
@@ -636,10 +650,10 @@ def _cmd_estimate_rate(cfg, out_dir):
         estimates.extend(at_n)
         if cfg["emit_replicates"]:
             for idx, codes in enumerate(results):
-                for (label, s, point), code in zip(events, codes):
+                for est, code in zip(at_n, codes):
                     replicate_rows.append([
-                        label, "" if s is None else s, _fmt_point(point),
-                        int(n), idx, CODE_OUTCOMES[code].value,
+                        est.label, "" if est.s is None else est.s, _fmt_point(est.x),
+                        est.n, idx, CODE_OUTCOMES[code].value,
                     ])
 
     path = os.path.join(out_dir, cfg["csv"])
@@ -666,10 +680,10 @@ def _y_grid(d: int, y_max: float, y_step: float):
 def _cmd_estimate_j(cfg, out_dir):
     d = cfg["d"]
     x = cfg["x"] or _e1(d)
-    surface = estimate_rate_surface(
+    surface, _ = scan_rates(
         d, cfg["p"], cfg["s_grid"], _y_grid(d, cfg["y_max"], cfg["y_step"]),
-        cfg["n"], cfg["replicates"], cfg["seed"], box_factor=cfg["box_factor"],
-        workers=cfg["workers"],
+        cfg["n"], cfg["replicates"], cfg["seed"], kind="cutpoint",
+        box_factor=cfg["box_factor"], alpha=None, workers=cfg["workers"],
     )
     rows = []
     for xi in cfg["xi_grid"]:

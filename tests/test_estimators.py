@@ -6,20 +6,19 @@ from scipy.stats import binomtest
 
 from conftest import replicate_seed_oracle
 from percolab import BoxSpec, estimators, sample_configuration
-from percolab.cutpoints import EventOutcome
+from percolab.cutpoints import EventOutcome, upper_tail_outcome
 from percolab.errors import GridCoverageError, PreconditionError
 from percolab.estimators import (
     CODE_OUTCOMES,
     RateEstimate,
-    RateSurface,
     Tally,
     _event_grid,
     _surface_replicate,
     estimate_J,
     estimate_mu,
-    estimate_rate_surface,
     rate_estimates,
     replicate_seed,
+    scan_rates,
     target_distances,
     wilson_interval,
 )
@@ -193,6 +192,28 @@ def test_event_rate_is_independent_of_workers_and_matches_the_cli(
         assert float(row["p_lo"]) == est.ci[0] and float(row["p_hi"]) == est.ci[1]
 
 
+@pytest.mark.parametrize("x", [(0.5, 0.0), (1.0, 1.0)])
+def test_the_upper_tail_threshold_scales_with_the_l1_norm_of_x(tmp_path, x):
+    # mu1 (1 + xi) n |x|_1 is 11.52 at (0.5, 0), where D(0, 6 e1) averages
+    # about 10, and 46.08 at (1, 1), above D's floor |(12, 12)|_1 = 24.
+    # Without the factor |x|_1 it would be 23.04 at both: 2.3 times the
+    # typical distance at (0.5, 0), and below the floor at (1, 1)
+    argv = ["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=3",
+            "--set=event=upper_tail", f"--set=x={x[0]},{x[1]}", "--set=xi=0.2",
+            "--set=mu1=1.6", "--set=n_grid=12", "--set=replicates=40",
+            "--set=emit_replicates=true", "--set=workers=1", "--out-dir", str(tmp_path)]
+    assert cli_dispatch(argv) == 0
+    emitted = [r["outcome"] for r in _csv_rows(tmp_path / "replicates.csv")]
+    box, _ = estimators._upper_tail_box(2, x, 12, 0.2, 1.6, 2.0)
+    samples = [sample_configuration(box, 0.6, replicate_seed(3, i)) for i in range(40)]
+    threshold = 1.6 * 1.2 * 12 * sum(x)
+    assert emitted == [
+        upper_tail_outcome(dist, threshold).value
+        for _, dist in target_distances(samples, 12, x)
+    ]
+    assert {"hit", "miss"} <= set(emitted)
+
+
 def test_a_rate_surface_samples_the_box_of_its_widest_direction(monkeypatch):
     # at n = 16 the window is 12 wide, so the (0.9, 0) window reaches x1 = 26;
     # a box sized from (0.5, 0.5), the direction of largest l1 norm, has
@@ -208,7 +229,10 @@ def test_a_rate_surface_samples_the_box_of_its_widest_direction(monkeypatch):
 
     def sampled_box(x_grid):
         boxes.clear()
-        estimate_rate_surface(2, 0.6, [0.5], x_grid, 16, 1, 3, box_factor=0.7, workers=1)
+        scan_rates(
+            2, 0.6, [0.5], x_grid, 16, 1, 3, kind="cutpoint", box_factor=0.7,
+            alpha=None, workers=1,
+        )
         (box,) = boxes
         return box
 
@@ -222,15 +246,15 @@ def test_a_rate_surface_samples_the_box_of_its_widest_direction(monkeypatch):
 
 
 def _entry(s, y, hits, misses, n=1):
-    """Surface entry with rate -log(hits / (hits + misses)) / n."""
+    """Surface estimate with rate -log(hits / (hits + misses)) / n."""
     tally = Tally(hits=hits, misses=misses)
-    return (float(s), tuple(float(c) for c in y)), RateEstimate(
+    return RateEstimate(
         label="test", s=float(s), x=tuple(float(c) for c in y), n=n, tally=tally
     )
 
 
 def _surface(*entries):
-    return RateSurface(entries=dict(_entry(*e) for e in entries))
+    return [_entry(*e) for e in entries]
 
 
 def test_estimate_J_minimises_over_the_feasible_points_only():

@@ -164,6 +164,10 @@ ESTIMATORS = ["estimate-mu", "estimate-rate", "estimate-j", "upper-tail"]
         ("slab", "L", "3"),
         ("slab", "n", "12"),
         ("slab", "N", "4"),
+        # slab runs in d >= 3 only
+        ("slab", "d", "2"),
+        # the threshold mu1 (1 + xi) n = 6 is below D's floor n = 12
+        ("upper-tail", "xi", "-0.5"),
         # floats that are not finite
         ("estimate-rate", "s", "nan"),
         ("estimate-rate", "s", "0.25,inf"),
@@ -215,6 +219,32 @@ def test_a_box_too_small_for_the_blocks_is_named(tmp_path, capsys, command, valu
     ]
     assert cli_dispatch(argv) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("slab", {"d": "2"}, "slab needs d >= 3, got d = 2"),
+        ("slab", {"mu1": "0.01", "rho": "0"}, "mu1 = 0.01 gives rho = floor(10 d mu1) = 0"),
+        ("upper-tail", {"mu1": "0.5", "xi": "0.5"}, "the upper-tail threshold mu1 (1 + xi) "
+         "n |x|_1 = 9.0 at n = 12 is below |floor(n x)|_1 = 12: every connected replicate hits"),
+        ("estimate-rate", {"event": "upper_tail", "xi": "-0.5", "n_grid": "12"},
+         "threshold mu1 (1 + xi) n |x|_1 = 6.0 at n = 12 is below |floor(n x)|_1 = 12"),
+        # |floor(n x)|_1 is n - 1 at odd n and n at even n: 0.9 n clears it at
+        # n = 7 only
+        ("estimate-rate", {"event": "upper_tail", "x": "0.5,0.5", "xi": "-0.1",
+                           "n_grid": "7,6"}, "= 5.4 at n = 6 is below |floor(n x)|_1 = 6"),
+    ],
+)
+def test_a_slab_or_upper_tail_that_cannot_run_is_refused_before_writing(
+    tmp_path, capsys, command, values, message
+):
+    argv = [command, "--out-dir", str(tmp_path / "out")] + [
+        f"--set={k}={v}" for k, v in {**CANONICAL[command][0], **values}.items()
+    ]
+    assert cli_dispatch(argv) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -314,9 +314,7 @@ def test_every_public_name_has_a_caller_or_an_allowlisted_reason():
 
 
 # keyword options that no call sets yet, each kept for the open item that sets it
-OPTION_ALLOWLIST = {
-    ("estimate_rate_surface", "alpha"): "ROADMAP item 1 exposes alpha in the CLI",
-}
+OPTION_ALLOWLIST = {}
 
 
 def defaulted_parameters(source: str):

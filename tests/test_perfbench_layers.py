@@ -42,6 +42,12 @@ def test_traced_estimate_j_records_the_event_probe_and_growth_layers(tmp_path, m
     assert tracer.stats["cutpoints.event"].calls == REPLICATES
     assert tracer.stats["cutpoints.probe"].calls > 0
     assert tracer.stats["metric.grow"].calls >= REPLICATES
+    # the censored share reads the replicates' outcome codes: one phase
+    # returns a tuple of 125 codes per replicate
+    phase = tracer.stats["phase"]
+    assert phase.calls == 1
+    replicates, partial, _, cells = phase.work
+    assert (replicates, partial, cells) == (REPLICATES, 0, 125 * REPLICATES)
     # renorm.cond3 is not checked: it wraps renorm._grow, which block
     # condition 3 no longer calls (it runs one bit-parallel BFS per site), so
     # that span reads 0 on every command until the benchmark wraps the BFS
