@@ -17,7 +17,6 @@ from .cutpoints import (
     EventGrid,
     EventOutcome,
     EventResult,
-    SurgeryPlan,
     apply_surgery,
     detect_cutpoints,
     event_A,

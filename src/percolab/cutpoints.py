@@ -38,6 +38,10 @@ its last layer, so reaching the frontier proves the vertex joins the source
 cluster, which touches a face. Each vertex's verdict (in a finite cluster,
 or joined to a face) is exact, so it is kept for every later window of the
 same call.
+
+Surgery only closes edges: :func:`force_cutpoint` returns the sorted tuple
+of edges to close, and :func:`apply_surgery` closes them in a copy of the
+sample. Closing edges cannot shorten any path, so no distance falls.
 """
 
 from __future__ import annotations
@@ -48,12 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContaminatedBallError,
-    GeometryError,
-    PreconditionError,
-    SurgeryPlanError,
-)
+from .errors import ContaminatedBallError, GeometryError, PreconditionError
 from .lattice import BoxSpec, PercolationSample
 from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
 
@@ -378,38 +377,20 @@ def line_count(points: np.ndarray, axis: int) -> int:
 # surgery
 
 
-@dataclass(frozen=True)
-class SurgeryPlan:
-    """Edges to force closed and open; the two sets must not overlap."""
-
-    close_edges: tuple
-    open_edges: tuple = ()
-
-    def __post_init__(self):
-        close = tuple(sorted(set(int(e) for e in self.close_edges)))
-        open_ = tuple(sorted(set(int(e) for e in self.open_edges)))
-        if set(close) & set(open_):
-            raise SurgeryPlanError("close and open sets overlap")
-        object.__setattr__(self, "close_edges", close)
-        object.__setattr__(self, "open_edges", open_)
-
-    @property
-    def size(self) -> int:
-        return len(self.close_edges) + len(self.open_edges)
-
-
-def apply_surgery(sample: PercolationSample, plan: SurgeryPlan) -> PercolationSample:
-    """New sample with the plan applied; the input is untouched."""
+def apply_surgery(sample: PercolationSample, close_edges) -> PercolationSample:
+    """New sample with the edges ``close_edges`` (canonical indexes)
+    closed; the input is untouched. An index outside the box's edges
+    raises GeometryError."""
     ne = sample.box.n_edges
-    for e in plan.close_edges + plan.open_edges:
+    for e in close_edges:
         if not 0 <= e < ne:
-            raise SurgeryPlanError(f"edge index {e} out of range")
-    return sample.with_edges(plan.close_edges, plan.open_edges)
+            raise GeometryError(f"edge index {e} out of range [0, {ne})")
+    return sample.with_edges(close_edges)
 
 
-def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> SurgeryPlan:
-    """Closing plan that turns (t, w) into a cut-point of ``ball`` regrown
-    in its sample with the plan applied.
+def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> tuple:
+    """The sorted edges whose closing turns (t, w) into a cut-point of
+    ``ball`` regrown in :func:`apply_surgery` of its sample and them.
 
     Requires w in layer t and |B_t| <= k. Picks the largest r in
     (t - floor(sqrt k) - 1, t] whose layer has at most floor(sqrt k)
@@ -417,7 +398,8 @@ def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> SurgeryPlan:
     singleton, which only shrinks the plan), then closes every non-geodesic
     edge incident to the geodesic tail past B_(r-1) together with every
     non-geodesic edge from layer r back to B_(r-1). The plan closes at most
-    4 d sqrt(k) edges and never opens any, so no distance can decrease.
+    4 d sqrt(k) edges; surgery only closes edges, so no distance can
+    decrease.
     """
     box = ball.box
     wt = tuple(int(c) for c in w)
@@ -461,7 +443,7 @@ def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> SurgeryPlan:
             for eidx, nb in box.incident_edges(coord):
                 if ball.dist[box.flat_index(nb)] <= rm1 and eidx not in gamma_edges:
                     close.add(eidx)
-    return SurgeryPlan(close_edges=tuple(sorted(close)))
+    return tuple(sorted(close))
 
 
 def upper_tail_outcome(distance, threshold: float) -> EventOutcome:

@@ -18,7 +18,7 @@ class ResourceLimitError(PercolabError):
 
 
 class GeometryError(PercolabError):
-    """Vertices, windows or regions fall outside the sample box."""
+    """Vertices, windows, regions or edge indexes fall outside the sample box."""
 
 
 class ContaminatedBallError(PercolabError):
@@ -27,10 +27,6 @@ class ContaminatedBallError(PercolabError):
 
 class UnreachableVertexError(PercolabError):
     """Geodesic requested to a vertex at infinite distance."""
-
-
-class SurgeryPlanError(PercolabError):
-    """Edge surgery plan violates its invariants (overlap, out of range)."""
 
 
 class PreconditionError(PercolabError):

@@ -14,6 +14,8 @@ help. A command lists only its required keys and the defaults it gives the
 others. Every value from outside (config file, ``--set``, flag or replayed
 manifest) is parsed and checked before anything is written. A replayed
 manifest may name a key of ``_RETIRED`` only at the value listed there.
+The output directory is made at the first write, the manifest included,
+so a command that fails before writing leaves none.
 
 Exit codes: 0 ok, 1 usage, 2 configuration, 3 runtime failure. Every
 estimator command gets its replicates from ``estimators._run_all``, so a
@@ -29,6 +31,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -40,7 +43,7 @@ import scipy
 
 from . import __version__
 from .cutpoints import detect_cutpoints
-from .errors import ConfigError, PercolabError, UsageError
+from .errors import ConfigError, GeometryError, PercolabError, ResourceLimitError, UsageError
 from .estimators import (
     CODE_OUTCOMES,
     _e1,
@@ -359,6 +362,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _output(out_dir, name: str) -> str:
+    """The path of the output ``name`` in ``out_dir``, which is made here,
+    at the first write, so that a command that fails before it leaves no
+    directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def write_manifest(
     out_dir, command: str, cfg: dict, outputs, started: float, workers: int
 ) -> str:
@@ -377,7 +388,7 @@ def write_manifest(
         "versions": {"percolab": __version__, "python": "%d.%d.%d" % sys.version_info[:3],
                      "numpy": np.__version__, "scipy": scipy.__version__},
     }
-    path = os.path.join(out_dir, "manifest.json")
+    path = _output(out_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -388,9 +399,18 @@ def write_manifest(
 # command schemas
 
 
+def _load_sample(path) -> PercolationSample:
+    """The sample file ``path``; a file that cannot be read or is not a
+    sample is a configuration error."""
+    try:
+        return PercolationSample.load(path)
+    except (OSError, GeometryError, ResourceLimitError, struct.error) as exc:
+        raise ConfigError(f"sample file {path!r}: {exc}")
+
+
 def _load_or_sample(cfg) -> PercolationSample:
     if cfg.get("sample"):
-        return PercolationSample.load(cfg["sample"])
+        return _load_sample(cfg["sample"])
     box = BoxSpec(cfg["d"], cfg["L"])
     return sample_configuration(box, cfg["p"], cfg["seed"])
 
@@ -444,9 +464,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 def _cmd_sample(cfg, out_dir):
     box = BoxSpec(cfg["d"], cfg["L"])
     sample = sample_configuration(box, cfg["p"], cfg["seed"])
-    path = cfg["out"]
-    if not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
+    path = _output(out_dir, cfg["out"])  # an absolute ``out`` is kept as it is
     sample.save(path)
     return [path]
 
@@ -468,7 +486,7 @@ def _require_in_sample(
 
 
 def _cmd_ball(cfg, out_dir):
-    sample = PercolationSample.load(cfg["sample"])
+    sample = _load_sample(cfg["sample"])
     _require_in_sample(
         sample, "source", [cfg["source"]], sample.box.contains, "is outside"
     )
@@ -476,7 +494,7 @@ def _cmd_ball(cfg, out_dir):
     ball = grow_ball(sample, tuple(cfg["source"]), t_max=t_max)
     box = sample.box
     coords = box.coords_of_flats(np.arange(box.n_vertices)).tolist()
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(
         path, "dist",
         [f"x{k + 1}" for k in range(box.dimension)] + ["dist"],
@@ -493,7 +511,7 @@ def _cmd_cutpoint_scan(cfg, out_dir):
     d = sample.box.dimension
     ball = grow_ball(sample, (0,) * d, stop_at_boundary=True)
     records = detect_cutpoints(ball, cfg["t_min"])
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(
         path, "cutpoints",
         ["t"] + [f"x{k + 1}" for k in range(d)],
@@ -513,7 +531,7 @@ def _cmd_classify(cfg, out_dir):
             3 * N + max(min(o % (2 * N), (-o - 1) % (2 * N)) for o in box.origin_offset),
         )
     cls = classify_boxes(sample, N, cfg["epsilon"], cfg["mu1"])
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     with open(path, "w", newline="") as fh:
         cls.to_csv(fh)
     return [path]
@@ -532,7 +550,7 @@ def _cmd_route(cfg, out_dir):
     x = box.vertex_coord(int(cls.cluster(sites[0])[0]))
     y = box.vertex_coord(int(cls.cluster(sites[-1])[0]))
     route = route_through_good(sample, cls, sites, x, y)
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     d = box.dimension
     write_csv(
         path, "route",
@@ -548,7 +566,7 @@ def _cmd_slab(cfg, out_dir):
         sample, cfg["epsilon"], cfg["xi"], cfg["N"], cfg["n"], cfg["mu1"],
         rho=cfg["rho"] or None,
     )
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(
         path, "slab", ["n", "slab_index", "offset", "distance", "event"],
         [
@@ -570,7 +588,7 @@ def _cmd_lemma_check(cfg, out_dir):
     for inst in range(cfg["instances"]):
         bound, achieved, ok = LEMMAS[name](rng)
         rows.append([inst, name, bound, achieved, int(ok)])
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(path, "lemma", ["instance", "lemma", "bound", "achieved", "pass"], rows)
     return [path]
 
@@ -581,7 +599,16 @@ def _cmd_estimate_mu(cfg, out_dir):
         cfg["seed"], box_factor=cfg["box_factor"],
         workers=cfg["workers"],
     )
-    path = os.path.join(out_dir, cfg["csv"])
+    for pt in points:
+        # no connected, uncontaminated replicate: the mean would be nan
+        if not pt.connected:
+            raise ConfigError(
+                f"estimate-mu at n = {pt.n}: none of {pt.replicates} replicates is "
+                f"connected and uncontaminated ({pt.disconnected} disconnected, "
+                f"{pt.contaminated} contaminated); try more replicates or a "
+                f"box_factor above {_fmt(cfg['box_factor'])}"
+            )
+    path = _output(out_dir, cfg["csv"])
     write_csv(
         path, "mu",
         ["n", "replicates", "connected", "disconnected", "contaminated",
@@ -656,11 +683,11 @@ def _cmd_estimate_rate(cfg, out_dir):
                         est.n, idx, CODE_OUTCOMES[code].value,
                     ])
 
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(path, "rates", _RATE_HEADER, _rate_rows(estimates))
     if not cfg["emit_replicates"]:
         return [path]
-    rpath = os.path.join(out_dir, "replicates.csv")
+    rpath = _output(out_dir, "replicates.csv")
     write_csv(
         rpath, "event-tally",
         ["event", "s", "x", "n", "replicate", "outcome"],
@@ -692,7 +719,7 @@ def _cmd_estimate_j(cfg, out_dir):
             xi, j.value, j.argmin[0], _fmt_point(j.argmin[1]),
             j.slack, j.R, int(j.covered),
         ])
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(
         path, "jrate",
         ["xi", "J", "argmin_s", "argmin_y", "slack", "R", "covered"],
@@ -711,7 +738,7 @@ def _cmd_upper_tail(cfg, out_dir):
     for tally in tallies:
         for (upper, cut), count in sorted(tally.counts.items()):
             rows.append([tally.n, upper, cut, count])
-    path = os.path.join(out_dir, cfg["csv"])
+    path = _output(out_dir, cfg["csv"])
     write_csv(path, "paired", ["n", "upper_tail", "late_cutpoint", "count"], rows)
     return [path]
 
@@ -721,9 +748,26 @@ def _cmd_upper_tail(cfg, out_dir):
 _RETIRED = {"fail_at": "-1"}
 
 
+def _read_manifest(path) -> dict:
+    """The record of the manifest file ``path``, with a known command, its
+    config and its outputs; any other file is a configuration error."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ConfigError(f"manifest {path!r}: {exc}")
+    if not isinstance(record, dict):
+        raise ConfigError(f"manifest {path!r}: not a JSON object")
+    for key in ("command", "config", "outputs"):
+        if key not in record:
+            raise ConfigError(f"manifest {path!r}: no {key!r}")
+    if record["command"] not in SCHEMAS:
+        raise ConfigError(f"manifest {path!r}: unknown command {record['command']!r}")
+    return record
+
+
 def _cmd_replay(cfg, out_dir):
-    with open(cfg["manifest"]) as fh:
-        record = json.load(fh)
+    record = _read_manifest(cfg["manifest"])
     command = record["command"]
     schema = SCHEMAS[command]
     kept = []
@@ -819,9 +863,6 @@ def cli_dispatch(argv) -> int:
             if raw is not None:
                 overrides[key] = _parse_value(schema, key, raw)
         cfg = resolve_config(schema, file_values, overrides)
-        if cfg.get("sample") and not os.path.isfile(cfg["sample"]):
-            raise ConfigError(f"sample file {cfg['sample']!r} does not exist")
-        os.makedirs(args.out_dir, exist_ok=True)
         started = time.time()
         with processes_tally() as used:
             outputs = _HANDLERS[args.command](cfg, args.out_dir)

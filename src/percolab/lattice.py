@@ -27,6 +27,13 @@ Canonical edge indexing (also the serialized order) is axis-major: all edges
 parallel to axis 0 first, then axis 1, and so on. Within one axis family the
 edges are ordered by the C-order (row-major) position of their lower
 endpoint, whose coordinate along the edge axis ranges over [-L, L-1].
+
+Closing edges is the one way to change or confine a configuration. Surgery
+closes given edges (``PercolationSample.with_edges``). A region, a bool
+mask over the box's flats, is the restricted configuration
+``PercolationSample.restricted_to(region)``: every edge with an endpoint
+outside the mask is closed, so an open path from a vertex of the region
+stays in it.
 """
 
 from __future__ import annotations
@@ -256,7 +263,8 @@ class PercolationSample:
 
     ``open_edges`` is indexed by the canonical edge index. Samples produced
     by :func:`sample_configuration` are a pure function of (box, p, seed);
-    surgered samples carry the parent's p and seed but modified edges.
+    the copies of :meth:`with_edges` and :meth:`restricted_to` carry the
+    parent's p and seed but fewer open edges.
     """
 
     box: BoxSpec
@@ -300,14 +308,24 @@ class PercolationSample:
     def is_edge_open(self, edge_index: int) -> bool:
         return bool(self.open_edges[int(edge_index)])
 
-    def with_edges(self, close_idx=(), open_idx=()) -> "PercolationSample":
-        """Copy with the given canonical edge indexes forced closed/open."""
+    def with_edges(self, close_idx) -> "PercolationSample":
+        """Copy with the edges of the canonical indexes ``close_idx`` closed."""
         edges = self.open_edges.copy()
-        if len(close_idx):
-            edges[np.asarray(close_idx, dtype=np.int64)] = False
-        if len(open_idx):
-            edges[np.asarray(open_idx, dtype=np.int64)] = True
+        edges[np.asarray(close_idx, dtype=np.int64)] = False
         return PercolationSample(self.box, self.p, self.seed, edges)
+
+    def restricted_to(self, region) -> "PercolationSample":
+        """Copy in which every edge with an endpoint outside the bool mask
+        ``region`` (over the box's flats) is closed: the configuration
+        that a walk confined to ``region`` sees."""
+        box, epa = self.box, self.box.edges_per_axis
+        inside = np.asarray(region, dtype=bool).reshape(box.shape)
+        edges = self.open_edges.copy()
+        for axis in range(box.dimension):
+            low = inside.take(range(box.side - 1), axis=axis)  # the edge's lower end
+            high = inside.take(range(1, box.side), axis=axis)
+            edges[axis * epa : (axis + 1) * epa] &= (low & high).reshape(-1)
+        return PercolationSample(box, self.p, self.seed, edges)
 
     # -- serialization -----------------------------------------------------
 

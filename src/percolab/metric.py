@@ -23,15 +23,19 @@ single ball, through :func:`_grow`). Ball b lives at flats b n .. b n + n - 1
 of the samples' disjoint union, whose open masks are the samples' padded
 masks one after another (``lattice.stacked_open_flats``). Each layer is one
 sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
-a single ball's layer. Each ball keeps its own stop rules: a target
-reached, the first face contact (with ``stop_at_boundary``), ``t_max`` and
-exhaustion. Each union layer is cut at the balls' bounds as it is swept; a
-ball whose part is empty was exhausted one layer earlier. A ball's end is
-decided there or at its stop, once, and then it leaves the frontier and the
-targets. After the loop the layers are only sliced. No edge joins two
-boxes, so every ball's distances, layers, first face contact and exhaustion
-equal those of its sample grown alone, whatever B and its companions are.
-The estimators choose B (``estimators._BLOCK_VERTICES``).
+a single ball's layer. The kernel has four stop rules, and each ball keeps
+its own: ``t_max``, a target reached, the first face contact (with
+``stop_at_boundary``) and exhaustion. It has no rule that confines growth:
+a confined ball is grown in a sample whose edges out of the allowed
+vertices are closed (``PercolationSample.restricted_to``), as
+:func:`constrained_distance` grows it. Each union layer is cut at the
+balls' bounds as it is swept; a ball whose part is empty was exhausted one
+layer earlier. A ball's end is decided there or at its stop, once, and
+then it leaves the frontier and the targets. After the loop the layers are
+only sliced. No edge joins two boxes, so every ball's distances, layers,
+first face contact and exhaustion equal those of its sample grown alone,
+whatever B and its companions are. The estimators choose B
+(``estimators._BLOCK_VERTICES``).
 """
 
 from __future__ import annotations
@@ -147,27 +151,24 @@ def _grow(
     source_flats,
     t_max=None,
     targets=None,
-    region=None,
     stop_at_boundary=False,
 ):
     """(dist, first boundary time, layers, exhausted) of the ball of
     :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
     return _grow_lockstep(
         [sample], [source_flats], t_max=t_max,
-        targets=None if targets is None else [targets], region=region,
+        targets=None if targets is None else [targets],
         stop_at_boundary=stop_at_boundary,
     )[0]
 
 
-def _grow_lockstep(
-    samples, sources, t_max=None, targets=None, region=None, stop_at_boundary=False
-):
+def _grow_lockstep(samples, sources, t_max=None, targets=None, stop_at_boundary=False):
     """Per ball b, (dist, first boundary time, layers, exhausted) of the
     ball of the flats ``sources[b]`` in ``samples[b]``, grown as
     :func:`grow_ball_flats` grows it with the targets ``targets[b]`` (None:
-    no ball has targets) and the shared ``t_max``, ``region`` and
-    ``stop_at_boundary``. One sweep of the 2 d neighbours per layer serves
-    every ball (see the module docstring)."""
+    no ball has targets) and the shared ``t_max`` and ``stop_at_boundary``.
+    One sweep of the 2 d neighbours per layer serves every ball (see the
+    module docstring)."""
     box = samples[0].box
     n, balls = box.n_vertices, len(samples)
     face = box.face_flat
@@ -182,13 +183,10 @@ def _grow_lockstep(
     else:
         opens = stacked_open_flats(samples)
         face = np.tile(face, balls)
-        region = None if region is None else np.tile(region, balls)
     steps = list(zip(box.strides, opens))
     dist = np.full(balls * n, _INF32, dtype=np.uint32)
 
     srcs = [np.sort(np.asarray(s, dtype=np.int64)) for s in sources]
-    if region is not None and not all(region[src].all() for src in srcs):
-        raise GeometryError("source vertices must lie inside the region")
     first = [0 if np.count_nonzero(face[src]) else None for src in srcs]
     frontier = srcs[0] if balls == 1 else np.concatenate(
         [src + b * n for b, src in enumerate(srcs)]
@@ -239,10 +237,7 @@ def _grow_lockstep(
             low = frontier - st
             parts.append(low[op.take(low, mode="wrap")])
         nb = np.concatenate(parts)
-        fresh = dist[nb] == _INF32
-        if region is not None:
-            fresh &= region[nb]
-        nb = nb[fresh]
+        nb = nb[dist[nb] == _INF32]
         if nb.size == 0:  # every growing ball's part of layer t is empty
             for b in growing:
                 end[b], exhausted[b] = t - 1, True
@@ -302,13 +297,12 @@ def grow_ball(
     t_max: int | None = None,
     *,
     targets=None,
-    region=None,
     stop_at_boundary: bool = False,
 ) -> BallGrowth:
     """Grow the chemical-distance ball around the vertex ``source``."""
     return grow_ball_flats(
         sample, [sample.box.flat_index(source)], t_max=t_max, targets=targets,
-        region=region, stop_at_boundary=stop_at_boundary,
+        stop_at_boundary=stop_at_boundary,
     )
 
 
@@ -318,7 +312,6 @@ def grow_ball_flats(
     *,
     t_max: int | None = None,
     targets=None,
-    region=None,
     stop_at_boundary: bool = False,
 ) -> BallGrowth:
     """Grow the chemical-distance ball around a set of flat vertex indices.
@@ -328,7 +321,7 @@ def grow_ball_flats(
     first layer that touches a box face (that layer itself is still exact).
     """
     grown = _grow(
-        sample, source_flats, t_max=t_max, targets=targets, region=region,
+        sample, source_flats, t_max=t_max, targets=targets,
         stop_at_boundary=stop_at_boundary,
     )
     return _ball(sample, grown)
@@ -375,7 +368,7 @@ def constrained_distance(sample: PercolationSample, region, frm, to) -> float:
         raise GeometryError("endpoint sets must be subsets of the region")
     if np.intersect1d(f_flats, t_flats).size:
         return 0
-    ball = grow_ball_flats(sample, f_flats, targets=t_flats, region=region)
+    ball = grow_ball_flats(sample.restricted_to(region), f_flats, targets=t_flats)
     vals = ball.dist[t_flats]
     hit = vals[vals != _INF32]
     return math.inf if hit.size == 0 else int(hit.min())

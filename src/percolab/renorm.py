@@ -437,7 +437,7 @@ def route_through_good(
         lo, hi = lattice.enlarged_low(block), lattice.enlarged_high(block)
         region[box.window_flats(lo, hi)] = True
         ball = grow_ball(
-            sample, box.vertex_coord(fa), region=region, targets=[fb]
+            sample.restricted_to(region), box.vertex_coord(fa), targets=[fb]
         )
         seg = geodesic(ball, box.vertex_coord(fb))
         vertices.extend(seg[1:])

@@ -41,13 +41,12 @@ def all_closed(box: BoxSpec, p=0.5, seed=0) -> PercolationSample:
 
 def open_path_sample(box: BoxSpec, vertices) -> PercolationSample:
     """All closed except the edges between consecutive path vertices."""
-    s = all_closed(box)
-    idx = []
+    edges = np.zeros(box.n_edges, dtype=bool)
     for a, b in zip(vertices, vertices[1:]):
         axis = next(k for k in range(box.dimension) if a[k] != b[k])
         base = a if b[axis] > a[axis] else b
-        idx.append(box.edge_index(base, axis))
-    return s.with_edges(open_idx=idx)
+        edges[box.edge_index(base, axis)] = True
+    return PercolationSample(box, 0.5, 0, edges)
 
 
 def origin_ball(sample: PercolationSample):

@@ -28,7 +28,6 @@ from percolab import (
     CutPointRecord,
     EventGrid,
     EventOutcome,
-    SurgeryPlan,
     apply_surgery,
     detect_cutpoints,
     event_A,
@@ -40,15 +39,13 @@ from percolab import (
 )
 from percolab import cutpoints
 from percolab.cutpoints import upper_tail_outcome, window_radius
-from percolab.errors import GeometryError, PreconditionError, SurgeryPlanError
+from percolab.errors import GeometryError, PreconditionError
 from percolab.estimators import target_distances
 
 
-def open_spine(box, length, closed_sides=True):
+def open_spine(box, length):
     """Open straight path from the origin along the first axis."""
-    s = all_closed(box)
-    return s.with_edges(open_idx=[box.edge_index((k,) + (0,) * (box.dimension - 1), 0)
-                                  for k in range(length)])
+    return open_path_sample(box, [(k,) + (0,) * (box.dimension - 1) for k in range(length + 1)])
 
 
 def figure_spine_sample(box, k):
@@ -92,9 +89,7 @@ def test_detect_lists_only_certified_singletons_of_a_contaminated_ball():
     # a spine that reaches the face at t = 4 and then runs along it: the
     # layers past the first face contact are singletons too, but uncertified
     box = BoxSpec(2, 4)
-    s = open_spine(box, 4).with_edges(
-        open_idx=[box.edge_index((4, j), 1) for j in range(4)]
-    )
+    s = open_path_sample(box, [(k, 0) for k in range(4)] + [(4, j) for j in range(5)])
     ball = grow_ball(s, (0, 0))
     assert ball.contaminated and ball.resolved_through == 4
     assert [len(layer) for layer in ball.layers] == [1] * 9
@@ -498,17 +493,24 @@ def test_free_implies_relaxed_plain_event():
 
 def test_apply_surgery_basics():
     s = sample_configuration(BoxSpec(2, 5), 0.5, 3)
-    same = apply_surgery(s, SurgeryPlan(close_edges=()))
+    same = apply_surgery(s, ())
     assert same == s
 
     box = s.box
     incident = [e for e, _ in box.incident_edges((0, 0))]
-    isolated = apply_surgery(all_open(box), SurgeryPlan(close_edges=tuple(incident)))
+    isolated = apply_surgery(all_open(box), tuple(incident))
     ball = grow_ball(isolated, (0, 0))
     assert [len(l) for l in ball.layers] == [1]
 
-    with pytest.raises(SurgeryPlanError):
-        SurgeryPlan(close_edges=(1, 2), open_edges=(2, 3))
+
+@pytest.mark.parametrize("edge", [-1, -84, 84, 85])
+def test_apply_surgery_refuses_an_edge_outside_the_box(edge):
+    # BoxSpec(2, 3) has 2 * 6 * 7 = 84 edges; a negative index would
+    # otherwise close an edge counted from the end
+    s = all_open(BoxSpec(2, 3))
+    assert s.box.n_edges == 84
+    with pytest.raises(GeometryError, match=f"edge index {edge} out of range"):
+        apply_surgery(s, (0, edge))
 
 
 def test_force_cutpoint_all_open_example():
@@ -516,8 +518,8 @@ def test_force_cutpoint_all_open_example():
     s = all_open(box)
     ball = grow_ball(s, (0, 0))
     plan = force_cutpoint(ball, 3, (3, 0), 49)
-    assert plan.size <= 4 * 2 * math.sqrt(49)
-    assert not plan.open_edges
+    assert len(plan) <= 4 * 2 * math.sqrt(49)
+    assert list(plan) == sorted(set(plan))
     after = apply_surgery(s, plan)
     ball2 = grow_ball(after, (0, 0))
     assert [box.vertex_coord(f) for f in ball2.layers[3]] == [(3, 0)]
@@ -553,7 +555,7 @@ def test_force_cutpoint_monte_carlo():
             continue
         w = box.vertex_coord(ball.layers[t_pick][0])
         plan = force_cutpoint(ball, t_pick, w, k)
-        assert plan.size <= 4 * 2 * math.sqrt(k)
+        assert len(plan) <= 4 * 2 * math.sqrt(k)
         after = apply_surgery(s, plan)
         ball2 = grow_ball(after, (0, 0), stop_at_boundary=True)
         assert ball2.resolved_through >= t_pick

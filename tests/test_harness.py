@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import struct
 import time
 
 import numpy as np
@@ -271,6 +272,89 @@ def test_classify_on_a_sample_file_without_a_site_names_the_least_radius(
     ) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ball", "cutpoint-scan"])
+@pytest.mark.parametrize(
+    "kind, reason",
+    [
+        ("missing", "No such file or directory"),
+        ("wrong-magic", "bad magic"),
+        ("truncated-header", "unpack_from requires a buffer"),
+        ("truncated-edges", "open_edges length must equal box.n_edges"),
+        ("unsupported-d", "dimension 9 outside supported range"),
+    ],
+)
+def test_a_sample_file_that_cannot_be_loaded_exits_2(tmp_path, capsys, command, kind, reason):
+    # d = 2, L = 5: a 44-byte header and 220 edge bits in 28 bytes
+    blob = sample_configuration(BoxSpec(2, 5), 0.5, 1).to_bytes()
+    assert len(blob) == 72
+    contents = {
+        "wrong-magic": b"not a sample file",
+        "truncated-header": blob[:30],
+        "truncated-edges": blob[:60],
+        "unsupported-d": blob[:4] + struct.pack("<HHI", 1, 9, 5) + bytes(8 * 9 + 16),
+    }
+    path = tmp_path / "sample.bin"
+    if kind in contents:
+        path.write_bytes(contents[kind])
+    values = {"sample": str(path), "source": "0,0"} if command == "ball" else {
+        "d": "2", "L": "5", "p": "0.5", "seed": "1", "sample": str(path),
+    }
+    argv = [command, "--out-dir", str(tmp_path / "out")] + [
+        f"--set={k}={v}" for k, v in values.items()
+    ]
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: sample file {str(path)!r}: " in err and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["ball", "--set=sample=sample.bin", "--set=source=9,0"], 2,
+         "source: 9,0 is outside the sample box"),
+        (["estimate-rate", "--set=d=2", "--set=p=0.6", "--set=seed=12", "--set=event=free",
+          "--set=s=2.5", "--set=n_grid=8", "--set=replicates=5", "--set=workers=1"], 2,
+         "all 5 replicates are contaminated"),
+        # the sample file's box has radius 8, and N = 4 needs 12
+        (["classify", "--set=sample=sample.bin"] + [f"--set={k}={v}" for k, v in SITES.items()],
+         2, "box radius 8 holds no site's enlarged block"),
+        (["estimate-mu", "--set=d=3", "--set=p=0.3", "--set=seed=2", "--set=x=1,1,0",
+          "--set=n_grid=2,8", "--set=replicates=4", "--set=workers=1"], 2,
+         "estimate-mu at n = 8: none of 4 replicates is connected and uncontaminated"),
+        (["estimate-j", "--set=d=2", "--set=p=0.6", "--set=seed=1", "--set=replicates=2",
+          "--set=workers=1", "--set=xi_grid=0", "--set=s_grid=1", "--set=y_max=0"], 3,
+         "no feasible grid point with a defined rate"),
+    ],
+    ids=["ball-source", "free-contaminated", "classify-siteless", "mu-degenerate", "j-uncovered"],
+)
+def test_a_command_that_exits_non_zero_leaves_no_output_directory(
+    tmp_path, monkeypatch, capsys, argv, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    sample, _ = CANONICAL["sample"]
+    assert cli_dispatch(["sample", "--out-dir", "."]
+                        + [f"--set={k}={v}" for k, v in sample.items()]) == 0
+    assert cli_dispatch(argv + ["--out-dir", "run"]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_estimate_mu_refuses_an_n_without_a_connected_uncontaminated_replicate(
+    tmp_path, capsys
+):
+    # at seed 1, n = 2 has 3 disconnected replicates and 1 contaminated
+    argv = ["estimate-mu", "--set=d=3", "--set=p=0.3", "--set=seed=1", "--set=x=1,1,0",
+            "--set=n_grid=2,8", "--set=replicates=4", "--set=workers=1",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli_dispatch(argv) == 2
+    assert (
+        "config error: estimate-mu at n = 2: none of 4 replicates is connected and "
+        "uncontaminated (3 disconnected, 1 contaminated)"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_float_field_refuses_values_that_are_not_finite():
     # a field that parses "0.5" to a float or a tuple of floats takes floats
     fields = [(key, fld) for key, fld in harness._KEYS.items()] + [
@@ -367,7 +451,7 @@ def test_zero_direction_stays_legal_for_scanned_events(event):
 def test_point_of_another_dimension_than_the_sample_exits_2_writing_nothing(
     tmp_path, monkeypatch, capsys, command, values
 ):
-    # the dimension comes from the sample, so the output directory may exist
+    # the dimension comes from the sample, read after the configuration
     monkeypatch.chdir(tmp_path)
     sample, _ = CANONICAL["sample"]
     assert cli_dispatch(["sample", "--out-dir", "."]
@@ -375,7 +459,7 @@ def test_point_of_another_dimension_than_the_sample_exits_2_writing_nothing(
     argv = [command, "--out-dir", "run"] + [f"--set={k}={v}" for k, v in values.items()]
     assert cli_dispatch(argv) == 2
     assert "config error" in capsys.readouterr().err
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_negative_layer_cap_on_an_existing_sample_exits_2_before_writing(
@@ -650,7 +734,28 @@ def test_replay_drops_a_retired_key_only_at_its_reproducible_value(
         assert "replay ok: 1 outputs byte-identical" in out
     else:
         assert "config error: <manifest>: retired key 'fail_at' = 17" in err
-    assert list(replay_dir.iterdir()) == []
+    assert not replay_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value"),
+        ('{"command": "nope", "config": "", "outputs": []}', "unknown command 'nope'"),
+        ('{"command": "ball", "outputs": []}', "no 'config'"),
+    ],
+    ids=["missing", "not-json", "unknown-command", "no-config"],
+)
+def test_replay_refuses_an_unreadable_manifest_with_exit_2(tmp_path, capsys, content, reason):
+    manifest = tmp_path / "manifest.json"
+    if content is not None:
+        manifest.write_text(content)
+    argv = ["replay", f"--set=manifest={manifest}", "--out-dir", str(tmp_path / "out")]
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: manifest {str(manifest)!r}: " in err and reason in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(CANONICAL))

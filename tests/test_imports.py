@@ -1,9 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses, no module defines a private module-level name that nothing in the
 package references, every public name (UPPER_CASE constants included) has
-a caller in the package or in the benchmark, every defaulted parameter is
-set by some call there, and every dataclass field is read there, unless an
-allowlist says why not. No function takes a sample beside a ball, which
+a caller in the package or in the benchmark, every default of a parameter
+or a dataclass field is set by some call there, and every dataclass field
+is read there, unless an allowlist says why not. No function takes a sample beside a ball, which
 carries its own.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
 scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, and
@@ -317,11 +317,42 @@ def test_every_public_name_has_a_caller_or_an_allowlisted_reason():
 OPTION_ALLOWLIST = {}
 
 
+def _is_dataclass(node) -> bool:
+    return any(
+        _callee(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
+def dataclass_fields(node):
+    """(field, has a default) of every ``__init__`` parameter of the
+    dataclass ``node``, in order: its annotated fields other than a
+    ``ClassVar`` and a ``field(init=False)``."""
+    found = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        ann = item.annotation
+        if _callee(ann.value if isinstance(ann, ast.Subscript) else ann) == "ClassVar":
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _callee(value.func) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            found.append((item.target.id, bool({"default", "default_factory"} & set(keywords))))
+        else:
+            found.append((item.target.id, value is not None))
+    return found
+
+
 def defaulted_parameters(source: str):
     """(callable, parameter, slot) of every parameter with a default of a
-    module-level function or a method; a method's slots skip ``self`` (or
-    ``cls``), ``__init__`` is called by its class name, and a keyword-only
-    parameter has slot None."""
+    module-level function or a method, and of every dataclass field with a
+    default; a method's slots skip ``self`` (or ``cls``), ``__init__`` and a
+    dataclass are called by their class name, and a keyword-only parameter
+    has slot None."""
     found = []
 
     def visit(fn, name, bound):
@@ -338,6 +369,11 @@ def defaulted_parameters(source: str):
         if isinstance(node, ast.FunctionDef):
             visit(node, node.name, 0)
         elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                found.extend(
+                    (node.name, name, slot)
+                    for slot, (name, default) in enumerate(dataclass_fields(node)) if default
+                )
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
@@ -360,7 +396,9 @@ def _callee(func):
 
 def set_options(source: str) -> set:
     """(callable, keyword) and (callable, slot) of every argument that a
-    call in ``source`` passes, directly or through ``partial(callable, ...)``."""
+    call in ``source`` passes, directly or through ``partial(callable, ...)``;
+    a starred argument at slot i is (callable, ("*", i)), which sets every
+    slot from i on."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -368,7 +406,9 @@ def set_options(source: str) -> set:
         name, args = _callee(node.func), node.args
         if name == "partial" and args:
             name, args = _callee(args[0]), args[1:]
-        found.update((name, i) for i in range(len(args)))
+        found.update(
+            (name, ("*", i) if isinstance(arg, ast.Starred) else i) for i, arg in enumerate(args)
+        )
         found.update((name, kw.arg) for kw in node.keywords)
     return found
 
@@ -381,12 +421,17 @@ def unset_options(package: dict, callers: dict, allowed=()):
         *(set_options(src) for m, src in package.items() if m != "__init__.py"),
         *map(set_options, callers.values()),
     )
+
+    def is_set(name, param, slot):
+        return (name, param) in passed or slot is not None and (
+            (name, slot) in passed or any((name, ("*", i)) in passed for i in range(slot + 1))
+        )
+
     return sorted(
         (module, name, param)
         for module, source in package.items()
         for name, param, slot in defaulted_parameters(source)
-        if (name, param) not in passed and (name, slot) not in passed
-        and (name, param) not in allowed
+        if not is_set(name, param, slot) and (name, param) not in allowed
     )
 
 
@@ -412,6 +457,29 @@ def test_keyword_option_detector_sees_keywords_slots_and_partial():
     assert ("g", 0) in set_options("partial(g, 1)\n")
 
 
+def test_keyword_option_detector_sees_dataclass_field_defaults():
+    # a ClassVar and an init=False field take no slot of __init__, so the
+    # call Rec(0, 1) sets by_slot; a starred argument sets its own slot and
+    # every later one
+    package = {
+        "a": "from dataclasses import dataclass, field\nfrom typing import ClassVar\n"
+             "@dataclass(frozen=True)\nclass Rec:\n"
+             "    first: int\n    LIMIT: ClassVar[int] = 3\n"
+             "    cached: list = field(default=None, init=False)\n"
+             "    by_slot: int = 1\n    by_kw: int = 2\n    unset: tuple = ()\n"
+             "    factory: list = field(default_factory=list)\n"
+             "@dataclass\nclass Tally:\n    n: int\n    hits: int = 0\n    misses: int = 0\n"
+             "class Plain:\n    ignored: int = 4\n"
+             "def h(counts):\n    Rec(0, 1, by_kw=2)\n    return Tally(3, *counts)\n",
+    }
+    assert unset_options(package, {}) == [("a", "Rec", "factory"), ("a", "Rec", "unset")]
+    unstarred = {"a": package["a"].replace("Tally(3, *counts)", "Tally(3, counts)")}
+    assert unset_options(unstarred, {}) == [
+        ("a", "Rec", "factory"), ("a", "Rec", "unset"), ("a", "Tally", "misses"),
+    ]
+    assert ("Tally", ("*", 1)) in set_options("Tally(3, *counts)\n")
+
+
 def test_every_keyword_option_has_a_package_caller():
     package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = {p.name: p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
@@ -433,10 +501,7 @@ def record_fields(source: str):
     for node in ast.parse(source).body:
         if not isinstance(node, ast.ClassDef):
             continue
-        if not any(
-            _callee(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
-            for dec in node.decorator_list
-        ):
+        if not _is_dataclass(node):
             continue
         found += [
             f"{node.name}.{item.target.id}" for item in node.body

@@ -317,8 +317,28 @@ def test_serialization_roundtrip_bitexact(tmp_path):
 def test_with_edges_does_not_mutate():
     s = sample_configuration(BoxSpec(2, 3), 0.5, 4)
     before = s.open_edges.copy()
-    s.with_edges(close_idx=[0, 1], open_idx=[2])
+    s.with_edges(close_idx=[0, 1])
     assert np.array_equal(s.open_edges, before)
+
+
+@pytest.mark.parametrize("d, radius", [(2, 4), (3, 2), (4, 1)])
+def test_a_restricted_sample_closes_exactly_the_edges_leaving_the_region(d, radius):
+    # oracle: an edge stays open iff it was open and both of its endpoints,
+    # its lower end and that end plus the axis stride, lie in the region
+    s = sample_configuration(BoxSpec(d, radius), 0.6, 5)
+    box = s.box
+    region = np.random.default_rng(d).random(box.n_vertices) < 0.7
+    before = s.open_edges.copy()
+    restricted = s.restricted_to(region)
+    assert np.array_equal(s.open_edges, before)
+    assert (restricted.box, restricted.p, restricted.seed) == (box, s.p, s.seed)
+    epa = box.edges_per_axis
+    for axis in range(d):
+        low = edge_base_flats(box, axis)
+        inside = region[low] & region[low + box.strides[axis]]
+        family = slice(axis * epa, (axis + 1) * epa)
+        assert np.array_equal(restricted.open_edges[family], before[family] & inside)
+    assert s.restricted_to(np.ones(box.n_vertices, dtype=bool)) == s
 
 
 def test_the_open_masks_come_only_from_the_edge_states():

@@ -203,9 +203,11 @@ def test_predecessor_is_the_least_open_neighbour_one_layer_closer(d, radius, p):
         region = rng.random(box.n_vertices) < 0.85
         region[origin] = True
         far = box.flat_index((radius - 1,) + (0,) * (d - 1))
-        for kw in ({}, {"region": region}, {"targets": [far]},
-                   {"region": region, "targets": [far]}, {"t_max": 3}):
-            ball = metric.grow_ball_flats(s, origin, **kw)
+        # a ball confined to the region grows in the restricted sample
+        inside = s.restricted_to(region)
+        for grown_in, kw in ((s, {}), (inside, {}), (s, {"targets": [far]}),
+                             (inside, {"targets": [far]}), (s, {"t_max": 3})):
+            ball = metric.grow_ball_flats(grown_in, origin, **kw)
             dist, layers = ball.dist, ball.layers
             assert np.array_equal(
                 np.sort(np.flatnonzero(dist != INF32)), np.sort(np.concatenate(layers))
@@ -220,8 +222,10 @@ def test_predecessor_is_the_least_open_neighbour_one_layer_closer(d, radius, p):
 )
 @given(data=st.data())
 def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
-    # one stop rule per case, optionally inside a random region; with no
-    # stop rule the growth ends only by exhausting the source clusters
+    # one stop rule per case, optionally inside a random region, which the
+    # package grows in the restricted sample and the reference by its own
+    # region rule; with no stop rule the growth ends only by exhausting the
+    # source clusters
     d = data.draw(st.integers(2, 4), label="d")
     box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
     n = box.n_vertices
@@ -229,7 +233,7 @@ def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
         box, data.draw(st.floats(0.15, 0.9), label="p"), data.draw(st.integers(0, 999), label="seed")
     )
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-    kw = {}
+    kw, region = {}, None
     if rule == "t_max":
         kw["t_max"] = data.draw(st.integers(0, 8), label="t_max")
     elif rule.endswith("targets"):
@@ -241,10 +245,11 @@ def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 999), label="region seed"))
         region = rng.random(n) < data.draw(st.floats(0.4, 1.0), label="region density")
         region[sources] = True
-        kw["region"] = region
 
-    dist, pred, layers, first_boundary, exhausted = reference_grow(s, sources, **kw)
-    ball = metric.grow_ball_flats(s, sources, **kw)
+    dist, pred, layers, first_boundary, exhausted = reference_grow(
+        s, sources, region=region, **kw
+    )
+    ball = metric.grow_ball_flats(s if region is None else s.restricted_to(region), sources, **kw)
     assert np.array_equal(ball.dist, dist)
     assert len(ball.layers) == len(layers)
     assert all(np.array_equal(a, b) for a, b in zip(ball.layers, layers))
@@ -268,7 +273,8 @@ def test_lockstep_balls_match_the_reference_grown_alone(data):
     # B samples of one box grown in one kernel call, each ball with its own
     # stop: a target at some layer, a source on the face, a source that is
     # its own target, or an exhausted cluster (low p, no target); the layer
-    # cap, the face rule and the region are shared
+    # cap, the face rule and the region are shared, and each ball confined
+    # to the region grows in its restricted sample
     d = data.draw(st.integers(2, 4), label="d")
     box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
     n = box.n_vertices
@@ -301,7 +307,8 @@ def test_lockstep_balls_match_the_reference_grown_alone(data):
         sources.append(src)
         targets.append(aims)
 
-    grown = metric._grow_lockstep(samples, sources, targets=targets, region=region, **kw)
+    grown_in = samples if region is None else [s.restricted_to(region) for s in samples]
+    grown = metric._grow_lockstep(grown_in, sources, targets=targets, **kw)
     assert len(grown) == len(samples)
     for one, sample, src, aims in zip(grown, samples, sources, targets):
         _assert_matches_reference(one, sample, src, targets=aims, region=region, **kw)

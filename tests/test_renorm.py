@@ -285,8 +285,7 @@ def test_condition3_tolerance_at_float_ties():
     # an open segment of 7 vertices: the end pair has distance 6, and
     # 0.7 * 6 + 1.8 rounds to 5.999999999999999, which the 1e-9 tolerance
     # must still accept; a slightly smaller slack must fail
-    s = all_closed(BoxSpec(2, 5))
-    s = s.with_edges(open_idx=[s.box.edge_index((x, 0), 0) for x in range(-3, 3)])
+    s = open_path_sample(BoxSpec(2, 5), [(x, 0) for x in range(-3, 4)])
     mask = np.ones((7, 1), dtype=bool)
     lo = (-3, 0)
     coords, dist = _pair_distances(s, mask, lo)
@@ -301,8 +300,7 @@ def test_condition3_passes_when_the_frontier_dies_at_the_farthest_pair():
     # the only open cluster is a 7-vertex segment: every pair is reached at
     # t = 6, the largest l1 distance, and the next layer is empty, so the
     # pass test must run at t = 6 and not one layer later
-    s = all_closed(BoxSpec(2, 5))
-    s = s.with_edges(open_idx=[s.box.edge_index((x, 0), 0) for x in range(-3, 3)])
+    s = open_path_sample(BoxSpec(2, 5), [(x, 0) for x in range(-3, 4)])
     mask = np.ones((7, 1), dtype=bool)
     lo = (-3, 0)
     coords, dist = _pair_distances(s, mask, lo)
