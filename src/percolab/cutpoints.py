@@ -18,26 +18,38 @@ a free-line window, of radius 4 w, may leave it, and then a miss of that
 event cannot be certified on a face-contaminated ball.
 
 ``event_A(ball, grid)`` and ``event_A_free(ball, grid)`` return one result
-per event for the ball grown from the origin until its first face contact.
-The ball is the one handle on its sample (``BallGrowth.sample``), and it
-must be on the grid's box. The witnesses come from one mask over (event,
-candidate) pairs, the candidates being the ball's certified singleton
-layers; the windows of the events without one are certified together.
+per event for the ball grown from the origin until its first face contact,
+or stopped earlier once the grid's window vertices are settled (the
+``settle`` rule of ``metric``, given ``grid.windows.settle``). The ball is
+the one handle on its sample (``BallGrowth.sample``), and it must be on the
+grid's box. The witnesses come from one mask over (event, candidate) pairs,
+the candidates being the ball's certified singleton layers; the windows of
+the events without one are certified together.
+
+Both balls give every event the same outcome and the same least witness.
+A witness is a singleton layer {w} with w in a window, and after the
+settled layer no window vertex is left to be reached. A miss of the ball
+grown to the face means that every unreached window vertex lies in a
+finite cluster that avoids every face, which the settled ball certifies
+too. A window that leaves the box can be certified only by an exhausted
+ball that never touched a face, so no grid with such a window has a
+``settle`` set.
 
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
 lattice; otherwise it is unknowable.
 
-A miss on a face-contaminated ball needs every window vertex resolved: within
-the certified horizon, or unreached with an open cluster that avoids every
-box face. One gather of the ball's distances per window extent settles most
-windows. The unreached vertices of each remaining window are probed together
-by a second growth that stops at a face or at the ball's frontier
-``layers[-1]``: an open edge from an unreached vertex into the ball lands in
-its last layer, so reaching the frontier proves the vertex joins the source
-cluster, which touches a face. Each vertex's verdict (in a finite cluster,
-or joined to a face) is exact, so it is kept for every later window of the
-same call.
+A miss on any ball but an exhausted one that never touched a face needs
+every window vertex resolved: within the certified horizon, or unreached
+with an open cluster that avoids every box face and the ball. One gather of
+the ball's distances per window extent settles most windows. The unreached
+vertices of each remaining window are probed together by a second growth
+that stops at a face or at the ball's frontier ``layers[-1]``: an open edge
+from an unreached vertex into the ball lands in its last layer, so reaching
+the frontier proves the vertex joins the source cluster past the certified
+horizon. Each vertex's verdict (in a finite cluster, or joined to a face
+or to the ball) is exact, so it is kept for every later window of the same
+call.
 
 Surgery only closes edges: :func:`force_cutpoint` returns the sorted tuple
 of edges to close, and :func:`apply_surgery` closes them in a copy of the
@@ -115,6 +127,12 @@ class _Windows:
     coordinate gives the window one vertex fewer along that axis, so the
     windows of one grid can differ in extent. A window that leaves the box
     is in no group.
+
+    ``settle`` is the triple that ``metric``'s settle rule takes: every
+    vertex of every window, as sorted flats and as a bool mask over the
+    box's flats, and their largest l1 norm, the first layer at which an
+    origin ball may have reached them all and the rule is tried. It is None
+    when some window leaves the box (see the module docstring).
     """
 
     def __init__(self, box: BoxSpec, centers: np.ndarray, radius: int):
@@ -134,6 +152,13 @@ class _Windows:
             (ids[group.reshape(-1) == g], box.window_flats(low, low + extent).reshape(-1))
             for g, extent in enumerate(extents)
         ]
+        self.settle = None
+        if self.count and inside.all():
+            mask = np.zeros(box.n_vertices, dtype=bool)
+            for ids, offsets in self.groups:
+                mask[self.base[ids, None] + offsets] = True
+            reach = np.maximum(np.abs(lo), np.abs(hi)).sum(axis=1).max()
+            self.settle = (np.flatnonzero(mask), mask, int(reach))
 
 
 class EventGrid:
@@ -169,7 +194,9 @@ class EventGrid:
 
 def event_A(ball: BallGrowth, grid: EventGrid) -> list:
     """Windowed cut-point event of every event of a plain grid, in order,
-    on ``ball``, grown from the origin until its first face contact.
+    on ``ball``, grown from the origin until its first face contact or
+    until the grid's window vertices are settled (``grow_ball(...,
+    settle=grid.windows.settle)``).
 
     A witness is a certified singleton layer (t, w) with t >= s n and w
     within sup-distance floor(n^alpha) of n x. Each result holds the least
@@ -248,12 +275,13 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
     """Whether every possible witness location of each window ``needed[k]``
     has a certified status.
 
-    With no contamination the grown cluster is the full Z^d cluster of the
-    source, so every vertex is resolved (finite or truly infinite). With
-    contamination a window vertex is resolved when its distance is within
-    the certified horizon, or when it is unreached and its own open cluster
-    avoids every box face (then it truly never joins the source cluster).
-    A window that leaves the box is not resolved.
+    An exhausted ball that never touched a face is the full Z^d cluster of
+    the source, so every vertex is resolved (finite or truly infinite). On
+    any other ball, stopped at a face, at ``t_max``, at a target or with
+    its windows settled, a window vertex is resolved when its distance is
+    within the certified horizon, or when it is unreached and its own open
+    cluster avoids every box face and the ball (then it truly never joins
+    the source cluster). A window that leaves the box is not resolved.
 
     One gather of the ball's distances per window extent settles every
     window whose vertices are all within the horizon, or some reached past
@@ -261,7 +289,7 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
     sharing one verdict array: allocated at the first probe, it keeps the
     verdict of every vertex a probe settled for the later windows.
     """
-    if not ball.contaminated:
+    if ball.exhausted and not ball.contaminated:
         return np.ones(len(needed), dtype=bool)
     wanted = np.zeros(windows.count, dtype=bool)
     wanted[needed] = True

@@ -22,7 +22,11 @@ through one pipeline, :func:`scan_rates`, for ``estimate-rate`` and for
 ``estimate-j``'s surface: it scores an :class:`EventGrid`, the product
 s_grid x x_grid at one n and one window exponent, in one ``event_A`` (or
 ``event_A_free``) call on the origin ball of each replicate; the window
-verdicts settled in that call are not kept.
+verdicts settled in that call are not kept. That ball stops at its first
+face contact, or earlier once every vertex of the grid's windows is
+reached or in a finite cluster that avoids every face and the ball
+(``grid.windows.settle``), which certifies the same outcomes with less
+growth (``metric``'s settle rule).
 
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
 event of ``estimate-rate``) run their replicates in blocks of B consecutive
@@ -273,7 +277,10 @@ def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
     """Outcome codes of every event of ``grid``, scored in one call on one
     ball grown from the origin (the events share the sample and the ball)."""
     sample = sample_configuration(grid.box, p, replicate_seed(seed, index))
-    ball = grow_ball(sample, (0,) * grid.box.dimension, stop_at_boundary=True)
+    ball = grow_ball(
+        sample, (0,) * grid.box.dimension, stop_at_boundary=True,
+        settle=grid.windows.settle,
+    )
     fn = event_A_free if grid.free else event_A
     return tuple(OUTCOME_CODES[r.outcome] for r in fn(ball, grid))
 

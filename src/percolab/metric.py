@@ -23,9 +23,10 @@ single ball, through :func:`_grow`). Ball b lives at flats b n .. b n + n - 1
 of the samples' disjoint union, whose open masks are the samples' padded
 masks one after another (``lattice.stacked_open_flats``). Each layer is one
 sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
-a single ball's layer. The kernel has four stop rules, and each ball keeps
+a single ball's layer. The kernel has five stop rules, and each ball keeps
 its own: ``t_max``, a target reached, the first face contact (with
-``stop_at_boundary``) and exhaustion. It has no rule that confines growth:
+``stop_at_boundary``), exhaustion and, for a single ball, settled windows
+(with ``settle``). It has no rule that confines growth:
 a confined ball is grown in a sample whose edges out of the allowed
 vertices are closed (``PercolationSample.restricted_to``), as
 :func:`constrained_distance` grows it. Each union layer is cut at the
@@ -36,6 +37,22 @@ only sliced. No edge joins two boxes, so every ball's distances, layers,
 first face contact and exhaustion equal those of its sample grown alone,
 whatever B and its companions are. The estimators choose B
 (``estimators._BLOCK_VERTICES``).
+
+The settled-windows rule serves the scanned cut-point events, whose
+outcomes depend only on the vertices of their windows
+(``cutpoints._Windows.settle``). ``settle`` is a triple (flats, mask,
+start): the window vertices, sorted and as a bool mask over the box's
+flats, and a first layer to try the rule at. The ball stops at a layer
+t >= start once every window vertex is settled: reached, or in an open
+cluster that is finite, avoids every box face and misses the ball. One
+probe (:func:`_isolated`) checks the second case: it grows from the
+unreached window vertices in the same sample and stops at a face or at the
+frontier ``layers[t]``, into which any open edge from outside the ball
+leads, and a clean probe exhausts its clusters without touching either.
+The probe is tried at a layer that reaches no window vertex, if it has no
+more sources than the layer has vertices, and after a failed one only once
+a window vertex was reached. Once true the condition stays true, so this
+schedule decides only where a settled ball stops, not what it certifies.
 """
 
 from __future__ import annotations
@@ -152,23 +169,26 @@ def _grow(
     t_max=None,
     targets=None,
     stop_at_boundary=False,
+    settle=None,
 ):
     """(dist, first boundary time, layers, exhausted) of the ball of
     :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
     return _grow_lockstep(
         [sample], [source_flats], t_max=t_max,
         targets=None if targets is None else [targets],
-        stop_at_boundary=stop_at_boundary,
+        stop_at_boundary=stop_at_boundary, settle=settle,
     )[0]
 
 
-def _grow_lockstep(samples, sources, t_max=None, targets=None, stop_at_boundary=False):
+def _grow_lockstep(
+    samples, sources, t_max=None, targets=None, stop_at_boundary=False, settle=None
+):
     """Per ball b, (dist, first boundary time, layers, exhausted) of the
     ball of the flats ``sources[b]`` in ``samples[b]``, grown as
     :func:`grow_ball_flats` grows it with the targets ``targets[b]`` (None:
-    no ball has targets) and the shared ``t_max`` and ``stop_at_boundary``.
-    One sweep of the 2 d neighbours per layer serves every ball (see the
-    module docstring)."""
+    no ball has targets) and the shared ``t_max``, ``stop_at_boundary`` and
+    ``settle`` (one ball only). One sweep of the 2 d neighbours per layer
+    serves every ball (see the module docstring)."""
     box = samples[0].box
     n, balls = box.n_vertices, len(samples)
     face = box.face_flat
@@ -204,6 +224,10 @@ def _grow_lockstep(samples, sources, t_max=None, targets=None, stop_at_boundary=
         aim = np.asarray(targets[0], dtype=np.int64) if balls == 1 else np.concatenate(
             [np.asarray(a, dtype=np.int64).reshape(-1) + b * n for b, a in enumerate(targets)]
         )
+    if settle is not None:  # one ball
+        # its window vertices, pruned to the unreached ones at each probe
+        unsettled, window, start = settle
+        due = True  # whether a probe may find them settled
 
     t = 0
     while True:
@@ -268,6 +292,18 @@ def _grow_lockstep(samples, sources, t_max=None, targets=None, stop_at_boundary=
                         pending -= 1
                         if stop_at_boundary:
                             leaving.add(b)
+        if settle is not None and t >= start and not leaving:
+            # a probe is tried at a layer that reaches no window vertex, if it
+            # has no more sources than the layer has vertices, and after a
+            # failed one only once a window vertex was reached
+            if np.count_nonzero(window[frontier]):
+                due = True
+            elif due:
+                unsettled = unsettled[dist[unsettled] == _INF32]
+                if unsettled.size <= frontier.size:
+                    if _isolated(samples[0], unsettled, frontier):
+                        leaving.add(0)
+                    due = False
 
     if balls == 1:
         return [(dist, first[0], layers, exhausted[0])]
@@ -278,6 +314,16 @@ def _grow_lockstep(samples, sources, t_max=None, targets=None, stop_at_boundary=
         own = [flats[c[b] : c[b + 1]] for c, flats in zip(cuts[: end[b]], layers[1:])]
         out.append((dist[b * n : (b + 1) * n], first[b], [srcs[b]] + own, exhausted[b]))
     return out
+
+
+def _isolated(sample, flats, frontier) -> bool:
+    """Whether the open clusters of ``flats`` are finite, avoid every box
+    face and miss a ball whose last layer is ``frontier``: one probe from
+    ``flats``, stopped at a face or at the frontier, exhausts them."""
+    _, first, _, exhausted = _grow_lockstep(
+        [sample], [flats], targets=[frontier], stop_at_boundary=True
+    )[0]
+    return exhausted and first is None
 
 
 def _ball(sample, grown) -> BallGrowth:
@@ -298,11 +344,12 @@ def grow_ball(
     *,
     targets=None,
     stop_at_boundary: bool = False,
+    settle=None,
 ) -> BallGrowth:
     """Grow the chemical-distance ball around the vertex ``source``."""
     return grow_ball_flats(
         sample, [sample.box.flat_index(source)], t_max=t_max, targets=targets,
-        stop_at_boundary=stop_at_boundary,
+        stop_at_boundary=stop_at_boundary, settle=settle,
     )
 
 
@@ -313,16 +360,22 @@ def grow_ball_flats(
     t_max: int | None = None,
     targets=None,
     stop_at_boundary: bool = False,
+    settle=None,
 ) -> BallGrowth:
     """Grow the chemical-distance ball around a set of flat vertex indices.
 
     Stops at exhaustion, at ``t_max`` layers, when any of ``targets`` (flat
     indices) has been reached, or, with ``stop_at_boundary``, right after the
     first layer that touches a box face (that layer itself is still exact).
+    With ``settle``, a triple (flats, mask, start) of window vertices (sorted
+    flat indices, and the same set as a bool mask over the box's flats) and
+    a layer, it also stops at a layer t >= start once every window vertex
+    is reached or in a finite open cluster that avoids every box face and
+    the ball (see the module docstring).
     """
     grown = _grow(
         sample, source_flats, t_max=t_max, targets=targets,
-        stop_at_boundary=stop_at_boundary,
+        stop_at_boundary=stop_at_boundary, settle=settle,
     )
     return _ball(sample, grown)
 

@@ -275,9 +275,10 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     m = len(window_flats)
     sampled = m > CONDITION3_EXACT_CUTOFF
     if sampled:
-        picks = np.unique(
-            np.linspace(0, m - 1, CONDITION3_SAMPLED_SOURCES).astype(np.int64)
-        )
+        # sorted: dropping adjacent repeats dedupes them without the plain
+        # np.unique, which imports numpy.ma (numpy 2.4)
+        picks = np.linspace(0, m - 1, CONDITION3_SAMPLED_SOURCES).astype(np.int64)
+        picks = picks[np.r_[True, picks[1:] != picks[:-1]]]
     else:
         picks = np.arange(m)
     k = len(picks)

@@ -89,7 +89,7 @@ def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
     unreached vertices without a verdict are probed together through
     ``cutpoints.grow_ball_flats``, stopped at a face or at the frontier."""
     ball = ctx.ball
-    if not ball.contaminated:
+    if ball.exhausted and not ball.contaminated:
         return True
     lo = np.ceil(center - radius).astype(np.int64)
     hi = np.floor(center + radius).astype(np.int64)

@@ -28,6 +28,7 @@ from percolab import (
     CutPointRecord,
     EventGrid,
     EventOutcome,
+    EventResult,
     apply_surgery,
     detect_cutpoints,
     event_A,
@@ -144,6 +145,25 @@ def test_event_A_window_constraint():
     s = open_spine(box, 7)
     res = score_one(s, 0.5, (-2.0, 0.0), 8)
     assert res.outcome is EventOutcome.MISS
+
+
+def test_a_ball_stopped_by_t_max_certifies_no_window_past_its_horizon():
+    # the path (0, 0) .. (8, 0) is the origin's whole open cluster: grown to
+    # its end, the ball hits at t = 4 in the window around (4, 0); stopped at
+    # t = 3, neither exhausted nor on a face, it cannot tell that event from
+    # a miss, while the window around (-4, 0) holds only ball vertices
+    # within the horizon and isolated ones, which a clean probe settles
+    box = BoxSpec(2, 12)
+    s = open_path_sample(box, [(i, 0) for i in range(9)])
+    grid = EventGrid(box, [0.5], [(0.5, 0.0), (-0.5, 0.0)], 8, alpha=None, free=False)
+    full = event_A(origin_ball(s), grid)
+    assert [r.outcome for r in full] == [EventOutcome.HIT, EventOutcome.MISS]
+    assert full[0].witness == CutPointRecord(4, (4, 0))
+    stopped = grow_ball(s, (0, 0), t_max=3)
+    assert not stopped.exhausted and not stopped.contaminated
+    assert [r.outcome for r in event_A(stopped, grid)] == [
+        EventOutcome.UNKNOWABLE, EventOutcome.MISS,
+    ]
 
 
 def test_event_nesting_in_s_exact():
@@ -344,6 +364,122 @@ def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
         alpha=alpha, free=free,
     )
     assert score(ball, grid) == [expected[i, j] for i in s_order for j in x_order]
+
+
+def settled_and_full_balls(sample, grid):
+    """The origin ball stopped once the grid's window vertices are settled,
+    and the one grown to its first face contact, checked to agree on every
+    layer the first one grew."""
+    d = sample.box.dimension
+    settled = grow_ball(sample, (0,) * d, stop_at_boundary=True, settle=grid.windows.settle)
+    full = origin_ball(sample)
+    assert settled.last_time <= full.last_time
+    assert all(np.array_equal(a, b) for a, b in zip(settled.layers, full.layers))
+    return settled, full
+
+
+def near_x_grids(d):
+    """Directions whose windows n x lie mostly near the origin, so that a
+    ball can settle them before it meets a face; 1.0 sends some windows out
+    of the drawn boxes."""
+    return st.lists(
+        st.tuples(*[st.sampled_from((0.0, 0.25, -0.25, 0.5, 1.0))] * d), min_size=1, max_size=3
+    )
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["plain", "free"])
+@pytest.mark.parametrize("d, radii, n_max, ps", [
+    (2, (6, 16), 6, (0.6, 0.3, 0.55, 0.7)),
+    (3, (4, 9), 4, (0.45, 0.25, 0.35, 0.6)),
+])
+@given(data=st.data())
+def test_a_settled_ball_scores_like_the_ball_grown_to_the_face(d, radii, n_max, ps, free, data):
+    # off-centre boxes, one of whose faces holds the source at times, and
+    # the lowest p, which leaves most clusters finite and exhausted
+    radius = data.draw(st.integers(*radii))
+    offset = [data.draw(st.sampled_from((0, 1, -3, radius)))]
+    offset += data.draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    box = BoxSpec(d, radius, tuple(offset))
+    s = sample_configuration(box, data.draw(st.sampled_from(ps)), data.draw(st.integers(0, 2**32 - 1)))
+    grid = EventGrid(
+        box, data.draw(s_grids()), data.draw(near_x_grids(d)), data.draw(st.integers(2, n_max)),
+        alpha=data.draw(st.sampled_from((None, 0.5))), free=free,
+    )
+    settled, full = settled_and_full_balls(s, grid)
+    score = event_A_free if free else event_A
+    assert score(settled, grid) == score(full, grid)
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["isolated", "joined"])
+def test_a_window_vertex_joined_around_its_window_keeps_the_ball_growing(joined):
+    # the window [-3, 3]^2 around the origin is open but for its corner
+    # (3, 3), and a detour (3, 0) .. (5, 3), (4, 3) leaves it; at t = 7 the
+    # ball's one frontier vertex (5, 2) is outside the window. An isolated
+    # corner is settled there by a clean probe; a corner joined to the
+    # detour is probed into the frontier, and the ball grows on to reach
+    # it at t = 10, a cut-point past the threshold 10 of s = 2.5 at n = 4
+    box = BoxSpec(2, 8)
+    square = set(itertools.product(range(-3, 4), repeat=2)) - {(3, 3)}
+    keep = {
+        box.edge_index(v, axis) for v in square for axis in range(2)
+        if tuple(c + (k == axis) for k, c in enumerate(v)) in square
+    }
+    detour = [(3, 0), (4, 0), (5, 0), (5, 1), (5, 2), (5, 3), (4, 3)] + [(3, 3)] * joined
+    for a, b in zip(detour, detour[1:]):
+        axis = next(k for k in range(2) if a[k] != b[k])
+        keep.add(box.edge_index(min(a, b), axis))
+    s = all_open(box).with_edges(close_idx=sorted(set(range(box.n_edges)) - keep))
+    grid = EventGrid(box, [2.5], [(0.0, 0.0)], 4, alpha=None, free=False)
+    settled, full = settled_and_full_balls(s, grid)
+    assert full.exhausted and not full.contaminated
+    expected = event_A(full, grid)
+    assert event_A(settled, grid) == expected
+    if joined:
+        assert settled.last_time == full.last_time == 10
+        assert expected == [EventResult(EventOutcome.HIT, CutPointRecord(10, (3, 3)))]
+    else:
+        assert (settled.last_time, full.last_time) == (7, 9)
+        assert expected == [EventResult(EventOutcome.MISS)]
+
+
+@pytest.mark.parametrize("box, p, seeds, n, alpha, x_grid, s_grid", [
+    # every window leaves the box, far from the origin
+    (BoxSpec(2, 5), 0.3, range(40), 8, 0.5, [(0.5, -1.0), (0.0, 1.0), (-1.0, 1.0)], [0.25, 0.5]),
+    # off-centre boxes whose face cuts a window near the origin, and
+    # samples in which the origin's finite cluster is exhausted inside them
+    (BoxSpec(2, 3, (-2, -1)), 0.3, [1054074039], 2, None, [(0.5, 0.5)], [1.0]),
+    (BoxSpec(2, 7, (1, -6)), 0.3, [2307915037], 3, None, [(0.0, 0.25)], [0.5]),
+])
+def test_no_window_is_settled_while_one_leaves_the_box(box, p, seeds, n, alpha, x_grid, s_grid):
+    # the finite clusters that the origin ball exhausts without touching a
+    # face certify the misses of windows that leave the box, which a ball
+    # stopped early could not do
+    grid = EventGrid(box, s_grid, x_grid, n, alpha=alpha, free=False)
+    assert grid.windows.settle is None
+    misses = 0
+    for seed in seeds:
+        settled, full = settled_and_full_balls(sample_configuration(box, p, seed), grid)
+        expected = event_A(full, grid)
+        assert event_A(settled, grid) == expected
+        misses += sum(r.outcome is EventOutcome.MISS for r in expected)
+    assert misses > 0
+
+
+def test_a_ball_stops_once_its_windows_are_settled():
+    # the windows near the origin are settled before the face in most
+    # samples: those balls stop early, once a probe finds the finite
+    # clusters left in the windows, and score every event as the ball grown
+    # to the face
+    box = BoxSpec(3, 16)
+    grid = EventGrid(box, [0.25, 0.5], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 4, alpha=None, free=False)
+    assert grid.windows.settle is not None
+    early = 0
+    for seed in range(20):
+        s = sample_configuration(box, 0.5, seed)
+        settled, full = settled_and_full_balls(s, grid)
+        assert event_A(settled, grid) == event_A(full, grid)
+        early += settled.last_time < full.last_time
+    assert early >= 15
 
 
 def test_a_grid_refuses_a_direction_of_the_wrong_dimension():

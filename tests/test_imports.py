@@ -6,8 +6,9 @@ or a dataclass field is set by some call there, and every dataclass field
 is read there, unless an allowlist says why not. No function takes a sample beside a ball, which
 carries its own.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
-scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, and
-serial replicates take no fresh page faults without them.
+scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, no
+command loads numpy.ma, and serial replicates take no fresh page faults
+without them.
 An import kept on purpose carries a ``# noqa: F401`` comment, and is a name
 that the benchmark's ``perfbench/cli.py install()`` wraps on that module."""
 
@@ -92,6 +93,27 @@ def test_classify_and_route_run_without_scipy_sparse(tmp_path):
     )
     assert fresh_interpreter(probe) == "[0, 0] False"
     assert (tmp_path / "classify.csv").exists() and (tmp_path / "route.csv").exists()
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy 2.4's plain np.unique imports numpy.ma, about 1.6 MB of resident
+    # memory in every process that runs replicates; workers=1 runs them here
+    common = ["--set=seed=3", "--set=workers=1", "--set=replicates=4", f"--out-dir={tmp_path}"]
+    runs = [
+        ["estimate-rate", "--set=d=3", "--set=p=0.4", "--set=s=0.25,0.5", "--set=n_grid=4"],
+        ["estimate-j", "--set=d=2", "--set=p=0.55", "--set=n=4"],
+        ["upper-tail", "--set=d=2", "--set=p=0.6", "--set=mu1=1.55", "--set=n_grid=6"],
+        ["estimate-mu", "--set=d=2", "--set=p=0.6", "--set=n_grid=6"],
+    ]
+    runs = [argv + common for argv in runs] + [[
+        "classify", "--set=d=2", "--set=p=0.7", "--set=L=60", "--set=N=12",
+        "--set=mu1=100", "--set=seed=3", f"--out-dir={tmp_path}",
+    ]]
+    probe = (
+        "import sys\nfrom percolab.harness import cli_dispatch\n"
+        f"print([(argv[0], cli_dispatch(argv), 'numpy.ma' in sys.modules) for argv in {runs!r}])\n"
+    )
+    assert fresh_interpreter(probe) == repr([(argv[0], 0, False) for argv in runs])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc's mmap threshold")
