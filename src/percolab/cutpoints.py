@@ -19,30 +19,22 @@ event cannot be certified on a face-contaminated ball.
 
 ``event_A(ball, grid)`` and ``event_A_free(ball, grid)`` return one result
 per event for the ball grown from the origin until its first face contact,
-or stopped earlier once the grid's window vertices are settled (the
-``settle`` rule of ``metric``, given ``grid.windows.settle``). The ball is
-the one handle on its sample (``BallGrowth.sample``), and it must be on the
-grid's box. The witnesses come from one mask over (event, candidate) pairs,
-the candidates being the ball's certified singleton layers; the windows of
-the events without one are certified together.
-
-Both balls give every event the same outcome and the same least witness.
-A witness is a singleton layer {w} with w in a window, and after the
-settled layer no window vertex is left to be reached. A miss of the ball
-grown to the face means that every unreached window vertex lies in a
-finite cluster that avoids every face, which the settled ball certifies
-too. A window that leaves the box can be certified only by an exhausted
-ball that never touched a face, so no grid with such a window has a
-``settle`` set.
+or stopped earlier by the predicate ``grid.windows.settle(sample)`` once
+the grid's window vertices are settled (:meth:`_Windows.settle`); both
+balls give every event the same outcome and the same least witness. The
+ball is the one handle on its sample (``BallGrowth.sample``), and it must
+be on the grid's box. The witnesses come from one mask over (event,
+candidate) pairs, the candidates being the ball's certified singleton
+layers; the windows of the events without one are certified together.
 
 Event evaluation is honest about the finite box: an outcome is only
 reported as a hit or miss when the grown layers certify it for the infinite
 lattice; otherwise it is unknowable.
 
-A miss on any ball but an exhausted one that never touched a face needs
-every window vertex resolved: within the certified horizon, or unreached
-with an open cluster that avoids every box face and the ball. One gather of
-the ball's distances per window extent settles most windows. The unreached
+A miss on any ball but an exhausted or settled one that never touched a
+face needs every window vertex resolved: within the certified horizon, or
+unreached with an open cluster that avoids every box face and the ball. One
+gather of the ball's distances per window extent settles most windows. The unreached
 vertices of each remaining window are probed together by a second growth
 that stops at a face or at the ball's frontier ``layers[-1]``: an open edge
 from an unreached vertex into the ball lands in its last layer, so reaching
@@ -128,11 +120,9 @@ class _Windows:
     windows of one grid can differ in extent. A window that leaves the box
     is in no group.
 
-    ``settle`` is the triple that ``metric``'s settle rule takes: every
-    vertex of every window, as sorted flats and as a bool mask over the
-    box's flats, and their largest l1 norm, the first layer at which an
-    origin ball may have reached them all and the rule is tried. It is None
-    when some window leaves the box (see the module docstring).
+    ``mask`` and ``flats`` hold every vertex of every window, as a bool
+    mask over the box's flats and as sorted flats; both are None when some
+    window leaves the box.
     """
 
     def __init__(self, box: BoxSpec, centers: np.ndarray, radius: int):
@@ -152,13 +142,49 @@ class _Windows:
             (ids[group.reshape(-1) == g], box.window_flats(low, low + extent).reshape(-1))
             for g, extent in enumerate(extents)
         ]
-        self.settle = None
+        self.mask = self.flats = None
         if self.count and inside.all():
-            mask = np.zeros(box.n_vertices, dtype=bool)
+            self.mask = np.zeros(box.n_vertices, dtype=bool)
             for ids, offsets in self.groups:
-                mask[self.base[ids, None] + offsets] = True
-            reach = np.maximum(np.abs(lo), np.abs(hi)).sum(axis=1).max()
-            self.settle = (np.flatnonzero(mask), mask, int(reach))
+                self.mask[self.base[ids, None] + offsets] = True
+            self.flats = np.flatnonzero(self.mask)
+
+    def settle(self, sample):
+        """The predicate ``settle(dist, frontier)`` with which the kernel
+        stops the origin ball of ``sample`` once every window vertex is
+        settled: reached, or in an open cluster that is finite, avoids every
+        box face and misses the ball. A witness is a singleton layer {w}
+        with w in a window, and a miss of the ball grown to its first face
+        contact means that its unreached window vertices are settled too, so
+        both balls give every event the same outcome and least witness, and
+        :func:`_windows_resolved` takes the settled ball's windows as
+        resolved without a probe. None when some window leaves the box: only
+        an exhausted ball that never touched a face certifies such a window.
+
+        One :func:`_probe` from the unreached window vertices checks the
+        second case; any open edge into the ball from outside lands in the
+        frontier, where the probe stops. It is tried at a layer that reaches
+        no window vertex, if it has no more sources than the layer has
+        vertices, and after a failed one only once a window vertex was
+        reached. Settled vertices stay settled, so this schedule decides only
+        where a settled ball stops, not what it certifies.
+        """
+        if self.mask is None:
+            return None
+        unsettled, due = self.flats, True  # due: a probe may find them settled
+
+        def settled(dist, frontier) -> bool:
+            nonlocal unsettled, due
+            if np.count_nonzero(self.mask[frontier]):
+                due = True
+            elif due:
+                unsettled = unsettled[dist[unsettled] == _INF32]
+                if unsettled.size <= frontier.size:
+                    due = False
+                    return _probe(sample, unsettled, frontier)[1]
+            return False
+
+        return settled
 
 
 class EventGrid:
@@ -195,8 +221,8 @@ class EventGrid:
 def event_A(ball: BallGrowth, grid: EventGrid) -> list:
     """Windowed cut-point event of every event of a plain grid, in order,
     on ``ball``, grown from the origin until its first face contact or
-    until the grid's window vertices are settled (``grow_ball(...,
-    settle=grid.windows.settle)``).
+    until the grid's window vertices are settled (``grow_ball(sample, ...,
+    settle=grid.windows.settle(sample))``).
 
     A witness is a certified singleton layer (t, w) with t >= s n and w
     within sup-distance floor(n^alpha) of n x. Each result holds the least
@@ -276,12 +302,13 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
     has a certified status.
 
     An exhausted ball that never touched a face is the full Z^d cluster of
-    the source, so every vertex is resolved (finite or truly infinite). On
-    any other ball, stopped at a face, at ``t_max``, at a target or with
-    its windows settled, a window vertex is resolved when its distance is
-    within the certified horizon, or when it is unreached and its own open
-    cluster avoids every box face and the ball (then it truly never joins
-    the source cluster). A window that leaves the box is not resolved.
+    the source, and a settled one (``grid.windows.settle(sample)``)
+    certified every window vertex as it stopped, so every window is
+    resolved. On any other ball, stopped at a face, at ``t_max`` or at a
+    target, a window vertex is resolved when its distance is within the
+    certified horizon, or when it is unreached and its own open cluster
+    avoids every box face and the ball (then it truly never joins the
+    source cluster). A window that leaves the box is not resolved.
 
     One gather of the ball's distances per window extent settles every
     window whose vertices are all within the horizon, or some reached past
@@ -289,7 +316,7 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
     sharing one verdict array: allocated at the first probe, it keeps the
     verdict of every vertex a probe settled for the later windows.
     """
-    if ball.exhausted and not ball.contaminated:
+    if (ball.exhausted or ball.settled) and not ball.contaminated:
         return np.ones(len(needed), dtype=bool)
     wanted = np.zeros(windows.count, dtype=bool)
     wanted[needed] = True
@@ -334,10 +361,7 @@ def _probe_resolved(ball: BallGrowth, pending: np.ndarray, verdict):
         pending = pending[status == 0]
         if pending.size == 0:
             return True, verdict
-    probe = grow_ball_flats(
-        ball.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
-    )
-    clean = probe.exhausted and not probe.contaminated
+    probe, clean = _probe(ball.sample, pending, ball.layers[-1])
     if clean:
         marked = np.concatenate(probe.layers)
     else:
@@ -360,6 +384,15 @@ def _probe_resolved(ball: BallGrowth, pending: np.ndarray, verdict):
         verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
     verdict[marked] = _FINITE if clean else _JOINED
     return clean, verdict
+
+
+def _probe(sample: PercolationSample, flats, frontier):
+    """The growth in ``sample`` from the unreached vertices ``flats`` of a
+    ball whose last layer is ``frontier``, stopped at a face or at the
+    frontier, and whether it is clean: exhausted without touching either,
+    so their open clusters are finite and avoid every face and the ball."""
+    probe = grow_ball_flats(sample, flats, targets=frontier, stop_at_boundary=True)
+    return probe, probe.exhausted and not probe.contaminated
 
 
 def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap) -> bool:

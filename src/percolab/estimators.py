@@ -24,9 +24,9 @@ s_grid x x_grid at one n and one window exponent, in one ``event_A`` (or
 ``event_A_free``) call on the origin ball of each replicate; the window
 verdicts settled in that call are not kept. That ball stops at its first
 face contact, or earlier once every vertex of the grid's windows is
-reached or in a finite cluster that avoids every face and the ball
-(``grid.windows.settle``), which certifies the same outcomes with less
-growth (``metric``'s settle rule).
+reached or in a finite cluster that avoids every face and the ball (the
+predicate ``grid.windows.settle(sample)``), which certifies the same
+outcomes with less growth and needs no probe when scored.
 
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
 event of ``estimate-rate``) run their replicates in blocks of B consecutive
@@ -279,7 +279,7 @@ def _surface_replicate(index: int, *, p, grid: EventGrid, seed):
     sample = sample_configuration(grid.box, p, replicate_seed(seed, index))
     ball = grow_ball(
         sample, (0,) * grid.box.dimension, stop_at_boundary=True,
-        settle=grid.windows.settle,
+        settle=grid.windows.settle(sample),
     )
     fn = event_A_free if grid.free else event_A
     return tuple(OUTCOME_CODES[r.outcome] for r in fn(ball, grid))

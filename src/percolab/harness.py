@@ -647,6 +647,17 @@ _RATE_HEADER = [
 ]
 
 
+def _refuse_unresolved(estimates, box_factor):
+    """Refuse the run at the first event without a resolved replicate,
+    whose p_hat would be nan."""
+    for est in estimates:
+        if not est.resolved:
+            raise ConfigError(
+                f"{est.label} at n = {est.n}: all {est.tally.replicates} replicates are "
+                f"contaminated at x = {_fmt(est.x)}; try a box_factor above {_fmt(box_factor)}"
+            )
+
+
 def _cmd_estimate_rate(cfg, out_dir):
     d, p, seed, kind = cfg["d"], cfg["p"], cfg["seed"], cfg["event"]
     replicates, workers = cfg["replicates"], cfg["workers"]
@@ -667,13 +678,7 @@ def _cmd_estimate_rate(cfg, out_dir):
                 d, p, cfg["s"], [x], n, replicates, seed, kind=kind,
                 box_factor=cfg["box_factor"], alpha=None, workers=workers,
             )
-        for est in at_n:
-            # no resolved replicate: p_hat would be nan, so refuse the run
-            if not est.resolved:
-                raise ConfigError(
-                    f"{est.label} at n = {n}: all {replicates} replicates are "
-                    f"contaminated; try a box_factor above {_fmt(cfg['box_factor'])}"
-                )
+        _refuse_unresolved(at_n, cfg["box_factor"])
         estimates.extend(at_n)
         if cfg["emit_replicates"]:
             for idx, codes in enumerate(results):
@@ -712,6 +717,7 @@ def _cmd_estimate_j(cfg, out_dir):
         cfg["n"], cfg["replicates"], cfg["seed"], kind="cutpoint",
         box_factor=cfg["box_factor"], alpha=None, workers=cfg["workers"],
     )
+    _refuse_unresolved(surface, cfg["box_factor"])
     rows = []
     for xi in cfg["xi_grid"]:
         j = estimate_J(x, xi, cfg["mu1"], surface)

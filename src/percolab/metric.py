@@ -14,8 +14,8 @@ What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
 ``math.inf`` for a finite cluster that misses y, None when the box cannot
 tell), and ``singletons`` lists the certified single-vertex layers. The
 estimators read the distance constant and the upper-tail event from the
-first and the cut-point scans from the second; no other mapping of a ball
-onto outcomes exists.
+first and the cut-point scans from the second; the misses of the windowed
+cut-point events are certified in ``cutpoints._windows_resolved``.
 
 There is one BFS loop, :func:`_grow_lockstep`, and it grows B balls at
 once, one in each of B samples of one box of n vertices (B = 1 for every
@@ -23,36 +23,22 @@ single ball, through :func:`_grow`). Ball b lives at flats b n .. b n + n - 1
 of the samples' disjoint union, whose open masks are the samples' padded
 masks one after another (``lattice.stacked_open_flats``). Each layer is one
 sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
-a single ball's layer. The kernel has five stop rules, and each ball keeps
+a single ball's layer. The kernel has four stop rules, and each ball keeps
 its own: ``t_max``, a target reached, the first face contact (with
-``stop_at_boundary``), exhaustion and, for a single ball, settled windows
-(with ``settle``). It has no rule that confines growth:
-a confined ball is grown in a sample whose edges out of the allowed
-vertices are closed (``PercolationSample.restricted_to``), as
-:func:`constrained_distance` grows it. Each union layer is cut at the
-balls' bounds as it is swept; a ball whose part is empty was exhausted one
-layer earlier. A ball's end is decided there or at its stop, once, and
-then it leaves the frontier and the targets. After the loop the layers are
-only sliced. No edge joins two boxes, so every ball's distances, layers,
-first face contact and exhaustion equal those of its sample grown alone,
-whatever B and its companions are. The estimators choose B
-(``estimators._BLOCK_VERTICES``).
-
-The settled-windows rule serves the scanned cut-point events, whose
-outcomes depend only on the vertices of their windows
-(``cutpoints._Windows.settle``). ``settle`` is a triple (flats, mask,
-start): the window vertices, sorted and as a bool mask over the box's
-flats, and a first layer to try the rule at. The ball stops at a layer
-t >= start once every window vertex is settled: reached, or in an open
-cluster that is finite, avoids every box face and misses the ball. One
-probe (:func:`_isolated`) checks the second case: it grows from the
-unreached window vertices in the same sample and stops at a face or at the
-frontier ``layers[t]``, into which any open edge from outside the ball
-leads, and a clean probe exhausts its clusters without touching either.
-The probe is tried at a layer that reaches no window vertex, if it has no
-more sources than the layer has vertices, and after a failed one only once
-a window vertex was reached. Once true the condition stays true, so this
-schedule decides only where a settled ball stops, not what it certifies.
+``stop_at_boundary``) and exhaustion. A single ball may also stop where its
+caller's predicate ``settle(dist, frontier)`` says that the caller's
+question is certified; it is asked after each layer at which the ball is
+not already leaving, and the ball records that it ``settled``. The kernel
+has no rule that confines growth: a confined ball is grown in a sample
+whose edges out of the allowed vertices are closed
+(``PercolationSample.restricted_to``), as :func:`constrained_distance`
+grows it. Each union layer is cut at the balls' bounds as it is swept; a
+ball whose part is empty was exhausted one layer earlier. A ball's end is
+decided there or at its stop, once, and then it leaves the frontier and the
+targets. After the loop the layers are only sliced. No edge joins two
+boxes, so every ball's distances, layers, first face contact and exhaustion
+equal those of its sample grown alone, whatever B and its companions are.
+The estimators choose B (``estimators._BLOCK_VERTICES``).
 """
 
 from __future__ import annotations
@@ -80,13 +66,16 @@ def _move_priority(d: int):
 @dataclass
 class BallGrowth:
     """Layered BFS record of one ball of ``sample``: its distances and
-    layers; predecessors come from :meth:`pred_of`."""
+    layers; predecessors come from :meth:`pred_of`. The fields after
+    ``sample`` are the kernel's tuple, so ``BallGrowth(sample, *grown)``
+    builds the ball."""
 
     sample: PercolationSample
-    layers: list  # layer t = sorted flat indices at distance t; 0: the sources
     dist: np.ndarray  # flat uint32, 0xFFFFFFFF = unreached
     first_boundary_time: int | None
+    layers: list  # layer t = sorted flat indices at distance t; 0: the sources
     exhausted: bool  # frontier emptied (cluster fully explored in box)
+    settled: bool  # stopped by the caller's ``settle`` predicate
 
     @property
     def box(self) -> BoxSpec:
@@ -171,8 +160,8 @@ def _grow(
     stop_at_boundary=False,
     settle=None,
 ):
-    """(dist, first boundary time, layers, exhausted) of the ball of
-    :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
+    """(dist, first boundary time, layers, exhausted, settled) of the ball
+    of :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
     return _grow_lockstep(
         [sample], [source_flats], t_max=t_max,
         targets=None if targets is None else [targets],
@@ -183,8 +172,8 @@ def _grow(
 def _grow_lockstep(
     samples, sources, t_max=None, targets=None, stop_at_boundary=False, settle=None
 ):
-    """Per ball b, (dist, first boundary time, layers, exhausted) of the
-    ball of the flats ``sources[b]`` in ``samples[b]``, grown as
+    """Per ball b, (dist, first boundary time, layers, exhausted, settled)
+    of the ball of the flats ``sources[b]`` in ``samples[b]``, grown as
     :func:`grow_ball_flats` grows it with the targets ``targets[b]`` (None:
     no ball has targets) and the shared ``t_max``, ``stop_at_boundary`` and
     ``settle`` (one ball only). One sweep of the 2 d neighbours per layer
@@ -217,6 +206,7 @@ def _grow_lockstep(
     cuts = []  # per union layer t >= 1, where each ball's part of it starts
     end = [None] * balls  # the last layer of each ball
     exhausted = [False] * balls
+    settled = False  # one ball, stopped by ``settle``
     growing = set(range(balls))
     leaving = {b for b in growing if stop_at_boundary and first[b] is not None}
     pending = first.count(None)  # growing balls yet to touch a face
@@ -224,10 +214,6 @@ def _grow_lockstep(
         aim = np.asarray(targets[0], dtype=np.int64) if balls == 1 else np.concatenate(
             [np.asarray(a, dtype=np.int64).reshape(-1) + b * n for b, a in enumerate(targets)]
         )
-    if settle is not None:  # one ball
-        # its window vertices, pruned to the unreached ones at each probe
-        unsettled, window, start = settle
-        due = True  # whether a probe may find them settled
 
     t = 0
     while True:
@@ -292,49 +278,19 @@ def _grow_lockstep(
                         pending -= 1
                         if stop_at_boundary:
                             leaving.add(b)
-        if settle is not None and t >= start and not leaving:
-            # a probe is tried at a layer that reaches no window vertex, if it
-            # has no more sources than the layer has vertices, and after a
-            # failed one only once a window vertex was reached
-            if np.count_nonzero(window[frontier]):
-                due = True
-            elif due:
-                unsettled = unsettled[dist[unsettled] == _INF32]
-                if unsettled.size <= frontier.size:
-                    if _isolated(samples[0], unsettled, frontier):
-                        leaving.add(0)
-                    due = False
+        if settle is not None and not leaving and settle(dist, frontier):
+            leaving.add(0)
+            settled = True
 
     if balls == 1:
-        return [(dist, first[0], layers, exhausted[0])]
+        return [(dist, first[0], layers, exhausted[0], settled)]
     for layer in layers[1:]:
         np.remainder(layer, n, out=layer)
     out = []
     for b in range(balls):
         own = [flats[c[b] : c[b + 1]] for c, flats in zip(cuts[: end[b]], layers[1:])]
-        out.append((dist[b * n : (b + 1) * n], first[b], [srcs[b]] + own, exhausted[b]))
+        out.append((dist[b * n : (b + 1) * n], first[b], [srcs[b]] + own, exhausted[b], False))
     return out
-
-
-def _isolated(sample, flats, frontier) -> bool:
-    """Whether the open clusters of ``flats`` are finite, avoid every box
-    face and miss a ball whose last layer is ``frontier``: one probe from
-    ``flats``, stopped at a face or at the frontier, exhausts them."""
-    _, first, _, exhausted = _grow_lockstep(
-        [sample], [flats], targets=[frontier], stop_at_boundary=True
-    )[0]
-    return exhausted and first is None
-
-
-def _ball(sample, grown) -> BallGrowth:
-    dist, fb, layers, exhausted = grown
-    return BallGrowth(
-        sample=sample,
-        layers=layers,
-        dist=dist,
-        first_boundary_time=fb,
-        exhausted=exhausted,
-    )
 
 
 def grow_ball(
@@ -367,17 +323,14 @@ def grow_ball_flats(
     Stops at exhaustion, at ``t_max`` layers, when any of ``targets`` (flat
     indices) has been reached, or, with ``stop_at_boundary``, right after the
     first layer that touches a box face (that layer itself is still exact).
-    With ``settle``, a triple (flats, mask, start) of window vertices (sorted
-    flat indices, and the same set as a bool mask over the box's flats) and
-    a layer, it also stops at a layer t >= start once every window vertex
-    is reached or in a finite open cluster that avoids every box face and
-    the ball (see the module docstring).
+    With ``settle``, a predicate ``settle(dist, frontier)`` of the ball's
+    distances and its last layer, it also stops after a layer at which the
+    predicate holds, and is ``settled`` (see the module docstring).
     """
-    grown = _grow(
+    return BallGrowth(sample, *_grow(
         sample, source_flats, t_max=t_max, targets=targets,
         stop_at_boundary=stop_at_boundary, settle=settle,
-    )
-    return _ball(sample, grown)
+    ))
 
 
 def grow_balls(
@@ -392,7 +345,7 @@ def grow_balls(
     grown = _grow_lockstep(
         samples, source_flats, targets=targets, stop_at_boundary=stop_at_boundary
     )
-    return [_ball(*args) for args in zip(samples, grown)]
+    return [BallGrowth(sample, *one) for sample, one in zip(samples, grown)]
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:

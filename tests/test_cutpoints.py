@@ -371,7 +371,7 @@ def settled_and_full_balls(sample, grid):
     and the one grown to its first face contact, checked to agree on every
     layer the first one grew."""
     d = sample.box.dimension
-    settled = grow_ball(sample, (0,) * d, stop_at_boundary=True, settle=grid.windows.settle)
+    settled = grow_ball(sample, (0,) * d, stop_at_boundary=True, settle=grid.windows.settle(sample))
     full = origin_ball(sample)
     assert settled.last_time <= full.last_time
     assert all(np.array_equal(a, b) for a, b in zip(settled.layers, full.layers))
@@ -455,7 +455,7 @@ def test_no_window_is_settled_while_one_leaves_the_box(box, p, seeds, n, alpha, 
     # face certify the misses of windows that leave the box, which a ball
     # stopped early could not do
     grid = EventGrid(box, s_grid, x_grid, n, alpha=alpha, free=False)
-    assert grid.windows.settle is None
+    assert grid.windows.mask is None and grid.windows.settle(all_open(box)) is None
     misses = 0
     for seed in seeds:
         settled, full = settled_and_full_balls(sample_configuration(box, p, seed), grid)
@@ -465,21 +465,63 @@ def test_no_window_is_settled_while_one_leaves_the_box(box, p, seeds, n, alpha, 
     assert misses > 0
 
 
+def near_origin_grid_d3():
+    """A d = 3 grid whose windows lie near the origin of its box."""
+    box = BoxSpec(3, 16)
+    return EventGrid(box, [0.25, 0.5], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 4, alpha=None, free=False)
+
+
 def test_a_ball_stops_once_its_windows_are_settled():
     # the windows near the origin are settled before the face in most
     # samples: those balls stop early, once a probe finds the finite
     # clusters left in the windows, and score every event as the ball grown
     # to the face
-    box = BoxSpec(3, 16)
-    grid = EventGrid(box, [0.25, 0.5], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], 4, alpha=None, free=False)
-    assert grid.windows.settle is not None
+    grid = near_origin_grid_d3()
+    assert grid.windows.mask is not None
     early = 0
     for seed in range(20):
-        s = sample_configuration(box, 0.5, seed)
+        s = sample_configuration(grid.box, 0.5, seed)
         settled, full = settled_and_full_balls(s, grid)
         assert event_A(settled, grid) == event_A(full, grid)
         early += settled.last_time < full.last_time
     assert early >= 15
+
+
+def test_a_settled_ball_is_scored_without_a_probe(monkeypatch):
+    # the in-loop probe that settled a ball certified every window vertex,
+    # so event_A probes none of them again; a ball stopped for any other
+    # reason is not settled
+    grid = near_origin_grid_d3()
+    box, origin = grid.box, (0, 0, 0)
+    target = box.flat_index((1, 0, 0))
+    calls = []
+    probe = cutpoints.grow_ball_flats
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(cutpoints, "grow_ball_flats", counted)
+    settled = 0
+    for seed in range(20):
+        s = sample_configuration(box, 0.5, seed)
+        ball, full = settled_and_full_balls(s, grid)
+        expected = event_A(full, grid)
+        calls.clear()
+        assert event_A(ball, grid) == expected
+        if ball.settled:
+            settled += 1
+            assert not ball.contaminated and calls == []
+        assert not full.settled
+        capped = grow_ball(s, origin, t_max=3, settle=grid.windows.settle(s))
+        aimed = grow_ball(s, origin, targets=[target], settle=grid.windows.settle(s))
+        assert capped.last_time == 3 or capped.exhausted
+        assert aimed.dist[target] == aimed.last_time or aimed.exhausted
+        assert not capped.settled and not aimed.settled
+    assert settled >= 15
+    closed = all_closed(box)
+    exhausted = grow_ball(closed, origin, stop_at_boundary=True, settle=grid.windows.settle(closed))
+    assert exhausted.exhausted and not exhausted.settled
 
 
 def test_a_grid_refuses_a_direction_of_the_wrong_dimension():

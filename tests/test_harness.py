@@ -325,8 +325,14 @@ def test_a_sample_file_that_cannot_be_loaded_exits_2(tmp_path, capsys, command, 
         (["estimate-j", "--set=d=2", "--set=p=0.6", "--set=seed=1", "--set=replicates=2",
           "--set=workers=1", "--set=xi_grid=0", "--set=s_grid=1", "--set=y_max=0"], 3,
          "no feasible grid point with a defined rate"),
+        # 112 of the 125 (s, y) points of this small box resolve no replicate
+        (["estimate-j", "--set=d=2", "--set=p=0.8", "--set=seed=1", "--set=n=8",
+          "--set=box_factor=0.5", "--set=replicates=40", "--set=workers=1"], 2,
+         "cutpoint(s=0.0) at n = 8: all 40 replicates are contaminated at x = -1.0,-1.0; "
+         "try a box_factor above 0.5"),
     ],
-    ids=["ball-source", "free-contaminated", "classify-siteless", "mu-degenerate", "j-uncovered"],
+    ids=["ball-source", "free-contaminated", "classify-siteless", "mu-degenerate", "j-uncovered",
+         "j-contaminated"],
 )
 def test_a_command_that_exits_non_zero_leaves_no_output_directory(
     tmp_path, monkeypatch, capsys, argv, code, message

@@ -4,7 +4,9 @@ package references, every public name (UPPER_CASE constants included) has
 a caller in the package or in the benchmark, every default of a parameter
 or a dataclass field is set by some call there, and every dataclass field
 is read there, unless an allowlist says why not. No function takes a sample beside a ball, which
-carries its own.
+carries its own. The modules import one another in layers: a module
+imports only the modules below its own layer, so the BFS kernel cannot
+call back into the window certificate.
 Importing the CLI loads neither the lemma library nor scipy.optimize nor
 scipy.sparse, ``classify`` and ``route`` run without scipy.sparse, no
 command loads numpy.ma, and serial replicates take no fresh page faults
@@ -614,3 +616,73 @@ def test_no_function_takes_a_sample_beside_its_ball():
     # a grown ball carries its sample (BallGrowth.sample), so a second one
     # could only disagree with it
     assert [(p.name, f) for p in MODULES for f in sample_beside_ball(p.read_text())] == []
+
+
+# the package's layers, lowest first; a module imports only the modules of
+# lower layers, and ``__init__`` and ``__main__`` are exempt
+LAYERS = [["errors"], ["lattice"], ["metric"], ["cutpoints", "renorm"], ["estimators"], ["harness"]]
+# modules outside the layers, any module may import them, and what they import
+LEAVES = {"parallel": set(), "combinatorics": {"errors"}}
+
+
+def package_imports(source: str) -> set:
+    """Every package module that ``source`` imports at any depth, by
+    ``from .x import ...`` or ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def layering_violations(sources: dict, layers=LAYERS, leaves=LEAVES):
+    """(module, imported) of every package import of ``sources`` (module
+    name to source) that the layers do not allow; a module that is neither
+    in a layer nor a leaf is reported as (module, None)."""
+    rank = {m: k for k, layer in enumerate(layers) for m in layer}
+    known = set(rank) | set(leaves)
+    found = []
+    for module, source in sorted(sources.items()):
+        if module in ("__init__", "__main__"):
+            continue
+        if module in leaves:
+            allowed = leaves[module]
+        elif module in rank:
+            allowed = {m for m, k in rank.items() if k < rank[module]} | set(leaves)
+        else:
+            found.append((module, None))
+            continue
+        found += [(module, m) for m in sorted(package_imports(source) & (known - allowed))]
+    return found
+
+
+def test_layering_detector_reads_nested_imports_and_every_layer():
+    sources = {
+        "errors": "",
+        "lattice": "from .errors import E\n",
+        "metric": "from .lattice import B\ndef f():\n    from .cutpoints import g\n",
+        "cutpoints": "from . import renorm, __version__\nfrom .metric import m\n",
+        "renorm": "from .metric import m\nfrom .parallel import run\n",
+        "estimators": "from .harness.sub import h\n",
+        "harness": "from .estimators import e\nfrom .combinatorics import LEMMAS\n",
+        "parallel": "import os\nfrom .errors import E\n",
+        "combinatorics": "from .errors import E\nfrom .lattice import B\n",
+        "__init__": "from .harness import main\n",
+        "extra": "from .errors import E\n",
+    }
+    assert layering_violations(sources) == [
+        ("combinatorics", "lattice"),
+        ("cutpoints", "renorm"),
+        ("estimators", "harness"),
+        ("extra", None),
+        ("metric", "cutpoints"),
+        ("parallel", "errors"),
+    ]
+
+
+def test_every_module_imports_only_the_layers_below_it():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert layering_violations(sources) == []
