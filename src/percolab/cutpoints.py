@@ -509,7 +509,9 @@ def force_cutpoint(ball: BallGrowth, t: int, w, k: int) -> tuple:
 
 def upper_tail_outcome(distance, threshold: float) -> EventOutcome:
     """Outcome of the tri-state upper-tail event threshold < D < inf for a
-    distance from :meth:`BallGrowth.certified_distance` (None: unknowable)."""
+    certified distance D from ``metric.grow_targets``: an int, ``math.inf``
+    (the finite cluster misses the target: DISCONNECTED) or None (the box
+    cannot tell: UNKNOWABLE)."""
     if distance is None:
         return EventOutcome.UNKNOWABLE
     if distance == math.inf:

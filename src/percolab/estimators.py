@@ -11,13 +11,14 @@ seeds, but its box differs and an edge's uniform hashes its box-relative
 index, so samples at two values of n are not one configuration seen twice.
 
 Every estimator reads the chemical distance D(0, floor(n x)) through one
-helper, :func:`target_distances`: the origin ball grown toward the target
-until it reaches it, exhausts its cluster or first touches a box face, and
-that ball's ``certified_distance`` (an int, ``inf`` when the finite cluster
-misses the target, None when the box cannot tell). The distance constant
-averages the finite values, the upper-tail event maps the value through
-``upper_tail_outcome``, and the paired experiment also scans the same ball's
-certified singleton layers. The scanned cut-point events instead go
+helper, :func:`target_distances`: per replicate, the certified distance and
+the certified singleton times of the origin ball grown toward the target
+until it reaches it, exhausts its cluster or first touches a box face
+(``metric.grow_targets``). The distance is an int, ``inf`` when the finite
+cluster misses the target, or None when the box cannot tell. The distance
+constant averages the finite values, the upper-tail event maps the value
+through ``upper_tail_outcome``, and the paired experiment also asks whether
+a singleton time comes late. The scanned cut-point events instead go
 through one pipeline, :func:`scan_rates`, for ``estimate-rate`` and for
 ``estimate-j``'s surface: it scores an :class:`EventGrid`, the product
 s_grid x x_grid at one n and one window exponent, in one ``event_A`` (or
@@ -31,16 +32,16 @@ outcomes with less growth and needs no probe when scored.
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
 event of ``estimate-rate``) run their replicates in blocks of B consecutive
 indices through one runner, :func:`_run_targets`. A block samples each
-index's configuration as above, grows the B origin balls in lock-step
-(``metric.grow_balls``: one BFS sweep per layer serves every ball), and
-hands each index its own ball and certified distance, in index order, to
-the path's per-index finisher (``_mu_replicate``, ``_paired_replicate`` or
+index's configuration as above, grows the B origin balls together
+(``metric.grow_targets``: one layer step serves every ball), and hands each
+index its certified distance and singleton times, in index order, to the
+path's per-index finisher (``_mu_replicate``, ``_paired_replicate`` or
 ``_run_one_n``). B = max(1, ``_BLOCK_VERTICES`` // the box's vertices), so
-B follows from the box alone: small d = 2 boxes share a sweep, and large
-d = 3 boxes run one ball per block. A lock-step ball equals the ball grown
-alone on its sample, and the sample depends on the index alone, so no
-output depends on B or on the worker count. A failure while a block
-samples or grows is reported at the block's first index, and one in a
+B follows from the box alone: small d = 2 boxes share a step, and large
+d = 3 boxes run one ball per block. A ball grown in a block gives what the
+ball grown alone on its sample gives, and the sample depends on the index
+alone, so no output depends on B or on the worker count. A failure while a
+block samples or grows is reported at the block's first index, and one in a
 finisher at that finisher's index.
 
 Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
@@ -78,13 +79,13 @@ from .cutpoints import (
 )
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _MASK64, _SPLIT, BoxSpec, _mix64, sample_configuration
-from .metric import grow_ball, grow_balls
+from .metric import grow_ball, grow_targets
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
 
-# vertices of the boxes that one block grows in lock-step. A block holds
-# about 10 bytes per vertex (samples, masks, distances, layers): 0.85 MB for
+# vertices of the boxes that one block grows together. A block holds
+# about 10 bytes per vertex (samples, masks, distances): 0.85 MB for
 # the 8 boxes of 10,609 vertices of upper-tail at d = 2, n = 12, where a
 # worker's peak resident set rose about 4% over one ball per replicate (12
 # boxes: about 6.5%)
@@ -207,31 +208,26 @@ def _run_all(fn, replicates: int, workers, block=None):
 
 
 def target_distances(samples, n: int, x):
-    """(ball, certified distance) per sample of ``samples``, which share a
-    box: the origin ball grown toward floor(n x), stopped at the target, at
-    cluster exhaustion or at its first face contact, and its certified
-    distance to the target: an int, ``math.inf`` or None (unknowable). The
-    balls grow in lock-step; each equals the one grown alone."""
+    """(certified distance, certified singleton times) per sample of
+    ``samples``, which share a box, from the origin to floor(n x): an int,
+    ``math.inf`` or None (unknowable), and the increasing times t >= 1 of
+    the singleton layers of the origin ball, as ``metric.grow_targets``
+    certifies them."""
     box = samples[0].box
     target = tuple(int(math.floor(n * c)) for c in x)
-    origin, aim = [box.flat_index((0,) * len(target))], [box.flat_index(target)]
-    balls = grow_balls(
-        samples, [origin] * len(samples), targets=[aim] * len(samples),
-        stop_at_boundary=True,
-    )
-    return [(ball, ball.certified_distance(target)) for ball in balls]
+    return grow_targets(samples, box.flat_index((0,) * len(target)), box.flat_index(target))
 
 
 def _target_block(indices, *, finish, p, box, n, x, seed):
-    """finish(index, ball=, dist=) of each index of ``indices``, their balls
-    grown in lock-step."""
+    """finish(index, dist=, singles=) of each index of ``indices``, their
+    balls grown together."""
     samples = [sample_configuration(box, p, replicate_seed(seed, i)) for i in indices]
-    for index, (ball, dist) in zip(indices, target_distances(samples, n, x)):
-        yield finish(index, ball=ball, dist=dist)
+    for index, (dist, singles) in zip(indices, target_distances(samples, n, x)):
+        yield finish(index, dist=dist, singles=singles)
 
 
 def _run_targets(finish, replicates: int, workers, *, p, box, n, x, seed):
-    """finish(index, ball=, dist=) of every replicate, in blocks of
+    """finish(index, dist=, singles=) of every replicate, in blocks of
     max(1, _BLOCK_VERTICES // box.n_vertices) indices: the one runner of
     the target paths."""
     fn = partial(_target_block, finish=finish, p=p, box=box, n=n, x=x, seed=seed)
@@ -306,7 +302,7 @@ def _upper_tail_box(d: int, x, n: int, xi: float, mu1: float, box_factor: float)
     return _box(d, reach), _upper_tail_threshold(x, n, xi, mu1)
 
 
-def _run_one_n(index: int, *, ball, dist, threshold):
+def _run_one_n(index: int, *, dist, singles, threshold):
     """The upper-tail outcome code of one replicate of ``estimate-rate``, as
     a 1-tuple."""
     return (OUTCOME_CODES[upper_tail_outcome(dist, threshold)],)
@@ -331,7 +327,7 @@ class MuPoint:
         return (self.mean - Z_95 * self.sigma, self.mean + Z_95 * self.sigma)
 
 
-def _mu_replicate(index: int, *, ball, dist):
+def _mu_replicate(index: int, *, dist, singles):
     """Certified D(0, floor(n x)) of one replicate: int, inf or None."""
     return dist
 
@@ -344,8 +340,8 @@ def estimate_mu(
     replicates: int,
     seed: int,
     *,
-    box_factor: float = 1.6,
-    workers: int | None = None,
+    box_factor: float,
+    workers,
 ) -> list:
     """One MuPoint per n of ``n_grid``: the conditional mean of
     D(0, floor(n x))/n over the connected, uncontaminated replicates.
@@ -451,10 +447,10 @@ class PairedTally:
     counts: dict  # (upper outcome name, cut outcome name) -> count
 
 
-def _paired_replicate(index: int, *, ball, dist, threshold, t_min):
+def _paired_replicate(index: int, *, dist, singles, threshold, t_min):
     upper = upper_tail_outcome(dist, threshold)
-    # late cut-point within the certified horizon, capped at the distance
-    if ball.singletons(t_min, dist):
+    # a late cut-point: the certified singleton times stop at the distance
+    if any(t >= t_min for t in singles):
         return upper.value, "hit"
     return upper.value, "censored" if dist is None else "miss"
 
@@ -467,10 +463,10 @@ def upper_tail_vs_cutpoint_experiment(
     replicates: int,
     seed: int,
     *,
-    s: float = 0.1,
-    mu1: float = 1.0,
-    box_factor: float = 1.3,
-    workers: int | None = None,
+    s: float,
+    mu1: float,
+    box_factor: float,
+    workers,
 ):
     """Joint tallies of the upper-tail event and a late cut-point existing.
 

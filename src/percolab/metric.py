@@ -9,36 +9,33 @@ from the distances and the open edges, so it is derived on demand
 touched the box face ("boundary contamination"): layers up to and including
 that time equal the infinite-lattice layers, later ones may not.
 
-What a grown ball proves about Z^d is stated once, on :class:`BallGrowth`:
-``certified_distance`` gives D(source, y) when the box certifies it (an int,
-``math.inf`` for a finite cluster that misses y, None when the box cannot
-tell), and ``singletons`` lists the certified single-vertex layers. The
-estimators read the distance constant and the upper-tail event from the
-first and the cut-point scans from the second; the misses of the windowed
-cut-point events are certified in ``cutpoints._windows_resolved``.
+There are two BFS loops, one per job, and they share one layer step,
+:func:`_next_layer`: the sweep of the 2 d neighbours of a frontier, the
+unreached filter, the sort and the dedupe.
 
-There is one BFS loop, :func:`_grow_lockstep`, and it grows B balls at
-once, one in each of B samples of one box of n vertices (B = 1 for every
-single ball, through :func:`_grow`). Ball b lives at flats b n .. b n + n - 1
-of the samples' disjoint union, whose open masks are the samples' padded
-masks one after another (``lattice.stacked_open_flats``). Each layer is one
-sweep of the 2 d neighbours of the union's frontier, with the numpy calls of
-a single ball's layer. The kernel has four stop rules, and each ball keeps
-its own: ``t_max``, a target reached, the first face contact (with
-``stop_at_boundary``) and exhaustion. A single ball may also stop where its
-caller's predicate ``settle(dist, frontier)`` says that the caller's
-question is certified; it is asked after each layer at which the ball is
-not already leaving, and the ball records that it ``settled``. The kernel
-has no rule that confines growth: a confined ball is grown in a sample
-whose edges out of the allowed vertices are closed
-(``PercolationSample.restricted_to``), as :func:`constrained_distance`
-grows it. Each union layer is cut at the balls' bounds as it is swept; a
-ball whose part is empty was exhausted one layer earlier. A ball's end is
-decided there or at its stop, once, and then it leaves the frontier and the
-targets. After the loop the layers are only sliced. No edge joins two
-boxes, so every ball's distances, layers, first face contact and exhaustion
-equal those of its sample grown alone, whatever B and its companions are.
-The estimators choose B (``estimators._BLOCK_VERTICES``).
+- :func:`_grow` grows one ball, for :func:`grow_ball_flats` and every
+  caller of it. It has five stop rules: ``t_max``, a target reached, the
+  first face contact (with ``stop_at_boundary``), exhaustion, and the
+  caller's predicate ``settle(dist, frontier)``, asked after each layer at
+  which the ball is not stopping at a face; a ball stopped by it records
+  that it ``settled``. It has no rule that confines growth: a confined ball
+  is grown in a sample whose edges out of the allowed vertices are closed
+  (``PercolationSample.restricted_to``), as :func:`constrained_distance`
+  grows it. What such a ball proves about Z^d is stated on
+  :class:`BallGrowth` (``resolved_through``, ``singletons``), and the
+  misses of the windowed cut-point events are certified in
+  ``cutpoints._windows_resolved``.
+- :func:`grow_targets` grows B balls at once, one in each of B samples of
+  one box of n vertices, from one source toward one target, and is the one
+  place where a target distance is certified. Ball b lives at flats
+  b n .. b n + n - 1 of the samples' disjoint union, whose open masks are
+  the samples' padded masks one after another
+  (``lattice.stacked_open_flats``), so each layer is one step over the
+  union's frontier. A ball stops at its target, at its first face contact
+  or at exhaustion, and keeps only what it certifies: the distance and the
+  times of its singleton layers. No edge joins two boxes, so every ball's
+  result equals that of its sample grown alone, whatever B and its
+  companions are. The estimators choose B (``estimators._BLOCK_VERTICES``).
 """
 
 from __future__ import annotations
@@ -67,8 +64,10 @@ def _move_priority(d: int):
 class BallGrowth:
     """Layered BFS record of one ball of ``sample``: its distances and
     layers; predecessors come from :meth:`pred_of`. The fields after
-    ``sample`` are the kernel's tuple, so ``BallGrowth(sample, *grown)``
-    builds the ball."""
+    ``sample`` are the tuple of :func:`_grow`, so ``BallGrowth(sample,
+    *grown)`` builds the ball. What a grown ball proves about Z^d is stated
+    here: its layers through ``resolved_through`` and the singleton layers
+    among them (:meth:`singletons`)."""
 
     sample: PercolationSample
     dist: np.ndarray  # flat uint32, 0xFFFFFFFF = unreached
@@ -120,36 +119,34 @@ class BallGrowth:
             np.copyto(pred, u, where=ok)
         return pred
 
-    def dist_of(self, coord) -> float:
-        v = self.dist[self.box.flat_index(coord)]
-        return math.inf if v == _INF32 else int(v)
-
-    def certified_distance(self, target):
-        """D(source, target) in Z^d as far as this ball certifies it.
-
-        An int when the target was reached within the certified layers;
-        ``math.inf`` when the ball exhausted its cluster without touching a
-        box face (the Z^d cluster is finite and misses the target); None when
-        the box cannot tell.
-        """
-        v = self.dist_of(target)
-        if v <= self.resolved_through:
-            return v
-        if self.exhausted and not self.contaminated:
-            return math.inf
-        return None
-
-    def singletons(self, t_min: int = 1, t_max=None):
-        """(t, flat) of every singleton layer with t_min <= t <= t_max among
-        the certified layers, increasing in t."""
-        horizon = self.resolved_through if t_max is None else min(
-            t_max, self.resolved_through
-        )
+    def singletons(self, t_min: int = 1):
+        """(t, flat) of every singleton layer with t >= t_min among the
+        certified layers, increasing in t."""
         return [
             (t, int(self.layers[t][0]))
-            for t in range(t_min, horizon + 1)
+            for t in range(t_min, self.resolved_through + 1)
             if len(self.layers[t]) == 1
         ]
+
+
+def _next_layer(frontier, steps, dist):
+    """The sorted distinct vertices that are unreached in ``dist`` and
+    joined by an open edge to a vertex of ``frontier``, where ``steps``
+    pairs each axis stride with its padded open mask: the layer step of
+    both loops."""
+    parts = []
+    for st, op in steps:
+        parts.append(frontier[op[frontier]] + st)
+        # wrapped lookup is safe: slots with grid index side-1 along
+        # the axis are always False in the padded mask
+        low = frontier - st
+        parts.append(low[op.take(low, mode="wrap")])
+    nb = np.concatenate(parts)
+    nb = nb[dist[nb] == _INF32]
+    nb.sort()
+    keep = np.ones(nb.size, dtype=bool)
+    np.not_equal(nb[1:], nb[:-1], out=keep[1:])
+    return nb[keep]
 
 
 def _grow(
@@ -161,136 +158,102 @@ def _grow(
     settle=None,
 ):
     """(dist, first boundary time, layers, exhausted, settled) of the ball
-    of :func:`grow_ball_flats`: the one-ball call of :func:`_grow_lockstep`."""
-    return _grow_lockstep(
-        [sample], [source_flats], t_max=t_max,
-        targets=None if targets is None else [targets],
-        stop_at_boundary=stop_at_boundary, settle=settle,
-    )[0]
-
-
-def _grow_lockstep(
-    samples, sources, t_max=None, targets=None, stop_at_boundary=False, settle=None
-):
-    """Per ball b, (dist, first boundary time, layers, exhausted, settled)
-    of the ball of the flats ``sources[b]`` in ``samples[b]``, grown as
-    :func:`grow_ball_flats` grows it with the targets ``targets[b]`` (None:
-    no ball has targets) and the shared ``t_max``, ``stop_at_boundary`` and
-    ``settle`` (one ball only). One sweep of the 2 d neighbours per layer
-    serves every ball (see the module docstring)."""
-    box = samples[0].box
-    n, balls = box.n_vertices, len(samples)
+    of :func:`grow_ball_flats`: the single-ball loop."""
+    box = sample.box
     face = box.face_flat
-    # The one-ball branches (masks, tiling, frontier, targets, cuts and
-    # result) spare a lone ball the copies and the layer cuts of the union.
-    # Without them, the masks still cached, 150 surface-d2 replicates took
-    # 0.705 -> 0.862 s of process time (medians, slower in 9 of 10
-    # alternating pairs, 2-vCPU host) and 20 rate-d3 replicates 0.294 ->
-    # 0.312 s (7 of 10).
-    if balls == 1:
-        opens = samples[0].axis_open_flats()
-    else:
-        opens = stacked_open_flats(samples)
-        face = np.tile(face, balls)
-    steps = list(zip(box.strides, opens))
-    dist = np.full(balls * n, _INF32, dtype=np.uint32)
-
-    srcs = [np.sort(np.asarray(s, dtype=np.int64)) for s in sources]
-    first = [0 if np.count_nonzero(face[src]) else None for src in srcs]
-    frontier = srcs[0] if balls == 1 else np.concatenate(
-        [src + b * n for b, src in enumerate(srcs)]
-    )
+    steps = list(zip(box.strides, sample.axis_open_flats()))
+    dist = np.full(box.n_vertices, _INF32, dtype=np.uint32)
+    frontier = np.sort(np.asarray(source_flats, dtype=np.int64))
     dist[frontier] = 0
-    layers = [frontier]  # the union's layers
-    bounds = np.arange(balls + 1) * n
-    cuts = []  # per union layer t >= 1, where each ball's part of it starts
-    end = [None] * balls  # the last layer of each ball
-    exhausted = [False] * balls
-    settled = False  # one ball, stopped by ``settle``
-    growing = set(range(balls))
-    leaving = {b for b in growing if stop_at_boundary and first[b] is not None}
-    pending = first.count(None)  # growing balls yet to touch a face
-    if targets is not None:  # union flats: target a is ball a // n's
-        aim = np.asarray(targets[0], dtype=np.int64) if balls == 1 else np.concatenate(
-            [np.asarray(a, dtype=np.int64).reshape(-1) + b * n for b, a in enumerate(targets)]
-        )
-
+    layers = [frontier]
+    first = 0 if np.count_nonzero(face[frontier]) else None
+    aim = None if targets is None else np.asarray(targets, dtype=np.int64)
+    exhausted = settled = False
     t = 0
-    while True:
-        if targets is not None:
-            hit = dist[aim] != _INF32
-            if np.count_nonzero(hit):
-                leaving.update((aim[hit] // n).tolist())
-        if t_max is not None and t >= t_max:
-            leaving.update(growing)
-        if leaving:
-            # a ball stops at t unless it was exhausted at t - 1; either
-            # way it leaves the frontier and the targets
-            for b in leaving:
-                if end[b] is None:
-                    end[b] = t
-            growing -= leaving
-            if not growing:
-                break
-            gone = np.fromiter(leaving, dtype=np.int64)
-            frontier = frontier[~np.isin(frontier // n, gone)]
-            if targets is not None:
-                aim = aim[~np.isin(aim // n, gone)]
-            pending = sum(first[b] is None for b in growing)
-            leaving = set()
-        t += 1
-        parts = []
-        for st, op in steps:
-            parts.append(frontier[op[frontier]] + st)
-            # wrapped lookup is safe: slots with grid index side-1 along
-            # the axis are always False in the padded mask
-            low = frontier - st
-            parts.append(low[op.take(low, mode="wrap")])
-        nb = np.concatenate(parts)
-        nb = nb[dist[nb] == _INF32]
-        if nb.size == 0:  # every growing ball's part of layer t is empty
-            for b in growing:
-                end[b], exhausted[b] = t - 1, True
+    while not (
+        (t_max is not None and t >= t_max)
+        or (aim is not None and np.count_nonzero(dist[aim] != _INF32))
+        or (stop_at_boundary and first is not None)
+    ):
+        frontier = _next_layer(frontier, steps, dist)
+        if frontier.size == 0:
+            exhausted = True
             break
-        nb.sort()
-        keep = np.ones(nb.size, dtype=bool)
-        np.not_equal(nb[1:], nb[:-1], out=keep[1:])
-        frontier = nb[keep]
+        t += 1
         dist[frontier] = t
         layers.append(frontier)
-        if balls > 1:
-            # ball b's part of layer t is frontier[cut[b] : cut[b + 1]]; an
-            # empty part means its cluster was exhausted at t - 1
-            cut = np.searchsorted(frontier, bounds).tolist()
-            cuts.append(cut)
-            for b in growing:
-                if cut[b] == cut[b + 1]:
-                    end[b], exhausted[b] = t - 1, True
-                    leaving.add(b)
-        if pending:
-            touched = face[frontier]
-            if np.count_nonzero(touched):
-                # a set: plain np.unique imports numpy.ma (1.6 MB of
-                # resident memory in every worker, numpy 2.4)
-                for b in set((frontier[touched] // n).tolist()):
-                    if first[b] is None:
-                        first[b] = t
-                        pending -= 1
-                        if stop_at_boundary:
-                            leaving.add(b)
-        if settle is not None and not leaving and settle(dist, frontier):
-            leaving.add(0)
+        if first is None and np.count_nonzero(face[frontier]):
+            first = t
+            if stop_at_boundary:
+                break
+        if settle is not None and settle(dist, frontier):
             settled = True
+            break
+    return dist, first, layers, exhausted, settled
 
+
+def grow_targets(samples, source: int, target: int) -> list:
+    """Per sample of ``samples``, which share one box, the pair (certified
+    distance, certified singleton times) of the ball around the flat
+    ``source``, grown toward the flat ``target`` until it reaches it, first
+    touches a box face or exhausts its cluster.
+
+    The distance D(source, target) in Z^d is an int when the ball reached
+    the target (at or before its first face contact), ``math.inf`` when it
+    exhausted its cluster without touching a face (the Z^d cluster is
+    finite and misses the target) and None when the box cannot tell. The
+    times are every t >= 1 through the ball's last layer whose layer is a
+    single vertex, increasing, so none exceeds an int distance. The balls
+    grow together (see the module docstring).
+    """
+    box = samples[0].box
+    n, balls = box.n_vertices, len(samples)
+    # a lone ball (every large d = 3 box) reuses its sample's cached masks
+    # and the box's face mask instead of copying them
     if balls == 1:
-        return [(dist, first[0], layers, exhausted[0], settled)]
-    for layer in layers[1:]:
-        np.remainder(layer, n, out=layer)
-    out = []
-    for b in range(balls):
-        own = [flats[c[b] : c[b + 1]] for c, flats in zip(cuts[: end[b]], layers[1:])]
-        out.append((dist[b * n : (b + 1) * n], first[b], [srcs[b]] + own, exhausted[b], False))
-    return out
+        opens, face = samples[0].axis_open_flats(), box.face_flat
+    else:
+        opens, face = stacked_open_flats(samples), np.tile(box.face_flat, balls)
+    steps = list(zip(box.strides, opens))
+    dist = np.full(balls * n, _INF32, dtype=np.uint32)
+    bounds = np.arange(balls + 1, dtype=np.int64) * n  # ball b: bounds[b] .. bounds[b + 1] - 1
+    aims = bounds[:-1] + target
+    frontier = bounds[:-1] + source
+    dist[frontier] = 0
+    cut = list(range(balls + 1))  # ball b's part of layer t: frontier[cut[b] : cut[b + 1]]
+    out = [None] * balls
+    singles = [[] for _ in range(balls)]
+    growing = list(range(balls))
+    t = 0
+    while True:
+        reached = (dist[aims] != _INF32).tolist()
+        touched = face[frontier]
+        # a set: plain np.unique imports numpy.ma (1.6 MB of resident
+        # memory in every worker, numpy 2.4)
+        faced = set((frontier[touched] // n).tolist()) if np.count_nonzero(touched) else ()
+        kept = []
+        for b in growing:
+            size = cut[b + 1] - cut[b]
+            if size == 0:  # exhausted at t - 1, never touching a face
+                out[b] = (math.inf, singles[b])
+                continue
+            if size == 1 and t:
+                singles[b].append(t)
+            if reached[b]:
+                out[b] = (t, singles[b])
+            elif b in faced:
+                out[b] = (None, singles[b])
+            else:
+                kept.append(b)
+        if not kept:
+            return out
+        if len(kept) < len(growing):
+            frontier = np.concatenate([frontier[cut[b] : cut[b + 1]] for b in kept])
+        growing = kept
+        frontier = _next_layer(frontier, steps, dist)
+        t += 1
+        dist[frontier] = t
+        cut = np.searchsorted(frontier, bounds).tolist()
 
 
 def grow_ball(
@@ -331,21 +294,6 @@ def grow_ball_flats(
         sample, source_flats, t_max=t_max, targets=targets,
         stop_at_boundary=stop_at_boundary, settle=settle,
     ))
-
-
-def grow_balls(
-    samples, source_flats, *, targets=None, stop_at_boundary: bool = False
-) -> list[BallGrowth]:
-    """One ball per sample of ``samples``, which share one box, grown in
-    lock-step: ball b from the flats ``source_flats[b]``, stopped at
-    ``targets[b]`` (None: no targets for any ball), at exhaustion and, with
-    ``stop_at_boundary``, as :func:`grow_ball_flats` stops. Ball b equals
-    ``grow_ball_flats(samples[b], source_flats[b], targets=targets[b], ...)``.
-    """
-    grown = _grow_lockstep(
-        samples, source_flats, targets=targets, stop_at_boundary=stop_at_boundary
-    )
-    return [BallGrowth(sample, *one) for sample, one in zip(samples, grown)]
 
 
 def constrained_distance(sample: PercolationSample, region, frm, to) -> float:

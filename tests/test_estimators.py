@@ -49,10 +49,10 @@ def test_rate_bounds_are_nan_without_resolved_replicates():
 
 
 def test_mu_interval_is_nan_below_two_connected_replicates():
-    (one,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 1, 3, workers=1)
+    (one,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 1, 3, box_factor=1.6, workers=1)
     assert one.connected == 1 and math.isfinite(one.mean)
     assert all(math.isnan(v) for v in one.ci)
-    (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, workers=1)
+    (two,) = estimate_mu(0.95, 2, (1.0, 0.0), [4], 2, 3, box_factor=1.6, workers=1)
     assert two.connected == 2 and all(math.isfinite(v) for v in two.ci)
 
 
@@ -73,7 +73,7 @@ def test_target_distance_never_rises_with_p_under_the_coupling(d, L, ps, n, x):
     changes = set()
     for seed in range(40):
         samples = [sample_configuration(BoxSpec(d, L), p, seed) for p in ps]
-        known = [dist for _, dist in target_distances(samples, n, x) if dist is not None]
+        known = [dist for dist, _ in target_distances(samples, n, x) if dist is not None]
         assert known == sorted(known, reverse=True), (seed, known)
         changes.update(
             "joined" if a == math.inf else "shorter"
@@ -209,7 +209,7 @@ def test_the_upper_tail_threshold_scales_with_the_l1_norm_of_x(tmp_path, x):
     threshold = 1.6 * 1.2 * 12 * sum(x)
     assert emitted == [
         upper_tail_outcome(dist, threshold).value
-        for _, dist in target_distances(samples, 12, x)
+        for dist, _ in target_distances(samples, 12, x)
     ]
     assert {"hit", "miss"} <= set(emitted)
 

@@ -604,9 +604,11 @@ def test_target_estimates_do_not_depend_on_the_block_size(monkeypatch, workers):
     for budget in (1, 3 * box.n_vertices, estimators._BLOCK_VERTICES):
         monkeypatch.setattr(estimators, "_BLOCK_VERTICES", budget)
         paired = estimators.upper_tail_vs_cutpoint_experiment(
-            0.6, 2, 0.3, (6, 12), 31, 5, workers=workers
+            0.6, 2, 0.3, (6, 12), 31, 5, s=0.1, mu1=1.0, box_factor=1.3, workers=workers
         )
-        mu = estimators.estimate_mu(0.6, 2, (1.0, 0.0), (6, 12), 31, 5, workers=workers)
+        mu = estimators.estimate_mu(
+            0.6, 2, (1.0, 0.0), (6, 12), 31, 5, box_factor=1.6, workers=workers
+        )
         results.append(([t.counts for t in paired], mu))
     assert results[0] == results[1] == results[2]
 

@@ -128,7 +128,7 @@ def test_serial_upper_tail_replicates_take_no_fresh_page_faults():
         "from percolab.estimators import upper_tail_vs_cutpoint_experiment as run\n"
         "def faults(replicates, seed):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    run(0.6, 2, 1.0, (12,), replicates, seed, s=0.1, mu1=1.55, workers=1)\n"
+        "    run(0.6, 2, 1.0, (12,), replicates, seed, s=0.1, mu1=1.55, box_factor=1.3, workers=1)\n"
         "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
         "faults(50, 1)\n"
         "print(faults(200, 2) / 200, 'scipy.sparse' in sys.modules)\n"

@@ -36,7 +36,7 @@ def test_all_closed_ball():
     box = BoxSpec(2, 3)
     ball = grow_ball(all_closed(box), (0, 0))
     assert [len(l) for l in ball.layers] == [1]
-    assert ball.dist_of((1, 0)) == math.inf
+    assert ball.dist[box.flat_index((1, 0))] == INF32
     assert ball.exhausted
 
 
@@ -55,7 +55,7 @@ def test_dist_oracle_more_samples(d, radius, p, seed):
 
 
 def chemical_distance(sample, x, y):
-    return grow_ball(sample, x).dist_of(y)
+    return ball_dist_array(grow_ball(sample, x))[sample.box.flat_index(y)]
 
 
 def test_chemical_distance_straight_path():
@@ -164,10 +164,11 @@ def test_geodesic_length_equals_distance_and_self_avoiding():
         s = sample_configuration(BoxSpec(2, 7), 0.65, seed)
         ball = grow_ball(s, (0, 0))
         for target in [(3, 2), (-4, 1), (5, -5)]:
-            if ball.dist_of(target) == math.inf:
+            dist = ball.dist[s.box.flat_index(target)]
+            if dist == INF32:
                 continue
             path = geodesic(ball, target)
-            assert len(path) - 1 == ball.dist_of(target)
+            assert len(path) - 1 == dist
             assert len(set(path)) == len(path)
     with pytest.raises(UnreachableVertexError):
         geodesic(grow_ball(all_closed(BoxSpec(2, 3)), (0, 0)), (1, 1))
@@ -259,87 +260,73 @@ def test_grow_and_pred_of_match_the_per_move_reference(rule, data):
     assert np.array_equal(ball.pred_of(reached), pred[reached])
 
 
-def _assert_matches_reference(grown, sample, sources, **kw):
-    """``grown`` is (dist, first boundary time, layers, exhausted)."""
-    dist, _, layers, first_boundary, exhausted = reference_grow(sample, sources, **kw)
-    assert np.array_equal(grown[0], dist)
-    assert len(grown[2]) == len(layers)
-    assert all(np.array_equal(a, b) for a, b in zip(grown[2], layers))
-    assert (grown[1], grown[3]) == (first_boundary, exhausted)
+def _reference_target(sample, source, target):
+    """(certified distance, singleton times) of the ball around the flat
+    ``source`` that ``reference_grow`` grows toward the flat ``target``
+    until its first face contact, read as ``metric.grow_targets`` states
+    them: the target's distance if reached, inf if the cluster was
+    exhausted, else None; and every t >= 1 whose layer is one vertex."""
+    dist, _, layers, _, exhausted = reference_grow(
+        sample, [source], targets=[target], stop_at_boundary=True
+    )
+    if dist[target] != INF32:
+        value = int(dist[target])
+    else:
+        value = math.inf if exhausted else None
+    return value, [t for t in range(1, len(layers)) if len(layers[t]) == 1]
 
 
 @given(data=st.data())
-def test_lockstep_balls_match_the_reference_grown_alone(data):
-    # B samples of one box grown in one kernel call, each ball with its own
-    # stop: a target at some layer, a source on the face, a source that is
-    # its own target, or an exhausted cluster (low p, no target); the layer
-    # cap, the face rule and the region are shared, and each ball confined
-    # to the region grows in its restricted sample
+def test_target_balls_match_the_reference_grown_alone(data):
+    # B samples of one box grown in one call from one source toward one
+    # target near it, each ball with its own stop: the target at some
+    # layer, its first face contact, or an exhausted cluster (low p); the
+    # source lies inside the box or on a face, or is the target itself
     d = data.draw(st.integers(2, 4), label="d")
     box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
-    n = box.n_vertices
-    on_face = np.flatnonzero(box.face_flat)
-    kw = {
-        "stop_at_boundary": data.draw(st.booleans(), label="stop_at_boundary"),
-        "t_max": data.draw(st.none() | st.integers(0, 8), label="t_max"),
-    }
-    region = None
-    if data.draw(st.booleans(), label="in region"):
-        rng = np.random.default_rng(data.draw(st.integers(0, 999), label="region seed"))
-        region = rng.random(n) < data.draw(st.floats(0.5, 1.0), label="region density")
-    samples, sources, targets = [], [], []
+    kind = data.draw(st.sampled_from(["inside", "face", "own target"]), label="source")
+    pool = np.flatnonzero(box.face_flat == (kind == "face"))
+    source = int(pool[data.draw(st.integers(0, pool.size - 1), label="source")])
+    step = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d), label="step")
+    if kind == "own target":
+        step = [0] * d
+    near = np.clip(np.asarray(box.vertex_coord(source)) + step, -box.radius, box.radius)
+    target = box.flat_index(tuple(near))
+    samples = []
     for b in range(data.draw(st.integers(1, 9), label="B")):
-        kind = data.draw(
-            st.sampled_from(["target", "face", "own target", "exhaustion"]), label=f"kind {b}"
-        )
-        p = data.draw(st.floats(0.1, 0.3) if kind == "exhaustion" else st.floats(0.3, 0.9))
+        low = data.draw(st.booleans(), label=f"low p {b}")
+        p = data.draw(st.floats(0.1, 0.3) if low else st.floats(0.3, 0.9))
         samples.append(sample_configuration(box, p, data.draw(st.integers(0, 999))))
-        src = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
-        if kind == "face":
-            src[0] = int(on_face[data.draw(st.integers(0, on_face.size - 1))])
-        aims = [] if kind == "exhaustion" else data.draw(
-            st.lists(st.integers(0, n - 1), max_size=3)
-        )
-        if kind == "own target":
-            aims.append(src[-1])
-        if region is not None:
-            region[src] = True
-        sources.append(src)
-        targets.append(aims)
-
-    grown_in = samples if region is None else [s.restricted_to(region) for s in samples]
-    grown = metric._grow_lockstep(grown_in, sources, targets=targets, **kw)
-    assert len(grown) == len(samples)
-    for one, sample, src, aims in zip(grown, samples, sources, targets):
-        _assert_matches_reference(one, sample, src, targets=aims, region=region, **kw)
-
-
-def test_lockstep_balls_stop_at_their_own_layer_and_for_their_own_reason():
-    box = BoxSpec(2, 6)
-    line = open_path_sample(box, [(k, 0) for k in range(-6, 7)])
-    closed = all_closed(box)
-    origin, far = box.flat_index((0, 0)), box.flat_index((5, 0))
-    corner = box.flat_index((-6, -6))
-    # (sample, sources, targets): reached at layer 2, at layer 5, a source
-    # on the face, a source that is its own target, an isolated vertex
-    # (exhausted), and a line run into the face
-    cases = [
-        (line, [origin], [box.flat_index((2, 0))]),
-        (line, [origin], [far]),
-        (line, [corner], [far]),
-        (line, [far], [far, origin]),
-        (closed, [origin], [far]),
-        (line, [origin], []),
+    assert metric.grow_targets(samples, source, target) == [
+        _reference_target(s, source, target) for s in samples
     ]
-    samples, sources, targets = (list(c) for c in zip(*cases))
-    balls = metric.grow_balls(samples, sources, targets=targets, stop_at_boundary=True)
-    for ball, (sample, src, aims) in zip(balls, cases):
-        grown = (ball.dist, ball.first_boundary_time, ball.layers, ball.exhausted)
-        _assert_matches_reference(grown, sample, src, targets=aims, stop_at_boundary=True)
-    assert [b.last_time for b in balls] == [2, 5, 0, 0, 0, 6]
-    assert [b.first_boundary_time for b in balls] == [None, None, 0, None, None, 6]
-    assert [b.exhausted for b in balls] == [False, False, False, False, True, False]
-    assert [b.certified_distance((5, 0)) for b in balls[:2]] == [None, 5]
+
+
+def test_target_balls_stop_at_their_own_layer_and_for_their_own_reason():
+    box = BoxSpec(2, 5)
+    origin, target = box.flat_index((0, 0)), box.flat_index((3, 2))
+    route = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+    # the target at layer 5; a line run into the face at layer 5; an
+    # isolated origin; a dead end after two layers; and the target reached
+    # in the layer that first touches a face, the edge of the horizon
+    samples = [
+        open_path_sample(box, route),
+        open_path_sample(box, [(0, k) for k in range(6)]),
+        all_closed(box),
+        open_path_sample(box, route[:3]),
+        open_path_sample(box, [(0, -k) for k in range(5, 0, -1)] + route),
+    ]
+    grown = metric.grow_targets(samples, origin, target)
+    assert grown == [_reference_target(s, origin, target) for s in samples]
+    assert grown == [
+        (5, [1, 2, 3, 4, 5]), (None, [1, 2, 3, 4, 5]), (math.inf, []), (math.inf, [1, 2]),
+        (5, []),
+    ]
+    # a source on the face stops at once, unless it is its own target
+    corner = box.flat_index((-5, -5))
+    assert metric.grow_targets(samples[:2], corner, target) == [(None, [])] * 2
+    assert metric.grow_targets(samples[:2], corner, corner) == [(0, [])] * 2
+    assert metric.grow_targets(samples[:1], target, target) == [(0, [])]
 
 
 def test_layers_disjoint_prefix_union():
@@ -379,10 +366,9 @@ def test_boundary_contamination_flag():
 
 def test_certified_distance_statuses():
     def certified(sample, target):
-        return grow_ball(
-            sample, (0, 0), targets=[sample.box.flat_index(target)],
-            stop_at_boundary=True,
-        ).certified_distance(target)
+        box = sample.box
+        (value, _), = metric.grow_targets([sample], box.flat_index((0, 0)), box.flat_index(target))
+        return value
 
     box = BoxSpec(2, 6)
     s = open_path_sample(box, [(k, 0) for k in range(4)])
