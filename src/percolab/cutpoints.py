@@ -34,14 +34,14 @@ lattice; otherwise it is unknowable.
 A miss on any ball but an exhausted or settled one that never touched a
 face needs every window vertex resolved: within the certified horizon, or
 unreached with an open cluster that avoids every box face and the ball. One
-gather of the ball's distances per window extent settles most windows. The unreached
-vertices of each remaining window are probed together by a second growth
-that stops at a face or at the ball's frontier ``layers[-1]``: an open edge
-from an unreached vertex into the ball lands in its last layer, so reaching
-the frontier proves the vertex joins the source cluster past the certified
-horizon. Each vertex's verdict (in a finite cluster, or joined to a face
-or to the ball) is exact, so it is kept for every later window of the same
-call.
+gather of the ball's distances per window extent settles most windows. The
+unreached vertices of each remaining window are one set, and every set is
+probed by a growth that stops at a face or at the ball: an open edge from an
+unreached vertex into the ball lands in its frontier ``layers[-1]``, so
+reaching the ball proves the set joins the source cluster past the
+certified horizon. Up to 64 sets share one growth, each carried as one bit
+of a word per vertex and searched alone (:func:`_lane_probe`), so a
+window's verdict depends on no other window.
 
 Surgery only closes edges: :func:`force_cutpoint` returns the sorted tuple
 of edges to close, and :func:`apply_surgery` closes them in a copy of the
@@ -63,10 +63,13 @@ from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
 
 def window_radius(d: int, n: int, alpha: float | None) -> int:
     """The window floor(n^alpha) of the events at n; alpha None is the
-    dimension default 1 - 1/(6d)."""
-    if alpha is None:
-        alpha = 1.0 - 1.0 / (6 * d)
-    return int(n ** alpha)
+    dimension default 1 - 1/(6d), whose floor is worked out in integers:
+    the largest w with w^(6d) <= n^(6d - 1)."""
+    if alpha is not None:
+        return int(n ** alpha)
+    k = 6 * d
+    w = round(n ** (1 - 1 / k))
+    return w if w ** k <= n ** (k - 1) else w - 1
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,6 @@ def detect_cutpoints(ball: BallGrowth, t_min: int):
         CutPointRecord(time=t, location=ball.box.vertex_coord(flat))
         for t, flat in ball.singletons(t_min)
     ]
-
-
-# verdicts of unreached vertices in one scoring call; 0 means not probed yet
-_FINITE = np.int8(1)  # open cluster is finite and avoids every box face
-_JOINED = np.int8(2)  # open path to a box face or to the ball's frontier
 
 
 class _Windows:
@@ -181,7 +179,7 @@ class _Windows:
                 unsettled = unsettled[dist[unsettled] == _INF32]
                 if unsettled.size <= frontier.size:
                     due = False
-                    return _probe(sample, unsettled, frontier)[1]
+                    return _probe(sample, unsettled, frontier)
             return False
 
         return settled
@@ -257,8 +255,7 @@ def _score(ball: BallGrowth, grid: EventGrid) -> list:
     at t = 0 (a witness only of a threshold <= 0) and every certified
     singleton layer. One mask of (event, candidate) pairs gives the
     witnesses; a free-line event checks its passing pairs in increasing t.
-    The windows of the events without a witness are certified together,
-    probed in the order of their first such event.
+    The windows of the events without a witness are certified together.
     """
     box = ball.box
     if box != grid.box:
@@ -281,10 +278,7 @@ def _score(ball: BallGrowth, grid: EventGrid) -> list:
     of = grid.windows.of
     certified = np.zeros(grid.windows.count, dtype=bool)
     missed = of[first < 0]
-    if missed.size:
-        _, at = np.unique(missed, return_index=True)
-        needed = missed[np.sort(at)]
-        certified[needed] = _windows_resolved(ball, grid.windows, needed)
+    certified[missed] = _windows_resolved(ball, grid.windows, missed)
     results = []
     for j, window in zip(first.tolist(), of.tolist()):
         if j >= 0:
@@ -312,16 +306,15 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
 
     One gather of the ball's distances per window extent settles every
     window whose vertices are all within the horizon, or some reached past
-    it. The rest go to :func:`_probe_resolved` in the order of ``needed``,
-    sharing one verdict array: allocated at the first probe, it keeps the
-    verdict of every vertex a probe settled for the later windows.
+    it. The unreached vertices of each other window are one set, and
+    :func:`_lane_probe` gives the verdict of up to 64 sets per growth.
     """
     if (ball.exhausted or ball.settled) and not ball.contaminated:
         return np.ones(len(needed), dtype=bool)
     wanted = np.zeros(windows.count, dtype=bool)
     wanted[needed] = True
     resolved = np.zeros(windows.count, dtype=bool)
-    unsettled = {}
+    unsure, sources = [], []
     horizon = np.uint32(ball.resolved_through)
     for ids, offsets in windows.groups:
         ids = ids[wanted[ids]]
@@ -332,67 +325,70 @@ def _windows_resolved(ball: BallGrowth, windows: _Windows, needed) -> np.ndarray
         near = dvals <= horizon
         unreached = dvals == _INF32
         resolved[ids] = near.all(axis=1)
-        unsure = ~resolved[ids] & (near | unreached).all(axis=1)
-        for k in np.flatnonzero(unsure):
-            unsettled[int(ids[k])] = flats[k][unreached[k]]
-    verdict = None
-    for k in map(int, needed):
-        if k in unsettled:
-            resolved[k], verdict = _probe_resolved(ball, unsettled[k], verdict)
+        for k in np.flatnonzero(~resolved[ids] & (near | unreached).all(axis=1)):
+            unsure.append(int(ids[k]))
+            sources.append(flats[k][unreached[k]])
+    for at in range(0, len(sources), 64):
+        resolved[unsure[at : at + 64]] = _lane_probe(ball, sources[at : at + 64])
     return resolved[needed]
 
 
-def _probe_resolved(ball: BallGrowth, pending: np.ndarray, verdict):
-    """Whether the open clusters of the unreached vertices ``pending`` all
-    avoid every box face, and the verdict array (int8 per vertex, 0 where
-    not probed yet; None before the first probe) updated with this probe.
+def _lane_probe(ball: BallGrowth, sources) -> np.ndarray:
+    """Whether each of the (at most 64) sets ``sources`` of unreached
+    vertices of ``ball`` is clean: its open clusters are finite and avoid
+    every box face and the ball. A lone set is one :func:`_probe`.
 
-    The vertices without a verdict are probed together in ``ball.sample``,
-    stopping at a face or at the frontier ``ball.layers[-1]``. A clean
-    probe marks every vertex it reached finite; a failed one marks joined
-    the predecessor path (:meth:`BallGrowth.pred_of` of the probe) from
-    each face or frontier vertex it reached back to its source. A later
-    window with a joined unreached vertex fails without a probe.
+    Set k is lane k, bit k of a uint64 word per vertex, and its bits are
+    the breadth-first search of that set alone in ``ball.sample``. A lane
+    is joined at its first layer with a face or ball vertex, where the
+    probe of that set alone stops, and a lane that dies out is clean. Each
+    layer merges the words arriving at a vertex, marks them seen and
+    spreads them along open edges as ``metric._next_layer`` does; an
+    arrival keeps only the lanes still searching that have not seen its
+    vertex. An unreached vertex enters the ball only through its frontier,
+    so stopping at a ball vertex is stopping at the frontier.
     """
-    if verdict is not None:
-        status = verdict[pending]
-        if (status == _JOINED).any():
-            return False, verdict
-        pending = pending[status == 0]
-        if pending.size == 0:
-            return True, verdict
-    probe, clean = _probe(ball.sample, pending, ball.layers[-1])
-    if clean:
-        marked = np.concatenate(probe.layers)
-    else:
-        # the probe stopped right after its first layer with a face or
-        # frontier vertex, so every such vertex it reached is in that layer;
-        # the paths back from them are marked one layer down at a time
-        last = probe.layers[-1]
-        on = np.zeros(ball.box.n_vertices, dtype=bool)
-        on[last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]] = True
-        marked = np.concatenate(probe.layers)
-        pred, stop = probe.pred_of(marked), marked.size
-        for layer in reversed(probe.layers[1:]):
-            on[pred[stop - layer.size : stop][on[layer]]] = True
-            stop -= layer.size
-        marked = marked[on[marked]]
-    # the verdicts are allocated once the probe's arrays are freed, so that
-    # they do not raise the peak memory of a one-window ball
-    del probe
-    if verdict is None:
-        verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
-    verdict[marked] = _FINITE if clean else _JOINED
-    return clean, verdict
+    if len(sources) == 1:
+        return np.array([_probe(ball.sample, sources[0], ball.layers[-1])])
+    box = ball.box
+    steps = list(zip(box.strides, ball.sample.axis_open_flats()))
+    seen, arrived = np.zeros((2, box.n_vertices), dtype=np.uint64)
+    lanes = np.arange(len(sources), dtype=np.uint64)
+    front = np.concatenate(sources)
+    bits = np.uint64(1) << lanes
+    words = np.repeat(bits, [len(flats) for flats in sources])
+    joined, every = np.uint64(0), np.bitwise_or.reduce(bits)
+    while front.size and joined != every:
+        # ufunc.at: a fancy |= would keep one word of a repeated vertex
+        np.bitwise_or.at(arrived, front, words)
+        front.sort()
+        front = front[np.concatenate(([True], front[1:] != front[:-1]))]
+        words = arrived[front]
+        arrived[front] = 0
+        seen[front] |= words
+        stop = box.face_flat[front] | (ball.dist[front] != _INF32)
+        if np.count_nonzero(stop):
+            joined |= np.bitwise_or.reduce(words[stop])
+        moves = []
+        for st, op in steps:
+            # a negative flat wraps, which is safe as in metric._next_layer
+            low = front - st
+            up, down = np.flatnonzero(op[front]), np.flatnonzero(op[low])
+            moves += [(front[up] + st, words[up]), (low[down], words[down])]
+        front, words = (np.concatenate(part) for part in zip(*moves))
+        words &= ~(seen[front] | joined)  # the searching lanes that have not seen it
+        live = np.flatnonzero(words)
+        front, words = front[live], words[live]
+    return (joined >> lanes) & np.uint64(1) == 0
 
 
-def _probe(sample: PercolationSample, flats, frontier):
-    """The growth in ``sample`` from the unreached vertices ``flats`` of a
-    ball whose last layer is ``frontier``, stopped at a face or at the
-    frontier, and whether it is clean: exhausted without touching either,
-    so their open clusters are finite and avoid every face and the ball."""
+def _probe(sample: PercolationSample, flats, frontier) -> bool:
+    """Whether the growth in ``sample`` from the unreached vertices
+    ``flats`` of a ball whose last layer is ``frontier``, stopped at a face
+    or at the frontier, is clean: exhausted without touching either, so
+    their open clusters are finite and avoid every face and the ball."""
     probe = grow_ball_flats(sample, flats, targets=frontier, stop_at_boundary=True)
-    return probe, probe.exhausted and not probe.contaminated
+    return probe.exhausted and not probe.contaminated
 
 
 def _free_conditions(ball: BallGrowth, t: int, coord, line_cap: int, volume_cap) -> bool:

@@ -64,8 +64,8 @@ def score_one(sample: PercolationSample, s, x, n, free=False) -> EventResult:
 
 class ReferenceContext:
     """Per-event scan of one ball, the reference for the one-pass scoring:
-    its certified singleton layers, each window's certificate cached by
-    (centre, radius), and the verdict of every vertex a probe settled."""
+    its certified singleton layers and each window's certificate cached by
+    (centre, radius)."""
 
     def __init__(self, sample: PercolationSample, ball):
         self.sample = sample
@@ -74,7 +74,6 @@ class ReferenceContext:
             (t, ball.box.coords_of_flats([flat])[0]) for t, flat in ball.singletons()
         ]
         self.resolved = {}
-        self.verdict = None  # per vertex: 0 not probed, 1 finite, 2 joined
 
     def window_resolved(self, center, radius) -> bool:
         key = (center.tobytes(), radius)
@@ -85,9 +84,10 @@ class ReferenceContext:
 
 def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
     """Every vertex of one window is within the certified horizon, or
-    unreached with an open cluster that avoids every box face; the
-    unreached vertices without a verdict are probed together through
-    ``cutpoints.grow_ball_flats``, stopped at a face or at the frontier."""
+    unreached with an open cluster that avoids every box face and the ball;
+    the window's unreached vertices are probed together, and apart from
+    every other window, through ``cutpoints.grow_ball_flats``, stopped at a
+    face or at the frontier."""
     ball = ctx.ball
     if ball.exhausted and not ball.contaminated:
         return True
@@ -104,33 +104,10 @@ def reference_window_resolved(ctx: ReferenceContext, center, radius) -> bool:
     unreached = dvals == INF32
     if not (near | unreached).all():
         return False
-    pending = flats[unreached]
-    if ctx.verdict is not None:
-        status = ctx.verdict[pending]
-        if (status == 2).any():
-            return False
-        pending = pending[status == 0]
-        if pending.size == 0:
-            return True
     probe = cutpoints.grow_ball_flats(
-        ctx.sample, pending, targets=ball.layers[-1], stop_at_boundary=True
+        ctx.sample, flats[unreached], targets=ball.layers[-1], stop_at_boundary=True
     )
-    clean = probe.exhausted and not probe.contaminated
-    if clean:
-        marked = np.concatenate(probe.layers)
-    else:
-        last = probe.layers[-1]
-        ends = last[ball.box.face_flat[last] | (ball.dist[last] == np.uint32(ball.last_time))]
-        path = []
-        while ends.size:
-            path.append(ends)
-            ends = probe.pred_of(ends)
-            ends = ends[ends >= 0]
-        marked = np.concatenate(path)
-    if ctx.verdict is None:
-        ctx.verdict = np.zeros(ball.box.n_vertices, dtype=np.int8)
-    ctx.verdict[marked] = 1 if clean else 2
-    return clean
+    return probe.exhausted and not probe.contaminated
 
 
 def reference_grow(

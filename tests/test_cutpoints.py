@@ -19,7 +19,6 @@ from conftest import (
     open_path_sample,
     origin_ball,
     reference_event,
-    reference_grow,
     ReferenceContext,
     score_one,
 )
@@ -73,6 +72,12 @@ def test_window_radius_defaults_to_the_exponent_1_minus_1_over_6d():
     assert window_radius(2, 10**6, None) == 316227
     assert window_radius(3, 10**6, None) == 464158
     assert window_radius(3, 10**6, 0.9) == 251188
+    # 4096^(11/12) = 2^11, which the float power puts just below 2048
+    assert window_radius(2, 4096, None) == 2048
+    for d in range(2, 7):
+        for n in (1, 2, 4095, 4096, 4097, 10**9):
+            w = window_radius(d, n, None)
+            assert w ** (6 * d) <= n ** (6 * d - 1) < (w + 1) ** (6 * d)
 
 
 def test_detect_on_path_graph():
@@ -230,7 +235,7 @@ def test_window_certificate_matches_the_cluster_oracle(d, radii, data):
         assert certify(ball, [center], r) == [want]
 
 
-def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
+def test_overlapping_windows_are_certified_by_one_lane_growth():
     # the ball first touches the face at (-12, 0), at t = 12, when its other
     # arm ends at the interior frontier vertex (6, 6); an unreached corridor
     # (6, 7) .. (6, 9) leads into that vertex
@@ -243,65 +248,99 @@ def test_overlapping_windows_reuse_the_verdicts_of_one_probe(monkeypatch):
     assert ball.resolved_through == ball.last_time == 12
     assert {box.vertex_coord(f) for f in ball.layers[-1]} == {(-12, 0), (6, 6)}
 
-    probes = []
-    grow = cutpoints.grow_ball_flats
-
-    def counting(*args, **kwargs):
-        probes.append(grow(*args, **kwargs))
-        return probes[-1]
-
-    monkeypatch.setattr(cutpoints, "grow_ball_flats", counting)
-    # the three windows after the first overlap its joined corridor and fail
-    # without a probe; the frontier vertex's own verdict is never read: with
-    # the corridor left out, the last window holds only ball vertices and
-    # isolated ones, which one clean probe settles
+    # the four windows that overlap the corridor are joined to the frontier
+    # vertex; the last one holds only ball vertices and isolated ones, and
+    # is clean. Each window is its own lane of one growth, so no verdict
+    # depends on another window
     windows = [(6.0, 9.0), (7.0, 8.0), (6.0, 8.0), (5.5, 8.5), (6.0, 5.0)]
-    assert certify(ball, windows, 1) == [False] * 4 + [True]
-    assert len(probes) == 2
-    # the failed probe stops on entering the frontier, short of any face
-    probe = probes[0]
-    assert probe.first_boundary_time is None and not probe.exhausted
-    assert box.flat_index((6, 6)) in probe.layers[-1] and probe.last_time == 2
-
-    # isolated vertices: a clean probe, then only the vertices without a
-    # verdict are probed, and none when every vertex has one
-    assert certify(ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
-    assert len(probes) == 4
-    assert {box.vertex_coord(f) for f in probes[-1].layers[0]} == {(-4, j) for j in (7, 8, 9)}
+    with counted(cutpoints, "_lane_probe") as lanes, counted(cutpoints, "grow_ball_flats") as probes:
+        assert certify(ball, windows, 1) == [False] * 4 + [True]
+        assert [len(sets) for _, (sets,) in lanes] == [5]
+        # isolated vertices: three clean lanes of one growth
+        assert certify(ball, [(-6.0, 8.0), (-5.0, 8.0), (-5.5, 8.0)], 1) == [True] * 3
+        assert [len(sets) for _, (sets,) in lanes] == [5, 3]
+        assert probes == []
+        # a lone window is one probe
+        assert certify(ball, [(6.0, 9.0)], 1) == [False]
+        assert len(lanes) == 3 and len(probes) == 1
 
 
-@pytest.mark.parametrize("d, radius, p", [(2, 10, 0.55), (3, 5, 0.35)])
-def test_failed_probe_marks_the_predecessor_paths_of_the_reference_kernel(d, radius, p):
-    # a failed probe marks joined exactly the vertices on the paths that the
-    # per-move kernel's stored predecessors lead along, from every face or
-    # frontier vertex of the probe's last layer back to its sources, which
-    # lie off the faces so that most paths take more than one step
-    box = BoxSpec(d, radius)
-    rng = np.random.default_rng(d)
-    failed = 0
-    for seed in range(30):
-        s = sample_configuration(box, p, seed)
-        ball = origin_ball(s)
-        if not ball.contaminated:
-            continue
-        unreached = np.flatnonzero((ball.dist == INF32) & ~face_mask(box))
-        pending = np.sort(rng.choice(unreached, size=4, replace=False))
-        clean, verdict = cutpoints._probe_resolved(ball, pending, None)
-        if clean:
-            continue
-        failed += 1
-        _, pred, layers, _, _ = reference_grow(
-            s, pending, targets=ball.layers[-1], stop_at_boundary=True
-        )
-        marked = set()
-        for v in layers[-1]:
-            if face_mask(box)[v] or ball.dist[v] == ball.last_time:
-                while v != -1:
-                    marked.add(int(v))
-                    v = pred[v]
-        assert set(np.flatnonzero(verdict == cutpoints._JOINED).tolist()) == marked
-        assert not (verdict == cutpoints._FINITE).any()
-    assert failed >= 5
+@contextlib.contextmanager
+def counted(module, name):
+    """The (first argument, other arguments) of every call of
+    ``module.name`` inside the block."""
+    fn, calls = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        calls.append((args[0], args[1:]))
+        return fn(*args, **kwargs)
+
+    setattr(module, name, recording)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, fn)
+
+
+def frontier_neighbours(ball) -> np.ndarray:
+    """Mask of the vertices one lattice step from the ball's last layer."""
+    box = ball.box
+    coords = box.coords_of_flats(ball.layers[-1])
+    out = np.zeros(box.n_vertices, dtype=bool)
+    for axis, sign in itertools.product(range(box.dimension), (-1, 1)):
+        shifted = coords.copy()
+        shifted[:, axis] += sign
+        inside = np.abs(shifted - np.asarray(box.origin_offset)).max(axis=1) <= box.radius
+        out[box.flats_of_coords(shifted[inside])] = True
+    return out
+
+
+@pytest.mark.parametrize("d, radii, ps", [
+    (2, (6, 10), (0.45, 0.5, 0.55, 0.6)),
+    (3, (3, 5), (0.25, 0.3, 0.35, 0.45)),
+])
+@given(data=st.data())
+def test_every_lane_verdict_is_the_probe_of_its_set_alone(d, radii, ps, data):
+    # sets of a ball's unreached vertices, drawn from a few vertices so that
+    # they overlap, among them face vertices and neighbours of the
+    # frontier; more than 64 sets or windows take more than one growth
+    radius = data.draw(st.integers(*radii))
+    s = sample_configuration(
+        BoxSpec(d, radius), data.draw(st.sampled_from(ps)), data.draw(st.integers(0, 2**32 - 1))
+    )
+    ball = origin_ball(s)
+    frontier = ball.layers[-1]
+    unreached = ball.dist == INF32
+    kinds = [np.flatnonzero(unreached & mask) for mask in (
+        unreached, face_mask(s.box), frontier_neighbours(ball)
+    )]
+    kinds = [flats for flats in kinds if flats.size]
+    if not kinds:
+        return
+    pool = [
+        int(data.draw(st.sampled_from(flats)))
+        for flats in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=10))
+    ]
+    many = st.one_of(st.integers(1, 64), st.integers(65, 70))
+    picks = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+    sets = [np.array(sorted(data.draw(picks))) for _ in range(data.draw(many))]
+    expected = [cutpoints._probe(s, flats, frontier) for flats in sets]
+    got = [cutpoints._lane_probe(ball, sets[at : at + 64]) for at in range(0, len(sets), 64)]
+    assert np.concatenate(got).tolist() == expected
+
+    # one-vertex windows at distinct unreached vertices, one set each:
+    # ceil(k / 64) growths, and a lone set is one probe. An exhausted ball
+    # that never touched a face resolves every window without them
+    if not ball.contaminated:
+        return
+    every = np.flatnonzero(unreached)
+    k = min(data.draw(many), every.size)
+    picked = every[data.draw(st.lists(st.integers(0, every.size - 1), min_size=k, max_size=k, unique=True))]
+    with counted(cutpoints, "_lane_probe") as lanes, counted(cutpoints, "_probe") as probes:
+        got = certify(ball, s.box.coords_of_flats(picked), 0)
+    assert got == [cutpoints._probe(s, [flat], frontier) for flat in picked.tolist()]
+    assert len(lanes) == -(-k // 64)
+    assert len(probes) == sum(len(sets) == 1 for _, (sets,) in lanes)
 
 
 def s_grids():
@@ -318,28 +357,12 @@ def x_grids(d):
     )
 
 
-@contextlib.contextmanager
-def recorded_probes():
-    """The sorted sources of every window probe made inside the block."""
-    grow, sources = cutpoints.grow_ball_flats, []
-
-    def recording(sample, source_flats, **kwargs):
-        sources.append(sorted(np.asarray(source_flats).tolist()))
-        return grow(sample, source_flats, **kwargs)
-
-    cutpoints.grow_ball_flats = recording
-    try:
-        yield sources
-    finally:
-        cutpoints.grow_ball_flats = grow
-
-
 @pytest.mark.parametrize("free", [False, True], ids=["plain", "free"])
 @pytest.mark.parametrize("d, radii", [(2, (2, 7)), (3, (1, 4))])
 @given(data=st.data())
 def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
-    # p = 0.2 leaves most balls uncontaminated; every probe of the batch is
-    # one the reference makes, in the same order
+    # p = 0.2 leaves most balls uncontaminated; the reference probes each
+    # window alone
     radius = data.draw(st.integers(*radii))
     p = data.draw(st.sampled_from((0.2, 0.3, 0.45, 0.55, 0.7)))
     s = sample_configuration(BoxSpec(d, radius), p, data.draw(st.integers(0, 2**32 - 1)))
@@ -349,15 +372,12 @@ def test_one_pass_scoring_matches_the_per_spec_reference(d, radii, free, data):
     s_grid, x_grid = data.draw(s_grids()), data.draw(x_grids(d))
     score = event_A_free if free else event_A
     reference = ReferenceContext(s, ball)
-    with recorded_probes() as expected_probes:
-        expected = {
-            (i, j): reference_event(reference, s_grid[i], x_grid[j], n, alpha, free)
-            for i in range(len(s_grid)) for j in range(len(x_grid))
-        }
-    with recorded_probes() as probes:
-        got = score(ball, EventGrid(s.box, s_grid, x_grid, n, alpha=alpha, free=free))
+    expected = {
+        (i, j): reference_event(reference, s_grid[i], x_grid[j], n, alpha, free)
+        for i in range(len(s_grid)) for j in range(len(x_grid))
+    }
+    got = score(ball, EventGrid(s.box, s_grid, x_grid, n, alpha=alpha, free=free))
     assert got == list(expected.values())
-    assert probes == expected_probes
     s_order = data.draw(st.permutations(range(len(s_grid))))
     x_order = data.draw(st.permutations(range(len(x_grid))))
     grid = EventGrid(
@@ -488,31 +508,23 @@ def test_a_ball_stops_once_its_windows_are_settled():
     assert early >= 15
 
 
-def test_a_settled_ball_is_scored_without_a_probe(monkeypatch):
+def test_a_settled_ball_is_scored_without_a_probe():
     # the in-loop probe that settled a ball certified every window vertex,
-    # so event_A probes none of them again; a ball stopped for any other
-    # reason is not settled
+    # so event_A probes none of them again, neither alone nor in lanes; a
+    # ball stopped for any other reason is not settled
     grid = near_origin_grid_d3()
     box, origin = grid.box, (0, 0, 0)
     target = box.flat_index((1, 0, 0))
-    calls = []
-    probe = cutpoints.grow_ball_flats
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return probe(*args, **kwargs)
-
-    monkeypatch.setattr(cutpoints, "grow_ball_flats", counted)
     settled = 0
     for seed in range(20):
         s = sample_configuration(box, 0.5, seed)
         ball, full = settled_and_full_balls(s, grid)
         expected = event_A(full, grid)
-        calls.clear()
-        assert event_A(ball, grid) == expected
+        with counted(cutpoints, "grow_ball_flats") as probes, counted(cutpoints, "_lane_probe") as lanes:
+            assert event_A(ball, grid) == expected
         if ball.settled:
             settled += 1
-            assert not ball.contaminated and calls == []
+            assert not ball.contaminated and probes == lanes == []
         assert not full.settled
         capped = grow_ball(s, origin, t_max=3, settle=grid.windows.settle(s))
         aimed = grow_ball(s, origin, targets=[target], settle=grid.windows.settle(s))
