@@ -39,9 +39,8 @@ unreached vertices of each remaining window are one set, and every set is
 probed by a growth that stops at a face or at the ball: an open edge from an
 unreached vertex into the ball lands in its frontier ``layers[-1]``, so
 reaching the ball proves the set joins the source cluster past the
-certified horizon. Up to 64 sets share one growth, each carried as one bit
-of a word per vertex and searched alone (:func:`_lane_probe`), so a
-window's verdict depends on no other window.
+certified horizon. Up to 64 sets share one lane growth, each searched
+alone (:func:`_lane_probe`), so no window's verdict depends on another.
 
 Surgery only closes edges: :func:`force_cutpoint` returns the sorted tuple
 of edges to close, and :func:`apply_surgery` closes them in a copy of the
@@ -58,7 +57,7 @@ import numpy as np
 
 from .errors import ContaminatedBallError, GeometryError, PreconditionError
 from .lattice import BoxSpec, PercolationSample
-from .metric import BallGrowth, _INF32, geodesic, grow_ball_flats
+from .metric import BallGrowth, _INF32, _lane_layers, _open_words, geodesic, grow_ball_flats
 
 
 def window_radius(d: int, n: int, alpha: float | None) -> int:
@@ -338,48 +337,25 @@ def _lane_probe(ball: BallGrowth, sources) -> np.ndarray:
     vertices of ``ball`` is clean: its open clusters are finite and avoid
     every box face and the ball. A lone set is one :func:`_probe`.
 
-    Set k is lane k, bit k of a uint64 word per vertex, and its bits are
-    the breadth-first search of that set alone in ``ball.sample``. A lane
-    is joined at its first layer with a face or ball vertex, where the
-    probe of that set alone stops, and a lane that dies out is clean. Each
-    layer merges the words arriving at a vertex, marks them seen and
-    spreads them along open edges as ``metric._next_layer`` does; an
-    arrival keeps only the lanes still searching that have not seen its
-    vertex. An unreached vertex enters the ball only through its frontier,
-    so stopping at a ball vertex is stopping at the frontier.
+    Set k is lane k of ``metric._lane_layers`` in ``ball.sample``, the
+    search of that set alone. A lane is joined, and stops, at its first
+    layer with a face or ball vertex, where the probe of the set alone stops
+    (an unreached vertex enters the ball only through its frontier); a lane
+    that dies out is clean.
     """
     if len(sources) == 1:
         return np.array([_probe(ball.sample, sources[0], ball.layers[-1])])
-    box = ball.box
-    steps = list(zip(box.strides, ball.sample.axis_open_flats()))
-    seen, arrived = np.zeros((2, box.n_vertices), dtype=np.uint64)
-    lanes = np.arange(len(sources), dtype=np.uint64)
-    front = np.concatenate(sources)
-    bits = np.uint64(1) << lanes
+    box, lanes = ball.box, len(sources)
+    bits = np.uint64(1) << np.arange(lanes, dtype=np.uint64)
     words = np.repeat(bits, [len(flats) for flats in sources])
-    joined, every = np.uint64(0), np.bitwise_or.reduce(bits)
-    while front.size and joined != every:
-        # ufunc.at: a fancy |= would keep one word of a repeated vertex
-        np.bitwise_or.at(arrived, front, words)
-        front.sort()
-        front = front[np.concatenate(([True], front[1:] != front[:-1]))]
-        words = arrived[front]
-        arrived[front] = 0
-        seen[front] |= words
+    layers = _lane_layers(np.concatenate(sources), words, box.strides, _open_words(ball.sample, 2))
+    unjoined = (1 << lanes) - 1
+    front, words = next(layers)
+    while front.size and unjoined:
         stop = box.face_flat[front] | (ball.dist[front] != _INF32)
-        if np.count_nonzero(stop):
-            joined |= np.bitwise_or.reduce(words[stop])
-        moves = []
-        for st, op in steps:
-            # a negative flat wraps, which is safe as in metric._next_layer
-            low = front - st
-            up, down = np.flatnonzero(op[front]), np.flatnonzero(op[low])
-            moves += [(front[up] + st, words[up]), (low[down], words[down])]
-        front, words = (np.concatenate(part) for part in zip(*moves))
-        words &= ~(seen[front] | joined)  # the searching lanes that have not seen it
-        live = np.flatnonzero(words)
-        front, words = front[live], words[live]
-    return (joined >> lanes) & np.uint64(1) == 0
+        unjoined &= ~int(np.bitwise_or.reduce(words[stop]))
+        front, words = layers.send(unjoined)
+    return np.array([bool(unjoined >> k & 1) for k in range(lanes)])
 
 
 def _probe(sample: PercolationSample, flats, frontier) -> bool:

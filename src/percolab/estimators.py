@@ -30,19 +30,15 @@ predicate ``grid.windows.settle(sample)``), which certifies the same
 outcomes with less growth and needs no probe when scored.
 
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
-event of ``estimate-rate``) run their replicates in blocks of B consecutive
-indices through one runner, :func:`_run_targets`. A block samples each
-index's configuration as above, grows the B origin balls together
-(``metric.grow_targets``: one layer step serves every ball), and hands each
-index its certified distance and singleton times, in index order, to the
-path's per-index finisher (``_mu_replicate``, ``_paired_replicate`` or
-``_run_one_n``). B = max(1, ``_BLOCK_VERTICES`` // the box's vertices), so
-B follows from the box alone: small d = 2 boxes share a step, and large
-d = 3 boxes run one ball per block. A ball grown in a block gives what the
-ball grown alone on its sample gives, and the sample depends on the index
-alone, so no output depends on B or on the worker count. A failure while a
-block samples or grows is reported at the block's first index, and one in a
-finisher at that finisher's index.
+event of ``estimate-rate``) run their replicates in blocks of 64
+consecutive indices through one runner, :func:`_run_targets`. A block
+grows the origin balls of its indices' samples as the lanes of one growth
+(``metric.grow_targets``) and hands each index its certified distance and
+singleton times, in order, to the path's finisher (``_mu_replicate``,
+``_paired_replicate`` or ``_run_one_n``). A lane gives what the ball grown
+alone gives, so no output depends on the blocks or the worker count. A
+failure while a block samples or grows is reported at the block's first
+index, and one in a finisher at that finisher's index.
 
 Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
 by the replicates at that n. The reach is:
@@ -63,6 +59,7 @@ attempted, exact limit values are out of reach at this scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -83,14 +80,6 @@ from .metric import grow_ball, grow_targets
 from .parallel import run_parallel
 
 Z_95 = 1.959963984540054
-
-# vertices of the boxes that one block grows together. A block holds
-# about 10 bytes per vertex (samples, masks, distances): 0.85 MB for
-# the 8 boxes of 10,609 vertices of upper-tail at d = 2, n = 12, where a
-# worker's peak resident set rose about 4% over one ball per replicate (12
-# boxes: about 6.5%)
-_BLOCK_VERTICES = 90_000
-
 
 def replicate_seed(seed: int, index: int) -> int:
     """Output ``index`` of a SplitMix64 stream keyed by the mixed run seed.
@@ -208,30 +197,33 @@ def _run_all(fn, replicates: int, workers, block=None):
 
 
 def target_distances(samples, n: int, x):
-    """(certified distance, certified singleton times) per sample of
-    ``samples``, which share a box, from the origin to floor(n x): an int,
+    """(certified distance, certified singleton times) per sample of the
+    iterable ``samples`` of one box, from the origin to floor(n x): an int,
     ``math.inf`` or None (unknowable), and the increasing times t >= 1 of
-    the singleton layers of the origin ball, as ``metric.grow_targets``
+    the origin ball's singleton layers, as ``metric.grow_targets``
     certifies them."""
-    box = samples[0].box
+    drawn = iter(samples)
+    first = next(drawn)
+    box = first.box
     target = tuple(int(math.floor(n * c)) for c in x)
-    return grow_targets(samples, box.flat_index((0,) * len(target)), box.flat_index(target))
+    drawn = itertools.chain([first], drawn)
+    del first  # grow_targets holds one drawn sample at a time
+    return grow_targets(drawn, box.flat_index((0,) * len(target)), box.flat_index(target))
 
 
 def _target_block(indices, *, finish, p, box, n, x, seed):
     """finish(index, dist=, singles=) of each index of ``indices``, their
-    balls grown together."""
-    samples = [sample_configuration(box, p, replicate_seed(seed, i)) for i in indices]
+    samples drawn one at a time and their balls grown as lanes."""
+    samples = (sample_configuration(box, p, replicate_seed(seed, i)) for i in indices)
     for index, (dist, singles) in zip(indices, target_distances(samples, n, x)):
         yield finish(index, dist=dist, singles=singles)
 
 
 def _run_targets(finish, replicates: int, workers, *, p, box, n, x, seed):
-    """finish(index, dist=, singles=) of every replicate, in blocks of
-    max(1, _BLOCK_VERTICES // box.n_vertices) indices: the one runner of
-    the target paths."""
+    """finish(index, dist=, singles=) of every replicate, in blocks of 64
+    indices, the lanes of one growth: the one runner of the target paths."""
     fn = partial(_target_block, finish=finish, p=p, box=box, n=n, x=x, seed=seed)
-    return _run_all(fn, replicates, workers, max(1, _BLOCK_VERTICES // box.n_vertices))
+    return _run_all(fn, replicates, workers, 64)
 
 
 def _box(d: int, reach: float) -> BoxSpec:
@@ -346,8 +338,9 @@ def estimate_mu(
     """One MuPoint per n of ``n_grid``: the conditional mean of
     D(0, floor(n x))/n over the connected, uncontaminated replicates.
 
-    Every per-replicate ratio is at least |x|_1 exactly (a path needs at
-    least the l1 distance many edges). An n without a connected,
+    Every per-replicate ratio is at least |floor(n x)|_1 / n (a path needs
+    as many edges as the l1 distance to its target), which can fall below
+    |x|_1: 1/3 at x = (0.5, 0) and n = 3. An n without a connected,
     uncontaminated replicate has mean and sigma nan.
     """
     x = tuple(float(c) for c in direction)

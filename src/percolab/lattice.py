@@ -212,6 +212,18 @@ class BoxSpec:
         axes = np.ix_(*(np.arange(a, b) for a, b in zip(g_lo, g_hi)))
         return np.ravel_multi_index(axes, self.shape).astype(np.int64)
 
+    def padded(self, values, spare: int = 0) -> np.ndarray:
+        """Per-edge ``values`` as a (d + spare, n, ..) array: row k holds at
+        flat v the value of the edge (v, v + e_k), and is zero where that edge
+        would leave the box; the ``spare`` rows are zero."""
+        d, epa = self.dimension, self.edges_per_axis
+        out = np.zeros((d + spare,) + self.shape + values.shape[1:], dtype=values.dtype)
+        for axis in range(d):
+            at = [axis] + [slice(None)] * d
+            at[1 + axis] = slice(0, self.side - 1)
+            out[tuple(at)] = values[axis * epa : (axis + 1) * epa].reshape(out[tuple(at)].shape)
+        return out.reshape((d + spare, self.n_vertices) + values.shape[1:])
+
     @property
     def face_flat(self) -> np.ndarray:
         """Boolean mask (len n_vertices) of vertices on any box face."""
@@ -288,13 +300,6 @@ class PercolationSample:
             and np.array_equal(self.open_edges, other.open_edges)
         )
 
-    def axis_view(self, axis: int) -> np.ndarray:
-        """Edge states of one axis family, shaped like the base-vertex grid."""
-        epa = self.box.edges_per_axis
-        shape = list(self.box.shape)
-        shape[axis] = self.box.side - 1
-        return self.open_edges[axis * epa : (axis + 1) * epa].reshape(shape)
-
     def axis_open_flats(self) -> list[np.ndarray]:
         """Per-axis full-grid masks: entry at v says edge (v, v+e_k) is open.
 
@@ -302,7 +307,7 @@ class PercolationSample:
         by flat vertex id without bound checks.
         """
         if self._axis_open is None:
-            self._axis_open = stacked_open_flats([self])
+            self._axis_open = list(self.box.padded(self.open_edges))
         return self._axis_open
 
     def is_edge_open(self, edge_index: int) -> bool:
@@ -359,26 +364,6 @@ class PercolationSample:
     def load(cls, path) -> "PercolationSample":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
-
-
-def stacked_open_flats(samples) -> list[np.ndarray]:
-    """Per axis, the padded masks of :meth:`PercolationSample.axis_open_flats`
-    of ``samples``, which share a box of n vertices, one after another:
-    entry b n + v says edge (v, v + e_k) of ``samples[b]`` is open.
-
-    The far-face slots of every box are False, so the masks describe the
-    disjoint union of the samples' graphs, with no edge between two boxes.
-    """
-    box = samples[0].box
-    masks = []
-    for axis in range(box.dimension):
-        full = np.zeros((len(samples),) + box.shape, dtype=bool)
-        inner = [slice(None)] * box.dimension
-        inner[axis] = slice(0, box.side - 1)
-        for grid, sample in zip(full, samples):
-            grid[tuple(inner)] = sample.axis_view(axis)
-        masks.append(full.reshape(-1))
-    return masks
 
 
 def sample_configuration(box: BoxSpec, p: float, seed: int) -> PercolationSample:

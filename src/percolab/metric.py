@@ -9,37 +9,32 @@ from the distances and the open edges, so it is derived on demand
 touched the box face ("boundary contamination"): layers up to and including
 that time equal the infinite-lattice layers, later ones may not.
 
-There are two BFS loops, one per job, and they share one layer step,
-:func:`_next_layer`: the sweep of the 2 d neighbours of a frontier, the
-unreached filter, the sort and the dedupe.
+There are two BFS designs, one per job.
 
 - :func:`_grow` grows one ball, for :func:`grow_ball_flats` and every
-  caller of it. It has five stop rules: ``t_max``, a target reached, the
-  first face contact (with ``stop_at_boundary``), exhaustion, and the
-  caller's predicate ``settle(dist, frontier)``, asked after each layer at
-  which the ball is not stopping at a face; a ball stopped by it records
-  that it ``settled``. It has no rule that confines growth: a confined ball
-  is grown in a sample whose edges out of the allowed vertices are closed
+  caller of it, one :func:`_next_layer` per layer. It has five stop rules:
+  ``t_max``, a target reached, the first face contact (with
+  ``stop_at_boundary``), exhaustion, and the caller's predicate
+  ``settle(dist, frontier)``, asked after each layer at which the ball is
+  not stopping at a face; a ball stopped by it records that it
+  ``settled``. It has no rule that confines growth: a confined ball is
+  grown in a sample whose edges out of the allowed vertices are closed
   (``PercolationSample.restricted_to``), as :func:`constrained_distance`
   grows it. What such a ball proves about Z^d is stated on
   :class:`BallGrowth` (``resolved_through``, ``singletons``), and the
   misses of the windowed cut-point events are certified in
   ``cutpoints._windows_resolved``.
-- :func:`grow_targets` grows B balls at once, one in each of B samples of
-  one box of n vertices, from one source toward one target, and is the one
-  place where a target distance is certified. Ball b lives at flats
-  b n .. b n + n - 1 of the samples' disjoint union, whose open masks are
-  the samples' padded masks one after another
-  (``lattice.stacked_open_flats``), so each layer is one step over the
-  union's frontier. A ball stops at its target, at its first face contact
-  or at exhaustion, and keeps only what it certifies: the distance and the
-  times of its singleton layers. No edge joins two boxes, so every ball's
-  result equals that of its sample grown alone, whatever B and its
-  companions are. The estimators choose B (``estimators._BLOCK_VERTICES``).
+- :func:`_lane_layers` runs up to 64 breadth-first searches as the bits of
+  one word per vertex (multi-source BFS, Then et al., *PVLDB* 2014), each
+  the search of its sources alone: one sample per lane in
+  :func:`grow_targets`, the one place where a target distance is
+  certified, and one vertex set of one sample per lane in
+  ``cutpoints._lane_probe``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyEndpointWarning, GeometryError, UnreachableVertexError
-from .lattice import BoxSpec, PercolationSample, stacked_open_flats
+from .lattice import BoxSpec, PercolationSample
 
 _INF32 = np.uint32(0xFFFFFFFF)
 
@@ -192,68 +187,121 @@ def _grow(
     return dist, first, layers, exhausted, settled
 
 
+def _open_words(sample: PercolationSample, spare: int = 0) -> np.ndarray:
+    """``sample.axis_open_flats()`` as the first d rows of a (d + spare, n)
+    uint64 array, all ones where the edge is open, then ``spare`` zero rows:
+    the open words of lane searches in ``sample`` alone."""
+    masks = sample.axis_open_flats()
+    words = np.zeros((len(masks) + spare, masks[0].size), dtype=np.int64)
+    np.subtract(0, masks, out=words[: len(masks)])  # -1: all 64 bits set
+    return words.view(np.uint64)
+
+
+def _lane_layers(sources, words, strides, state):
+    """Generator of the layers of up to 64 breadth-first searches, lane k
+    being bit k of a uint64 word per vertex, from the flats of ``sources``
+    whose entry of ``words`` has bit k. Row a < d of the (d + 2, n) array
+    ``state`` holds the open words of the axis of stride ``strides[a]``: bit
+    k at v says that the edge (v, v + e_a) is open in lane k's graph (0 in
+    the far-face slots). Its two last rows, zero, take the seen and arriving
+    words: one box-sized array per growth keeps a worker's heap in place,
+    where two of half its size were trimmed and faulted in again.
+
+    Each layer t = 0, 1, .. is yielded as its sorted distinct flats and the
+    word of the lanes that first reach each; the word sent back names the
+    lanes that still spread. A step merges the words arriving at a flat,
+    marks them seen and spreads them along all 2 d moves at once, and an
+    arrival keeps the lanes that have not seen its flat."""
+    seen, arrived = state[-2:]
+    # per move +e_0, -e_0, +e_1, ..: its axis, its step and the offset of the
+    # edge's lower end, where a negative flat wraps safely as in _next_layer
+    axes = np.arange(2 * len(strides))[:, None] // 2
+    moves = np.array([[sign * st] for st in strides for sign in (1, -1)])
+    lower = np.minimum(moves, 0)
+    while True:
+        # ufunc.at: a fancy |= would keep one word of a repeated flat
+        np.bitwise_or.at(arrived, sources, words)
+        sources.sort()
+        front = np.concatenate((sources[:1], sources[1:][sources[1:] != sources[:-1]]))
+        words = arrived[front]
+        arrived[front] = 0
+        seen[front] |= words
+        spread = state[axes, front + lower] & (words & np.uint64((yield front, words)))
+        keep = np.flatnonzero(spread)
+        sources, words = (front + moves).reshape(-1)[keep], spread.reshape(-1)[keep]
+        words &= ~seen[sources]
+        keep = np.flatnonzero(words)
+        sources, words = sources[keep], words[keep]
+
+
+def _lanes_of(mask: int) -> list:
+    """The set bits of ``mask``, increasing."""
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def _packed_lanes(drawn):
+    """(box, lane state of :func:`_lane_layers`, lane count) of the next 64
+    or fewer samples of the iterator ``drawn``, sample b as lane b, or None.
+    Sample b is packed as it is drawn, into bit b % 8 of byte plane b // 8:
+    the planes of an edge are the bytes of its word."""
+    planes = None
+    for b, sample in enumerate(itertools.islice(drawn, 64)):
+        if planes is None:
+            box, planes = sample.box, np.zeros((8, sample.box.n_edges), dtype=np.uint8)
+        planes[b >> 3] |= sample.open_edges.view(np.uint8) << (b & 7)
+        del sample  # not held while the next one is drawn
+    if planes is None:
+        return None
+    state = box.padded(planes.T, spare=2).view(np.uint64)
+    return box, state.reshape(box.dimension + 2, -1), b + 1
+
+
 def grow_targets(samples, source: int, target: int) -> list:
-    """Per sample of ``samples``, which share one box, the pair (certified
-    distance, certified singleton times) of the ball around the flat
-    ``source``, grown toward the flat ``target`` until it reaches it, first
-    touches a box face or exhausts its cluster.
+    """Per sample of the iterable ``samples`` of one box, the pair
+    (certified distance, certified singleton times) of the ball around the
+    flat ``source``, grown toward the flat ``target`` until it reaches it,
+    first touches a box face or exhausts its cluster.
 
     The distance D(source, target) in Z^d is an int when the ball reached
     the target (at or before its first face contact), ``math.inf`` when it
     exhausted its cluster without touching a face (the Z^d cluster is
     finite and misses the target) and None when the box cannot tell. The
     times are every t >= 1 through the ball's last layer whose layer is a
-    single vertex, increasing, so none exceeds an int distance. The balls
-    grow together (see the module docstring).
+    single vertex, increasing, so none exceeds an int distance.
+
+    Up to 64 samples grow at once, sample b as lane b of
+    :func:`_lane_layers`, each packed as it is drawn. A lane reads its layer
+    t in this order: empty gives ``inf``; one vertex at t >= 1 appends t;
+    the target gives t; a face vertex gives None. A decided lane stops, and
+    no lane's result depends on its companions.
     """
-    box = samples[0].box
-    n, balls = box.n_vertices, len(samples)
-    # a lone ball (every large d = 3 box) reuses its sample's cached masks
-    # and the box's face mask instead of copying them
-    if balls == 1:
-        opens, face = samples[0].axis_open_flats(), box.face_flat
-    else:
-        opens, face = stacked_open_flats(samples), np.tile(box.face_flat, balls)
-    steps = list(zip(box.strides, opens))
-    dist = np.full(balls * n, _INF32, dtype=np.uint32)
-    bounds = np.arange(balls + 1, dtype=np.int64) * n  # ball b: bounds[b] .. bounds[b + 1] - 1
-    aims = bounds[:-1] + target
-    frontier = bounds[:-1] + source
-    dist[frontier] = 0
-    cut = list(range(balls + 1))  # ball b's part of layer t: frontier[cut[b] : cut[b + 1]]
-    out = [None] * balls
-    singles = [[] for _ in range(balls)]
-    growing = list(range(balls))
-    t = 0
-    while True:
-        reached = (dist[aims] != _INF32).tolist()
-        touched = face[frontier]
-        # a set: plain np.unique imports numpy.ma (1.6 MB of resident
-        # memory in every worker, numpy 2.4)
-        faced = set((frontier[touched] // n).tolist()) if np.count_nonzero(touched) else ()
-        kept = []
-        for b in growing:
-            size = cut[b + 1] - cut[b]
-            if size == 0:  # exhausted at t - 1, never touching a face
-                out[b] = (math.inf, singles[b])
-                continue
-            if size == 1 and t:
+    out, drawn = [], iter(samples)
+    while packed := _packed_lanes(drawn):
+        box, state, lanes = packed
+        live = (1 << lanes) - 1
+        layers = _lane_layers(np.array([source]), np.array([live], np.uint64), box.strides, state)
+        dist, singles = [None] * lanes, [[] for _ in range(lanes)]
+        front, words = next(layers)
+        for t in itertools.count():
+            # the lanes of the layer's words, and those of two or more of them
+            acc = np.bitwise_or.accumulate(words)
+            once = int(acc[-1]) if acc.size else 0
+            twice = int(np.bitwise_or.reduce(acc[:-1] & words[1:]))
+            for b in _lanes_of(live & ~once):
+                dist[b] = math.inf
+            live &= once
+            for b in _lanes_of(live & ~twice if t else 0):
                 singles[b].append(t)
-            if reached[b]:
-                out[b] = (t, singles[b])
-            elif b in faced:
-                out[b] = (None, singles[b])
-            else:
-                kept.append(b)
-        if not kept:
-            return out
-        if len(kept) < len(growing):
-            frontier = np.concatenate([frontier[cut[b] : cut[b + 1]] for b in kept])
-        growing = kept
-        frontier = _next_layer(frontier, steps, dist)
-        t += 1
-        dist[frontier] = t
-        cut = np.searchsorted(frontier, bounds).tolist()
+            hit = live & int(state[-2, target])  # a live lane saw the target at t
+            for b in _lanes_of(hit):
+                dist[b] = t
+            # the faced lanes keep their distance None
+            live &= ~hit & ~int(np.bitwise_or.reduce(words[box.face_flat[front]]))
+            if not live:
+                break
+            front, words = layers.send(live)
+        out += zip(dist, singles)
+    return out
 
 
 def grow_ball(

@@ -7,15 +7,14 @@ run: ``results`` keeps the replicates below the first failure, and the
 caller raises on a partial run (``estimators._run_all``), so a failed
 replicate never leaves an output file.
 
-Indices may be evaluated in blocks of B consecutive ones, one task per
-block, so that one call can share work among them (the estimators grow the
-balls of a block in lock-step). A block function yields its indices'
-results in order; an exception raised while it produces the result of
-index i is the failure of index i, so a block keeps the first-failure
-contract, and results still come back one per index. Since each result is
-still a function of its index alone, the results do not depend on B either.
-The processes used are resolved once per run, from the number of blocks:
-a run of at most B indices is one task and runs in the calling process.
+Indices may be evaluated in blocks of consecutive ones, one task per
+block, so that one call can share work among them (the estimators grow a
+block's balls as the lanes of one growth). A block function yields its
+indices' results in order; an exception raised while it produces the
+result of index i is the failure of index i, so a block keeps the
+first-failure contract. Each result is still a function of its index
+alone, so the results do not depend on the block size either. The run uses
+at most one process per block: a run of one block runs in the caller.
 """
 
 from __future__ import annotations
@@ -73,10 +72,11 @@ def _collect(outcomes) -> ParallelRun:
 
 
 def workers_used(workers: int | None, n_tasks: int) -> int:
-    """The processes that evaluate ``n_tasks`` tasks when ``workers`` are
-    asked for (None or 0: one per CPU); 1 is the calling process alone."""
+    """The processes, at most one per task, that evaluate ``n_tasks`` tasks
+    when ``workers`` are asked for (None or 0: one per CPU); 1 is the
+    calling process alone."""
     workers = workers or multiprocessing.cpu_count()
-    return workers if n_tasks > 1 else 1
+    return min(workers, n_tasks)
 
 
 def run_parallel(

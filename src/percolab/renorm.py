@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GeometryError, PreconditionError, RoutingError
 from .lattice import BoxSpec, PercolationSample
-from .metric import constrained_distance, geodesic, grow_ball
+from .metric import _open_words, constrained_distance, geodesic, grow_ball
 from .metric import _grow  # noqa: F401  (perfbench wraps renorm._grow)
 
 CONDITION3_EXACT_CUTOFF = 256
@@ -317,10 +317,7 @@ def _condition3(sample, mask, lo, mu_hat, slack):
     # (stride, all-ones word where the edge (v, v + e_axis) is open), last
     # axis first: its unit stride lets the first shift of a layer write nxt
     # directly and leave only one column to clear
-    shifts = [
-        (st, (-op.astype(np.int64)).view(np.uint64))
-        for st, op in zip(box.strides, sample.axis_open_flats())
-    ][::-1]
+    shifts = list(zip(box.strides, _open_words(sample)))[::-1]
 
     t = 0
     farthest = int(l1.max())

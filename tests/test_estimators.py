@@ -69,7 +69,7 @@ def test_target_distance_never_rises_with_p_under_the_coupling(d, L, ps, n, x):
     # one seed samples nested configurations as p rises, so the Z^d distance
     # D(0, floor(n x)) can only fall and a connection is never lost; every
     # certified value (int or inf) is that distance, and None says nothing;
-    # the balls of the nested samples grow in one lock-step call
+    # the balls of the nested samples grow as the lanes of one growth
     changes = set()
     for seed in range(40):
         samples = [sample_configuration(BoxSpec(d, L), p, seed) for p in ps]

@@ -13,7 +13,8 @@ The faced region reaches the faces of BoxSpec(2, 2), so balls touch a face
 and the box certifies less: a hit needs a singleton layer no later than the
 first layer that touches a face, and a miss needs every window vertex
 within that layer or in an open cluster that avoids every face and the
-ball.
+ball. A target distance is certified when the target is reached no later
+than that layer, and a finite cluster only when it holds no face vertex.
 
 The oracle is a deque BFS over coordinate pairs, written from the
 docstrings of ``metric.grow_targets`` and ``cutpoints.event_A``; it shares
@@ -32,6 +33,7 @@ from percolab import BoxSpec, PercolationSample, cutpoints, estimators, lattice
 from percolab.cutpoints import EventGrid
 from percolab.estimators import (
     CODE_OUTCOMES,
+    _paired_replicate,
     _surface_replicate,
     target_distances,
     wilson_interval,
@@ -190,6 +192,67 @@ def test_target_distances_are_exact_on_every_configuration(target):
     assert seen == {True, False}
 
 
+def oracle_target(open_edges, target):
+    """(certified distance, singleton times) of the origin ball grown toward
+    ``target`` and stopped after its first face layer: the distance when the
+    target is reached no later than that layer, inf when the cluster holds
+    no face vertex and misses the target, else None; the times run to the
+    layer where the ball stops."""
+    exact = bfs_distances(open_edges, ORIGIN)
+    faced = min((t for v, t in exact.items() if on_face(v)), default=math.inf)
+    stop = min(exact.get(target, math.inf), faced, max(exact.values()))
+    if target in exact and exact[target] <= faced:
+        value = exact[target]
+    else:
+        value = math.inf if faced == math.inf else None
+    return value, [t for t, _ in singleton_layers(exact, stop)]
+
+
+FACED = configurations(FACED_EDGES)
+
+
+@pytest.mark.parametrize("target", [(1, 1), (1, 0), (1, -1)])
+def test_target_distances_on_balls_that_touch_a_face_are_exact(target):
+    # the target at the face layer or before it, past it (None) or never
+    # with no face in the cluster (inf)
+    got = target_distances([sample for _, sample in FACED], 1, target)
+    seen = set()
+    for (open_edges, _), pair in zip(FACED, got):
+        assert pair == oracle_target(open_edges, target), open_edges
+        seen.add(type(pair[0]).__name__ if pair[0] is not None else "None")
+    assert seen == {"int", "float", "None"}
+
+
+def test_upper_tail_cells_on_balls_that_touch_a_face_are_exact(monkeypatch):
+    # the upper tail 2 < D(0, e1) < inf at n = 1, mu1 = 1 and xi = 1, paired
+    # with a singleton layer at t >= 2: per configuration, and as the
+    # experiment's tally with every configuration one replicate
+    cells = {}
+    for (open_edges, _), (dist, singles) in zip(
+        FACED, target_distances([sample for _, sample in FACED], 1, (1, 0))
+    ):
+        value, times = oracle_target(open_edges, (1, 0))
+        if value is None:
+            upper = "unknowable"
+        elif value == math.inf:
+            upper = "disconnected"
+        else:
+            upper = "hit" if value > 2 else "miss"
+        late = "hit" if any(t >= 2 for t in times) else "censored" if value is None else "miss"
+        assert _paired_replicate(0, dist=dist, singles=singles, threshold=2.0, t_min=2) == (
+            upper, late
+        ), open_edges
+        cells[upper, late] = cells.get((upper, late), 0) + 1
+    assert {upper for upper, _ in cells} == {"hit", "miss", "disconnected", "unknowable"}
+    assert {late for _, late in cells} == {"hit", "miss", "censored"}
+    monkeypatch.setattr(estimators, "replicate_seed", lambda seed, index: index)
+    monkeypatch.setattr(estimators, "sample_configuration", lambda box, p, index: FACED[index][1])
+    (paired,) = estimators.upper_tail_vs_cutpoint_experiment(
+        0.5, 2, 1.0, [1], len(FACED), 0, s=2.0, mu1=1.0, box_factor=1.0, workers=1
+    )
+    assert paired.counts == cells
+
+
 def test_plain_events_are_exact_on_every_configuration(monkeypatch):
     # a hit is a singleton layer (t, v) of the whole finite cluster with
     # t >= s n and v within sup distance w of n x; every other event is a
@@ -219,10 +282,9 @@ def test_events_on_balls_that_touch_a_face_are_exact_on_every_configuration(monk
         return out
 
     monkeypatch.setattr(cutpoints, "_lane_probe", recording)
-    faced = configurations(FACED_EDGES)
-    codes = surface_codes(monkeypatch, faced)
+    codes = surface_codes(monkeypatch, FACED)
     seen = set()
-    for index, (open_edges, _) in enumerate(faced):
+    for index, (open_edges, _) in enumerate(FACED):
         expected = oracle_outcomes(open_edges)
         assert codes(index) == expected, open_edges
         seen.update(expected)

@@ -595,22 +595,28 @@ def test_blocks_return_one_result_per_index_whatever_their_size(workers, block):
     assert run.results == run_parallel(_cube, 29, workers).results == [i**3 for i in range(29)]
 
 
+def _target_pair(index, *, dist, singles):
+    return dist, singles
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_target_estimates_do_not_depend_on_the_block_size(monkeypatch, workers):
-    # the budgets set B = 1; B = 9 at n = 6 and 3 at n = 12; and the
-    # default, which puts all 31 replicates of either n in one block
-    box, _ = estimators._upper_tail_box(2, (1.0, 0.0), 12, 0.3, 1.0, 1.3)
+def test_target_estimates_do_not_depend_on_the_block_size(workers):
+    # 70 replicates, more than the 64 lanes of one growth, in blocks of 1,
+    # 3 and 64 indices, the last of the runner's: a replicate's distance,
+    # singleton times and paired cell are those of its ball grown alone
+    box, threshold = estimators._upper_tail_box(2, (1.0, 0.0), 12, 0.3, 1.0, 1.3)
+    kw = dict(p=0.6, box=box, n=12, x=(1.0, 0.0), seed=5)
+    finishers = [
+        _target_pair,
+        functools.partial(estimators._paired_replicate, threshold=threshold, t_min=2),
+    ]
     results = []
-    for budget in (1, 3 * box.n_vertices, estimators._BLOCK_VERTICES):
-        monkeypatch.setattr(estimators, "_BLOCK_VERTICES", budget)
-        paired = estimators.upper_tail_vs_cutpoint_experiment(
-            0.6, 2, 0.3, (6, 12), 31, 5, s=0.1, mu1=1.0, box_factor=1.3, workers=workers
-        )
-        mu = estimators.estimate_mu(
-            0.6, 2, (1.0, 0.0), (6, 12), 31, 5, box_factor=1.6, workers=workers
-        )
-        results.append(([t.counts for t in paired], mu))
-    assert results[0] == results[1] == results[2]
+    for finish in finishers:
+        block = functools.partial(estimators._target_block, finish=finish, **kw)
+        runs = [run_parallel(block, 70, workers, size).results for size in (1, 3, 64)]
+        results.append(estimators._run_targets(finish, 70, workers, **kw))
+        assert runs[0] == runs[1] == runs[2] == results[-1]
+    assert {dist if dist is None else type(dist) for dist, _ in results[0]} == {None, float, int}
 
 
 def test_every_lemma_alias_names_a_lemma_and_every_lemma_has_one():
@@ -660,12 +666,13 @@ def _pid(index):
     return os.getpid()
 
 
-@pytest.mark.parametrize("workers, n_tasks", [(0, 8), (1, 8), (0, 1)])
+@pytest.mark.parametrize("workers, n_tasks", [(0, 8), (1, 8), (0, 1), (4, 3)])
 def test_run_parallel_evaluates_in_the_workers_it_resolves(monkeypatch, workers, n_tasks):
-    # 0 asks for one worker per CPU, two here; one task runs in this process
+    # 0 asks for one worker per CPU, two here; one task runs in this
+    # process, and no run uses more workers than it has tasks
     monkeypatch.setattr(parallel.multiprocessing, "cpu_count", lambda: 2)
     used = parallel.workers_used(workers, n_tasks)
-    assert used == (1 if workers == 1 or n_tasks == 1 else 2)
+    assert used == min(workers or 2, n_tasks)
     pids = set(run_parallel(_pid, n_tasks, workers).results)
     assert (pids == {os.getpid()}) == (used == 1)
     assert len(pids) <= used
@@ -694,8 +701,8 @@ def test_manifest_records_the_workers_used_and_the_versions(
 
 @pytest.mark.parametrize("command, used", [("upper-tail", 1), ("estimate-j", 2)])
 def test_manifest_records_the_processes_that_the_blocks_used(tmp_path, command, used):
-    # upper-tail's 4 replicates fit in one block (B = 40 on its default
-    # box), which runs in this process; estimate-j's run one per task
+    # upper-tail's 4 replicates fit in one block of 64, which runs in
+    # this process; estimate-j's run one per task
     values = {**ESTIMATOR, "replicates": "4", "workers": "2"}
     argv = [command, "--out-dir", str(tmp_path)] + [f"--set={k}={v}" for k, v in values.items()]
     assert cli_dispatch(argv) == 0

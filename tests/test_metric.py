@@ -278,10 +278,11 @@ def _reference_target(sample, source, target):
 
 @given(data=st.data())
 def test_target_balls_match_the_reference_grown_alone(data):
-    # B samples of one box grown in one call from one source toward one
-    # target near it, each ball with its own stop: the target at some
-    # layer, its first face contact, or an exhausted cluster (low p); the
-    # source lies inside the box or on a face, or is the target itself
+    # 1-70 samples of one box grown in one call, so a draw can cross the
+    # 64 lanes of a growth, from one source toward one target near it,
+    # each ball with its own stop: the target at some layer, its first face
+    # contact, or an exhausted cluster (low p); the source lies inside the
+    # box or on a face, or is the target itself
     d = data.draw(st.integers(2, 4), label="d")
     box = BoxSpec(d, data.draw(st.integers(1, {2: 6, 3: 3, 4: 2}[d]), label="radius"))
     kind = data.draw(st.sampled_from(["inside", "face", "own target"]), label="source")
@@ -293,7 +294,7 @@ def test_target_balls_match_the_reference_grown_alone(data):
     near = np.clip(np.asarray(box.vertex_coord(source)) + step, -box.radius, box.radius)
     target = box.flat_index(tuple(near))
     samples = []
-    for b in range(data.draw(st.integers(1, 9), label="B")):
+    for b in range(data.draw(st.integers(1, 70), label="samples")):
         low = data.draw(st.booleans(), label=f"low p {b}")
         p = data.draw(st.floats(0.1, 0.3) if low else st.floats(0.3, 0.9))
         samples.append(sample_configuration(box, p, data.draw(st.integers(0, 999))))
