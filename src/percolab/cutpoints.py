@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ContaminatedBallError, GeometryError, PreconditionError
 from .lattice import BoxSpec, PercolationSample
-from .metric import BallGrowth, _INF32, _lane_layers, _open_words, geodesic, grow_ball_flats
+from .metric import BallGrowth, _INF32, _lane_layers, _lane_state, geodesic, grow_ball_flats
 
 
 def window_radius(d: int, n: int, alpha: float | None) -> int:
@@ -348,7 +348,8 @@ def _lane_probe(ball: BallGrowth, sources) -> np.ndarray:
     box, lanes = ball.box, len(sources)
     bits = np.uint64(1) << np.arange(lanes, dtype=np.uint64)
     words = np.repeat(bits, [len(flats) for flats in sources])
-    layers = _lane_layers(np.concatenate(sources), words, box.strides, _open_words(ball.sample, 2))
+    state = _lane_state(box, ball.sample)
+    layers = _lane_layers(np.concatenate(sources), words, box.strides, state)
     unjoined = (1 << lanes) - 1
     front, words = next(layers)
     while front.size and unjoined:

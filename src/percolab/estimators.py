@@ -30,15 +30,15 @@ predicate ``grid.windows.settle(sample)``), which certifies the same
 outcomes with less growth and needs no probe when scored.
 
 The three target paths (``estimate-mu``, ``upper-tail`` and the upper-tail
-event of ``estimate-rate``) run their replicates in blocks of 64
-consecutive indices through one runner, :func:`_run_targets`. A block
-grows the origin balls of its indices' samples as the lanes of one growth
-(``metric.grow_targets``) and hands each index its certified distance and
-singleton times, in order, to the path's finisher (``_mu_replicate``,
-``_paired_replicate`` or ``_run_one_n``). A lane gives what the ball grown
-alone gives, so no output depends on the blocks or the worker count. A
-failure while a block samples or grows is reported at the block's first
-index, and one in a finisher at that finisher's index.
+event of ``estimate-rate``) share one runner, :func:`_run_targets`, which
+gives each process one block of consecutive indices, or blocks of 64 when
+that is more. A block grows the origin balls of its samples as the lanes
+of one growth (``metric.grow_targets``) and hands each index its certified
+distance and singleton times, in order, to the path's finisher
+(``_mu_replicate``, ``_paired_replicate`` or ``_run_one_n``). A lane gives
+what the ball grown alone gives, so no output depends on the blocks or the
+worker count. A failure while a block samples or grows is reported at its
+first index, and one in a finisher at that finisher's index.
 
 Every box is ``BoxSpec(d, ceil(reach) + 2)``, built once per n and shared
 by the replicates at that n. The reach is:
@@ -59,7 +59,6 @@ attempted, exact limit values are out of reach at this scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -77,7 +76,7 @@ from .cutpoints import (
 from .errors import GridCoverageError, PreconditionError
 from .lattice import _MASK64, _SPLIT, BoxSpec, _mix64, sample_configuration
 from .metric import grow_ball, grow_targets
-from .parallel import run_parallel
+from .parallel import run_parallel, workers_used
 
 Z_95 = 1.959963984540054
 
@@ -196,34 +195,29 @@ def _run_all(fn, replicates: int, workers, block=None):
     return run.results
 
 
-def target_distances(samples, n: int, x):
+def target_distances(box: BoxSpec, samples, n: int, x):
     """(certified distance, certified singleton times) per sample of the
-    iterable ``samples`` of one box, from the origin to floor(n x): an int,
-    ``math.inf`` or None (unknowable), and the increasing times t >= 1 of
-    the origin ball's singleton layers, as ``metric.grow_targets``
-    certifies them."""
-    drawn = iter(samples)
-    first = next(drawn)
-    box = first.box
+    iterable ``samples`` on ``box`` from the origin to floor(n x), as
+    ``metric.grow_targets`` certifies them: an int, ``math.inf`` or None
+    (unknowable), and the increasing times t >= 1 of singleton layers."""
     target = tuple(int(math.floor(n * c)) for c in x)
-    drawn = itertools.chain([first], drawn)
-    del first  # grow_targets holds one drawn sample at a time
-    return grow_targets(drawn, box.flat_index((0,) * len(target)), box.flat_index(target))
+    return grow_targets(samples, box.flat_index((0,) * len(target)), box.flat_index(target))
 
 
 def _target_block(indices, *, finish, p, box, n, x, seed):
     """finish(index, dist=, singles=) of each index of ``indices``, their
     samples drawn one at a time and their balls grown as lanes."""
     samples = (sample_configuration(box, p, replicate_seed(seed, i)) for i in indices)
-    for index, (dist, singles) in zip(indices, target_distances(samples, n, x)):
+    for index, (dist, singles) in zip(indices, target_distances(box, samples, n, x)):
         yield finish(index, dist=dist, singles=singles)
 
 
 def _run_targets(finish, replicates: int, workers, *, p, box, n, x, seed):
-    """finish(index, dist=, singles=) of every replicate, in blocks of 64
-    indices, the lanes of one growth: the one runner of the target paths."""
+    """finish(index, dist=, singles=) of every replicate, in blocks of at
+    most 64 lanes shared among the processes: the target paths' one runner."""
     fn = partial(_target_block, finish=finish, p=p, box=box, n=n, x=x, seed=seed)
-    return _run_all(fn, replicates, workers, 64)
+    per_process = -(-replicates // max(1, workers_used(workers, replicates)))
+    return _run_all(fn, replicates, workers, min(64, max(1, per_process)))
 
 
 def _box(d: int, reach: float) -> BoxSpec:

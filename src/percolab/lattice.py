@@ -212,17 +212,14 @@ class BoxSpec:
         axes = np.ix_(*(np.arange(a, b) for a, b in zip(g_lo, g_hi)))
         return np.ravel_multi_index(axes, self.shape).astype(np.int64)
 
-    def padded(self, values, spare: int = 0) -> np.ndarray:
-        """Per-edge ``values`` as a (d + spare, n, ..) array: row k holds at
-        flat v the value of the edge (v, v + e_k), and is zero where that edge
-        would leave the box; the ``spare`` rows are zero."""
-        d, epa = self.dimension, self.edges_per_axis
-        out = np.zeros((d + spare,) + self.shape + values.shape[1:], dtype=values.dtype)
-        for axis in range(d):
-            at = [axis] + [slice(None)] * d
-            at[1 + axis] = slice(0, self.side - 1)
-            out[tuple(at)] = values[axis * epa : (axis + 1) * epa].reshape(out[tuple(at)].shape)
-        return out.reshape((d + spare, self.n_vertices) + values.shape[1:])
+    def padded(self, values) -> np.ndarray:
+        """Per-edge ``values`` as (d, n): row k holds at flat v the value of
+        the edge (v, v + e_k), zero where that edge would leave the box."""
+        out, epa = np.zeros((self.dimension,) + self.shape, dtype=values.dtype), self.edges_per_axis
+        for axis, row in enumerate(out):
+            inner = row[(slice(None),) * axis + (slice(0, self.side - 1),)]
+            inner[...] = values[axis * epa : (axis + 1) * epa].reshape(inner.shape)
+        return out.reshape(self.dimension, self.n_vertices)
 
     @property
     def face_flat(self) -> np.ndarray:

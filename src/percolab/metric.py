@@ -187,25 +187,32 @@ def _grow(
     return dist, first, layers, exhausted, settled
 
 
-def _open_words(sample: PercolationSample, spare: int = 0) -> np.ndarray:
-    """``sample.axis_open_flats()`` as the first d rows of a (d + spare, n)
-    uint64 array, all ones where the edge is open, then ``spare`` zero rows:
-    the open words of lane searches in ``sample`` alone."""
+def _open_words(sample: PercolationSample, out=None) -> np.ndarray:
+    """The open words of lane searches in ``sample`` alone, all ones where
+    ``sample.axis_open_flats()`` is True, in ``out`` or a new (d, n) array."""
     masks = sample.axis_open_flats()
-    words = np.zeros((len(masks) + spare, masks[0].size), dtype=np.int64)
-    np.subtract(0, masks, out=words[: len(masks)])  # -1: all 64 bits set
-    return words.view(np.uint64)
+    out = np.zeros((len(masks), masks[0].size), dtype="<u8") if out is None else out
+    np.subtract(0, masks, out=out.view("<i8"))  # -1: all 64 bits set
+    return out
+
+
+def _lane_state(box: BoxSpec, sample: PercolationSample | None = None) -> np.ndarray:
+    """The state of :func:`_lane_layers` on ``box``, in one array that keeps a
+    worker's heap in place: the open words of ``sample`` (zero without one),
+    then the seen and arriving rows, little-endian uint64."""
+    state = np.zeros((box.dimension + 2, box.n_vertices), dtype="<u8")
+    if sample is not None:
+        _open_words(sample, state[:-2])
+    return state
 
 
 def _lane_layers(sources, words, strides, state):
     """Generator of the layers of up to 64 breadth-first searches, lane k
     being bit k of a uint64 word per vertex, from the flats of ``sources``
-    whose entry of ``words`` has bit k. Row a < d of the (d + 2, n) array
-    ``state`` holds the open words of the axis of stride ``strides[a]``: bit
-    k at v says that the edge (v, v + e_a) is open in lane k's graph (0 in
-    the far-face slots). Its two last rows, zero, take the seen and arriving
-    words: one box-sized array per growth keeps a worker's heap in place,
-    where two of half its size were trimmed and faulted in again.
+    whose entry of ``words`` has bit k. ``state`` is a :func:`_lane_state`,
+    whose row a < d holds the open words of the axis of stride
+    ``strides[a]``: bit k at v says that the edge (v, v + e_a) is open in
+    lane k's graph (0 in the far-face slots).
 
     Each layer t = 0, 1, .. is yielded as its sorted distinct flats and the
     word of the lanes that first reach each; the word sent back names the
@@ -240,20 +247,24 @@ def _lanes_of(mask: int) -> list:
 
 
 def _packed_lanes(drawn):
-    """(box, lane state of :func:`_lane_layers`, lane count) of the next 64
-    or fewer samples of the iterator ``drawn``, sample b as lane b, or None.
-    Sample b is packed as it is drawn, into bit b % 8 of byte plane b // 8:
-    the planes of an edge are the bytes of its word."""
-    planes = None
-    for b, sample in enumerate(itertools.islice(drawn, 64)):
-        if planes is None:
-            box, planes = sample.box, np.zeros((8, sample.box.n_edges), dtype=np.uint8)
-        planes[b >> 3] |= sample.open_edges.view(np.uint8) << (b & 7)
-        del sample  # not held while the next one is drawn
-    if planes is None:
-        return None
-    state = box.padded(planes.T, spare=2).view(np.uint64)
-    return box, state.reshape(box.dimension + 2, -1), b + 1
+    """(box, lane state, lane count) of the next 64 or fewer samples of the
+    iterator ``drawn``, sample b as lane b, or None. Each sample's padded
+    masks are ORed, as drawn, into bit b % 8 of a byte per slot, which every
+    eight samples becomes byte b // 8 of the little-endian words: bit b."""
+    state = None
+    for byte in range(8):
+        plane = None
+        for bit, sample in enumerate(itertools.islice(drawn, 8)):
+            box, masks = sample.box, sample.box.padded(sample.open_edges).view(np.uint8)
+            masks <<= bit
+            plane = masks if plane is None else np.bitwise_or(plane, masks, out=plane)
+            del sample, masks  # not held while the next one is drawn
+        if plane is None:
+            break
+        state = _lane_state(box) if state is None else state
+        state.view(np.uint8).reshape(len(state), -1, 8)[:-2, :, byte] = plane
+        lanes = 8 * byte + bit + 1
+    return None if state is None else (box, state, lanes)
 
 
 def grow_targets(samples, source: int, target: int) -> list:
@@ -292,10 +303,9 @@ def grow_targets(samples, source: int, target: int) -> list:
             live &= once
             for b in _lanes_of(live & ~twice if t else 0):
                 singles[b].append(t)
-            hit = live & int(state[-2, target])  # a live lane saw the target at t
+            hit = live & int(np.bitwise_or.reduce(words[front == target]))
             for b in _lanes_of(hit):
                 dist[b] = t
-            # the faced lanes keep their distance None
             live &= ~hit & ~int(np.bitwise_or.reduce(words[box.face_flat[front]]))
             if not live:
                 break

@@ -10,11 +10,10 @@ replicate never leaves an output file.
 Indices may be evaluated in blocks of consecutive ones, one task per
 block, so that one call can share work among them (the estimators grow a
 block's balls as the lanes of one growth). A block function yields its
-indices' results in order; an exception raised while it produces the
-result of index i is the failure of index i, so a block keeps the
-first-failure contract. Each result is still a function of its index
-alone, so the results do not depend on the block size either. The run uses
-at most one process per block: a run of one block runs in the caller.
+indices' results in order, and an exception raised while it produces the
+result of index i is the failure of index i. Each result is still a
+function of its index alone, so the results do not depend on the block
+size either. A run of one block runs in the calling process.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ def _collect(outcomes) -> ParallelRun:
 
 def workers_used(workers: int | None, n_tasks: int) -> int:
     """The processes, at most one per task, that evaluate ``n_tasks`` tasks
-    when ``workers`` are asked for (None or 0: one per CPU); 1 is the
-    calling process alone."""
+    for ``workers`` (None or 0: one per CPU); 1 is the calling process."""
     workers = workers or multiprocessing.cpu_count()
     return min(workers, n_tasks)
 

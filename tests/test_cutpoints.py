@@ -791,7 +791,7 @@ def test_force_cutpoint_preconditions():
 def upper_tail(sample, n, xi, mu):
     """Upper-tail outcome of D(0, n e1), read as the estimators read it."""
     e1 = (1.0,) + (0.0,) * (sample.box.dimension - 1)
-    (dist, _), = target_distances([sample], n, e1)
+    (dist, _), = target_distances(sample.box, [sample], n, e1)
     return upper_tail_outcome(dist, mu * (1.0 + xi) * n)
 
 
@@ -814,7 +814,7 @@ def test_distances_and_upper_tail_match_the_dijkstra_oracle(d, L, p, n, rng):
     seen = set()
     samples = [sample_configuration(BoxSpec(d, L), p, seed) for seed in range(60)]
     # all 60 target balls grow in one call
-    grown = target_distances(samples, n, (1.0,) + (0.0,) * (d - 1))
+    grown = target_distances(BoxSpec(d, L), samples, n, (1.0,) + (0.0,) * (d - 1))
     for s, (dist, _) in zip(samples, grown):
         status, value = certified_distance_oracle(s, origin, target)
         assert dist == value

@@ -70,10 +70,10 @@ def test_target_distance_never_rises_with_p_under_the_coupling(d, L, ps, n, x):
     # D(0, floor(n x)) can only fall and a connection is never lost; every
     # certified value (int or inf) is that distance, and None says nothing;
     # the balls of the nested samples grow as the lanes of one growth
-    changes = set()
+    changes, box = set(), BoxSpec(d, L)
     for seed in range(40):
-        samples = [sample_configuration(BoxSpec(d, L), p, seed) for p in ps]
-        known = [dist for dist, _ in target_distances(samples, n, x) if dist is not None]
+        samples = [sample_configuration(box, p, seed) for p in ps]
+        known = [dist for dist, _ in target_distances(box, samples, n, x) if dist is not None]
         assert known == sorted(known, reverse=True), (seed, known)
         changes.update(
             "joined" if a == math.inf else "shorter"
@@ -209,7 +209,7 @@ def test_the_upper_tail_threshold_scales_with_the_l1_norm_of_x(tmp_path, x):
     threshold = 1.6 * 1.2 * 12 * sum(x)
     assert emitted == [
         upper_tail_outcome(dist, threshold).value
-        for dist, _ in target_distances(samples, 12, x)
+        for dist, _ in target_distances(box, samples, 12, x)
     ]
     assert {"hit", "miss"} <= set(emitted)
 

@@ -181,7 +181,7 @@ def test_target_distances_are_exact_on_every_configuration(target):
     # n = 1, so the target floor(n x) is x itself; the ball stops at the
     # target, or exhausts the finite cluster: the times run to the distance
     # or to the cluster's last layer
-    got = target_distances([sample for _, sample in CONFIGURATIONS], 1, target)
+    got = target_distances(BOX, [sample for _, sample in CONFIGURATIONS], 1, target)
     seen = set()
     for (open_edges, _), (dist, singles) in zip(CONFIGURATIONS, got):
         exact = bfs_distances(open_edges, ORIGIN)
@@ -215,7 +215,7 @@ FACED = configurations(FACED_EDGES)
 def test_target_distances_on_balls_that_touch_a_face_are_exact(target):
     # the target at the face layer or before it, past it (None) or never
     # with no face in the cluster (inf)
-    got = target_distances([sample for _, sample in FACED], 1, target)
+    got = target_distances(BOX, [sample for _, sample in FACED], 1, target)
     seen = set()
     for (open_edges, _), pair in zip(FACED, got):
         assert pair == oracle_target(open_edges, target), open_edges
@@ -229,7 +229,7 @@ def test_upper_tail_cells_on_balls_that_touch_a_face_are_exact(monkeypatch):
     # experiment's tally with every configuration one replicate
     cells = {}
     for (open_edges, _), (dist, singles) in zip(
-        FACED, target_distances([sample for _, sample in FACED], 1, (1, 0))
+        FACED, target_distances(BOX, [sample for _, sample in FACED], 1, (1, 0))
     ):
         value, times = oracle_target(open_edges, (1, 0))
         if value is None:
@@ -247,6 +247,9 @@ def test_upper_tail_cells_on_balls_that_touch_a_face_are_exact(monkeypatch):
     assert {late for _, late in cells} == {"hit", "miss", "censored"}
     monkeypatch.setattr(estimators, "replicate_seed", lambda seed, index: index)
     monkeypatch.setattr(estimators, "sample_configuration", lambda box, p, index: FACED[index][1])
+    # the experiment's threshold on the configurations' box
+    box_of = estimators._upper_tail_box
+    monkeypatch.setattr(estimators, "_upper_tail_box", lambda *args: (BOX, box_of(*args)[1]))
     (paired,) = estimators.upper_tail_vs_cutpoint_experiment(
         0.5, 2, 1.0, [1], len(FACED), 0, s=2.0, mu1=1.0, box_factor=1.0, workers=1
     )

@@ -602,8 +602,9 @@ def _target_pair(index, *, dist, singles):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_target_estimates_do_not_depend_on_the_block_size(workers):
     # 70 replicates, more than the 64 lanes of one growth, in blocks of 1,
-    # 3 and 64 indices, the last of the runner's: a replicate's distance,
-    # singleton times and paired cell are those of its ball grown alone
+    # 3 and 64 indices and in the runner's (64, or 35 per process at two
+    # workers): a replicate's distance, singleton times and paired cell are
+    # those of its ball grown alone
     box, threshold = estimators._upper_tail_box(2, (1.0, 0.0), 12, 0.3, 1.0, 1.3)
     kw = dict(p=0.6, box=box, n=12, x=(1.0, 0.0), seed=5)
     finishers = [
@@ -699,11 +700,13 @@ def test_manifest_records_the_workers_used_and_the_versions(
     assert "versions" not in record["config"]
 
 
-@pytest.mark.parametrize("command, used", [("upper-tail", 1), ("estimate-j", 2)])
-def test_manifest_records_the_processes_that_the_blocks_used(tmp_path, command, used):
-    # upper-tail's 4 replicates fit in one block of 64, which runs in
-    # this process; estimate-j's run one per task
-    values = {**ESTIMATOR, "replicates": "4", "workers": "2"}
+@pytest.mark.parametrize("command", ["upper-tail", "estimate-j"])
+@pytest.mark.parametrize("workers, used", [(2, 2), (8, 4)])
+def test_manifest_records_the_processes_that_the_blocks_used(tmp_path, command, workers, used):
+    # upper-tail shares its 4 replicates as one block per process, and
+    # estimate-j runs them one per task: neither takes more processes than
+    # it has replicates
+    values = {**ESTIMATOR, "replicates": "4", "workers": str(workers)}
     argv = [command, "--out-dir", str(tmp_path)] + [f"--set={k}={v}" for k, v in values.items()]
     assert cli_dispatch(argv) == 0
     assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == used
